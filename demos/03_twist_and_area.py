@@ -8,7 +8,7 @@ what rule out open sets of 3- and 4-periodic points.
 """
 import numpy as np
 
-from outerlength import ChordConfig, billiard
+from outerlength import ChordConfig, billiard, genfun
 from outerlength.oval import ellipse, perturbed_circle
 
 tables = {
@@ -47,6 +47,6 @@ from outerlength import circle
 table = circle()
 w = 1.3
 alphas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-R = billiard.radius_R1(table, alphas, alphas + w)
+R, _ = genfun.radii_arr(table, alphas, alphas + w)
 print(f"  direct quadrature: {np.trapezoid(np.append(R, R[0]), dx=2 * np.pi / 512):.12f}")
 print(f"  closed form 2*pi*tan^2(w/2): {2 * np.pi * np.tan(w / 2) ** 2:.12f}")

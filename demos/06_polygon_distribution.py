@@ -24,7 +24,7 @@ gaps = rng.uniform(0.6, 1.1, 5)
 gaps *= 2 * np.pi / gaps.sum()
 poly = pg.PolygonConfig(np.concatenate([[0.1], 0.1 + np.cumsum(gaps[:-1])]),
                         1.0 + rng.uniform(-0.15, 0.15, 5))
-sides, perim = pg.side_length_and_perimeter(poly)
+perim = pg.perimeter(poly)
 print(f"  random pentagon: perimeter {perim:.10f} "
       f"(Euclidean check {pg.perimeter_from_vertices(poly):.10f})")
 print("  directional derivatives:",

@@ -11,7 +11,6 @@ distribution whose non-integrability forbids open sets of periodic points.
 """
 
 from .billiard import (
-    LinePairState,
     OrbitRecord,
     PhasePoint,
     TwistReport,
@@ -86,7 +85,6 @@ from .polygons import (
     phi,
     phi_via_tangency,
     rotation_field,
-    side_length_and_perimeter,
     side_lengths,
     tangency_point,
     triangle_WU,

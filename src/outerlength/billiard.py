@@ -11,6 +11,11 @@ with R the auxiliary radius attached to the chord's base angle, the map
 preserves dR ^ dalpha and is a positive twist map, as is its square; both
 facts are checked numerically here rather than assumed.
 
+The radii are the first partials of the generating function (R1 = -S1,
+R2 = S2 from `genfun.grad_arr`), and every 1-D solve in this module goes
+through the package's one bracketed solver, `_solve.bracketed_root`, which
+works on arrays: the scalar `step` is a batch of one.
+
 A second, purely geometric implementation (`cartesian_step`) moves an
 exterior point by the raw reflection rule: find the two tangent lines, build
 the circle tangent to the boundary at the far tangency point and to the near
@@ -26,11 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import genfun
-from ._solve import bisect_newton, newton_1d, sign_change_brackets
+from ._solve import bracketed_root, sign_cells
 from .errors import StepFailureError
 from .genfun import OMEGA_MIN, ChordConfig
-
-LinePairState = ChordConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,23 +48,6 @@ class PhasePoint:
     def __post_init__(self):
         if not self.R > 0.0:
             raise ValueError("phase radius must be positive")
-
-
-# -- scalar radius helpers ---------------------------------------------------
-
-
-def radius_R1(oval, a1, a2):
-    """Auxiliary radius attached to the base angle of the chord (a1, a2)."""
-    w = a2 - a1
-    den = 2.0 * np.cos(w / 2.0) ** 2
-    return (oval.p(a2) - oval.p(a1) * np.cos(w) - oval.p(a1, 1) * np.sin(w)) / den
-
-
-def radius_R2(oval, a1, a2):
-    """Auxiliary radius attached to the lead angle of the chord (a1, a2)."""
-    w = a2 - a1
-    den = 2.0 * np.cos(w / 2.0) ** 2
-    return (oval.p(a1) - oval.p(a2) * np.cos(w) + oval.p(a2, 1) * np.sin(w)) / den
 
 
 def vertex_point(oval, state):
@@ -79,7 +65,7 @@ def vertex_point(oval, state):
 
 def auxiliary_circle(oval, state):
     """Center and radius of the reflection circle of the chord (tangent at alpha2)."""
-    r = radius_R2(oval, state.alpha1, state.alpha2)
+    r = genfun.grad_arr(oval, state.alpha1, state.alpha2)[1]
     a2 = state.alpha2
     center = oval.point_at(a2) + r * np.array([np.cos(a2), np.sin(a2)])
     return center, float(r)
@@ -87,70 +73,52 @@ def auxiliary_circle(oval, state):
 
 # -- the map -----------------------------------------------------------------
 
-_SCAN_NODES = 64
+
+def _gap_bracket(a):
+    """Bracket [a + OMEGA_MIN, a + pi - OMEGA_MIN] for the angle after a,
+    pulled in by a few rounding units so that the gaps recomputed from its
+    endpoints stay inside the chord domain."""
+    pad = 4.0 * np.spacing(np.abs(a) + np.pi)
+    return a + (OMEGA_MIN + pad), a + (np.pi - OMEGA_MIN - pad)
 
 
-def step_angles(oval, a1, a2, xtol=1e-12):
-    """Root alpha3 of R2(a1, a2) = R1(a2, alpha3) in (a2, a2 + pi)."""
-    target = radius_R2(oval, a1, a2)
-    lo = a2 + OMEGA_MIN
-    hi = a2 + np.pi - OMEGA_MIN
+def _base_radius_fdf(oval):
+    """(R1(a, b) - target, dR1/db) with R1 = -S1 and dR1/db = -S12."""
 
-    def g(b):
-        return radius_R1(oval, a2, b) - target
+    def fdf(b, a, target):
+        S1, S2 = genfun.grad_arr(oval, a, b)
+        return -S1 - target, (S2 - S1) / np.sin(b - a)
 
-    def dg(b):
-        s11, s12, s22 = genfun.hess_arr(oval, a2, b)
-        return -s12
+    return fdf
 
-    grid = np.linspace(lo, hi, _SCAN_NODES)
-    vals = g(grid)
-    idx = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-    if len(idx) == 0:
-        raise StepFailureError(
-            f"no reflection root for chord ({a1:.6f}, {a2:.6f}); "
-            "degenerate geometry"
-        )
-    i = int(idx[0])
-    return bisect_newton(g, grid[i], grid[i + 1], dfn=dg, xtol=xtol)
+
+def step_angles_arr(oval, a1, a2):
+    """alpha3 solving R2(a1, a2) = R1(a2, alpha3) in (a2, a2 + pi), elementwise.
+
+    R1(a2, .) is strictly increasing (S12 < 0), so the root is unique; chords
+    whose root leaves the guarded bracket come back as NaN.
+    """
+    a2 = np.asarray(a2, dtype=float)
+    target = genfun.grad_arr(oval, a1, a2)[1]
+    return bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a2), a2, target)
 
 
 def step(oval, state):
     """One billiard step: (alpha1, alpha2) -> (alpha2, alpha3)."""
-    a3 = step_angles(oval, state.alpha1, state.alpha2)
-    return ChordConfig(state.alpha2, a3)
-
-
-def step_angles_arr(oval, a1, a2, iters=64, polish=2):
-    """Vectorized alpha3 solve for whole arrays of chords.
-
-    Plain bisection on the monotone radius mismatch, then Newton polish.
-    Chords whose root leaves the guarded bracket come back as NaN.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    target = radius_R2(oval, a1, a2)
-    lo = a2 + OMEGA_MIN
-    hi = a2 + np.pi - OMEGA_MIN
-    valid = (radius_R1(oval, a2, lo) < target) & (radius_R1(oval, a2, hi) > target)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = radius_R1(oval, a2, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    root = 0.5 * (lo + hi)
-    for _ in range(polish):
-        _, s12, _ = genfun.hess_arr(oval, a2, root)
-        root = root - (radius_R1(oval, a2, root) - target) / (-s12)
-    return np.where(valid, root, np.nan)
+    a3 = step_angles_arr(oval, state.alpha1, state.alpha2)
+    if np.isnan(a3):
+        raise StepFailureError(
+            f"no reflection root for chord ({state.alpha1:.6f}, {state.alpha2:.6f}); "
+            "degenerate geometry"
+        )
+    return ChordConfig(state.alpha2, float(a3))
 
 
 def step_residual(oval, state, new_state):
     """|R2(old chord) - R1(new chord)|, the defining equation's defect."""
-    return abs(
-        radius_R2(oval, state.alpha1, state.alpha2)
-        - radius_R1(oval, new_state.alpha1, new_state.alpha2)
-    )
+    _, R2 = genfun.grad_arr(oval, state.alpha1, state.alpha2)
+    S1, _ = genfun.grad_arr(oval, new_state.alpha1, new_state.alpha2)
+    return np.abs(R2 + S1)
 
 
 # -- phase-cylinder coordinates ----------------------------------------------
@@ -158,34 +126,22 @@ def step_residual(oval, state, new_state):
 
 def phase_from_pair(oval, state):
     """(alpha, R) coordinates of a chord: base angle plus its auxiliary radius."""
-    return PhasePoint(state.alpha1, float(radius_R1(oval, state.alpha1, state.alpha2)))
+    S1, _ = genfun.grad_arr(oval, state.alpha1, state.alpha2)
+    return PhasePoint(state.alpha1, float(-S1))
 
 
 def pair_from_phase(oval, point):
     """Invert R = R1(alpha, alpha2) for alpha2; monotone since S12 < 0."""
     a1 = point.alpha
-    lo = a1 + OMEGA_MIN
-    hi = a1 + np.pi - OMEGA_MIN
-
-    def g(b):
-        return radius_R1(oval, a1, b) - point.R
-
-    def dg(b):
-        _, s12, _ = genfun.hess_arr(oval, a1, b)
-        return -s12
-
-    if g(lo) > 0.0 or g(hi) < 0.0:
+    a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a1), a1, point.R)
+    if np.isnan(a2):
         raise StepFailureError(f"radius {point.R} outside the admissible range")
-    x0 = a1 + 2.0 * np.arctan(np.sqrt(point.R / max(oval.p(a1), 1e-12)))
-    root = newton_1d(g, dg, x0, lo, hi, ftol=1e-13)
-    return ChordConfig(a1, root)
+    return ChordConfig(a1, float(a2))
 
 
 def map_phase(oval, point):
     """The billiard map in (alpha, R) coordinates."""
-    state = pair_from_phase(oval, point)
-    new = step(oval, state)
-    return PhasePoint(new.alpha1, float(radius_R1(oval, new.alpha1, new.alpha2)))
+    return phase_from_pair(oval, step(oval, pair_from_phase(oval, point)))
 
 
 # -- Cartesian oracle ----------------------------------------------------------
@@ -234,11 +190,10 @@ def cartesian_step(oval, point):
     def dq(beta):
         return -O[0] * np.sin(beta) + O[1] * np.cos(beta) - oval.p(beta, 1)
 
-    grid = np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256)
-    brackets = sign_change_brackets(q, grid)
-    if not brackets:
+    lo, hi = sign_cells(q, np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256))
+    if not lo.size:
         raise StepFailureError("no common tangent found by the Cartesian rule")
-    beta = bisect_newton(q, brackets[0][0], brackets[0][1], dfn=dq)
+    beta = bracketed_root(lambda b: (q(b), dq(b)), lo[0], hi[0])
 
     A = np.array([[np.cos(a2), np.sin(a2)], [np.cos(beta), np.sin(beta)]])
     rhs = np.array([float(oval.p(a2)), float(oval.p(beta))])
@@ -354,7 +309,7 @@ def orbit(oval, state, n):
     rec = OrbitRecord()
     current = state
     rec.states.append(current)
-    rec.radii.append(float(radius_R1(oval, current.alpha1, current.alpha2)))
+    rec.radii.append(phase_from_pair(oval, current).R)
     rec.vertices.append(vertex_point(oval, current))
     for i in range(n):
         try:
@@ -362,6 +317,6 @@ def orbit(oval, state, n):
         except StepFailureError as exc:
             raise StepFailureError(f"step {i + 1} failed: {exc}") from exc
         rec.states.append(current)
-        rec.radii.append(float(radius_R1(oval, current.alpha1, current.alpha2)))
+        rec.radii.append(phase_from_pair(oval, current).R)
         rec.vertices.append(vertex_point(oval, current))
     return rec

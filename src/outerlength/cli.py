@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 validation/constructor failure, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -108,35 +108,9 @@ def cmd_find_periodic(args):
 
 def cmd_scan(args):
     oval = _load_table(args.table)
-    if args.workers > 1:
-        two_pi = 2.0 * np.pi
-        bounds = np.linspace(0.0, two_pi, args.workers + 1)
-        counts = [
-            int(round(args.samples * (b - a) / two_pi))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda ab: periodic.invariant_curve_scan(
-                        oval, args.n, m=args.m, samples=ab[2],
-                        closure_tol=args.tol, alpha_lo=ab[0], alpha_hi=ab[1],
-                    ),
-                    [(a, b, c) for (a, b), c in zip(
-                        zip(bounds[:-1], bounds[1:]), counts) if c > 0],
-                )
-            )
-        report = periodic.ScanReport(
-            n=args.n,
-            m=args.m,
-            alpha1=np.concatenate([c.alpha1 for c in chunks]),
-            residual=np.concatenate([c.residual for c in chunks]),
-            closure_tol=args.tol,
-        )
-    else:
-        report = periodic.invariant_curve_scan(
-            oval, args.n, m=args.m, samples=args.samples, closure_tol=args.tol
-        )
+    report = periodic.invariant_curve_scan(
+        oval, args.n, m=args.m, samples=args.samples, closure_tol=args.tol
+    )
     csv_text = report.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -231,7 +205,10 @@ def _verify_checks(oval, samples, seed):
         for i in range(5)
     )
     add("polygon-unit-support-identity", unit_identity, 1e-11)
-    poly2 = polygons.PolygonConfig(alph, 1.0 + rng.uniform(-0.2, 0.2, 5))
+    poly2 = None
+    while poly2 is None:  # redraw until the pentagon is convex
+        with contextlib.suppress(ValueError):
+            poly2 = polygons.PolygonConfig(alph, 1.0 + rng.uniform(-0.2, 0.2, 5))
     add(
         "polygon-perimeter-euclid",
         abs(polygons.perimeter(poly2) - polygons.perimeter_from_vertices(poly2)),
@@ -350,7 +327,6 @@ def build_parser():
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="scan CSV path (stdout if omitted)")
     p.set_defaults(fn=cmd_scan)
 

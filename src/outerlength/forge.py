@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import newton_1d
+from ._solve import bracketed_root
 from .errors import (
     ArcConstraintError,
     ConvexityError,
@@ -42,7 +42,7 @@ from .errors import (
     SeamError,
 )
 from .genfun import ChordConfig
-from .oval import SupportOval
+from .oval import SupportOval, _refined_min
 
 TWO_PI = 2.0 * np.pi
 
@@ -115,28 +115,16 @@ class FourPeriodicSpec:
             )
         if abs(float(self._f(0.0))) > 1e-12:
             raise ArcConstraintError("normalization f(0) = 0 violated")
-        self.max_fprime = self._refined_max_abs_fprime()
+
+        def neg_abs_fp(x):
+            return -np.abs(self._fp(x))
+
+        # the refined maximum of |f'| is minus the refined minimum of -|f'|
+        self.max_fprime = -_refined_min(neg_abs_fp, self._grid, neg_abs_fp(self._grid))
         if self.max_fprime >= 2.0 - 1e-12:
             raise FPrimeBoundError(
                 f"f-prime bound violated: max |f'| = {self.max_fprime:.6f} >= 2"
             )
-
-    def _refined_max_abs_fprime(self, levels=3, local=32):
-        g = self._grid
-        vals = np.abs(self._fp(g))
-        i = int(np.argmax(vals))
-        best = float(vals[i])
-        center = g[i]
-        h = g[1] - g[0]
-        for _ in range(levels):
-            loc = np.linspace(center - h, center + h, local)
-            lv = np.abs(self._fp(loc))
-            j = int(np.argmax(lv))
-            if lv[j] > best:
-                best = float(lv[j])
-                center = loc[j]
-            h /= 8.0
-        return best
 
     def to_json(self):
         if self.harmonics is None:
@@ -252,18 +240,12 @@ def from_f(spec, n_alpha=4096):
             f"alpha(x) not strictly increasing (min alpha' = {np.min(ap):.3e})"
         )
 
-    targets = np.linspace(0.0, TWO_PI, n_alpha, endpoint=False)
-    samples = np.empty(n_alpha)
-    for i, alpha in enumerate(targets):
-        x = newton_1d(
-            lambda t, alpha=alpha: _alpha_of_x(spec, t) - alpha,
-            lambda t: _alpha_prime(spec, t),
-            alpha + np.pi / 4.0,
-            alpha,
-            alpha + np.pi / 2.0,
-            ftol=1e-14,
-        )
-        samples[i] = _family_raw(spec, x)[2]
+    def fdf(t, alpha):
+        return _alpha_of_x(spec, t) - alpha, _alpha_prime(spec, t)
+
+    # alpha(x) lies in [x - pi/2, x], so x(alpha) lies in [alpha, alpha + pi/2]
+    alphas = np.linspace(0.0, TWO_PI, n_alpha, endpoint=False)
+    samples = _family_raw(spec, bracketed_root(fdf, alphas, alphas + np.pi / 2.0, alphas))[2]
     try:
         oval = SupportOval.from_samples(samples)
     except OvalValidationError as exc:
@@ -342,12 +324,13 @@ class _CosineArc:
 
     def value(self, a, deriv=0):
         a = np.asarray(a, dtype=float)
+        # in place: this (points x basis) array is radon_like's peak memory
         ja = 2.0 * np.multiply.outer(a, self.j)
         if deriv == 0:
-            return np.cos(ja) @ self.c
+            return np.cos(ja, out=ja) @ self.c
         if deriv == 1:
-            return -np.sin(ja) @ (2.0 * self.j * self.c)
-        return -np.cos(ja) @ ((2.0 * self.j) ** 2 * self.c)
+            return -(np.sin(ja, out=ja) @ (2.0 * self.j * self.c))
+        return -(np.cos(ja, out=ja) @ ((2.0 * self.j) ** 2 * self.c))
 
     def end_sum(self):
         # p(0) + p(pi/2) = sum over even j of 2 c_j
@@ -420,16 +403,13 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     def beta_of(a):
         return a + np.arccos(-fit.value(a, 1))
 
-    # invert beta on (pi/2, pi] by vectorized bisection (beta is monotone)
+    def fdf(a, target):
+        return beta_of(a) - target, 1.0 + fit.value(a, 2) / np.sqrt(1.0 - fit.value(a, 1) ** 2)
+
+    # invert beta on (pi/2, pi]; the cosine basis mirrors the arc about pi/2,
+    # so beta stays monotone on [0, pi] and runs from pi/2 to 3*pi/2 there
     second = grid[(grid > np.pi / 2.0) & (grid <= np.pi + 1e-12)]
-    lo = np.zeros_like(second)
-    hi = np.full_like(second, np.pi / 2.0)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = beta_of(mid) < second
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    alpha = 0.5 * (lo + hi)
+    alpha = bracketed_root(fdf, 0.0, np.pi, second)
     ext = -fit.value(alpha) + np.sin(second - alpha)
     full[q + 1 : q + 1 + len(second)] = ext
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from ._solve import bisect_newton, sign_change_brackets
+from ._solve import bracketed_root, sign_cells
 from .errors import ContainmentError, OvalValidationError
 
 TWO_PI = 2.0 * np.pi
@@ -281,15 +281,12 @@ class SupportOval:
         def h(a):
             return self.support_margin(point, a)
 
-        def dh(a):
+        def hdh(a):
             x, y = point
-            return -x * np.sin(a) + y * np.cos(a) - self._rep.value(a, 1)
+            return h(a), -x * np.sin(a) + y * np.cos(a) - self._rep.value(a, 1)
 
-        grid = np.concatenate([self._grid, [TWO_PI]])
-        brackets = sign_change_brackets(h, grid)
-        roots = sorted(
-            {bisect_newton(h, lo, hi, dfn=dh) % TWO_PI for lo, hi in brackets}
-        )
+        cells = sign_cells(h, np.concatenate([self._grid, [TWO_PI]]))
+        roots = np.unique(bracketed_root(hdh, *cells) % TWO_PI)
         # collapse near-duplicates from the seam at 0 / 2*pi
         uniq = []
         for r in roots:

@@ -169,7 +169,10 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
         if gn < tol:
             break
         H = action_hessian(oval, angles, m)
-        delta = np.linalg.lstsq(H, -g, rcond=None)[0]
+        # modes with curvature below 1e-10 of the stiffest are the drift of the
+        # orbit along a (near-)family; a Newton step along one leaves the
+        # quadratic model and stalls the search, so the solve drops them
+        delta = np.linalg.lstsq(H, -g, rcond=1e-10)[0]
         step_scale = 1.0
         for _ in range(30):
             cand = angles + step_scale * delta

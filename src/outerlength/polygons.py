@@ -53,6 +53,12 @@ class PolygonConfig:
             raise ValueError(f"gap sequence {gaps.tolist()} must lie in (0, pi)")
         if abs(np.sum(gaps) - TWO_PI) > 1e-9:
             raise ValueError("side normals must advance by exactly one turn")
+        sides = side_lengths(self)
+        if np.any(sides <= 0.0):
+            raise ValueError(
+                f"support values give sides {sides.tolist()}; every side must have "
+                "positive length"
+            )
 
     @property
     def n(self):
@@ -113,11 +119,6 @@ def perimeter_from_vertices(poly):
     """Euclidean perimeter from the vertex polygon (cross-check route)."""
     v = vertices(poly)
     return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
-
-
-def side_length_and_perimeter(poly):
-    """(side lengths, perimeter) from the support-coordinate formulas."""
-    return side_lengths(poly), perimeter(poly)
 
 
 def tangency_point(poly, i):

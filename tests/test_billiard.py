@@ -122,14 +122,14 @@ class TestJacobian:
         # invariant circle {w = const} of the round table: oint R d alpha
         w = 1.1
         alphas = np.linspace(0, TWO_PI, 256, endpoint=False)
-        R_before = bl.radius_R1(round_table, alphas, alphas + w)
+        R_before, _ = gf.radii_arr(round_table, alphas, alphas + w)
         before = np.trapezoid(np.append(R_before, R_before[0]), dx=TWO_PI / 256)
         image_alpha = np.empty_like(alphas)
         image_R = np.empty_like(alphas)
         for i, a in enumerate(alphas):
             new = bl.step(round_table, ChordConfig(a, a + w))
             image_alpha[i] = new.alpha1
-            image_R[i] = bl.radius_R1(round_table, new.alpha1, new.alpha2)
+            image_R[i] = gf.radii_arr(round_table, new.alpha1, new.alpha2)[0]
         order = np.argsort(image_alpha % TWO_PI)
         xs = (image_alpha % TWO_PI)[order]
         ys = image_R[order]
@@ -150,13 +150,14 @@ class TestTwist:
             assert rep.min_twist > 0
             assert rep.min_twist_squared > 0
 
-    def test_vectorized_step_matches_scalar(self, wobble3_table):
+    def test_batched_step_residual(self, wobble3_table):
         rng = np.random.default_rng(6)
         a1 = rng.uniform(0, TWO_PI, 50)
-        w = rng.uniform(0.1, np.pi - 0.2, 50)
-        a3v = bl.step_angles_arr(wobble3_table, a1, a1 + w)
-        for x, ww, av in zip(a1, w, a3v):
-            assert abs(bl.step_angles(wobble3_table, x, x + ww) - av) < 1e-10
+        a2 = a1 + rng.uniform(0.1, np.pi - 0.2, 50)
+        a3 = bl.step_angles_arr(wobble3_table, a1, a2)
+        assert a3.shape == a1.shape
+        for x, y, z in zip(a1, a2, a3):
+            assert bl.step_residual(wobble3_table, ChordConfig(x, y), ChordConfig(y, z)) < 1e-11
 
 
 class TestPhaseCoordinates:
@@ -173,7 +174,7 @@ class TestPhaseCoordinates:
         new = bl.step(wobble3_table, state)
         assert image.alpha == pytest.approx(new.alpha1, abs=1e-11)
         assert image.R == pytest.approx(
-            float(bl.radius_R1(wobble3_table, new.alpha1, new.alpha2)), abs=1e-9
+            float(gf.radii_arr(wobble3_table, new.alpha1, new.alpha2)[0]), abs=1e-9
         )
 
     def test_phase_point_requires_positive_radius(self):

@@ -185,13 +185,12 @@ class TestScan:
         assert summary["all_closed"] is False
         assert summary["max_closure_run"] <= 2
 
-    def test_workers_split_matches_serial(self, forged_table, capsys):
+    def test_reports_every_sample(self, forged_table, capsys):
         assert main(
-            ["scan", "--table", forged_table, "--n", "4", "--samples", "16",
-             "--workers", "2"]
+            ["scan", "--table", forged_table, "--n", "4", "--samples", "10"]
         ) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert summary["samples"] == 16
+        assert summary["samples"] == 10
         assert summary["all_closed"] is True
 
 
@@ -216,6 +215,21 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert report["checks"][0]["skipped_dependents"] is True
+
+    def test_seed_drawing_a_nonconvex_pentagon_passes(self, tmp_path):
+        # seed 100 first draws support values that give the random pentagon a
+        # side of negative length; the battery draws again
+        table = tmp_path / "wobble.json"
+        table.write_text(
+            json.dumps({"type": "fourier", "a0": 1.0, "cos": [0, 0, 0.05], "sin": []})
+        )
+        out = tmp_path / "report.json"
+        assert main(
+            ["verify", "--table", str(table), "--seed", "100", "--out", str(out)]
+        ) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True
+        assert "polygon-perimeter-euclid" in {c["name"] for c in report["checks"]}
 
     def test_unreadable_table(self, tmp_path):
         assert main(["verify", "--table", str(tmp_path / "none.json")]) == 4

@@ -87,6 +87,15 @@ class TestFindPeriodic:
         assert s.alpha1 == pytest.approx(orb.angles[0], abs=1e-8)
         assert s.alpha2 == pytest.approx(orb.angles[1], abs=1e-8)
 
+    @pytest.mark.parametrize("n, m", [(5, 2), (7, 3), (12, 5)])
+    def test_forge_table_other_periods(self, forge_table, n, m):
+        # these orbits' Hessians have a mode of curvature ~1e-12 of the
+        # stiffest; a Newton step along it stalls the search near 1e-9
+        oval, _ = forge_table
+        orbit = pd.find_periodic(oval, n, m)
+        assert orbit.residual < 1e-11
+        assert pd.closure_by_iteration(oval, orbit.angles, m) < 1e-8
+
     def test_seed_validation(self, round_table):
         with pytest.raises(ValueError):
             pd.find_periodic(round_table, 2)

@@ -86,6 +86,13 @@ class TestVerticesAndSides:
         with pytest.raises(ValueError):
             pg.PolygonConfig(np.array([0.0, 0.5, 1.0]), np.ones(3))  # wrap gap > pi
 
+    @pytest.mark.parametrize("p_last", [-1.0, -1.5])
+    def test_rejects_side_of_nonpositive_length(self, p_last):
+        # on a square, side 0 has length p_3 + p_1: zero, then negative
+        square = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        with pytest.raises(ValueError, match="positive length"):
+            pg.PolygonConfig(square, np.array([1.0, 1.0, 1.0, p_last]))
+
 
 class TestPhi:
     def test_zero_on_regular_polygons(self):

@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+
+from outerlength import billiard as bl
+from outerlength._solve import bracketed_root, sign_cells
+from outerlength.errors import StepFailureError
+from outerlength.genfun import ChordConfig
+from outerlength.oval import ellipse
+
+
+def cubic(x, c):
+    """x^3 - c: one simple root per entry, steep enough to need bisection."""
+    return x**3 - c, 3.0 * x**2
+
+
+def test_roots_of_a_batch():
+    c = np.array([-8.0, 0.001, 1.0, 27.0, 1000.0])
+    roots = bracketed_root(cubic, -20.0, 20.0, c)
+    assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12)
+
+
+def test_nan_where_no_sign_change():
+    roots = bracketed_root(cubic, np.array([0.0, 2.0, -1.0]), np.array([3.0, 3.0, 3.0]), 1.0)
+    assert roots[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.isnan(roots[1])
+    assert roots[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nan_on_nan_bracket():
+    assert np.isnan(bracketed_root(cubic, np.nan, 2.0, 1.0))
+
+
+def test_exact_root_at_either_endpoint():
+    roots = bracketed_root(cubic, np.array([2.0, -3.0]), np.array([5.0, 2.0]), 8.0)
+    assert roots.tolist() == [2.0, 2.0]
+
+
+def test_shape_of_a_scalar_call():
+    root = bracketed_root(cubic, 0.0, 3.0, 8.0)
+    assert np.ndim(root) == 0
+    assert isinstance(root, float)
+    assert root == pytest.approx(2.0, abs=1e-12)
+
+
+def test_shape_of_an_nd_call():
+    c = np.arange(1.0, 13.0).reshape(3, 4)
+    roots = bracketed_root(cubic, 0.0, 5.0, c)
+    assert roots.shape == (3, 4)
+    assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12)
+
+
+def test_params_follow_their_entries():
+    # entries converge at different iterations; each must keep its own target
+    targets = np.array([1e-9, 2.0, 5.0, 100.0, 0.5, 8.0])
+    roots = bracketed_root(cubic, 0.0, 10.0, targets)
+    assert np.allclose(roots**3, targets, rtol=1e-12, atol=1e-12)
+
+
+def test_flat_slope_falls_back_to_bisection():
+    # f' vanishes at the starting midpoint, so the first step must bisect
+    def fdf(x):
+        return x**3 - 0.5, 3.0 * x**2
+
+    assert bracketed_root(fdf, -1.0, 1.0) == pytest.approx(np.cbrt(0.5), abs=1e-12)
+
+
+def test_sign_cells():
+    grid = np.linspace(0.0, 4.0, 5)
+    lo, hi = sign_cells(lambda x: (x - 1.0) * (x - 2.5) * (x - 4.0), grid)
+    # an exact zero at node 1.0, a sign change in (2, 3), a zero at the last node
+    assert lo.tolist() == [1.0, 2.0, 3.0]
+    assert hi.tolist() == [2.0, 3.0, 4.0]
+    lo, hi = sign_cells(lambda x: x * x + 1.0, grid)
+    assert lo.size == 0 and hi.size == 0
+
+
+def test_step_raises_without_reflection_root():
+    # on a flat ellipse, a chord this short has no partner of equal radius
+    table = ellipse(1.0, 0.2)
+    state = ChordConfig(0.8325, 0.8325 + 1.0001e-4)
+    assert np.isnan(bl.step_angles_arr(table, state.alpha1, state.alpha2))
+    with pytest.raises(StepFailureError):
+        bl.step(table, state)
+
+
+def test_pair_from_phase_raises_outside_the_radius_range():
+    table = ellipse(1.0, 0.2)
+    with pytest.raises(StepFailureError):
+        bl.pair_from_phase(table, bl.PhasePoint(0.3, 1e12))
