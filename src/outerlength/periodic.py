@@ -11,10 +11,16 @@ chord), so a vanishing gradient is the step equation at every vertex.
 Two independent solvers are provided: a damped Newton method on the gradient
 with the cyclic tridiagonal-plus-corners Hessian (`find_periodic`), and a
 derivative-free multi-start search (`brute_oracle`) used to validate it.
+
 `invariant_curve_scan` fixes the first angle, solves the interior critical
 equations, and reports the leftover closure residual as a function of the
 first angle; tables carrying an invariant curve of n-periodic points produce
-an identically vanishing residual curve.
+an identically vanishing residual curve.  The scan solves every sample in one
+lockstep Newton on a (samples, n) angle array: with the first angle fixed the
+interior Hessian is plain tridiagonal, so each iteration is one batched
+gradient, one batched Hessian and a vectorised tridiagonal sweep.  Samples
+are seeded from equal gaps first; a sample that fails is re-seeded from its
+nearest solved neighbour, shifted to its own first angle.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ GAP_MIN = 1e-3
 
 
 def _chords(angles, m):
-    """Chord endpoint arrays (a, b) for the cyclic angle tuple."""
+    """Chord endpoint arrays (a, b) for the cyclic angle tuple(s) on the last axis."""
     angles = np.asarray(angles, dtype=float)
-    ext = np.append(angles, angles[0] + TWO_PI * m)
-    return ext[:-1], ext[1:]
+    ext = np.concatenate([angles, angles[..., :1] + TWO_PI * m], axis=-1)
+    return ext[..., :-1], ext[..., 1:]
 
 
 def _check_gaps(angles, m, gap_min=genfun.OMEGA_MIN):
@@ -66,24 +72,33 @@ def orbit_perimeter(oval, angles, m=1):
 
 
 def action_gradient(oval, angles, m=1):
-    """Gradient component i: R2 of the chord into vertex i minus R1 out of it."""
+    """Gradient component i: R2 of the chord into vertex i minus R1 out of it.
+
+    `angles` may hold one orbit per row; the gradient is taken along the last axis.
+    """
     a, b = _chords(angles, m)
     S1, S2 = genfun.grad_arr(oval, a, b)
-    return np.roll(S2, 1) + S1
+    return np.roll(S2, 1, axis=-1) + S1
+
+
+def _hessian_bands(oval, angles, m):
+    """Diagonal and cyclic off-diagonal of the action Hessian, on the last axis.
+
+    diag[i] = S11(chord i) + S22(chord i-1); off[i] = S12(chord i) couples
+    vertex i to vertex i+1 (vertex n-1 to vertex 0 for the last entry).
+    """
+    S11, S12, S22 = genfun.hess_arr(oval, *_chords(angles, m))
+    return S11 + np.roll(S22, 1, axis=-1), S12
 
 
 def action_hessian(oval, angles, m=1):
     """Cyclic tridiagonal-plus-corners Hessian assembled from chord Hessians."""
-    n = len(angles)
-    a, b = _chords(angles, m)
-    S11, S12, S22 = genfun.hess_arr(oval, a, b)
-    H = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        H[i, i] += S11[i]
-        H[j, j] += S22[i]
-        H[i, j] += S12[i]
-        H[j, i] += S12[i]
+    diag, off = _hessian_bands(oval, angles, m)
+    i = np.arange(len(diag))
+    j = (i + 1) % len(diag)
+    H = np.diag(diag)
+    np.add.at(H, (i, j), off)
+    np.add.at(H, (j, i), off)
     return H
 
 
@@ -137,9 +152,20 @@ def _project_gaps(angles, m):
 
 
 def _gaps_ok(angles, m):
+    """True where every gap lies in (GAP_MIN, pi - GAP_MIN); one flag per row."""
     a, b = _chords(angles, m)
     gaps = b - a
-    return bool(np.all(gaps > GAP_MIN) and np.all(gaps < np.pi - GAP_MIN))
+    return np.all((gaps > GAP_MIN) & (gaps < np.pi - GAP_MIN), axis=-1)
+
+
+def _check_period(n, m):
+    """Reject an (n, m) that no orbit of the billiard can have."""
+    if n < 3:
+        raise ValueError("period must be at least 3")
+    if m < 1 or np.gcd(n, m) != 1:
+        raise ValueError("winding m must satisfy gcd(n, m) = 1")
+    if 2.0 * m / n >= 1.0 - 1e-9:
+        raise ValueError(f"mean gap 2*pi*{m}/{n} is not below pi")
 
 
 def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
@@ -148,14 +174,11 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
     Uses least-squares Newton steps (stable on rotationally symmetric tables,
     where the Hessian carries an exact zero mode), backtracking line search on
     the gradient norm, and gap projection with a three-strike failure rule.
-    The result is verified by n applications of the billiard step.
+    A line search that reaches step scale 1e-3 without lowering the gradient
+    raises ConvergenceError.  The result is verified by n applications of the
+    billiard step.
     """
-    if n < 3:
-        raise ValueError("period must be at least 3")
-    if m < 1 or np.gcd(n, m) != 1:
-        raise ValueError("winding m must satisfy gcd(n, m) = 1")
-    if 2.0 * m / n >= 1.0 - 1e-9:
-        raise ValueError(f"mean gap 2*pi*{m}/{n} is not below pi")
+    _check_period(n, m)
     if seed_angles is None:
         angles = TWO_PI * m * np.arange(n) / n
     else:
@@ -178,9 +201,14 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
             cand = angles + step_scale * delta
             if _gaps_ok(cand, m):
                 gc = action_gradient(oval, cand, m)
-                if np.max(np.abs(gc)) < gn or step_scale < 1e-3:
+                if np.max(np.abs(gc)) < gn:
                     angles, g = cand, gc
                     break
+                if step_scale < 1e-3:
+                    raise ConvergenceError(
+                        f"line search found no descent down to step scale "
+                        f"{step_scale:.1e} (residual {gn:.3e})"
+                    )
             step_scale *= 0.5
         else:
             projections += 1
@@ -337,39 +365,81 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _solve_interior(oval, alpha0, n, m, seed_interior, tol=1e-12, max_iter=40):
-    """Newton on the interior critical equations with the first angle fixed.
+def _tridiagonal_solve(diag, off, rhs):
+    """Thomas sweep for symmetric tridiagonal systems, one per row.
 
-    Unknowns are alpha_1 .. alpha_{n-1}; returns the full angle tuple or None.
+    diag and rhs are (k, N), off is (k, N - 1).  A zero pivot gives a
+    non-finite row, which the caller treats as a failed step.
     """
-    angles = np.empty(n)
-    angles[0] = alpha0
-    angles[1:] = seed_interior
-    for _ in range(max_iter):
-        if not _gaps_ok(angles, m):
-            return None
-        g = action_gradient(oval, angles, m)[1:]
-        if np.max(np.abs(g)) < tol:
-            return angles
-        H = action_hessian(oval, angles, m)[1:, 1:]
-        try:
-            delta = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            return None
+    N = diag.shape[1]
+    c = np.empty_like(off)
+    x = np.empty_like(rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        piv = diag[:, 0]
+        x[:, 0] = rhs[:, 0] / piv
+        for i in range(1, N):
+            c[:, i - 1] = off[:, i - 1] / piv
+            piv = diag[:, i] - off[:, i - 1] * c[:, i - 1]
+            x[:, i] = (rhs[:, i] - off[:, i - 1] * x[:, i - 1]) / piv
+        for i in range(N - 2, -1, -1):
+            x[:, i] -= c[:, i] * x[:, i + 1]
+    return x
+
+
+def _solve_rows(oval, seeds, m, tol=1e-12, max_iter=40):
+    """Lockstep Newton on the interior critical equations of every row.
+
+    Each row of `seeds` (k, n) is one broken orbit whose first angle stays
+    fixed.  A row leaves the working set when max|g[1:]| < tol, when its gaps
+    leave (GAP_MIN, pi - GAP_MIN), when its Newton step is not finite, or when
+    its line search finds no descent down to step scale 1e-3.  A row still
+    running after `max_iter` steps, or stopped by its line search, passes if
+    max|g[1:]| < 100 * tol.  Returns the solved angles and the closure
+    residual g[0]; failed rows are NaN.
+    """
+    angles = np.full(seeds.shape, np.nan)
+    residual = np.full(len(seeds), np.nan)
+    live = np.flatnonzero(_gaps_ok(seeds, m))
+    x = seeds[live]
+    g = action_gradient(oval, x, m)
+    for it in range(max_iter + 1):
+        gn = np.max(np.abs(g[:, 1:]), axis=1)
+        done = gn < (tol if it < max_iter else 100.0 * tol)
+        angles[live[done]] = x[done]
+        residual[live[done]] = g[done, 0]
+        live, x, g, gn = live[~done], x[~done], g[~done], gn[~done]
+        if it == max_iter or not live.size:
+            break
+        diag, off = _hessian_bands(oval, x, m)
+        delta = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
+        # backtracking on each row; all rows still searching share one scale
+        moved = np.zeros(len(live), dtype=bool)
+        pending = np.flatnonzero(np.all(np.isfinite(delta), axis=1))
         scale = 1.0
         for _ in range(25):
-            cand = angles.copy()
-            cand[1:] += scale * delta
-            if _gaps_ok(cand, m):
-                gc = action_gradient(oval, cand, m)[1:]
-                if np.max(np.abs(gc)) < np.max(np.abs(g)) or scale < 1e-3:
-                    angles = cand
-                    break
+            if not pending.size:
+                break
+            cand = x[pending]
+            cand[:, 1:] += scale * delta[pending]
+            valid = np.flatnonzero(_gaps_ok(cand, m))
+            drop = np.zeros(len(pending), dtype=bool)
+            if valid.size:
+                rows = pending[valid]
+                gc = action_gradient(oval, cand[valid], m)
+                down = np.max(np.abs(gc[:, 1:]), axis=1) < gn[rows]
+                x[rows[down]] = cand[valid[down]]
+                g[rows[down]] = gc[down]
+                moved[rows[down]] = True
+                drop[valid[down] if scale >= 1e-3 else valid] = True
+            pending = pending[~drop]
             scale *= 0.5
-        else:
-            return None
-    g = action_gradient(oval, angles, m)[1:]
-    return angles if np.max(np.abs(g)) < tol * 100 else None
+        # a row without descent stops where it is: it passes on the end-of-run
+        # tolerance (it sits at the round-off floor of its gradient) or fails
+        stuck = ~moved & (gn < 100.0 * tol)
+        angles[live[stuck]] = x[stuck]
+        residual[live[stuck]] = g[stuck, 0]
+        live, x, g = live[moved], x[moved], g[moved]
+    return angles, residual
 
 
 def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
@@ -379,28 +449,36 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
 
     A table with an invariant curve of (n, m)-periodic points yields residuals
     below `closure_tol` for every first angle; generically the residual curve
-    has isolated zeros.  Failed interior solves are reported as NaN.
+    has isolated zeros.  All samples are solved together by `_solve_rows`.
+    The first pass seeds every sample from equal gaps.  Each later pass
+    re-seeds the failed samples from their nearest solved neighbour (the
+    earlier one on a tie), shifted to their own first angle, and runs while
+    some failed sample has a nearer solved neighbour than on its last try.
+    Samples that no pass solves are reported as NaN.
     """
+    _check_period(n, m)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     alphas = np.linspace(alpha_lo, alpha_hi, samples, endpoint=False)
-    residuals = np.full(samples, np.nan)
     orbit_angles = np.full((samples, n), np.nan)
-    seed = TWO_PI * m * np.arange(1, n) / n
-    prev = None
-    for idx, a0 in enumerate(alphas):
-        if prev is not None:
-            interior = (prev - prev[0] + a0)[1:]
-        else:
-            interior = a0 + seed
-        full = _solve_interior(oval, a0, n, m, interior)
-        if full is None and prev is not None:
-            full = _solve_interior(oval, a0, n, m, a0 + seed)
-        if full is None:
-            prev = None
-            continue
-        g = action_gradient(oval, full, m)
-        residuals[idx] = g[0]
-        orbit_angles[idx] = full
-        prev = full
+    residuals = np.full(samples, np.nan)
+    seeds = alphas[:, None] + TWO_PI * m * np.arange(n) / n
+    tried = np.full(samples, -1)
+    todo = np.arange(samples)
+    while todo.size:
+        orbit_angles[todo], residuals[todo] = _solve_rows(oval, seeds[todo], m)
+        solved = np.flatnonzero(np.isfinite(residuals))
+        failed = np.flatnonzero(~np.isfinite(residuals))
+        if not solved.size:
+            break
+        pos = np.searchsorted(solved, failed)
+        before = solved[np.maximum(pos - 1, 0)]
+        after = solved[np.minimum(pos, len(solved) - 1)]
+        near = np.where(np.abs(failed - before) <= np.abs(after - failed), before, after)
+        retry = near != tried[failed]
+        todo, near = failed[retry], near[retry]
+        tried[todo] = near
+        seeds[todo] = orbit_angles[near] - orbit_angles[near, :1] + alphas[todo, None]
     return ScanReport(
         n=n, m=m, alpha1=alphas, residual=residuals, closure_tol=closure_tol,
         orbit_angles=orbit_angles,

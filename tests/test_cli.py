@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from outerlength.cli import main
+from outerlength.cli import EXIT_VALIDATION, main
 from outerlength.oval import SupportOval
 
 
@@ -184,6 +184,12 @@ class TestScan:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["all_closed"] is False
         assert summary["max_closure_run"] <= 2
+
+    def test_impossible_period_rejected(self, circle_table, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = main(["scan", "--table", circle_table, "--n", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_reports_every_sample(self, forged_table, capsys):
         assert main(

@@ -3,9 +3,9 @@ import pytest
 
 from outerlength import periodic as pd
 from outerlength import polygons as pg
-from outerlength.errors import ChordDomainError
+from outerlength.errors import ChordDomainError, ConvergenceError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import perturbed_circle
+from outerlength.oval import ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,6 +40,20 @@ class TestTotalAction:
     def test_gap_violation_rejected(self, round_table):
         with pytest.raises(ChordDomainError):
             pd.total_action(round_table, [0.0, 0.5, 1.0])  # wrap gap > pi
+
+
+@pytest.mark.parametrize("n", [3, 7, 101])
+def test_action_hessian_matches_gradient_differences(n):
+    oval = ellipse(1.0, 0.6)
+    rng = np.random.default_rng(n)
+    angles = (np.arange(n) + rng.uniform(-0.2, 0.2, n)) * TWO_PI / n
+    h = 1e-6
+    fd = np.column_stack([
+        (pd.action_gradient(oval, angles + h * e) - pd.action_gradient(oval, angles - h * e))
+        / (2 * h)
+        for e in np.eye(n)
+    ])
+    assert np.max(np.abs(pd.action_hessian(oval, angles) - fd)) < 1e-5
 
 
 class TestFindPeriodic:
@@ -104,6 +118,21 @@ class TestFindPeriodic:
         with pytest.raises(ValueError):
             pd.find_periodic(round_table, 3, m=2)  # mean gap >= pi
 
+    def test_line_search_without_descent_raises(self, monkeypatch):
+        # a negated Hessian reverses every Newton step, so no step size lowers
+        # the gradient; the search must say so instead of drifting for 80 steps
+        calls = []
+        hessian = pd.action_hessian
+
+        def reversed_hessian(oval, angles, m=1):
+            calls.append(m)
+            return -hessian(oval, angles, m)
+
+        monkeypatch.setattr(pd, "action_hessian", reversed_hessian)
+        with pytest.raises(ConvergenceError, match="line search.*residual"):
+            pd.find_periodic(ellipse(1.0, 0.6), 3)
+        assert len(calls) <= 2
+
     def test_normalization_deterministic(self, round_table):
         seed = np.array([1.2, 1.2 + TWO_PI / 3, 1.2 + 2 * TWO_PI / 3])
         orb = pd.find_periodic(round_table, 3, seed_angles=seed)
@@ -156,6 +185,32 @@ class TestInvariantCurveScan:
     def test_star_polygons_on_integrable_table(self, round_table):
         report = pd.invariant_curve_scan(round_table, 5, m=2, samples=16)
         assert report.all_closed
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (3, 2)])
+    def test_rejects_impossible_period(self, round_table, n, m):
+        with pytest.raises(ValueError):
+            pd.invariant_curve_scan(round_table, n, m=m)
+
+    def test_rejects_no_samples(self, round_table):
+        with pytest.raises(ValueError):
+            pd.invariant_curve_scan(round_table, 4, samples=0)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_flat_ellipse_solves_every_sample(self, n):
+        # equal-gap seeds alone leave about a quarter of these samples
+        # unsolved; re-seeding from solved neighbours recovers them
+        report = pd.invariant_curve_scan(ellipse(1.0, 0.1), n, samples=128)
+        assert report.solver_failures == 0
+
+    def test_solved_samples_are_interior_critical(self, wobble3_table, forge_table):
+        for oval, n in ((wobble3_table, 3), (forge_table[0], 4)):
+            report = pd.invariant_curve_scan(oval, n, samples=64)
+            solved = np.isfinite(report.residual)
+            assert solved.all()
+            angles = report.orbit_angles[solved]
+            assert np.array_equal(angles[:, 0], report.alpha1[solved])
+            for row in angles:
+                assert np.max(np.abs(pd.action_gradient(oval, row)[1:])) < 1e-10
 
     def test_csv_layout(self, round_table):
         report = pd.invariant_curve_scan(round_table, 3, samples=8)
