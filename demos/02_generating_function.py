@@ -47,8 +47,8 @@ for name, table in tables.items():
     print()
 
 print("small-gap asymptotics on the unit circle: S ~ w^3 / 12")
-from outerlength import ChordConfig, circle, generating_S
+from outerlength import circle
 
 for w in (0.3, 0.1, 0.03, 0.01):
-    S = generating_S(circle(), ChordConfig(0.0, w))
+    S = genfun.S_arr(circle(), 0.0, w)
     print(f"  w = {w:5}: S / (w^3/12) = {S / (w ** 3 / 12):.8f}")

@@ -51,16 +51,7 @@ from .forge import (
     radon_like,
     state_from_contact,
 )
-from .genfun import (
-    ChordConfig,
-    StepData,
-    generating_S,
-    grad_S,
-    hess_S,
-    radii,
-    step_data,
-    tangent_lengths,
-)
+from .genfun import ChordConfig
 from .oval import SupportOval, ValidationReport, circle, ellipse, perturbed_circle
 from .periodic import (
     PeriodicOrbit,

@@ -53,7 +53,7 @@ class PhasePoint:
 def vertex_point(oval, state):
     """Chord vertex: intersection of the tangent lines at alpha1, alpha2."""
     a1, a2 = state.alpha1, state.alpha2
-    p1, p2 = oval.p(a1), oval.p(a2)
+    p1, p2 = oval.p(np.array([a1, a2]))
     sw = np.sin(a2 - a1)
     return np.array(
         [
@@ -83,10 +83,11 @@ def _gap_bracket(a):
 
 
 def _base_radius_fdf(oval):
-    """(R1(a, b) - target, dR1/db) with R1 = -S1 and dR1/db = -S12."""
+    """(R1(a, b) - target, dR1/db) with R1 = -S1 and dR1/db = -S12; the fixed
+    end's p(a), p'(a) are parameters, so a step evaluates the oval at b only."""
 
-    def fdf(b, a, target):
-        S1, S2 = genfun.grad_arr(oval, a, b)
+    def fdf(b, a, target, pa, dpa):
+        S1, S2 = genfun.grad_from_jets(b - a, (pa, dpa), oval.jet(b))
         return -S1 - target, (S2 - S1) / np.sin(b - a)
 
     return fdf
@@ -98,9 +99,12 @@ def step_angles_arr(oval, a1, a2):
     R1(a2, .) is strictly increasing (S12 < 0), so the root is unique; chords
     whose root leaves the guarded bracket come back as NaN.
     """
+    w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
+    target = genfun.grad_from_jets(w, jet1, jet2)[1]
     a2 = np.asarray(a2, dtype=float)
-    target = genfun.grad_arr(oval, a1, a2)[1]
-    return bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a2), a2, target)
+    return bracketed_root(
+        _base_radius_fdf(oval), *_gap_bracket(a2), a2, target, jet2[0], jet2[1]
+    )
 
 
 def step(oval, state):
@@ -133,7 +137,8 @@ def phase_from_pair(oval, state):
 def pair_from_phase(oval, point):
     """Invert R = R1(alpha, alpha2) for alpha2; monotone since S12 < 0."""
     a1 = point.alpha
-    a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a1), a1, point.R)
+    p1, dp1, _ = oval.jet(a1)
+    a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a1), a1, point.R, p1, dp1)
     if np.isnan(a2):
         raise StepFailureError(f"radius {point.R} outside the admissible range")
     return ChordConfig(a1, float(a2))
@@ -181,23 +186,20 @@ def cartesian_step(oval, point):
     O = P2 + r * nu2
 
     # far common tangent of circle and oval: support line at beta with the
-    # circle on its inner side
-    def q(beta):
-        return (
-            O[0] * np.cos(beta) + O[1] * np.sin(beta) + r - oval.p(beta)
-        )
+    # circle on its inner side; q and its derivative dq from one jet
+    def qdq(beta):
+        p, dp, _ = oval.jet(beta)
+        cb, sb = np.cos(beta), np.sin(beta)
+        return O[0] * cb + O[1] * sb + r - p, -O[0] * sb + O[1] * cb - dp
 
-    def dq(beta):
-        return -O[0] * np.sin(beta) + O[1] * np.cos(beta) - oval.p(beta, 1)
-
-    lo, hi = sign_cells(q, np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256))
+    grid = np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256)
+    lo, hi = sign_cells(lambda b: qdq(b)[0], grid)
     if not lo.size:
         raise StepFailureError("no common tangent found by the Cartesian rule")
-    beta = bracketed_root(lambda b: (q(b), dq(b)), lo[0], hi[0])
+    beta = bracketed_root(qdq, lo[0], hi[0])
 
     A = np.array([[np.cos(a2), np.sin(a2)], [np.cos(beta), np.sin(beta)]])
-    rhs = np.array([float(oval.p(a2)), float(oval.p(beta))])
-    return np.linalg.solve(A, rhs)
+    return np.linalg.solve(A, oval.p(np.array([a2, beta])))
 
 
 # -- Jacobian, twist, symplecticity --------------------------------------------

@@ -11,6 +11,12 @@ first partials are (minus/plus) the radii R1, R2 of the auxiliary circles of
 the reflection rule.  Everything here is implemented twice on purpose: a raw
 support-function form and an l*tan(w/2) form, so the tests can pin the two
 routes against each other and against finite differences.
+
+Every closed form reads the support data through `chord_jets`: one call of
+`SupportOval.jet` per chord end gives (p, p', p'') there, which is all that
+S (apart from its integral term), both partials and the Hessian need.  The
+functions take arrays of angles of any shape; a scalar chord is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -49,150 +55,80 @@ class ChordConfig:
         return self.alpha2 - self.alpha1
 
 
-@dataclass(frozen=True)
-class StepData:
-    """All chord quantities in one record (second partials optional)."""
-
-    l1: float
-    l2: float
-    S: float
-    R1: float
-    R2: float
-    S11: float | None = None
-    S12: float | None = None
-    S22: float | None = None
+# -- closed forms on arrays of alpha1, alpha2 ---------------------------------
 
 
-# -- vectorized closed forms (arrays of alpha1, alpha2) ----------------------
+def chord_jets(oval, a1, a2):
+    """Gap w = a2 - a1 (checked) and the jets (p, p', p'') at both chord ends."""
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    w = a2 - a1
+    _check_omega(w)
+    return w, oval.jet(a1), oval.jet(a2)
+
+
+def _lengths(w, jet1, jet2):
+    (p1, dp1, _), (p2, dp2, _) = jet1, jet2
+    sw = np.sin(w)
+    cotw = np.cos(w) / sw
+    l1 = -dp1 + p2 / sw - p1 * cotw
+    l2 = dp2 + p1 / sw - p2 * cotw
+    return l1, l2
+
+
+def _radii(w, jet1, jet2):
+    l1, l2 = _lengths(w, jet1, jet2)
+    t = np.tan(w / 2.0)
+    return l1 * t, l2 * t
 
 
 def lengths_arr(oval, a1, a2):
     """Tangent segment lengths (l1, l2); raw support-function form."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    w = a2 - a1
-    _check_omega(w)
-    sw = np.sin(w)
-    cotw = np.cos(w) / sw
-    p1, p2 = oval.p(a1), oval.p(a2)
-    l1 = -oval.p(a1, 1) + p2 / sw - p1 * cotw
-    l2 = oval.p(a2, 1) + p1 / sw - p2 * cotw
-    return l1, l2
+    return _lengths(*chord_jets(oval, a1, a2))
 
 
 def S_arr(oval, a1, a2):
     """Generating value S = (p1 + p2) tan(w/2) - integral of p."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    w = a2 - a1
-    _check_omega(w)
-    out = np.asarray((oval.p(a2) + oval.p(a1)) * np.tan(w / 2.0))
+    w, jet1, jet2 = chord_jets(oval, a1, a2)
+    out = np.asarray((jet2[0] + jet1[0]) * np.tan(w / 2.0))
     out = out - oval.support_integral(a1, a2)
     return out if out.ndim else float(out)
 
 
-def grad_arr(oval, a1, a2):
-    """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    w = a2 - a1
-    _check_omega(w)
+def grad_from_jets(w, jet1, jet2):
+    """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form, from a valid gap w
+    and the leading (p, p') of each end's jet."""
     cw, sw = np.cos(w), np.sin(w)
     den = 2.0 * np.cos(w / 2.0) ** 2
-    p1, p2 = oval.p(a1), oval.p(a2)
-    S1 = (p1 * cw - p2 + oval.p(a1, 1) * sw) / den
-    S2 = (-p2 * cw + p1 + oval.p(a2, 1) * sw) / den
+    (p1, dp1), (p2, dp2) = jet1[:2], jet2[:2]
+    S1 = (p1 * cw - p2 + dp1 * sw) / den
+    S2 = (-p2 * cw + p1 + dp2 * sw) / den
     return S1, S2
+
+
+def grad_arr(oval, a1, a2):
+    """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form."""
+    return grad_from_jets(*chord_jets(oval, a1, a2))
 
 
 def radii_arr(oval, a1, a2):
     """Auxiliary circle radii (R1, R2) = (l1, l2) * tan(w/2)."""
-    l1, l2 = lengths_arr(oval, a1, a2)
-    t = np.tan((np.asarray(a2, dtype=float) - np.asarray(a1, dtype=float)) / 2.0)
-    return l1 * t, l2 * t
+    return _radii(*chord_jets(oval, a1, a2))
 
 
 def hess_arr(oval, a1, a2):
     """(S11, S12, S22); sign pattern (+, -, +) for every valid chord."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    w = a2 - a1
-    _check_omega(w)
-    R1, R2 = radii_arr(oval, a1, a2)
+    w, jet1, jet2 = chord_jets(oval, a1, a2)
+    R1, R2 = _radii(w, jet1, jet2)
     t = np.tan(w / 2.0)
-    S11 = t * (R1 + oval.curvature_radius(a1))
-    S22 = t * (R2 + oval.curvature_radius(a2))
+    # p'' + p is the curvature radius at each end
+    S11 = t * (R1 + (jet1[2] + jet1[0]))
+    S22 = t * (R2 + (jet2[2] + jet2[0]))
     S12 = -(R1 + R2) / np.sin(w)
     return S11, S12, S22
 
 
-# -- ChordConfig front end ---------------------------------------------------
-
-
-def tangent_lengths(oval, cfg):
-    """Tangent segment lengths (l1, l2) of the chord."""
-    l1, l2 = lengths_arr(oval, cfg.alpha1, cfg.alpha2)
-    return float(l1), float(l2)
-
-
-def generating_S(oval, cfg):
-    """Generating value S(alpha1, alpha2)."""
-    return float(S_arr(oval, cfg.alpha1, cfg.alpha2))
-
-
-def grad_S(oval, cfg):
-    """First partials (S1, S2) = (-R1, R2)."""
-    S1, S2 = grad_arr(oval, cfg.alpha1, cfg.alpha2)
-    return float(S1), float(S2)
-
-
-def radii(oval, cfg):
-    """Auxiliary circle radii (R1, R2), both strictly positive."""
-    R1, R2 = radii_arr(oval, cfg.alpha1, cfg.alpha2)
-    return float(R1), float(R2)
-
-
-def hess_S(oval, cfg):
-    """Second partials (S11, S12, S22)."""
-    S11, S12, S22 = hess_arr(oval, cfg.alpha1, cfg.alpha2)
-    return float(S11), float(S12), float(S22)
-
-
-def step_data(oval, cfg, second_order=False):
-    """Bundle l's, S, R's (and optionally the Hessian) for one chord."""
-    l1, l2 = tangent_lengths(oval, cfg)
-    R1, R2 = radii(oval, cfg)
-    S = generating_S(oval, cfg)
-    if not second_order:
-        return StepData(l1=l1, l2=l2, S=S, R1=R1, R2=R2)
-    S11, S12, S22 = hess_S(oval, cfg)
-    return StepData(l1=l1, l2=l2, S=S, R1=R1, R2=R2, S11=S11, S12=S12, S22=S22)
-
-
 # -- finite-difference verifiers ---------------------------------------------
-
-
-def fd_grad_S(oval, cfg, h=1e-5):
-    """Central-difference gradient of S, the independent check on grad_S."""
-    a1, a2 = cfg.alpha1, cfg.alpha2
-    S1 = (S_arr(oval, a1 + h, a2) - S_arr(oval, a1 - h, a2)) / (2 * h)
-    S2 = (S_arr(oval, a1, a2 + h) - S_arr(oval, a1, a2 - h)) / (2 * h)
-    return float(S1), float(S2)
-
-
-def fd_hess_S(oval, cfg, h=1e-4):
-    """Central second differences of S, the independent check on hess_S."""
-    a1, a2 = cfg.alpha1, cfg.alpha2
-    s0 = S_arr(oval, a1, a2)
-    S11 = (S_arr(oval, a1 + h, a2) - 2 * s0 + S_arr(oval, a1 - h, a2)) / h**2
-    S22 = (S_arr(oval, a1, a2 + h) - 2 * s0 + S_arr(oval, a1, a2 - h)) / h**2
-    S12 = (
-        S_arr(oval, a1 + h, a2 + h)
-        - S_arr(oval, a1 + h, a2 - h)
-        - S_arr(oval, a1 - h, a2 + h)
-        + S_arr(oval, a1 - h, a2 - h)
-    ) / (4 * h**2)
-    return float(S11), float(S12), float(S22)
 
 
 def fd_grad_arr(oval, a1, a2, h=1e-5):

@@ -6,11 +6,12 @@ distance from the origin to the tangent line with outward normal
 
 * a finite trigonometric series  p = a0 + sum(a_k cos k a + b_k sin k a), and
 * a dense uniform sample of p over [0, 2*pi) interpolated by a periodic
-  quintic spline.
+  quintic spline, held in power form: six coefficients per grid interval.
 
-Both expose p, p', p'' at arbitrary angles and the exact antiderivative of p,
-which is all the downstream dynamics needs.  The boundary point with normal
-angle alpha is
+Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
+cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
+orders, and give the exact antiderivative of p, which is all the downstream
+dynamics needs.  The boundary point with normal angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
@@ -21,6 +22,7 @@ everywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +50,23 @@ class _FourierRep:
         self.a[: len(cos_coef)] = cos_coef
         self.b[: len(sin_coef)] = sin_coef
         self.k = np.arange(1, n + 1)
+        # coefficients of the first and second derivative series
+        self._ak, self._bk = self.a * self.k, self.b * self.k
+        self._ak2, self._bk2 = self.a * self.k**2, self.b * self.k**2
 
-    def value(self, alpha, deriv=0):
+    def jet(self, alpha):
+        """(p, p', p'') at alpha; cos(k alpha) and sin(k alpha) are computed once."""
         alpha = np.asarray(alpha, dtype=float)
         ka = np.multiply.outer(alpha, self.k)
-        kp = self.k ** deriv if deriv else 1.0
+        c, s = np.cos(ka), np.sin(ka)
         # each derivative rotates (cos, sin) by a quarter period
-        phase = deriv % 4
-        if phase == 0:
-            c, s = np.cos(ka), np.sin(ka)
-        elif phase == 1:
-            c, s = -np.sin(ka), np.cos(ka)
-        elif phase == 2:
-            c, s = -np.cos(ka), -np.sin(ka)
-        else:
-            c, s = np.sin(ka), -np.cos(ka)
-        out = c @ (self.a * kp) + s @ (self.b * kp)
-        if deriv == 0:
-            out = out + self.a0
-        return out if out.ndim else float(out)
+        neg_s = -s
+        p = c @ self.a + s @ self.b + self.a0
+        dp = neg_s @ self._ak + c @ self._bk
+        ddp = (-c) @ self._ak2 + neg_s @ self._bk2
+        if p.ndim:
+            return p, dp, ddp
+        return float(p), float(dp), float(ddp)
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -91,8 +91,52 @@ class _FourierRep:
         }
 
 
+def _quintic_jet(c, t):
+    """(p, p', p'') of c[0] t^5 + c[1] t^4 + ... + c[5] by one Horner pass
+    with three accumulators; floats and arrays alike."""
+    c0, c1, c2, c3, c4, c5 = c
+    p = c0 * t + c1
+    dp = c0 * t + p
+    half_ddp = c0
+    p = p * t + c2
+    for ck in (c3, c4, c5):
+        half_ddp = half_ddp * t + dp
+        dp = dp * t + p
+        p = p * t + ck
+    return p, dp, 2.0 * half_ddp
+
+
+def _quintic_primitive(c, t):
+    """Integral over [0, t] of c[0] t^5 + ... + c[5], by Horner."""
+    g = 0.0
+    for j, ck in enumerate(c):
+        g = g * t + ck / (6.0 - j)
+    return g * t
+
+
+def _compensated_cumsum(values):
+    """[0, v0, v0 + v1, ...] with Neumaier's compensation: the exact rounding
+    error of each running-sum step (Knuth's two-sum) is summed on the side."""
+    total = np.concatenate([[0.0], np.cumsum(values)])
+    prev, new = total[:-1], total[1:]
+    moved = new - prev
+    err = (prev - (new - moved)) + (values - moved)
+    total[1:] += np.cumsum(err)
+    return total
+
+
+#: arrays up to this size go point by point in plain floats, below the fixed
+#: cost of the vectorised kernel's 30-odd numpy calls
+_SMALL = 8
+
+
 class _SplineRep:
-    """p sampled on a uniform grid, interpolated by a periodic quintic spline."""
+    """p sampled on a uniform grid, interpolated by a periodic quintic spline.
+
+    Column i of `_coef` holds p on [i h, (i + 1) h] as a quintic in
+    t = alpha - i h, highest power first; the integral constants in `_cum`
+    are compensated prefix sums of the exact interval integrals.
+    """
 
     kind = "samples"
 
@@ -105,17 +149,45 @@ class _SplineRep:
         n = len(samples)
         x = np.linspace(0.0, TWO_PI, n + 1)
         y = np.concatenate([samples, samples[:1]])
-        self._spl = make_interp_spline(x, y, k=5, bc_type="periodic")
-        self._d1 = self._spl.derivative(1)
-        self._d2 = self._spl.derivative(2)
-        self._anti = self._spl.antiderivative()
-        self._full = float(self._anti(TWO_PI) - self._anti(0.0))
+        spl = make_interp_spline(x, y, k=5, bc_type="periodic")
+        # Taylor coefficients at each interval's start (what PPoly.from_spline
+        # computes, bit for bit, without loading FITPACK)
+        self._coef = np.array(
+            [spl.derivative(m)(x[:-1]) / math.factorial(m) for m in range(5, -1, -1)]
+        )
+        self._n = n
+        self._h = TWO_PI / n
+        self._cum = _compensated_cumsum(_quintic_primitive(self._coef, self._h))
+        self._full = float(self._cum[-1])
 
-    def value(self, alpha, deriv=0):
-        a = np.mod(alpha, TWO_PI)
-        spl = (self._spl, self._d1, self._d2)[deriv]
-        out = spl(a)
-        return out if np.ndim(alpha) else float(out)
+    def _locate(self, a):
+        """Interval index and local variable of angles reduced to [0, 2*pi];
+        NaN lands in the last interval and stays NaN."""
+        i = np.fmin(a / self._h, self._n - 1).astype(np.intp)
+        return i, a - i * self._h
+
+    def _jet_float(self, a):
+        a %= TWO_PI
+        if a != a:  # NaN or infinite angle
+            return a, a, a
+        i = min(int(a / self._h), self._n - 1)
+        return _quintic_jet(self._coef[:, i].tolist(), a - i * self._h)
+
+    def jet(self, alpha):
+        """(p, p', p'') at alpha."""
+        if np.ndim(alpha) == 0:
+            return self._jet_float(float(alpha))
+        a = np.asarray(alpha, dtype=float)
+        if 0 < a.size <= _SMALL:
+            out = np.array([self._jet_float(v) for v in a.ravel().tolist()])
+            return tuple(out.T.reshape((3,) + a.shape))
+        i, t = self._locate(np.mod(a, TWO_PI))
+        return _quintic_jet(self._coef[:, i], t)
+
+    def _primitive(self, a):
+        """Integral of p over [0, a] for a in [0, 2*pi]."""
+        i, t = self._locate(a)
+        return self._cum[i] + _quintic_primitive(self._coef[:, i], t)
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -124,16 +196,16 @@ class _SplineRep:
         a_red = np.mod(a, TWO_PI)
         rem = (b - a) - wraps * TWO_PI
         b_red = np.mod(a_red + rem, TWO_PI)
-        seg = self._anti(b_red) - self._anti(a_red)
+        seg = self._primitive(b_red) - self._primitive(a_red)
         seg = seg + np.where(b_red < a_red - 1e-15, self._full, 0.0)
         out = seg + wraps * self._full
         return out if np.ndim(out) else float(out)
 
     def periodicity_defect(self):
-        d = 0.0
-        for spl in (self._spl, self._d1, self._d2):
-            d = max(d, abs(float(spl(0.0)) - float(spl(TWO_PI))))
-        return d
+        """Largest jump of p, p', p'' between the last interval's end and 0."""
+        start = _quintic_jet(self._coef[:, 0].tolist(), 0.0)
+        end = _quintic_jet(self._coef[:, -1].tolist(), TWO_PI - (self._n - 1) * self._h)
+        return max(abs(u - v) for u, v in zip(start, end))
 
     def descriptor(self):
         return {"type": "samples", "p": self.samples.tolist()}
@@ -184,11 +256,9 @@ class SupportOval:
     def __init__(self, rep, validate=True):
         self._rep = rep
         self._grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
-        self._p_grid = np.asarray(rep.value(self._grid))
-        self._rho_grid = self._p_grid + np.asarray(rep.value(self._grid, 2))
-        sym = self._p_grid - np.asarray(
-            rep.value(np.mod(self._grid + np.pi, TWO_PI))
-        )
+        self._p_grid, _, ddp = rep.jet(self._grid)
+        self._rho_grid = self._p_grid + ddp
+        sym = self._p_grid - rep.jet(np.mod(self._grid + np.pi, TWO_PI))[0]
         self.symmetry_defect = float(np.max(np.abs(sym)))
         self.symmetry_flag = self.symmetry_defect < 1e-8
         if validate:
@@ -218,9 +288,13 @@ class SupportOval:
     def kind(self):
         return self._rep.kind
 
+    def jet(self, alpha):
+        """(p, p', p'') at alpha, in one evaluation; scalars give floats."""
+        return self._rep.jet(alpha)
+
     def p(self, alpha, deriv=0):
-        """Support function value (or derivative of order `deriv`) at alpha."""
-        return self._rep.value(alpha, deriv)
+        """Support function value (or derivative of order `deriv` <= 2) at alpha."""
+        return self._rep.jet(alpha)[deriv]
 
     def support_integral(self, a, b):
         """Exact integral of p over [a, b]; accepts scalars or arrays."""
@@ -229,8 +303,7 @@ class SupportOval:
     def point_at(self, alpha):
         """Boundary point gamma(alpha); vectorized, returns (..., 2)."""
         a = np.asarray(alpha, dtype=float)
-        p = self._rep.value(a)
-        dp = self._rep.value(a, 1)
+        p, dp, _ = self._rep.jet(a)
         pt = np.stack(
             [p * np.cos(a) - dp * np.sin(a), p * np.sin(a) + dp * np.cos(a)],
             axis=-1,
@@ -239,17 +312,15 @@ class SupportOval:
 
     def curvature_radius(self, alpha):
         """p''(alpha) + p(alpha), strictly positive for a valid oval."""
-        return self._rep.value(alpha, 2) + self._rep.value(alpha)
+        p, _, ddp = self._rep.jet(alpha)
+        return ddp + p
 
     def arc_length(self, alpha1, alpha2):
         """Boundary arc length from gamma(alpha1) to gamma(alpha2), alpha1 < alpha2."""
         if not alpha1 < alpha2 <= alpha1 + TWO_PI + 1e-12:
             raise ValueError("need alpha1 < alpha2 <= alpha1 + 2*pi")
-        return (
-            self._rep.value(alpha2, 1)
-            - self._rep.value(alpha1, 1)
-            + self._rep.integral(alpha1, alpha2)
-        )
+        dp = self._rep.jet(np.array([alpha1, alpha2]))[1]
+        return dp[1] - dp[0] + self._rep.integral(alpha1, alpha2)
 
     @property
     def circumference(self):
@@ -261,7 +332,7 @@ class SupportOval:
         """Signed margin <point, n(alpha)> - p(alpha); positive outside the support line."""
         a = np.asarray(alpha, dtype=float)
         x, y = point
-        return x * np.cos(a) + y * np.sin(a) - self._rep.value(a)
+        return x * np.cos(a) + y * np.sin(a) - self._rep.jet(a)[0]
 
     def is_exterior(self, point, margin=1e-12):
         """True when the point lies strictly outside the oval."""
@@ -277,15 +348,15 @@ class SupportOval:
         Raises ContainmentError for interior or boundary points.
         """
         point = np.asarray(point, dtype=float)
-
-        def h(a):
-            return self.support_margin(point, a)
+        x, y = point
 
         def hdh(a):
-            x, y = point
-            return h(a), -x * np.sin(a) + y * np.cos(a) - self._rep.value(a, 1)
+            p, dp, _ = self._rep.jet(a)
+            return x * np.cos(a) + y * np.sin(a) - p, -x * np.sin(a) + y * np.cos(a) - dp
 
-        cells = sign_cells(h, np.concatenate([self._grid, [TWO_PI]]))
+        cells = sign_cells(
+            lambda a: self.support_margin(point, a), np.concatenate([self._grid, [TWO_PI]])
+        )
         roots = np.unique(bracketed_root(hdh, *cells) % TWO_PI)
         # collapse near-duplicates from the seam at 0 / 2*pi
         uniq = []
@@ -308,14 +379,8 @@ class SupportOval:
 
     def validate(self):
         """Survey the invariants on the grid, refining near minima."""
-        min_p = _refined_min(
-            lambda a: np.asarray(self._rep.value(a)), self._grid, self._p_grid
-        )
-        min_rho = _refined_min(
-            lambda a: np.asarray(self._rep.value(a, 2)) + np.asarray(self._rep.value(a)),
-            self._grid,
-            self._rho_grid,
-        )
+        min_p = _refined_min(self.p, self._grid, self._p_grid)
+        min_rho = _refined_min(self.curvature_radius, self._grid, self._rho_grid)
         defect = self._rep.periodicity_defect()
         messages = []
         if min_p <= 1e-12:

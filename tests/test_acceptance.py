@@ -122,10 +122,9 @@ def test_circle_exact_values():
     """Unit-circle chord at gap pi/2: l1 = l2 = 1, R1 = R2 = 1, S = 2 - pi/2
     within 1e-12; extremal perimeters 6 sqrt(3) (n=3) and 8 (n=4)."""
     table = circle()
-    cfg = ChordConfig(0.0, np.pi / 2)
-    l1, l2 = gf.tangent_lengths(table, cfg)
-    R1, R2 = gf.radii(table, cfg)
-    S = gf.generating_S(table, cfg)
+    l1, l2 = gf.lengths_arr(table, 0.0, np.pi / 2)
+    R1, R2 = gf.radii_arr(table, 0.0, np.pi / 2)
+    S = gf.S_arr(table, 0.0, np.pi / 2)
     assert abs(l1 - 1.0) < 1e-12 and abs(l2 - 1.0) < 1e-12
     assert abs(R1 - 1.0) < 1e-12 and abs(R2 - 1.0) < 1e-12
     assert abs(S - (2.0 - np.pi / 2)) < 1e-12

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
 from outerlength.errors import ContainmentError
 from outerlength.genfun import ChordConfig
+from outerlength.oval import SupportOval
 
 TWO_PI = 2.0 * np.pi
 
@@ -208,3 +211,34 @@ class TestOrbits:
         assert float(first[3]) == pytest.approx(1.0, abs=1e-12)  # R = tan^2(pi/4)
         assert float(first[4]) == pytest.approx(1.0, abs=1e-12)  # vertex (1, 1)
         assert float(first[5]) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- properties over random Fourier tables ----------------------------------------
+
+
+@st.composite
+def fourier_tables(draw):
+    """p = 1 + sum over 1-4 harmonics, scaled so that p''+ p >= 0.4 and p >= 0.4."""
+    count = draw(st.integers(1, 4))
+    k = np.arange(1, count + 1)
+    amp = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+    phase = np.array(draw(st.lists(st.floats(0.0, TWO_PI), min_size=count, max_size=count)))
+    # |p - 1| <= sum amp and |p'' + p - 1| <= sum (k^2 - 1) amp
+    amp *= 0.6 / max(np.sum(amp * np.maximum(k**2 - 1, 1)), 1e-12)
+    return SupportOval.from_fourier(1.0, amp * np.cos(phase), amp * np.sin(phase))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=fourier_tables(), seed=st.integers(0, 2**32 - 1))
+def test_map_is_area_preserving_on_random_tables(table, seed):
+    """det DT = 1 in (R, alpha) with d alpha3 / d alpha1 from differences of
+    the batched map, and the map solves its defining equation."""
+    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 200)
+    a3 = bl.step_angles_arr(table, a1, a2)
+    assert np.all(np.isfinite(a3))
+    assert np.max(bl.step_residual(table, ChordConfig(a1, a2), ChordConfig(a2, a3))) < 1e-11
+    h = 1e-5
+    da3 = (bl.step_angles_arr(table, a1 + h, a2) - bl.step_angles_arr(table, a1 - h, a2)) / (2 * h)
+    # T = Phi F Phi^-1 with Phi(a, b) = (R1(a, b), a) and F(a1, a2) = (a2, a3)
+    det = -gf.hess_arr(table, a2, a3)[1] * da3 / gf.hess_arr(table, a1, a2)[1]
+    assert np.max(np.abs(det - 1.0)) < 1e-9

@@ -1,73 +1,71 @@
+import mpmath
 import numpy as np
 import pytest
 
+from outerlength import billiard as bl
 from outerlength import genfun as gf
 from outerlength.errors import ChordDomainError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import ellipse
+from outerlength.oval import circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
 
 
 class TestCircleExactValues:
     def test_right_angle_chord(self, round_table):
-        cfg = ChordConfig(0.0, np.pi / 2)
-        l1, l2 = gf.tangent_lengths(round_table, cfg)
+        chord = (round_table, 0.0, np.pi / 2)
+        l1, l2 = gf.lengths_arr(*chord)
         assert abs(l1 - 1.0) < 1e-12 and abs(l2 - 1.0) < 1e-12
-        assert abs(gf.generating_S(round_table, cfg) - (2 - np.pi / 2)) < 1e-12
-        S1, S2 = gf.grad_S(round_table, cfg)
+        assert abs(gf.S_arr(*chord) - (2 - np.pi / 2)) < 1e-12
+        S1, S2 = gf.grad_arr(*chord)
         assert abs(S1 + 1.0) < 1e-12 and abs(S2 - 1.0) < 1e-12
-        R1, R2 = gf.radii(round_table, cfg)
+        R1, R2 = gf.radii_arr(*chord)
         assert abs(R1 - 1.0) < 1e-12 and abs(R2 - 1.0) < 1e-12
-        S11, S12, S22 = gf.hess_S(round_table, cfg)
+        S11, S12, S22 = gf.hess_arr(*chord)
         assert abs(S11 - 2.0) < 1e-12
         assert abs(S12 + 2.0) < 1e-12
         assert abs(S22 - 2.0) < 1e-12
 
     def test_two_thirds_pi_chord(self, round_table):
-        cfg = ChordConfig(0.0, 2 * np.pi / 3)
-        l1, l2 = gf.tangent_lengths(round_table, cfg)
+        chord = (round_table, 0.0, 2 * np.pi / 3)
+        l1, l2 = gf.lengths_arr(*chord)
         assert abs(l1 - np.sqrt(3)) < 1e-12 and abs(l2 - np.sqrt(3)) < 1e-12
-        R1, R2 = gf.radii(round_table, cfg)
+        R1, R2 = gf.radii_arr(*chord)
         assert abs(R1 - 3.0) < 1e-12 and abs(R2 - 3.0) < 1e-12
-        S11, S12, S22 = gf.hess_S(round_table, cfg)
+        S11, S12, S22 = gf.hess_arr(*chord)
         assert abs(S11 - 4 * np.sqrt(3)) < 1e-11
         assert abs(S12 + 4 * np.sqrt(3)) < 1e-11
         assert abs(S22 - 4 * np.sqrt(3)) < 1e-11
 
     def test_length_is_tan_half_gap(self, round_table):
-        for w in (0.3, 1.0, 2.0, 2.6):
-            l1, _ = gf.tangent_lengths(round_table, ChordConfig(0.7, 0.7 + w))
-            assert abs(l1 - np.tan(w / 2)) < 1e-12
+        w = np.array([0.3, 1.0, 2.0, 2.6])
+        l1, _ = gf.lengths_arr(round_table, 0.7, 0.7 + w)
+        assert np.max(np.abs(l1 - np.tan(w / 2))) < 1e-12
 
     def test_small_gap_cubic_asymptotics(self, round_table):
         # S = 2 tan(w/2) - w ~ w^3 / 12 as w -> 0
         w = 1e-2
-        S = gf.generating_S(round_table, ChordConfig(0.0, w))
+        S = gf.S_arr(round_table, 0.0, w)
         assert abs(S / (w**3 / 12.0) - 1.0) < 1e-3
 
     def test_rotation_invariance(self, round_table):
         rng = np.random.default_rng(5)
         w = 1.3
-        vals = []
-        for _ in range(10):
-            a1 = rng.uniform(0, TWO_PI)
-            cfg = ChordConfig(a1, a1 + w)
-            vals.append(
-                (
-                    gf.generating_S(round_table, cfg),
-                    *gf.tangent_lengths(round_table, cfg),
-                    *gf.radii(round_table, cfg),
-                )
-            )
-        vals = np.array(vals)
-        assert np.max(np.ptp(vals, axis=0)) < 1e-12
+        a1 = rng.uniform(0, TWO_PI, 10)
+        vals = np.array(
+            [
+                gf.S_arr(round_table, a1, a1 + w),
+                *gf.lengths_arr(round_table, a1, a1 + w),
+                *gf.radii_arr(round_table, a1, a1 + w),
+            ]
+        )
+        assert np.max(np.ptp(vals, axis=1)) < 1e-12
 
 
 class TestEllipseChord:
     def test_vertex_chord_lengths(self):
         e = ellipse(2.0, 1.0)
-        l1, l2 = gf.tangent_lengths(e, ChordConfig(0.0, np.pi / 2))
+        l1, l2 = gf.lengths_arr(e, 0.0, np.pi / 2)
         # chord vertex is (2, 1): tangent touch points are (2, 0) and (0, 1)
         assert abs(l1 - 1.0) < 1e-9
         assert abs(l2 - 2.0) < 1e-9
@@ -114,14 +112,10 @@ class TestFiniteDifferences:
             assert np.max(np.abs(h12 - e12)) < 1e-4
             assert np.max(np.abs(h22 - e22)) < 1e-4
 
-    def test_scalar_wrappers_match_vector_forms(self, wobble3_table):
-        cfg = ChordConfig(0.4, 1.9)
-        assert gf.fd_grad_S(wobble3_table, cfg) == pytest.approx(
-            gf.grad_S(wobble3_table, cfg), abs=1e-6
-        )
-        assert gf.fd_hess_S(wobble3_table, cfg) == pytest.approx(
-            gf.hess_S(wobble3_table, cfg), abs=1e-4
-        )
+    def test_single_chord_against_fd(self, wobble3_table):
+        chord = (wobble3_table, 0.4, 1.9)
+        assert gf.fd_grad_arr(*chord) == pytest.approx(gf.grad_arr(*chord), abs=1e-6)
+        assert gf.fd_hess_arr(*chord) == pytest.approx(gf.hess_arr(*chord), abs=1e-4)
 
 
 class TestSignPattern:
@@ -145,8 +139,98 @@ class TestDomainGuard:
         with pytest.raises(ChordDomainError):
             gf.lengths_arr(round_table, 0.0, np.pi)
 
-    def test_step_data_bundle(self, round_table):
-        data = gf.step_data(round_table, ChordConfig(0.0, np.pi / 2), second_order=True)
-        assert data.l1 == pytest.approx(1.0)
-        assert data.S11 == pytest.approx(2.0)
-        assert data.S12 == pytest.approx(-2.0)
+    def test_scalar_chord_gives_floats(self, round_table):
+        l1, _ = gf.lengths_arr(round_table, 0.0, np.pi / 2)
+        S11, S12, _ = gf.hess_arr(round_table, 0.0, np.pi / 2)
+        assert np.ndim(l1) == np.ndim(S11) == 0
+        assert l1 == pytest.approx(1.0)
+        assert S11 == pytest.approx(2.0)
+        assert S12 == pytest.approx(-2.0)
+
+
+# -- 50-digit references on exact Fourier tables --------------------------------
+
+
+class _MpWobble:
+    """p = 1 + eps cos(k alpha) in 50-digit arithmetic; S from its definition
+    (tangent segments from the chord vertex minus the boundary arc), so the
+    references share no formula with the closed forms under test."""
+
+    def __init__(self, eps, k):
+        self.eps, self.k = mpmath.mpf(eps), k
+
+    def p(self, a):
+        return 1 + self.eps * mpmath.cos(self.k * a)
+
+    def dp(self, a):
+        return -self.eps * self.k * mpmath.sin(self.k * a)
+
+    def boundary(self, a):
+        p, dp = self.p(a), self.dp(a)
+        return (p * mpmath.cos(a) - dp * mpmath.sin(a), p * mpmath.sin(a) + dp * mpmath.cos(a))
+
+    def S(self, a1, a2):
+        p1, p2, sw = self.p(a1), self.p(a2), mpmath.sin(a2 - a1)
+        vertex = (
+            (p1 * mpmath.sin(a2) - p2 * mpmath.sin(a1)) / sw,
+            (p2 * mpmath.cos(a1) - p1 * mpmath.cos(a2)) / sw,
+        )
+        l1, l2 = (mpmath.norm([v - g for v, g in zip(vertex, self.boundary(a))]) for a in (a1, a2))
+        integral = (a2 - a1) + self.eps / self.k * (mpmath.sin(self.k * a2) - mpmath.sin(self.k * a1))
+        return l1 + l2 - (self.dp(a2) - self.dp(a1) + integral)
+
+    def partial(self, a1, a2, orders):
+        return mpmath.diff(self.S, (a1, a2), orders)
+
+
+REFERENCE_CHORDS = [(0.3, 1.4), (2.0, 4.1), (5.5, 6.9), (1.0, 3.4)]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05], ids=["circle", "wobble3"])
+class TestHighPrecisionReferences:
+    TOL = 1e-13
+
+    @pytest.fixture(autouse=True)
+    def fifty_digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    @staticmethod
+    def tables(eps):
+        return perturbed_circle(eps, 3) if eps else circle(), _MpWobble(eps, 3)
+
+    def test_closed_forms(self, eps):
+        table, ref = self.tables(eps)
+        a1, a2 = (np.array(v) for v in zip(*REFERENCE_CHORDS))
+        got = {
+            "S": gf.S_arr(table, a1, a2),
+            "R1 (gradient)": -gf.grad_arr(table, a1, a2)[0],
+            "R2 (gradient)": gf.grad_arr(table, a1, a2)[1],
+            "R1 (l tan)": gf.radii_arr(table, a1, a2)[0],
+            "R2 (l tan)": gf.radii_arr(table, a1, a2)[1],
+            "S11": gf.hess_arr(table, a1, a2)[0],
+            "S12": gf.hess_arr(table, a1, a2)[1],
+            "S22": gf.hess_arr(table, a1, a2)[2],
+        }
+        for i, (x, y) in enumerate(REFERENCE_CHORDS):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            want = {
+                "S": ref.S(x, y),
+                "R1 (gradient)": -ref.partial(x, y, (1, 0)),
+                "R2 (gradient)": ref.partial(x, y, (0, 1)),
+                "R1 (l tan)": -ref.partial(x, y, (1, 0)),
+                "R2 (l tan)": ref.partial(x, y, (0, 1)),
+                "S11": ref.partial(x, y, (2, 0)),
+                "S12": ref.partial(x, y, (1, 1)),
+                "S22": ref.partial(x, y, (0, 2)),
+            }
+            for name, value in want.items():
+                assert abs(got[name][i] - float(value)) < self.TOL, (name, i)
+
+    def test_map_step(self, eps):
+        table, ref = self.tables(eps)
+        x, y = (mpmath.mpf(v) for v in REFERENCE_CHORDS[1])
+        target = ref.partial(x, y, (0, 1))
+        new = bl.step(table, ChordConfig(*REFERENCE_CHORDS[1]))
+        alpha3 = mpmath.findroot(lambda z: -ref.partial(y, z, (1, 0)) - target, new.alpha2)
+        assert abs(new.alpha2 - float(alpha3)) < self.TOL

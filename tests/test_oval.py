@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
+from outerlength import oval as oval_module
 from outerlength.errors import ContainmentError, OvalValidationError
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
@@ -170,3 +173,114 @@ class TestRepresentations:
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
             SupportOval.from_json({"type": "mystery"})
+
+
+# -- the spline kernel against scipy's B-spline ----------------------------------
+
+
+def _bspline(table):
+    """Periodic quintic B-spline built here from the table's own samples."""
+    samples = np.asarray(table.to_json()["p"])
+    x = np.linspace(0.0, TWO_PI, len(samples) + 1)
+    return make_interp_spline(x, np.append(samples, samples[0]), k=5, bc_type="periodic")
+
+
+def _gauss_integral(spl, a, b):
+    """Integral of the periodic B-spline over [a, b]: three-point Gauss-Legendre
+    on every knot interval, exact for quintics, summed with math.fsum."""
+    h = TWO_PI / (len(spl.t) - 2 * spl.k - 1)
+    knots = np.arange(np.floor(a / h) + 1, np.ceil(b / h)) * h
+    edges = np.concatenate([[a], knots, [b]])
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    vals = spl(np.mod(mid[:, None] + half[:, None] * nodes, TWO_PI)) * weights * half[:, None]
+    return math.fsum(vals.ravel())
+
+
+@pytest.fixture(scope="module", params=["acceptance-ellipse", "thin-ellipse", "from_f"])
+def spline_table(request, ellipse_table, forge_table):
+    return {
+        "acceptance-ellipse": ellipse_table,
+        "thin-ellipse": ellipse(1.0, 0.05),
+        "from_f": forge_table[0],
+    }[request.param]
+
+
+class TestSplineKernel:
+    @staticmethod
+    def angles(table):
+        n = len(table.to_json()["p"])
+        rng = np.random.default_rng(21)
+        return np.concatenate(
+            [
+                rng.uniform(-20.0, 0.0, 300),
+                rng.uniform(4 * np.pi, 30.0, 300),
+                np.arange(n) * (TWO_PI / n),
+                [-0.3, 4 * np.pi + 0.1, np.nextafter(TWO_PI, 0.0)],
+            ]
+        )
+
+    def test_jet_matches_bspline(self, spline_table):
+        spl = _bspline(spline_table)
+        alphas = self.angles(spline_table)
+        reduced = np.mod(alphas, TWO_PI)
+        for order, got in enumerate(spline_table.jet(alphas)):
+            ref = spl.derivative(order)(reduced) if order else spl(reduced)
+            # 1e-15 of the order's scale: p'' reaches 20 on the thin ellipse,
+            # where one rounding unit is 3.6e-15
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+
+    def test_scalar_and_small_batches_match_the_vector_kernel(self, spline_table):
+        alphas = self.angles(spline_table)
+        alphas = np.concatenate([alphas[:40], alphas[-40:]])
+        batch = np.array(spline_table.jet(alphas))
+        one_by_one = np.array([spline_table.jet(float(a)) for a in alphas]).T
+        small = np.concatenate([spline_table.jet(chunk) for chunk in np.split(alphas, 16)], axis=1)
+        assert np.array_equal(one_by_one, batch)
+        assert np.array_equal(small, batch)
+
+    def test_integral_matches_bspline(self, spline_table):
+        spl = _bspline(spline_table)
+        anti = spl.antiderivative()
+        rng = np.random.default_rng(22)
+        a = rng.uniform(0.0, TWO_PI, 40)
+        b = rng.uniform(0.0, TWO_PI, 40)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        within = spline_table.support_integral(lo, hi)
+        assert np.max(np.abs(within - (anti(hi) - anti(lo)))) < 5e-14
+        # wrap-around and multi-turn spans; the B-spline antiderivative's own
+        # full-turn constant is off by up to 2.3e-14 here, so these spans are
+        # referenced to exact Gauss-Legendre sums of the same B-spline
+        starts = np.array([-7.0, -0.2, 5.9, 6.2, 1.0, 13.0])
+        ends = starts + np.array([0.7, 0.5, 1.1, 3 * TWO_PI + 0.4, 2 * TWO_PI, 4 * TWO_PI - 0.3])
+        got = spline_table.support_integral(starts, ends)
+        ref = [_gauss_integral(spl, x, y) for x, y in zip(starts, ends)]
+        assert np.max(np.abs(got - ref)) < 5e-14
+
+    def test_periodicity_defect(self, spline_table):
+        assert spline_table.validate().periodicity_defect < 1e-12
+
+    def test_one_interpolation_per_table(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make_interp_spline(*args, **kwargs)
+
+        monkeypatch.setattr(oval_module, "make_interp_spline", counting)
+        ellipse(1.0, 0.5)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("table", [perturbed_circle(0.05, 3), ellipse(1.0, 0.5)], ids=["fourier", "spline"])
+def test_non_finite_angles_give_nan(table):
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert np.all(np.isnan(table.jet(bad)))
+        for size in (3, 40):
+            alphas = np.linspace(0.0, 1.0, size)
+            alphas[1:3] = np.nan, np.inf
+            jet = np.array(table.jet(alphas))
+            assert np.all(np.isnan(jet[:, 1:3]))
+            assert np.all(np.isfinite(np.delete(jet, [1, 2], axis=1)))
