@@ -25,7 +25,7 @@ for name, table in tables.items():
 
     S = genfun.S_arr(table, a1, a2)
     l1, l2 = genfun.lengths_arr(table, a1, a2)
-    arcs = np.array([table.arc_length(x, y) for x, y in zip(a1, a2)])
+    arcs = table.arc_length(a1, a2)
     print(f"  S vs l1 + l2 - arc:        {np.max(np.abs(S - (l1 + l2 - arcs))):.2e}")
 
     S1, S2 = genfun.grad_arr(table, a1, a2)

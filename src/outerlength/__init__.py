@@ -21,7 +21,6 @@ from .billiard import (
     pair_from_phase,
     phase_from_pair,
     step,
-    symplectic_defect,
     twist_report,
     vertex_point,
 )

@@ -1,4 +1,4 @@
-"""The outer length billiard map, its Jacobian, and structure verifiers.
+"""The outer length billiard map, its Jacobian, and its twist.
 
 The map acts on chords: from the pair of tangency angles (alpha1, alpha2) it
 produces (alpha2, alpha3), where alpha3 is the unique root of
@@ -9,7 +9,8 @@ in (alpha2, alpha2 + pi).  Uniqueness follows from S12 < 0, which makes
 R1(alpha2, .) strictly increasing.  In the conjugate coordinates (R, alpha),
 with R the auxiliary radius attached to the chord's base angle, the map
 preserves dR ^ dalpha and is a positive twist map, as is its square; both
-facts are checked numerically here rather than assumed.
+facts are checked numerically (`twist_report` here, `outerlength.verify`)
+rather than assumed.
 
 The radii are the first partials of the generating function (R1 = -S1,
 R2 = S2 from `genfun.grad_arr`), and every 1-D solve in this module goes
@@ -202,7 +203,7 @@ def cartesian_step(oval, point):
     return np.linalg.solve(A, oval.p(np.array([a2, beta])))
 
 
-# -- Jacobian, twist, symplecticity --------------------------------------------
+# -- Jacobian and twist --------------------------------------------------------
 
 
 def jacobian(oval, state):
@@ -231,11 +232,6 @@ def fd_jacobian(oval, state, h=1e-6):
         out[0, j] = (plus.R - minus.R) / (2 * h)
         out[1, j] = (plus.alpha - minus.alpha) / (2 * h)
     return out
-
-
-def symplectic_defect(oval, state):
-    """|det DT - 1| at the chord."""
-    return abs(float(np.linalg.det(jacobian(oval, state))) - 1.0)
 
 
 @dataclass

@@ -7,13 +7,12 @@ Exit codes: 0 success, 2 validation/constructor failure, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
 import numpy as np
 
-from . import billiard, forge, genfun, periodic, polygons, render
+from . import billiard, forge, periodic, render, verify
 from .errors import (
     ChordDomainError,
     ContainmentError,
@@ -128,119 +127,6 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def _verify_checks(oval, samples, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def add(name, defect, tol):
-        checks.append(
-            {"name": name, "passed": bool(defect < tol), "defect": float(defect),
-             "tol": tol}
-        )
-
-    a1, a2 = genfun.sample_chords(rng, samples)
-    g1, g2 = genfun.grad_arr(oval, a1, a2)
-    f1, f2 = genfun.fd_grad_arr(oval, a1, a2)
-    add("genfun-gradient-fd", max(np.max(np.abs(g1 - f1)), np.max(np.abs(g2 - f2))), 1e-6)
-    h11, h12, h22 = genfun.hess_arr(oval, a1, a2)
-    e11, e12, e22 = genfun.fd_hess_arr(oval, a1, a2)
-    add(
-        "genfun-hessian-fd",
-        max(np.max(np.abs(h11 - e11)), np.max(np.abs(h12 - e12)), np.max(np.abs(h22 - e22))),
-        1e-4,
-    )
-    add(
-        "genfun-sign-pattern",
-        float(np.sum(h11 <= 0) + np.sum(h22 <= 0) + np.sum(h12 >= 0)),
-        0.5,
-    )
-    l1, l2 = genfun.lengths_arr(oval, a1, a2)
-    arcs = np.array([oval.arc_length(x, y) for x, y in zip(a1, a2)])
-    add(
-        "genfun-defining-identity",
-        np.max(np.abs(genfun.S_arr(oval, a1, a2) - (l1 + l2 - arcs))),
-        1e-10,
-    )
-    s1, s2 = g1, g2
-    r1, r2 = genfun.radii_arr(oval, a1, a2)
-    add("genfun-dual-forms", max(np.max(np.abs(s1 + r1)), np.max(np.abs(s2 - r2))), 1e-10)
-
-    n_map = max(8, samples // 20)
-    worst = 0.0
-    for x, w in zip(
-        rng.uniform(0, 2 * np.pi, n_map), rng.uniform(0.3, np.pi - 0.4, n_map)
-    ):
-        state = ChordConfig(x, x + w)
-        M = billiard.vertex_point(oval, state)
-        img_geo = billiard.cartesian_step(oval, M)
-        img_gen = billiard.vertex_point(oval, billiard.step(oval, state))
-        worst = max(worst, float(np.linalg.norm(img_geo - img_gen)))
-    add("map-oracle-equivalence", worst, 1e-8)
-
-    sub = slice(0, min(samples, 2000))
-    dets = []
-    for x, y in zip(a1[sub], a2[sub]):
-        dets.append(billiard.symplectic_defect(oval, ChordConfig(x, y)))
-    add("map-symplectic", np.max(dets), 1e-6)
-    tw = billiard.twist_report(oval, samples=min(samples, 2000), seed=seed)
-    add("map-twist", float(tw.violations + tw.violations_squared), 0.5)
-
-    add(
-        "polygon-phi-regular",
-        max(
-            np.max(np.abs(polygons.phi_all(polygons.PolygonConfig.regular(n))))
-            for n in range(3, 9)
-        ),
-        1e-12,
-    )
-    gaps = rng.uniform(0.4, 1.6, 5)
-    gaps *= 2 * np.pi / np.sum(gaps)
-    alph = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    poly1 = polygons.PolygonConfig(alph, np.ones(5))
-    unit_identity = max(
-        abs(
-            polygons.phi(poly1, i)
-            - (np.tan(poly1.gaps[i] / 2) - np.tan(poly1.gaps[i - 1] / 2))
-        )
-        for i in range(5)
-    )
-    add("polygon-unit-support-identity", unit_identity, 1e-11)
-    poly2 = None
-    while poly2 is None:  # redraw until the pentagon is convex
-        with contextlib.suppress(ValueError):
-            poly2 = polygons.PolygonConfig(alph, 1.0 + rng.uniform(-0.2, 0.2, 5))
-    add(
-        "polygon-perimeter-euclid",
-        abs(polygons.perimeter(poly2) - polygons.perimeter_from_vertices(poly2)),
-        1e-10,
-    )
-    add(
-        "polygon-bracket-flow",
-        np.max(
-            np.abs(
-                polygons.xi_bracket(poly2, 1, 2) - polygons.flow_commutator(poly2, 1, 2)
-            )
-        ),
-        1e-5,
-    )
-    add(
-        "polygon-perimeter-derivative",
-        max(abs(polygons.perimeter_derivative_along_xi(poly2, i)) for i in range(5)),
-        1e-10,
-    )
-    wu = polygons.triangle_WU(np.pi / 3, np.pi / 3, np.pi / 3)
-    add("triangle-wu-equilateral", float(np.max(np.abs(np.r_[wu.W, wu.U] - 2.0))), 1e-12)
-    worst_expr = -np.inf
-    for _ in range(200):
-        u, v = rng.uniform(0.05, np.pi / 2 - 0.05, 2)
-        w = np.pi - u - v
-        if not 0.05 < w < np.pi / 2 - 0.05:
-            continue
-        worst_expr = max(worst_expr, polygons.triangle_WU(u, v, w).expression)
-    add("triangle-expression-negative", worst_expr, 0.0)
-    return checks
-
-
 def cmd_verify(args):
     try:
         oval = SupportOval.load(args.table, validate=False)
@@ -248,27 +134,20 @@ def cmd_verify(args):
         print(f"cannot read table: {exc}", file=sys.stderr)
         return EXIT_IO
     validation = oval.validate()
-    report = {"table": args.table, "validation": validation.to_dict()}
-    if not validation.passed:
-        report["checks"] = [
-            {"name": "oval-validate", "passed": False, "skipped_dependents": True}
-        ]
-        report["passed"] = False
-        text = json.dumps(report, indent=2)
-        print(text)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return EXIT_VALIDATION
-    checks = [{"name": "oval-validate", "passed": True, "defect": 0.0, "tol": 0.0}]
-    checks += _verify_checks(oval, args.samples, args.seed)
-    report["checks"] = checks
-    report["passed"] = all(c["passed"] for c in checks)
+    if validation.passed:
+        checks = [{"name": "oval-validate", "passed": True, "defect": 0.0, "tol": 0.0}]
+        checks += verify.battery(oval, args.samples, args.seed)
+    else:
+        checks = [{"name": "oval-validate", "passed": False, "skipped_dependents": True}]
+    report = {"table": args.table, "validation": validation.to_dict(), "checks": checks,
+              "passed": all(c["passed"] for c in checks)}
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    if not validation.passed:
+        return EXIT_VALIDATION
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
 

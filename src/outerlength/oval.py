@@ -316,11 +316,14 @@ class SupportOval:
         return ddp + p
 
     def arc_length(self, alpha1, alpha2):
-        """Boundary arc length from gamma(alpha1) to gamma(alpha2), alpha1 < alpha2."""
-        if not alpha1 < alpha2 <= alpha1 + TWO_PI + 1e-12:
+        """Boundary arc length from gamma(alpha1) to gamma(alpha2), alpha1 < alpha2;
+        elementwise on arrays, a float for scalars."""
+        a1 = np.asarray(alpha1, dtype=float)
+        a2 = np.asarray(alpha2, dtype=float)
+        if not np.all((a1 < a2) & (a2 <= a1 + TWO_PI + 1e-12)):
             raise ValueError("need alpha1 < alpha2 <= alpha1 + 2*pi")
-        dp = self._rep.jet(np.array([alpha1, alpha2]))[1]
-        return dp[1] - dp[0] + self._rep.integral(alpha1, alpha2)
+        out = self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.integral(a1, a2)
+        return out if np.ndim(out) else float(out)
 
     @property
     def circumference(self):

@@ -1,0 +1,175 @@
+"""The structure battery: each check compares two independent routes to one
+quantity and returns the defect between them.
+
+`battery` runs every check on one table for `outerlength verify`; the
+acceptance tests call the same checks on their own draws and thresholds.  The
+checks call the package through module attributes (`genfun.grad_arr`, ...),
+so a caller that replaces one of those functions sees every call.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+
+from . import billiard, genfun, polygons
+from .errors import StepFailureError
+from .genfun import ChordConfig
+
+TWO_PI = 2.0 * np.pi
+
+
+def gradient_fd_defect(oval, a1, a2):
+    """Closed-form (S1, S2) against central differences of S."""
+    diff = np.subtract(genfun.grad_arr(oval, a1, a2), genfun.fd_grad_arr(oval, a1, a2))
+    return float(np.max(np.abs(diff)))
+
+
+def hessian_fd_defect(oval, a1, a2):
+    """Closed-form (S11, S12, S22) against central second differences of S."""
+    diff = np.subtract(genfun.hess_arr(oval, a1, a2), genfun.fd_hess_arr(oval, a1, a2))
+    return float(np.max(np.abs(diff)))
+
+
+def sign_violations(oval, a1, a2):
+    """Count of chords breaking S11 > 0, S12 < 0 or S22 > 0."""
+    s11, s12, s22 = genfun.hess_arr(oval, a1, a2)
+    return float(np.sum(s11 <= 0) + np.sum(s22 <= 0) + np.sum(s12 >= 0))
+
+
+def defining_identity_defect(oval, a1, a2):
+    """S against l1 + l2 minus the boundary arc between the tangency points."""
+    l1, l2 = genfun.lengths_arr(oval, a1, a2)
+    S = genfun.S_arr(oval, a1, a2)
+    return float(np.max(np.abs(S - (l1 + l2 - oval.arc_length(a1, a2)))))
+
+
+def dual_forms_defect(oval, a1, a2):
+    """Support form of the gradient against the l tan(w/2) radii (R1 = -S1, R2 = S2)."""
+    s1, s2 = genfun.grad_arr(oval, a1, a2)
+    r1, r2 = genfun.radii_arr(oval, a1, a2)
+    return float(np.max(np.abs([s1 + r1, s2 - r2])))
+
+
+def oracle_defect(oval, a1, a2):
+    """Largest distance between the images of the chord vertices under the
+    Cartesian reflection rule (point by point) and the generating-function map
+    (one batched step, which raises StepFailureError where it has no root)."""
+    a3 = billiard.step_angles_arr(oval, a1, a2)
+    if np.any(np.isnan(a3)):
+        i = int(np.argmax(np.isnan(a3)))
+        raise StepFailureError(f"no reflection root for chord ({a1[i]:.6f}, {a2[i]:.6f})")
+    start = billiard.vertex_point(oval, ChordConfig(a1, a2)).T
+    image = billiard.vertex_point(oval, ChordConfig(a2, a3)).T
+    return float(np.max([np.linalg.norm(billiard.cartesian_step(oval, M) - img)
+                         for M, img in zip(start, image)]))
+
+
+def symplectic_defect(oval, a1, a2):
+    """Worst |det DT - 1| in (R, alpha), with d alpha3 / d alpha1 from central
+    differences (h = 1e-5) of the batched map; an unstepped chord gives NaN.
+
+    T = Phi F Phi^-1 with Phi(a, b) = (R1(a, b), a) and F(a1, a2) = (a2, a3),
+    so det DT = -S12(a2, a3) (d alpha3 / d alpha1) / S12(a1, a2).
+    """
+    h = 1e-5
+    a3 = billiard.step_angles_arr(oval, a1, a2)
+    plus = billiard.step_angles_arr(oval, a1 + h, a2)
+    minus = billiard.step_angles_arr(oval, a1 - h, a2)
+    da3 = (plus - minus) / (2 * h)
+    det = -genfun.hess_arr(oval, a2, a3)[1] * da3 / genfun.hess_arr(oval, a1, a2)[1]
+    return float(np.max(np.abs(det - 1.0)))
+
+
+def twist_violations(oval, samples, seed):
+    """Sampled chords where the map or its square fails to twist positively."""
+    rep = billiard.twist_report(oval, samples=samples, seed=seed)
+    return float(rep.violations + rep.violations_squared)
+
+
+def regular_phi_defect(poly):
+    """Largest |Phi_i| on a polygon where every Phi_i vanishes (regular n-gons)."""
+    return float(np.max(np.abs(polygons.phi_all(poly))))
+
+
+def unit_support_defect(poly):
+    """Phi_i against tan(g_i / 2) - tan(g_{i-1} / 2), for unit support numbers."""
+    g = poly.gaps
+    return float(np.max(np.abs([
+        polygons.phi(poly, i) - (np.tan(g[i] / 2) - np.tan(g[i - 1] / 2)) for i in range(poly.n)
+    ])))
+
+
+def perimeter_euclid_defect(poly):
+    """Perimeter from the support data against the Euclidean vertex polygon."""
+    return abs(polygons.perimeter(poly) - polygons.perimeter_from_vertices(poly))
+
+
+def bracket_flow_defect(poly, i, j):
+    """Closed-form Lie bracket [xi_i, xi_j] against the integrated flow commutator."""
+    diff = polygons.xi_bracket(poly, i, j) - polygons.flow_commutator(poly, i, j)
+    return float(np.max(np.abs(diff)))
+
+
+def perimeter_derivative_defect(poly):
+    """Largest |d perimeter| along the rotation fields xi_i, which keep it fixed."""
+    return float(np.max(np.abs([polygons.perimeter_derivative_along_xi(poly, i)
+                                for i in range(poly.n)])))
+
+
+def equilateral_wu_defect():
+    """W_i and U_i of the equilateral triangle against their exact value 2."""
+    wu = polygons.triangle_WU(np.pi / 3, np.pi / 3, np.pi / 3)
+    return float(np.max(np.abs(np.r_[wu.W, wu.U] - 2.0)))
+
+
+def worst_triangle_expression(triples):
+    """Largest six-term obstruction over half-angle triples (u, v, w), or -inf
+    for none; the obstruction is strictly negative on every valid triple."""
+    values = [polygons.triangle_WU(*t).expression for t in triples]
+    return float(np.max(values, initial=-np.inf))
+
+
+def battery(oval, samples, seed):
+    """Every check on one table, from draws of `numpy.random.default_rng(seed)`:
+    `samples` chords for the generating function, their first 2000 for the
+    area check, one in twenty (at least 8) for the oracle.  Returns one record
+    `{"name", "passed", "defect", "tol"}` per check; passed is defect < tol."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    a1, a2 = genfun.sample_chords(rng, samples)
+    x = rng.uniform(0, TWO_PI, max(8, samples // 20))
+    w = rng.uniform(0.3, np.pi - 0.4, len(x))
+    gaps = rng.uniform(0.4, 1.6, 5)
+    gaps *= TWO_PI / np.sum(gaps)
+    alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    poly = None
+    while poly is None:  # redraw until the pentagon is convex
+        with contextlib.suppress(ValueError):
+            poly = polygons.PolygonConfig(alphas, 1.0 + rng.uniform(-0.2, 0.2, 5))
+    uv = [rng.uniform(0.05, np.pi / 2 - 0.05, 2) for _ in range(200)]
+    triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]
+    sub = slice(0, min(samples, 2000))
+    regular = np.max([regular_phi_defect(polygons.PolygonConfig.regular(n)) for n in range(3, 9)])
+    checks = [
+        ("genfun-gradient-fd", gradient_fd_defect(oval, a1, a2), 1e-6),
+        ("genfun-hessian-fd", hessian_fd_defect(oval, a1, a2), 1e-4),
+        ("genfun-sign-pattern", sign_violations(oval, a1, a2), 0.5),
+        ("genfun-defining-identity", defining_identity_defect(oval, a1, a2), 1e-10),
+        ("genfun-dual-forms", dual_forms_defect(oval, a1, a2), 1e-10),
+        ("map-oracle-equivalence", oracle_defect(oval, x, x + w), 1e-8),
+        ("map-symplectic", symplectic_defect(oval, a1[sub], a2[sub]), 1e-6),
+        ("map-twist", twist_violations(oval, min(samples, 2000), seed), 0.5),
+        ("polygon-phi-regular", regular, 1e-12),
+        ("polygon-unit-support-identity",
+         unit_support_defect(polygons.PolygonConfig(alphas, np.ones(5))), 1e-11),
+        ("polygon-perimeter-euclid", perimeter_euclid_defect(poly), 1e-10),
+        ("polygon-bracket-flow", bracket_flow_defect(poly, 1, 2), 1e-5),
+        ("polygon-perimeter-derivative", perimeter_derivative_defect(poly), 1e-10),
+        ("triangle-wu-equilateral", equilateral_wu_defect(), 1e-12),
+        ("triangle-expression-negative", worst_triangle_expression(triples), 0.0),
+    ]
+    return [{"name": name, "passed": bool(d < tol), "defect": float(d), "tol": tol}
+            for name, d, tol in checks]

@@ -15,7 +15,7 @@ from outerlength import forge
 from outerlength import genfun as gf
 from outerlength import periodic as pd
 from outerlength import polygons as pg
-from outerlength.genfun import ChordConfig
+from outerlength import verify
 from outerlength.oval import circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
@@ -43,23 +43,11 @@ def test_generating_function_suite(tables):
     sign_violations = 0
     for name, oval in tables.items():
         a1, a2 = gf.sample_chords(rng, 10_000)
-        g1, g2 = gf.grad_arr(oval, a1, a2)
-        f1, f2 = gf.fd_grad_arr(oval, a1, a2)
-        worst_grad = max(
-            worst_grad, float(np.max(np.abs(g1 - f1))), float(np.max(np.abs(g2 - f2)))
-        )
-        h11, h12, h22 = gf.hess_arr(oval, a1, a2)
-        e11, e12, e22 = gf.fd_hess_arr(oval, a1, a2)
-        worst_hess = max(
-            worst_hess,
-            float(np.max(np.abs(h11 - e11))),
-            float(np.max(np.abs(h12 - e12))),
-            float(np.max(np.abs(h22 - e22))),
-        )
+        worst_grad = max(worst_grad, verify.gradient_fd_defect(oval, a1, a2))
+        worst_hess = max(worst_hess, verify.hessian_fd_defect(oval, a1, a2))
         # sign pattern sampled over nearly the whole gap range
         b1, b2 = gf.sample_chords(rng, 10_000, 1e-3, np.pi - 1e-3)
-        s11, s12, s22 = gf.hess_arr(oval, b1, b2)
-        sign_violations += int(np.sum(s11 <= 0) + np.sum(s22 <= 0) + np.sum(s12 >= 0))
+        sign_violations += int(verify.sign_violations(oval, b1, b2))
     elapsed = time.time() - t0
     assert worst_grad < 1e-6
     assert worst_hess < 1e-4
@@ -81,12 +69,7 @@ def test_map_consistency(tables):
     for name, oval in tables.items():
         a1 = rng.uniform(0.0, TWO_PI, 1000)
         w = rng.uniform(0.25, np.pi - 0.35, 1000)
-        for x, ww in zip(a1, w):
-            state = ChordConfig(x, x + ww)
-            M = bl.vertex_point(oval, state)
-            via_geometry = bl.cartesian_step(oval, M)
-            via_genfun = bl.vertex_point(oval, bl.step(oval, state))
-            worst = max(worst, float(np.linalg.norm(via_geometry - via_genfun)))
+        worst = max(worst, verify.oracle_defect(oval, a1, a1 + w))
     elapsed = time.time() - t0
     assert worst < 1e-8
     assert elapsed < 60.0
@@ -97,18 +80,17 @@ def test_map_consistency(tables):
 
 
 def test_symplectic_and_twist(tables):
-    """|det DT - 1| < 1e-6 and positive twist for the map and its square at
-    10^4 sampled states per table, zero violations."""
+    """|det DT - 1| < 1e-6, with d alpha3 / d alpha1 from differences of the
+    map, and positive twist for the map and its square at 10^4 sampled states
+    per table, zero violations."""
     rng = np.random.default_rng(11)
     worst_det = 0.0
     twist_violations = 0
     for name, oval in tables.items():
         a1, a2 = gf.sample_chords(rng, 10_000, 0.05, np.pi - 0.05)
-        s11, s12, s22 = gf.hess_arr(oval, a1, a2)
-        det = (s11 * s22 / s12**2) + (s12**2 - s11 * s22) / s12**2
-        worst_det = max(worst_det, float(np.max(np.abs(det - 1.0))))
+        worst_det = max(worst_det, verify.symplectic_defect(oval, a1, a2))
+        twist_violations += int(verify.twist_violations(oval, 10_000, 13))
         rep = bl.twist_report(oval, samples=10_000, seed=13)
-        twist_violations += rep.violations + rep.violations_squared
         assert rep.min_twist > 0 and rep.min_twist_squared > 0
     assert worst_det < 1e-6
     assert twist_violations == 0
@@ -224,10 +206,7 @@ def test_polygon_distribution_suite():
     geometry, closed-form brackets vs flow commutators, growth rank 2n-1 near
     regular polygons, and perimeter invariance along the fields."""
     rng = np.random.default_rng(55)
-    phi_reg = max(
-        float(np.max(np.abs(pg.phi_all(pg.PolygonConfig.regular(n)))))
-        for n in range(3, 9)
-    )
+    phi_reg = max(verify.regular_phi_defect(pg.PolygonConfig.regular(n)) for n in range(3, 9))
     assert phi_reg < 1e-12
 
     unit_identity = 0.0
@@ -235,10 +214,9 @@ def test_polygon_distribution_suite():
         gaps = rng.uniform(0.5, 1.4, n)
         gaps *= TWO_PI / np.sum(gaps)
         alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-        poly = pg.PolygonConfig(alphas, np.ones(n))
-        for i in range(n):
-            expected = np.tan(poly.gaps[i] / 2) - np.tan(poly.gaps[(i - 1) % n] / 2)
-            unit_identity = max(unit_identity, abs(pg.phi(poly, i) - expected))
+        unit_identity = max(
+            unit_identity, verify.unit_support_defect(pg.PolygonConfig(alphas, np.ones(n)))
+        )
     assert unit_identity < 1e-11
 
     geom = 0.0
@@ -255,21 +233,11 @@ def test_polygon_distribution_suite():
         geom = max(
             geom,
             float(np.max(np.abs(pg.side_lengths(poly) - euclid_sides))),
-            abs(pg.perimeter(poly) - float(np.sum(euclid_sides))),
+            verify.perimeter_euclid_defect(poly),
         )
         for i in range(n):
-            bracket_defect = max(
-                bracket_defect,
-                float(
-                    np.max(
-                        np.abs(
-                            pg.xi_bracket(poly, i, (i + 1) % n)
-                            - pg.flow_commutator(poly, i, (i + 1) % n)
-                        )
-                    )
-                ),
-            )
-            dperim = max(dperim, abs(pg.perimeter_derivative_along_xi(poly, i)))
+            bracket_defect = max(bracket_defect, verify.bracket_flow_defect(poly, i, (i + 1) % n))
+        dperim = max(dperim, verify.perimeter_derivative_defect(poly))
         near = pg.PolygonConfig(
             pg.PolygonConfig.regular(n).alphas + rng.uniform(-0.02, 0.02, n),
             1.0 + rng.uniform(-0.02, 0.02, n),
@@ -290,21 +258,18 @@ def test_polygon_distribution_suite():
 def test_triangle_bracket_quantities():
     """Equilateral W = U = 2 within 1e-12; the six-term obstruction is
     strictly negative on 10^4 random valid half-angle triples."""
-    wu = pg.triangle_WU(np.pi / 3, np.pi / 3, np.pi / 3)
-    eq_defect = float(np.max(np.abs(np.r_[wu.W, wu.U] - 2.0)))
+    eq_defect = verify.equilateral_wu_defect()
     assert eq_defect < 1e-12
     rng = np.random.default_rng(99)
-    count = 0
-    worst = -np.inf
-    while count < 10_000:
+    triples = []
+    while len(triples) < 10_000:
         u, v = rng.uniform(1e-3, np.pi / 2 - 1e-3, 2)
         w = np.pi - u - v
         if not 1e-3 < w < np.pi / 2 - 1e-3:
             continue
-        res = pg.triangle_WU(u, v, w)
-        assert res.all_positive
-        worst = max(worst, res.expression)
-        count += 1
+        assert pg.triangle_WU(u, v, w).all_positive
+        triples.append((u, v, w))
+    worst = verify.worst_triangle_expression(triples)
     assert worst < 0.0
     print(
         f"\n[PASS] triangle bracket quantities: equilateral defect {eq_defect:.1e}, "

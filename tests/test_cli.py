@@ -240,6 +240,11 @@ class TestVerify:
     def test_unreadable_table(self, tmp_path):
         assert main(["verify", "--table", str(tmp_path / "none.json")]) == 4
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_too_few_samples_rejected(self, circle_table, samples, capsys):
+        assert main(["verify", "--table", circle_table, "--samples", samples]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+
 
 class TestRender:
     def test_svg_written(self, forged_table, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
+from outerlength import verify
 from outerlength.errors import ChordDomainError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import circle, ellipse, perturbed_circle
@@ -76,19 +77,14 @@ class TestDefiningIdentity:
         rng = np.random.default_rng(11)
         for oval in (wobble3_table, ellipse_table):
             a1, a2 = gf.sample_chords(rng, 200, 0.05, np.pi - 0.05)
-            l1, l2 = gf.lengths_arr(oval, a1, a2)
-            arcs = np.array([oval.arc_length(x, y) for x, y in zip(a1, a2)])
-            S = gf.S_arr(oval, a1, a2)
-            assert np.max(np.abs(S - (l1 + l2 - arcs))) < 1e-10
+            assert verify.defining_identity_defect(oval, a1, a2) < 1e-10
 
     def test_dual_first_order_forms(self, wobble3_table):
         # raw support form of the gradient vs the l * tan(w/2) radii
         rng = np.random.default_rng(12)
         a1, a2 = gf.sample_chords(rng, 500, 0.02, np.pi - 0.02)
-        S1, S2 = gf.grad_arr(wobble3_table, a1, a2)
         R1, R2 = gf.radii_arr(wobble3_table, a1, a2)
-        assert np.max(np.abs(S1 + R1)) < 1e-10
-        assert np.max(np.abs(S2 - R2)) < 1e-10
+        assert verify.dual_forms_defect(wobble3_table, a1, a2) < 1e-10
         assert np.all(R1 > 0) and np.all(R2 > 0)
 
 
@@ -97,20 +93,13 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(13)
         for oval in (wobble3_table, forge_table[0]):
             a1, a2 = gf.sample_chords(rng, 400)
-            g1, g2 = gf.grad_arr(oval, a1, a2)
-            f1, f2 = gf.fd_grad_arr(oval, a1, a2)
-            assert np.max(np.abs(g1 - f1)) < 1e-6
-            assert np.max(np.abs(g2 - f2)) < 1e-6
+            assert verify.gradient_fd_defect(oval, a1, a2) < 1e-6
 
     def test_hessian_against_fd(self, wobble3_table, forge_table):
         rng = np.random.default_rng(14)
         for oval in (wobble3_table, forge_table[0]):
             a1, a2 = gf.sample_chords(rng, 400)
-            h11, h12, h22 = gf.hess_arr(oval, a1, a2)
-            e11, e12, e22 = gf.fd_hess_arr(oval, a1, a2)
-            assert np.max(np.abs(h11 - e11)) < 1e-4
-            assert np.max(np.abs(h12 - e12)) < 1e-4
-            assert np.max(np.abs(h22 - e22)) < 1e-4
+            assert verify.hessian_fd_defect(oval, a1, a2) < 1e-4
 
     def test_single_chord_against_fd(self, wobble3_table):
         chord = (wobble3_table, 0.4, 1.9)

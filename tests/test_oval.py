@@ -78,6 +78,23 @@ class TestArcLength:
         with pytest.raises(ValueError):
             round_table.arc_length(1.0, 0.5)
 
+    def test_arrays_match_scalar_calls(self, wobble3_table, spline_wobble3):
+        rng = np.random.default_rng(5)
+        a1 = rng.uniform(-TWO_PI, TWO_PI, 50)
+        a2 = a1 + rng.uniform(1e-3, TWO_PI, 50)
+        for oval in (wobble3_table, spline_wobble3):
+            arcs = oval.arc_length(a1, a2)
+            assert arcs.shape == a1.shape
+            scalar = [oval.arc_length(x, y) for x, y in zip(a1, a2)]
+            assert np.allclose(arcs, scalar, rtol=0.0, atol=1e-14)
+
+    def test_one_bad_pair_in_an_array_rejected(self, wobble3_table):
+        a1 = np.linspace(0.0, 3.0, 20)
+        a2 = a1 + 1.0
+        a2[7] = a1[7] - 0.1
+        with pytest.raises(ValueError):
+            wobble3_table.arc_length(a1, a2)
+
 
 class TestTangentAngles:
     def test_circle_sqrt2_point(self, round_table):

@@ -1,0 +1,49 @@
+"""The structure battery can fail: perturbing the map or the generating
+function's closed forms makes the checks that compare them fail, and a chord
+the batched map cannot step is an error, not a defect."""
+
+import numpy as np
+import pytest
+
+from outerlength import billiard, genfun, verify
+from outerlength.errors import StepFailureError
+
+
+def failed_checks(oval):
+    return {c["name"] for c in verify.battery(oval, 200, 0) if not c["passed"]}
+
+
+def test_battery_passes_on_a_valid_table(wobble3_table):
+    assert failed_checks(wobble3_table) == set()
+
+
+def test_shifted_map_fails_area_and_oracle(wobble3_table, monkeypatch):
+    step = billiard.step_angles_arr
+    monkeypatch.setattr(
+        billiard, "step_angles_arr", lambda oval, a1, a2: step(oval, a1, a2) + 1e-3 * np.sin(a1)
+    )
+    failed = failed_checks(wobble3_table)
+    assert "map-symplectic" in failed
+    assert "map-oracle-equivalence" in failed
+
+
+def test_scaled_mixed_partial_fails_hessian_check(wobble3_table, monkeypatch):
+    hess = genfun.hess_arr
+
+    def scaled(oval, a1, a2):
+        s11, s12, s22 = hess(oval, a1, a2)
+        return s11, s12 * (1.0 + 0.3 * np.cos(a1)), s22
+
+    monkeypatch.setattr(genfun, "hess_arr", scaled)
+    assert "genfun-hessian-fd" in failed_checks(wobble3_table)
+
+
+def test_unstepped_chord_raises(wobble3_table, monkeypatch):
+    step = billiard.step_angles_arr
+    monkeypatch.setattr(
+        billiard, "step_angles_arr",
+        lambda oval, a1, a2: np.where(a1 > 1.0, np.nan, step(oval, a1, a2)),
+    )
+    a1 = np.array([0.5, 1.5])
+    with pytest.raises(StepFailureError, match="no reflection root"):
+        verify.oracle_defect(wobble3_table, a1, a1 + 1.0)
