@@ -16,7 +16,9 @@ Every closed form reads the support data through `chord_jets`: one call of
 `SupportOval.jet` per chord end gives (p, p', p'') there, which is all that
 S (apart from its integral term), both partials and the Hessian need.  The
 functions take arrays of angles of any shape; a scalar chord is a batch of
-one.
+one.  `path_jets` serves chords that share their ends (the sides of a
+periodic orbit) from one call on the vertices, for `grad_from_jets` and
+`hess_from_jets`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def chord_jets(oval, a1, a2):
     w = a2 - a1
     _check_omega(w)
     return w, oval.jet(a1), oval.jet(a2)
+
+
+def path_jets(oval, vertices):
+    """Gaps and end jets of the chords (v[i], v[i+1]) joining consecutive
+    vertices on the last axis, from one `SupportOval.jet` call on all of them."""
+    v = np.asarray(vertices, dtype=float)
+    w = v[..., 1:] - v[..., :-1]
+    _check_omega(w)
+    jet = oval.jet(v)
+    return w, [j[..., :-1] for j in jet], [j[..., 1:] for j in jet]
 
 
 def _lengths(w, jet1, jet2):
@@ -116,9 +128,8 @@ def radii_arr(oval, a1, a2):
     return _radii(*chord_jets(oval, a1, a2))
 
 
-def hess_arr(oval, a1, a2):
-    """(S11, S12, S22); sign pattern (+, -, +) for every valid chord."""
-    w, jet1, jet2 = chord_jets(oval, a1, a2)
+def hess_from_jets(w, jet1, jet2):
+    """(S11, S12, S22) from a valid gap w and the jets (p, p', p'') of both ends."""
     R1, R2 = _radii(w, jet1, jet2)
     t = np.tan(w / 2.0)
     # p'' + p is the curvature radius at each end
@@ -126,6 +137,11 @@ def hess_arr(oval, a1, a2):
     S22 = t * (R2 + (jet2[2] + jet2[0]))
     S12 = -(R1 + R2) / np.sin(w)
     return S11, S12, S22
+
+
+def hess_arr(oval, a1, a2):
+    """(S11, S12, S22); sign pattern (+, -, +) for every valid chord."""
+    return hess_from_jets(*chord_jets(oval, a1, a2))
 
 
 # -- finite-difference verifiers ---------------------------------------------

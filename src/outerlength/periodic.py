@@ -8,19 +8,16 @@ boundary length.  Critical points of the action are exactly the orbits of the
 billiard map: component i of the gradient is R2(previous chord) - R1(next
 chord), so a vanishing gradient is the step equation at every vertex.
 
-Two independent solvers are provided: a damped Newton method on the gradient
-with the cyclic tridiagonal-plus-corners Hessian (`find_periodic`), and a
-derivative-free multi-start search (`brute_oracle`) used to validate it.
-
-`invariant_curve_scan` fixes the first angle, solves the interior critical
-equations, and reports the leftover closure residual as a function of the
-first angle; tables carrying an invariant curve of n-periodic points produce
-an identically vanishing residual curve.  The scan solves every sample in one
-lockstep Newton on a (samples, n) angle array: with the first angle fixed the
-interior Hessian is plain tridiagonal, so each iteration is one batched
-gradient, one batched Hessian and a vectorised tridiagonal sweep.  Samples
-are seeded from equal gaps first; a sample that fails is re-seeded from its
-nearest solved neighbour, shifted to its own first angle.
+One damped Newton method, `_newton`, solves the critical equations for a
+batch of orbits in lockstep; `_STOPS` lists why it stops a row.
+`find_periodic` runs it on one free orbit, whose every vertex moves.
+`invariant_curve_scan` runs it on one orbit per sample with the first
+vertex pinned at the sample's angle: the interior equations are solved and
+the leftover closure residual g[0] is reported as a function of the first
+angle.  Tables carrying an invariant curve of n-periodic points produce an
+identically vanishing residual curve.  A derivative-free multi-start search,
+`brute_oracle`, validates `find_periodic` independently of the Newton
+machinery.
 """
 
 from __future__ import annotations
@@ -42,33 +39,17 @@ TWO_PI = 2.0 * np.pi
 GAP_MIN = 1e-3
 
 
-def _chords(angles, m):
-    """Chord endpoint arrays (a, b) for the cyclic angle tuple(s) on the last axis."""
+def _extended(angles, m):
+    """The cyclic angle tuple(s) on the last axis, closed by the first angle
+    plus 2*pi*m: the n + 1 ends of the n orbit chords."""
     angles = np.asarray(angles, dtype=float)
-    ext = np.concatenate([angles, angles[..., :1] + TWO_PI * m], axis=-1)
-    return ext[..., :-1], ext[..., 1:]
-
-
-def _check_gaps(angles, m, gap_min=genfun.OMEGA_MIN):
-    a, b = _chords(angles, m)
-    gaps = b - a
-    if np.any(gaps <= gap_min) or np.any(gaps >= np.pi - gap_min):
-        raise ChordDomainError(
-            f"gap sequence {np.round(gaps, 6).tolist()} leaves (0, pi)"
-        )
-    return gaps
+    return np.concatenate([angles, angles[..., :1] + TWO_PI * m], axis=-1)
 
 
 def total_action(oval, angles, m=1):
     """Cyclic sum of S over the orbit chords (perimeter minus m * boundary length)."""
-    _check_gaps(angles, m)
-    a, b = _chords(angles, m)
-    return float(np.sum(genfun.S_arr(oval, a, b)))
-
-
-def orbit_perimeter(oval, angles, m=1):
-    """Perimeter of the circumscribed polygon with the given tangency angles."""
-    return total_action(oval, angles, m) + m * oval.circumference
+    ext = _extended(angles, m)
+    return float(np.sum(genfun.S_arr(oval, ext[..., :-1], ext[..., 1:])))
 
 
 def action_gradient(oval, angles, m=1):
@@ -76,8 +57,7 @@ def action_gradient(oval, angles, m=1):
 
     `angles` may hold one orbit per row; the gradient is taken along the last axis.
     """
-    a, b = _chords(angles, m)
-    S1, S2 = genfun.grad_arr(oval, a, b)
+    S1, S2 = genfun.grad_from_jets(*genfun.path_jets(oval, _extended(angles, m)))
     return np.roll(S2, 1, axis=-1) + S1
 
 
@@ -87,18 +67,15 @@ def _hessian_bands(oval, angles, m):
     diag[i] = S11(chord i) + S22(chord i-1); off[i] = S12(chord i) couples
     vertex i to vertex i+1 (vertex n-1 to vertex 0 for the last entry).
     """
-    S11, S12, S22 = genfun.hess_arr(oval, *_chords(angles, m))
+    S11, S12, S22 = genfun.hess_from_jets(*genfun.path_jets(oval, _extended(angles, m)))
     return S11 + np.roll(S22, 1, axis=-1), S12
 
 
 def action_hessian(oval, angles, m=1):
     """Cyclic tridiagonal-plus-corners Hessian assembled from chord Hessians."""
     diag, off = _hessian_bands(oval, angles, m)
-    i = np.arange(len(diag))
-    j = (i + 1) % len(diag)
-    H = np.diag(diag)
-    np.add.at(H, (i, j), off)
-    np.add.at(H, (j, i), off)
+    H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    H[0, -1] = H[-1, 0] = off[-1]
     return H
 
 
@@ -130,32 +107,29 @@ class PeriodicOrbit:
 def normalize_angles(angles, m=1):
     """Deterministic representative: cyclic relabeling with minimal first angle >= 0."""
     angles = np.asarray(angles, dtype=float)
-    n = len(angles)
-    best = None
-    for k in range(n):
-        rot = np.concatenate([angles[k:], angles[:k] + TWO_PI * m])
-        rot = rot - TWO_PI * np.floor(rot[0] / TWO_PI)
-        if best is None or rot[0] < best[0]:
-            best = rot
-    return best
+    k = int(np.argmin(angles - TWO_PI * np.floor(angles / TWO_PI)))
+    rot = np.concatenate([angles[k:], angles[:k] + TWO_PI * m])
+    return rot - TWO_PI * np.floor(rot[0] / TWO_PI)
 
 
-def _project_gaps(angles, m):
-    """Pull gaps back into (GAP_MIN, pi - GAP_MIN), preserving the total advance."""
-    a, b = _chords(angles, m)
-    gaps = np.clip(b - a, GAP_MIN * 1.5, np.pi - GAP_MIN * 1.5)
-    gaps *= TWO_PI * m / np.sum(gaps)
-    gaps = np.clip(gaps, GAP_MIN * 1.2, np.pi - GAP_MIN * 1.2)
-    gaps *= TWO_PI * m / np.sum(gaps)
-    out = angles[0] + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    return out
+def _orbit(oval, m, angles):
+    """The PeriodicOrbit through `angles`, normalized, from one action evaluation."""
+    angles = normalize_angles(angles, m)
+    action = total_action(oval, angles, m)
+    return PeriodicOrbit(
+        n=len(angles),
+        m=m,
+        angles=angles,
+        residual=float(np.max(np.abs(action_gradient(oval, angles, m)))),
+        perimeter=action + m * oval.circumference,
+        action=action,
+    )
 
 
-def _gaps_ok(angles, m):
-    """True where every gap lies in (GAP_MIN, pi - GAP_MIN); one flag per row."""
-    a, b = _chords(angles, m)
-    gaps = b - a
-    return np.all((gaps > GAP_MIN) & (gaps < np.pi - GAP_MIN), axis=-1)
+def _gaps_ok(angles, m, gap_min=GAP_MIN):
+    """True where every gap lies in (gap_min, pi - gap_min); one flag per row."""
+    gaps = np.diff(_extended(angles, m), axis=-1)
+    return np.all((gaps > gap_min) & (gaps < np.pi - gap_min), axis=-1)
 
 
 def _check_period(n, m):
@@ -168,70 +142,119 @@ def _check_period(n, m):
         raise ValueError(f"mean gap 2*pi*{m}/{n} is not below pi")
 
 
+def _tridiagonal_solve(diag, off, rhs):
+    """Thomas sweep for symmetric tridiagonal systems, one per row.
+
+    diag and rhs are (k, N), off is (k, N - 1).  A zero pivot gives a
+    non-finite row, which the caller treats as a failed step.
+    """
+    N = diag.shape[1]
+    c = np.empty_like(off)
+    x = np.empty_like(rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        piv = diag[:, 0]
+        x[:, 0] = rhs[:, 0] / piv
+        for i in range(1, N):
+            c[:, i - 1] = off[:, i - 1] / piv
+            piv = diag[:, i] - off[:, i - 1] * c[:, i - 1]
+            x[:, i] = (rhs[:, i] - off[:, i - 1] * x[:, i - 1]) / piv
+        for i in range(N - 2, -1, -1):
+            x[:, i] -= c[:, i] * x[:, i + 1]
+    return x
+
+
+#: why `_newton` stopped a row; the scan accepts "converged" and "floor"
+_STOPS = {
+    "converged": "residual below tol",
+    "floor": "stopped at the round-off floor of the gradient, below 100 tol",
+    "no descent": "line search found no descent down to step scale 1e-3 or no admissible step",
+    "max_iter": "no critical orbit after max_iter steps",
+    "domain": f"seed gaps leave the chord domain ({genfun.OMEGA_MIN}, pi - {genfun.OMEGA_MIN})",
+}
+
+
+def _newton(oval, seeds, m, pinned, tol, max_iter):
+    """Damped Newton on the critical equations of every row of `seeds` (k, n),
+    all rows in lockstep.
+
+    A row's residual is max|g| over its action gradient g; a pinned row keeps
+    its first angle and leaves g[0], the closure defect, out.  Pinned rows
+    solve the tridiagonal interior Hessian by a Thomas sweep.  Free rows
+    solve the cyclic Hessian by `lstsq` with rcond=1e-10: a mode softer than
+    1e-10 of the stiffest is drift along a (near-)family of orbits, and a
+    Newton step along it leaves the quadratic model and stalls the search.
+    The line search halves one step scale, shared by all rows still
+    searching, from 1 down to 2**-24; it skips candidates whose gaps leave
+    (GAP_MIN, pi - GAP_MIN), and a row takes the first that lowers its
+    residual.  Returns the final angles and gradients and, per row, the key
+    in _STOPS of why it stopped (a "domain" row has a NaN gradient).
+    """
+    angles = np.array(seeds, dtype=float)
+    grads = np.full(angles.shape, np.nan)
+    reason = np.full(len(angles), "domain", dtype=object)
+    live = np.flatnonzero(_gaps_ok(angles, m, genfun.OMEGA_MIN))
+    x = angles[live]
+    g = action_gradient(oval, x, m)
+    first = int(pinned)
+    moved = np.ones(len(live), dtype=bool)
+    for it in range(max_iter + 1):
+        gn = np.max(np.abs(g[:, first:]), axis=1)
+        stop = (gn < tol) | ~moved | (it == max_iter)
+        if stop.any():
+            rows, r = live[stop], gn[stop]
+            angles[rows], grads[rows] = x[stop], g[stop]
+            reason[rows] = np.select([r < tol, r < 100.0 * tol, moved[stop]],
+                                     ["converged", "floor", "max_iter"], "no descent")
+            live, x, g, gn = live[~stop], x[~stop], g[~stop], gn[~stop]
+        if not live.size:
+            break
+        if pinned:
+            diag, off = _hessian_bands(oval, x, m)
+            delta = np.zeros_like(x)
+            delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
+        else:
+            delta = np.array([np.linalg.lstsq(action_hessian(oval, xi, m), -gi, rcond=1e-10)[0]
+                              for xi, gi in zip(x, g)])
+        moved = np.zeros(len(live), dtype=bool)
+        pending = np.flatnonzero(np.all(np.isfinite(delta), axis=1))
+        scale = 1.0
+        for _ in range(25):
+            if not pending.size:
+                break
+            cand = x[pending] + scale * delta[pending]
+            valid = np.flatnonzero(_gaps_ok(cand, m))
+            drop = np.zeros(len(pending), dtype=bool)
+            if valid.size:
+                rows = pending[valid]
+                gc = action_gradient(oval, cand[valid], m)
+                down = np.max(np.abs(gc[:, first:]), axis=1) < gn[rows]
+                x[rows[down]] = cand[valid[down]]
+                g[rows[down]] = gc[down]
+                moved[rows[down]] = True
+                drop[valid[down] if scale >= 1e-3 else valid] = True
+            pending = pending[~drop]
+            scale *= 0.5
+    return angles, grads, reason
+
+
 def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
     """Newton search for an (n, m) orbit from a seed (default: equal gaps).
 
-    Uses least-squares Newton steps (stable on rotationally symmetric tables,
-    where the Hessian carries an exact zero mode), backtracking line search on
-    the gradient norm, and gap projection with a three-strike failure rule.
-    A line search that reaches step scale 1e-3 without lowering the gradient
-    raises ConvergenceError.  The result is verified by n applications of the
-    billiard step.
+    The seed is one free row of `_newton`: least-squares steps (stable on
+    rotationally symmetric tables, where the Hessian has an exact zero mode)
+    and a backtracking line search on the gradient norm that keeps every gap
+    in (GAP_MIN, pi - GAP_MIN).  A seed gap outside the chord domain raises
+    ChordDomainError.  A search that stops above `tol` raises
+    ConvergenceError, which names the stop reason and the residual reached.
     """
     _check_period(n, m)
-    if seed_angles is None:
-        angles = TWO_PI * m * np.arange(n) / n
-    else:
-        angles = np.asarray(seed_angles, dtype=float).copy()
-        _check_gaps(angles, m)
-
-    projections = 0
-    g = action_gradient(oval, angles, m)
-    for _ in range(max_iter):
-        gn = np.max(np.abs(g))
-        if gn < tol:
-            break
-        H = action_hessian(oval, angles, m)
-        # modes with curvature below 1e-10 of the stiffest are the drift of the
-        # orbit along a (near-)family; a Newton step along one leaves the
-        # quadratic model and stalls the search, so the solve drops them
-        delta = np.linalg.lstsq(H, -g, rcond=1e-10)[0]
-        step_scale = 1.0
-        for _ in range(30):
-            cand = angles + step_scale * delta
-            if _gaps_ok(cand, m):
-                gc = action_gradient(oval, cand, m)
-                if np.max(np.abs(gc)) < gn:
-                    angles, g = cand, gc
-                    break
-                if step_scale < 1e-3:
-                    raise ConvergenceError(
-                        f"line search found no descent down to step scale "
-                        f"{step_scale:.1e} (residual {gn:.3e})"
-                    )
-            step_scale *= 0.5
-        else:
-            projections += 1
-            if projections > 3:
-                raise ConvergenceError("gap projection triggered more than 3 times")
-            angles = _project_gaps(angles + delta, m)
-            g = action_gradient(oval, angles, m)
-    else:
-        raise ConvergenceError(
-            f"no critical orbit after {max_iter} iterations "
-            f"(residual {np.max(np.abs(g)):.3e})"
-        )
-
-    angles = normalize_angles(angles, m)
-    g = action_gradient(oval, angles, m)
-    return PeriodicOrbit(
-        n=n,
-        m=m,
-        angles=angles,
-        residual=float(np.max(np.abs(g))),
-        perimeter=orbit_perimeter(oval, angles, m),
-        action=total_action(oval, angles, m),
-    )
+    seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else seed_angles
+    angles, g, reason = _newton(oval, np.asarray(seed, dtype=float)[None], m, False, tol, max_iter)
+    if reason[0] == "domain":
+        raise ChordDomainError(_STOPS["domain"])
+    if reason[0] != "converged":
+        raise ConvergenceError(f"{_STOPS[reason[0]]} (residual {np.max(np.abs(g)):.3e})")
+    return _orbit(oval, m, angles[0])
 
 
 def closure_by_iteration(oval, angles, m=1):
@@ -255,8 +278,7 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
     big = 1e6
 
     def objective(angles):
-        a, b = _chords(angles, m)
-        gaps = b - a
+        gaps = np.diff(_extended(angles, m))
         viol = np.sum(np.maximum(GAP_MIN - gaps, 0.0)) + np.sum(
             np.maximum(gaps - (np.pi - GAP_MIN), 0.0)
         )
@@ -296,15 +318,7 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
             best = res
     if best is None:
         raise ConvergenceError("oracle search found no admissible configuration")
-    angles = normalize_angles(best.x, m)
-    return PeriodicOrbit(
-        n=n,
-        m=m,
-        angles=angles,
-        residual=float(np.max(np.abs(action_gradient(oval, angles, m)))),
-        perimeter=orbit_perimeter(oval, angles, m),
-        action=total_action(oval, angles, m),
-    )
+    return _orbit(oval, m, best.x)
 
 
 # -- invariant-curve scans ----------------------------------------------------
@@ -365,81 +379,13 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _tridiagonal_solve(diag, off, rhs):
-    """Thomas sweep for symmetric tridiagonal systems, one per row.
-
-    diag and rhs are (k, N), off is (k, N - 1).  A zero pivot gives a
-    non-finite row, which the caller treats as a failed step.
-    """
-    N = diag.shape[1]
-    c = np.empty_like(off)
-    x = np.empty_like(rhs)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        piv = diag[:, 0]
-        x[:, 0] = rhs[:, 0] / piv
-        for i in range(1, N):
-            c[:, i - 1] = off[:, i - 1] / piv
-            piv = diag[:, i] - off[:, i - 1] * c[:, i - 1]
-            x[:, i] = (rhs[:, i] - off[:, i - 1] * x[:, i - 1]) / piv
-        for i in range(N - 2, -1, -1):
-            x[:, i] -= c[:, i] * x[:, i + 1]
-    return x
-
-
-def _solve_rows(oval, seeds, m, tol=1e-12, max_iter=40):
-    """Lockstep Newton on the interior critical equations of every row.
-
-    Each row of `seeds` (k, n) is one broken orbit whose first angle stays
-    fixed.  A row leaves the working set when max|g[1:]| < tol, when its gaps
-    leave (GAP_MIN, pi - GAP_MIN), when its Newton step is not finite, or when
-    its line search finds no descent down to step scale 1e-3.  A row still
-    running after `max_iter` steps, or stopped by its line search, passes if
-    max|g[1:]| < 100 * tol.  Returns the solved angles and the closure
-    residual g[0]; failed rows are NaN.
-    """
-    angles = np.full(seeds.shape, np.nan)
-    residual = np.full(len(seeds), np.nan)
-    live = np.flatnonzero(_gaps_ok(seeds, m))
-    x = seeds[live]
-    g = action_gradient(oval, x, m)
-    for it in range(max_iter + 1):
-        gn = np.max(np.abs(g[:, 1:]), axis=1)
-        done = gn < (tol if it < max_iter else 100.0 * tol)
-        angles[live[done]] = x[done]
-        residual[live[done]] = g[done, 0]
-        live, x, g, gn = live[~done], x[~done], g[~done], gn[~done]
-        if it == max_iter or not live.size:
-            break
-        diag, off = _hessian_bands(oval, x, m)
-        delta = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
-        # backtracking on each row; all rows still searching share one scale
-        moved = np.zeros(len(live), dtype=bool)
-        pending = np.flatnonzero(np.all(np.isfinite(delta), axis=1))
-        scale = 1.0
-        for _ in range(25):
-            if not pending.size:
-                break
-            cand = x[pending]
-            cand[:, 1:] += scale * delta[pending]
-            valid = np.flatnonzero(_gaps_ok(cand, m))
-            drop = np.zeros(len(pending), dtype=bool)
-            if valid.size:
-                rows = pending[valid]
-                gc = action_gradient(oval, cand[valid], m)
-                down = np.max(np.abs(gc[:, 1:]), axis=1) < gn[rows]
-                x[rows[down]] = cand[valid[down]]
-                g[rows[down]] = gc[down]
-                moved[rows[down]] = True
-                drop[valid[down] if scale >= 1e-3 else valid] = True
-            pending = pending[~drop]
-            scale *= 0.5
-        # a row without descent stops where it is: it passes on the end-of-run
-        # tolerance (it sits at the round-off floor of its gradient) or fails
-        stuck = ~moved & (gn < 100.0 * tol)
-        angles[live[stuck]] = x[stuck]
-        residual[live[stuck]] = g[stuck, 0]
-        live, x, g = live[moved], x[moved], g[moved]
-    return angles, residual
+def _mirror(near, k, residuals):
+    """The sample as far again beyond neighbour `near` of each sample `k`,
+    and whether it is solved (a finite residual)."""
+    far = 2 * near - k
+    solved = (far >= 0) & (far < len(residuals))
+    solved[solved] = np.isfinite(residuals[far[solved]])
+    return far, solved
 
 
 def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
@@ -449,12 +395,19 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
 
     A table with an invariant curve of (n, m)-periodic points yields residuals
     below `closure_tol` for every first angle; generically the residual curve
-    has isolated zeros.  All samples are solved together by `_solve_rows`.
-    The first pass seeds every sample from equal gaps.  Each later pass
-    re-seeds the failed samples from their nearest solved neighbour (the
-    earlier one on a tie), shifted to their own first angle, and runs while
-    some failed sample has a nearer solved neighbour than on its last try.
-    Samples that no pass solves are reported as NaN.
+    has isolated zeros.  All samples are solved together as pinned rows of
+    `_newton`; a row passes when it converges or stops at the round-off floor
+    of its gradient.  The first pass seeds every sample from equal gaps.
+    Each later pass re-seeds the failed samples from their nearest solved
+    neighbour and runs while some failed sample has a nearer solved
+    neighbour than on its last try.  When the sample as far again beyond
+    that neighbour is solved too, the seed's angles relative to its first
+    are extrapolated linearly through the two (2 r(near) - r(far), the
+    secant predictor of natural-parameter continuation); otherwise they are
+    the neighbour's.  Between two neighbours at the same distance the one
+    with a secant wins, then the earlier.  Either way the seed is shifted to
+    the sample's own first angle.  Samples that no pass solves are reported
+    as NaN.
     """
     _check_period(n, m)
     if samples < 1:
@@ -466,7 +419,9 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     tried = np.full(samples, -1)
     todo = np.arange(samples)
     while todo.size:
-        orbit_angles[todo], residuals[todo] = _solve_rows(oval, seeds[todo], m)
+        angles, g, reason = _newton(oval, seeds[todo], m, True, 1e-12, 40)
+        ok = (reason == "converged") | (reason == "floor")
+        orbit_angles[todo[ok]], residuals[todo[ok]] = angles[ok], g[ok, 0]
         solved = np.flatnonzero(np.isfinite(residuals))
         failed = np.flatnonzero(~np.isfinite(residuals))
         if not solved.size:
@@ -474,11 +429,17 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
         pos = np.searchsorted(solved, failed)
         before = solved[np.maximum(pos - 1, 0)]
         after = solved[np.minimum(pos, len(solved) - 1)]
-        near = np.where(np.abs(failed - before) <= np.abs(after - failed), before, after)
+        rank_b = 2 * np.abs(failed - before) + ~_mirror(before, failed, residuals)[1]
+        rank_a = 2 * np.abs(after - failed) + ~_mirror(after, failed, residuals)[1]
+        near = np.where(rank_b <= rank_a, before, after)
         retry = near != tried[failed]
         todo, near = failed[retry], near[retry]
         tried[todo] = near
-        seeds[todo] = orbit_angles[near] - orbit_angles[near, :1] + alphas[todo, None]
+        far, secant = _mirror(near, todo, residuals)
+        rel = orbit_angles[near] - orbit_angles[near, :1]
+        far = far[secant]
+        rel[secant] = 2.0 * rel[secant] - (orbit_angles[far] - orbit_angles[far, :1])
+        seeds[todo] = rel + alphas[todo, None]
     return ScanReport(
         n=n, m=m, alpha1=alphas, residual=residuals, closure_tol=closure_tol,
         orbit_angles=orbit_angles,

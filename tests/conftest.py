@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from outerlength import forge
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
+
+TWO_PI = 2.0 * np.pi
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +43,15 @@ def forge_table(forge_spec):
 @pytest.fixture(scope="session")
 def spline_wobble3():
     return SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a))
+
+
+@st.composite
+def fourier_tables(draw):
+    """p = 1 + sum over 1-4 harmonics, scaled so that p''+ p >= 0.4 and p >= 0.4."""
+    count = draw(st.integers(1, 4))
+    k = np.arange(1, count + 1)
+    amp = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+    phase = np.array(draw(st.lists(st.floats(0.0, TWO_PI), min_size=count, max_size=count)))
+    # |p - 1| <= sum amp and |p'' + p - 1| <= sum (k^2 - 1) amp
+    amp *= 0.6 / max(np.sum(amp * np.maximum(k**2 - 1, 1)), 1e-12)
+    return SupportOval.from_fourier(1.0, amp * np.cos(phase), amp * np.sin(phase))

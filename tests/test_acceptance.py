@@ -39,15 +39,17 @@ def test_generating_function_suite(tables):
     pattern S11 > 0, S22 > 0, S12 < 0 on 10^4 random chords per table."""
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    worst_grad = worst_hess = 0.0
+    grad, hess = [], []
     sign_violations = 0
     for name, oval in tables.items():
         a1, a2 = gf.sample_chords(rng, 10_000)
-        worst_grad = max(worst_grad, verify.gradient_fd_defect(oval, a1, a2))
-        worst_hess = max(worst_hess, verify.hessian_fd_defect(oval, a1, a2))
+        grad.append(verify.gradient_fd_defect(oval, a1, a2))
+        hess.append(verify.hessian_fd_defect(oval, a1, a2))
         # sign pattern sampled over nearly the whole gap range
         b1, b2 = gf.sample_chords(rng, 10_000, 1e-3, np.pi - 1e-3)
         sign_violations += int(verify.sign_violations(oval, b1, b2))
+    # np.max, unlike Python's max from 0.0, keeps a NaN defect of any table
+    worst_grad, worst_hess = np.max(grad), np.max(hess)
     elapsed = time.time() - t0
     assert worst_grad < 1e-6
     assert worst_hess < 1e-4
@@ -60,16 +62,30 @@ def test_generating_function_suite(tables):
     )
 
 
+def test_nan_defect_on_a_later_table_fails_the_gate(tables, monkeypatch):
+    """A NaN defect on the second table fails the suite; Python's max from
+    0.0 used to drop it."""
+    wobble3 = tables["wobble3"]
+    grad = verify.gradient_fd_defect
+    monkeypatch.setattr(
+        verify, "gradient_fd_defect",
+        lambda oval, a1, a2: np.nan if oval is wobble3 else grad(oval, a1, a2),
+    )
+    with pytest.raises(AssertionError):
+        test_generating_function_suite({"circle": tables["circle"], "wobble3": wobble3})
+
+
 def test_map_consistency(tables):
     """Envelope-coordinate step vs the Cartesian geometric oracle on 10^3
     random exterior points per table, agreement below 1e-8."""
     t0 = time.time()
     rng = np.random.default_rng(7)
-    worst = 0.0
+    defects = []
     for name, oval in tables.items():
         a1 = rng.uniform(0.0, TWO_PI, 1000)
         w = rng.uniform(0.25, np.pi - 0.35, 1000)
-        worst = max(worst, verify.oracle_defect(oval, a1, a1 + w))
+        defects.append(verify.oracle_defect(oval, a1, a1 + w))
+    worst = np.max(defects)
     elapsed = time.time() - t0
     assert worst < 1e-8
     assert elapsed < 60.0
@@ -84,14 +100,15 @@ def test_symplectic_and_twist(tables):
     map, and positive twist for the map and its square at 10^4 sampled states
     per table, zero violations."""
     rng = np.random.default_rng(11)
-    worst_det = 0.0
+    dets = []
     twist_violations = 0
     for name, oval in tables.items():
         a1, a2 = gf.sample_chords(rng, 10_000, 0.05, np.pi - 0.05)
-        worst_det = max(worst_det, verify.symplectic_defect(oval, a1, a2))
+        dets.append(verify.symplectic_defect(oval, a1, a2))
         twist_violations += int(verify.twist_violations(oval, 10_000, 13))
         rep = bl.twist_report(oval, samples=10_000, seed=13)
         assert rep.min_twist > 0 and rep.min_twist_squared > 0
+    worst_det = np.max(dets)
     assert worst_det < 1e-6
     assert twist_violations == 0
     print(
@@ -133,14 +150,14 @@ def test_four_periodic_tables_end_to_end(eps):
     assert report.solver_failures == 0
     assert max_res < 1e-8
     angles = report.orbit_angles
-    angle_defect = max(
-        float(np.max(np.abs(angles[:, 2] - angles[:, 0] - np.pi))),
-        float(np.max(np.abs(angles[:, 3] - angles[:, 1] - np.pi))),
-    )
-    support_defect = max(
-        float(np.max(np.abs(oval.p(angles[:, 2]) - oval.p(angles[:, 0])))),
-        float(np.max(np.abs(oval.p(angles[:, 3]) - oval.p(angles[:, 1])))),
-    )
+    angle_defect = np.max(np.abs([
+        angles[:, 2] - angles[:, 0] - np.pi,
+        angles[:, 3] - angles[:, 1] - np.pi,
+    ]))
+    support_defect = np.max(np.abs([
+        oval.p(angles[:, 2]) - oval.p(angles[:, 0]),
+        oval.p(angles[:, 3]) - oval.p(angles[:, 1]),
+    ]))
     assert angle_defect < 1e-9
     assert support_defect < 1e-9
     print(
@@ -182,13 +199,11 @@ def test_radon_construction():
     report_v = oval.validate()
     assert report_v.passed
     # seam continuity of p and p' at the quadrant boundaries
-    seam_defect = 0.0
-    for seam in (np.pi / 2, np.pi, 3 * np.pi / 2, 0.0):
-        h = 1e-6
-        for deriv in (0, 1):
-            left = oval.p(seam - h, deriv)
-            right = oval.p(seam + h, deriv)
-            seam_defect = max(seam_defect, abs(right - left) / (1.0 if deriv else 1.0))
+    h = 1e-6
+    seam_defect = np.max([
+        abs(oval.p(seam + h, deriv) - oval.p(seam - h, deriv))
+        for seam in (np.pi / 2, np.pi, 3 * np.pi / 2, 0.0) for deriv in (0, 1)
+    ])
     assert seam_defect < 1e-5  # finite-difference straddle of the seam
     scan = pd.invariant_curve_scan(oval, 4, samples=128)
     max_res = float(np.nanmax(np.abs(scan.residual)))
@@ -206,22 +221,19 @@ def test_polygon_distribution_suite():
     geometry, closed-form brackets vs flow commutators, growth rank 2n-1 near
     regular polygons, and perimeter invariance along the fields."""
     rng = np.random.default_rng(55)
-    phi_reg = max(verify.regular_phi_defect(pg.PolygonConfig.regular(n)) for n in range(3, 9))
+    phi_reg = np.max([verify.regular_phi_defect(pg.PolygonConfig.regular(n)) for n in range(3, 9)])
     assert phi_reg < 1e-12
 
-    unit_identity = 0.0
+    unit = []
     for n in (3, 4, 5, 6):
         gaps = rng.uniform(0.5, 1.4, n)
         gaps *= TWO_PI / np.sum(gaps)
         alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-        unit_identity = max(
-            unit_identity, verify.unit_support_defect(pg.PolygonConfig(alphas, np.ones(n)))
-        )
+        unit.append(verify.unit_support_defect(pg.PolygonConfig(alphas, np.ones(n))))
+    unit_identity = np.max(unit)
     assert unit_identity < 1e-11
 
-    geom = 0.0
-    bracket_defect = 0.0
-    dperim = 0.0
+    geom, brackets, dperims = [], [], []
     ranks_ok = True
     for n in range(3, 9):
         gaps = rng.uniform(0.5, 1.0, n) if n > 4 else rng.uniform(0.9, 1.7, n)
@@ -230,19 +242,18 @@ def test_polygon_distribution_suite():
         poly = pg.PolygonConfig(alphas, 1.0 + rng.uniform(-0.15, 0.15, n))
         v = pg.vertices(poly)
         euclid_sides = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        geom = max(
-            geom,
+        geom += [
             float(np.max(np.abs(pg.side_lengths(poly) - euclid_sides))),
             verify.perimeter_euclid_defect(poly),
-        )
-        for i in range(n):
-            bracket_defect = max(bracket_defect, verify.bracket_flow_defect(poly, i, (i + 1) % n))
-        dperim = max(dperim, verify.perimeter_derivative_defect(poly))
+        ]
+        brackets += [verify.bracket_flow_defect(poly, i, (i + 1) % n) for i in range(n)]
+        dperims.append(verify.perimeter_derivative_defect(poly))
         near = pg.PolygonConfig(
             pg.PolygonConfig.regular(n).alphas + rng.uniform(-0.02, 0.02, n),
             1.0 + rng.uniform(-0.02, 0.02, n),
         )
         ranks_ok &= pg.growth_report(near).rank == 2 * n - 1
+    geom, bracket_defect, dperim = np.max(geom), np.max(brackets), np.max(dperims)
     assert geom < 1e-10
     assert bracket_defect < 1e-5
     assert dperim < 1e-10

@@ -8,7 +8,8 @@ from outerlength import genfun as gf
 from outerlength import verify
 from outerlength.errors import ContainmentError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import SupportOval
+
+from conftest import fourier_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -204,18 +205,6 @@ class TestOrbits:
 
 
 # -- properties over random Fourier tables ----------------------------------------
-
-
-@st.composite
-def fourier_tables(draw):
-    """p = 1 + sum over 1-4 harmonics, scaled so that p''+ p >= 0.4 and p >= 0.4."""
-    count = draw(st.integers(1, 4))
-    k = np.arange(1, count + 1)
-    amp = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
-    phase = np.array(draw(st.lists(st.floats(0.0, TWO_PI), min_size=count, max_size=count)))
-    # |p - 1| <= sum amp and |p'' + p - 1| <= sum (k^2 - 1) amp
-    amp *= 0.6 / max(np.sum(amp * np.maximum(k**2 - 1, 1)), 1e-12)
-    return SupportOval.from_fourier(1.0, amp * np.cos(phase), amp * np.sin(phase))
 
 
 @settings(max_examples=25, deadline=None)

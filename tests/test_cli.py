@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outerlength.cli import EXIT_VALIDATION, main
-from outerlength.oval import SupportOval
+from outerlength.oval import SupportOval, ellipse
 
 
 @pytest.fixture
@@ -236,6 +236,13 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert "polygon-perimeter-euclid" in {c["name"] for c in report["checks"]}
+
+    def test_thin_ellipse_passes(self, tmp_path):
+        # least curvature radius 4e-4: a fixed 1e-4 difference step read
+        # 2.1e-4 on the Hessian check, against its 1e-4 tolerance
+        table = tmp_path / "thin.json"
+        ellipse(1.0, 0.02).save(table)
+        assert main(["verify", "--table", str(table)]) == 0
 
     def test_unreadable_table(self, tmp_path):
         assert main(["verify", "--table", str(tmp_path / "none.json")]) == 4

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import ChordDomainError, ConvergenceError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import ellipse, perturbed_circle
+
+from conftest import fourier_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,10 +136,38 @@ class TestFindPeriodic:
             pd.find_periodic(ellipse(1.0, 0.6), 3)
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("gap", [5e-4, 2e-3])
+    @pytest.mark.parametrize(
+        "table, perimeter", [("round_table", 8.0), ("wobble3_table", 7.959913326)]
+    )
+    def test_seed_gap_below_the_search_window(self, request, table, perimeter, gap):
+        # a seed need only lie in the chord domain; the GAP_MIN window binds
+        # the line-search candidates, so a first gap of 5e-4 is a valid start
+        oval = request.getfixturevalue(table)
+        rest = (TWO_PI - gap) / 3
+        seed = np.array([0.0, gap, gap + rest, gap + 2 * rest])
+        orbit = pd.find_periodic(oval, 4, seed_angles=seed)
+        assert orbit.perimeter == pytest.approx(perimeter, abs=1e-9)
+        assert orbit.residual < 1e-11
+
     def test_normalization_deterministic(self, round_table):
         seed = np.array([1.2, 1.2 + TWO_PI / 3, 1.2 + 2 * TWO_PI / 3])
         orb = pd.find_periodic(round_table, 3, seed_angles=seed)
         assert 0.0 <= orb.angles[0] < TWO_PI / 3 + 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables())
+def test_find_periodic_closes_or_raises_on_random_tables(table):
+    """Every returned orbit is below its tolerance and closes under the map;
+    a search that cannot get there raises ConvergenceError."""
+    for n, m in ((3, 1), (4, 1), (5, 2)):
+        try:
+            orbit = pd.find_periodic(table, n, m)
+        except ConvergenceError:
+            continue
+        assert orbit.residual < 1e-11
+        assert pd.closure_by_iteration(table, orbit.angles, m) < 1e-8
 
 
 class TestBruteOracle:
@@ -201,6 +232,24 @@ class TestInvariantCurveScan:
         # unsolved; re-seeding from solved neighbours recovers them
         report = pd.invariant_curve_scan(ellipse(1.0, 0.1), n, samples=128)
         assert report.solver_failures == 0
+
+    @pytest.mark.parametrize("b, n", [(0.02, 4), (0.02, 7), (0.05, 4)])
+    def test_thin_ellipse_scans_close(self, b, n):
+        # on these parallelogram families the vertices after the first move
+        # about one sample step per sample, so a rigid shift of a solved
+        # neighbour starts outside Newton's basin; the secant predictor does not
+        report = pd.invariant_curve_scan(ellipse(1.0, b), n, samples=128)
+        assert report.all_closed
+
+    def test_stop_reasons(self, wobble3_table):
+        # the second seed's first gap, 5e-5, is below OMEGA_MIN
+        seeds = np.array([[0.0, 1.5, 3.1, 4.7], [0.0, 5e-5, 2.1, 4.2]])
+        angles, g, reason = pd._newton(wobble3_table, seeds, 1, True, 1e-12, 40)
+        assert reason.tolist() == ["converged", "domain"]
+        assert np.max(np.abs(g[0, 1:])) < 1e-12 and angles[0, 0] == 0.0
+        assert np.all(np.isnan(g[1]))
+        _, _, reason = pd._newton(wobble3_table, seeds[:1], 1, False, 1e-12, 1)
+        assert reason.tolist() == ["max_iter"]
 
     def test_solved_samples_are_interior_critical(self, wobble3_table, forge_table):
         for oval, n in ((wobble3_table, 3), (forge_table[0], 4)):

@@ -7,6 +7,7 @@ import pytest
 
 from outerlength import billiard, genfun, verify
 from outerlength.errors import StepFailureError
+from outerlength.oval import ellipse
 
 
 def failed_checks(oval):
@@ -36,6 +37,21 @@ def test_scaled_mixed_partial_fails_hessian_check(wobble3_table, monkeypatch):
 
     monkeypatch.setattr(genfun, "hess_arr", scaled)
     assert "genfun-hessian-fd" in failed_checks(wobble3_table)
+
+
+def test_scaled_mixed_partial_fails_on_a_thin_table(monkeypatch):
+    # the Hessian check's difference step shrinks with the least curvature
+    # radius (4e-4 here); the perturbation must still show
+    hess = genfun.hess_arr
+
+    def scaled(oval, a1, a2):
+        s11, s12, s22 = hess(oval, a1, a2)
+        return s11, s12 * (1.0 + 0.3 * np.cos(a1)), s22
+
+    thin = ellipse(1.0, 0.02)
+    assert "genfun-hessian-fd" not in failed_checks(thin)
+    monkeypatch.setattr(genfun, "hess_arr", scaled)
+    assert "genfun-hessian-fd" in failed_checks(thin)
 
 
 def test_unstepped_chord_raises(wobble3_table, monkeypatch):
