@@ -5,9 +5,17 @@ phase coordinates, the tangency angles, the reparameterizations of the table
 constructors) is a root of a function with a known sign-change bracket.
 `bracketed_root` solves a whole array of them at once by safeguarded Newton
 steps; `sign_cells` finds the brackets of a function sampled on a grid.
+
+A call with at most `_SMALL` brackets (a scalar step, the two tangency cells
+of a point) solves them one by one in plain floats, below the fixed cost of
+the array loop's numpy calls on one or two entries.  Both branches apply the
+same rules in the same order, so an entry gets the same root either way as
+long as fdf gives the same values on floats as on arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,20 +25,55 @@ _XTOL = 1e-12
 #: an entry still unsolved after this many steps comes back as NaN; a
 #: bracket of width pi needs about 42 halvings to reach _XTOL
 _MAX_ITER = 100
+#: working sets up to this size go entry by entry in plain floats, here and
+#: in the spline support function's jet
+_SMALL = 8
 
 
-def sign_cells(fn, grid):
-    """Brackets (lo, hi) of the grid cells that hold a root of fn.
+def sign_cells(grid, values):
+    """Brackets (lo, hi) of the grid cells that hold a root of a function
+    with these values at the grid's nodes.
 
-    A cell holds a root when fn changes sign across it or vanishes at its
-    left node (at either node for the last cell).  fn must accept an ndarray.
+    A cell holds a root when the values change sign across it or vanish at
+    its left node (at either node for the last cell).
     """
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(fn(grid))
-    hit = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    hit[-1] |= vals[-1] == 0.0
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values)
+    hit = (values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)
+    hit[-1] |= values[-1] == 0.0
     idx = np.flatnonzero(hit)
     return grid[idx], grid[idx + 1]
+
+
+def _float_root(fdf, lo, hi, *params):
+    """One bracket of `bracketed_root` in plain floats, step for step the
+    array loop's rules."""
+    flo, fhi = fdf(lo, *params)[0], fdf(hi, *params)[0]
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if not flo * fhi < 0.0:
+        return math.nan
+    a, b, sign = lo, hi, math.copysign(1.0, fhi)
+    x = 0.5 * (a + b)
+    step = b - a
+    for _ in range(_MAX_ITER):
+        f, df = fdf(x, *params)
+        if sign * f < 0.0:
+            a = x
+        elif sign * f > 0.0:
+            b = x
+        # the array loop's f / df is inf or NaN here, never inside [a, b]
+        newton = x - f / df if df else math.nan
+        if a <= newton <= b and 2.0 * abs(f) <= abs(step * df):
+            step = abs(newton - x)
+            x = newton
+        else:
+            x = 0.5 * (a + b)
+            step = 0.5 * (b - a)
+        if step <= _XTOL + 4.0 * math.ulp(abs(x)):
+            return x
+    return math.nan
 
 
 def bracketed_root(fdf, lo, hi, *params):
@@ -44,6 +87,11 @@ def bracketed_root(fdf, lo, hi, *params):
     step is below `_XTOL`.  The result has the broadcast shape of the inputs;
     it is an endpoint where f vanishes there and NaN where f has no sign
     change on the bracket.
+
+    With at most `_SMALL` brackets each is solved on its own in plain
+    floats: fdf then receives floats, not arrays, and must return (f, f')
+    equal to its array values.  The rules above, `_XTOL` and `_MAX_ITER`
+    are the same on both branches.
     """
     lo, hi, *params = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lo, hi, *params))
@@ -51,6 +99,10 @@ def bracketed_root(fdf, lo, hi, *params):
     shape = lo.shape
     lo, hi = lo.ravel(), hi.ravel()
     params = [p.ravel() for p in params]
+    if lo.size <= _SMALL:
+        columns = (v.tolist() for v in (lo, hi, *params))
+        root = np.array([_float_root(fdf, *entry) for entry in zip(*columns)], dtype=float)
+        return root.reshape(shape)[()]
     both = [np.concatenate([p, p]) for p in params]
     flo, fhi = np.split(np.asarray(fdf(np.concatenate([lo, hi]), *both)[0]), 2)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))

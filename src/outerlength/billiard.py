@@ -14,8 +14,9 @@ rather than assumed.
 
 The radii are the first partials of the generating function (R1 = -S1,
 R2 = S2 from `genfun.grad_arr`), and every 1-D solve in this module goes
-through the package's one bracketed solver, `_solve.bracketed_root`, which
-works on arrays: the scalar `step` is a batch of one.
+through the package's one bracketed solver, `_solve.bracketed_root`.  The
+scalar `step` is a batch of one, which that solver and the oval's jet run in
+plain floats, with the same arithmetic as `step_angles_arr` on arrays.
 
 A second, purely geometric implementation (`cartesian_step`) moves an
 exterior point by the raw reflection rule: find the two tangent lines, build
@@ -194,7 +195,7 @@ def cartesian_step(oval, point):
         return O[0] * cb + O[1] * sb + r - p, -O[0] * sb + O[1] * cb - dp
 
     grid = np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256)
-    lo, hi = sign_cells(lambda b: qdq(b)[0], grid)
+    lo, hi = sign_cells(grid, qdq(grid)[0])
     if not lo.size:
         raise StepFailureError("no common tangent found by the Cartesian rule")
     beta = bracketed_root(qdq, lo[0], hi[0])
@@ -236,13 +237,18 @@ def fd_jacobian(oval, state, h=1e-6):
 
 @dataclass
 class TwistReport:
-    """Sampled positivity survey of d(alpha')/dR for the map and its square."""
+    """Sampled positivity survey of d(alpha')/dR for the map and its square.
+
+    The square is surveyed on the `samples - nonfinite` chords whose image
+    the map found; `nonfinite` counts the others (no reflection root).
+    """
 
     samples: int
     min_twist: float
     min_twist_squared: float
     violations: int
     violations_squared: int
+    nonfinite: int
 
     @property
     def passed(self):
@@ -266,6 +272,7 @@ def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.0
         min_twist_squared=float(np.min(t2)) if t2.size else float("nan"),
         violations=int(np.sum(t <= 0.0)),
         violations_squared=int(np.sum(t2 <= 0.0)),
+        nonfinite=int(np.sum(~ok)),
     )
 
 

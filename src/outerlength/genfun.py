@@ -111,7 +111,10 @@ def grad_from_jets(w, jet1, jet2):
     """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form, from a valid gap w
     and the leading (p, p') of each end's jet."""
     cw, sw = np.cos(w), np.sin(w)
-    den = 2.0 * np.cos(w / 2.0) ** 2
+    # ch * ch, not ch ** 2: on a float ** calls pow(), which can round the
+    # other way from the array's np.square
+    ch = np.cos(w / 2.0)
+    den = 2.0 * (ch * ch)
     (p1, dp1), (p2, dp2) = jet1[:2], jet2[:2]
     S1 = (p1 * cw - p2 + dp1 * sw) / den
     S2 = (-p2 * cw + p1 + dp2 * sw) / den

@@ -11,12 +11,17 @@ distance from the origin to the tangent line with outward normal
 Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
 orders, and give the exact antiderivative of p, which is all the downstream
-dynamics needs.  The boundary point with normal angle alpha is
+dynamics needs.  Both evaluate a scalar angle in plain floats (the spline
+also arrays of up to `_solve._SMALL` angles), which the float branch of the
+bracketed solver calls once per step of a per-point solve.  The boundary
+point with normal angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
 and p'' + p is the curvature radius, so validity means p > 0 and p'' + p > 0
-everywhere.
+everywhere.  Each `SupportOval` keeps cos, sin and p on a closed grid of
+`GRID_SIZE` + 1 nodes over [0, 2*pi], computed once: the tangency scan and
+`is_exterior` read a point's support margins off it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from ._solve import bracketed_root, sign_cells
+from ._solve import _SMALL, bracketed_root, sign_cells
 from .errors import ContainmentError, OvalValidationError
 
 TWO_PI = 2.0 * np.pi
@@ -53,9 +58,31 @@ class _FourierRep:
         # coefficients of the first and second derivative series
         self._ak, self._bk = self.a * self.k, self.b * self.k
         self._ak2, self._bk2 = self.a * self.k**2, self.b * self.k**2
+        coef = (self.k, self.a, self.b, self._ak, self._bk, self._ak2, self._bk2)
+        self._terms = list(zip(*(v.tolist() for v in coef)))
+
+    def _jet_float(self, a):
+        """`jet` at one angle by a loop over the harmonics, NaN if it is not
+        finite.  The terms are grouped as in the array path's matmuls; with
+        one nonzero harmonic that gives the same values to the last bit, with
+        several the sums can differ by rounding from BLAS's summation order."""
+        if not math.isfinite(a):
+            return math.nan, math.nan, math.nan
+        pc = ps = dc = ds = ddc = dds = 0.0
+        for k, ak, bk, ak1, bk1, ak2, bk2 in self._terms:
+            c, s = math.cos(k * a), math.sin(k * a)
+            pc += c * ak
+            ps += s * bk
+            dc += -s * ak1
+            ds += c * bk1
+            ddc += -c * ak2
+            dds += -s * bk2
+        return pc + ps + self.a0, dc + ds, ddc + dds
 
     def jet(self, alpha):
         """(p, p', p'') at alpha; cos(k alpha) and sin(k alpha) are computed once."""
+        if np.ndim(alpha) == 0:
+            return self._jet_float(float(alpha))
         alpha = np.asarray(alpha, dtype=float)
         ka = np.multiply.outer(alpha, self.k)
         c, s = np.cos(ka), np.sin(ka)
@@ -64,9 +91,7 @@ class _FourierRep:
         p = c @ self.a + s @ self.b + self.a0
         dp = neg_s @ self._ak + c @ self._bk
         ddp = (-c) @ self._ak2 + neg_s @ self._bk2
-        if p.ndim:
-            return p, dp, ddp
-        return float(p), float(dp), float(ddp)
+        return p, dp, ddp
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -123,11 +148,6 @@ def _compensated_cumsum(values):
     err = (prev - (new - moved)) + (values - moved)
     total[1:] += np.cumsum(err)
     return total
-
-
-#: arrays up to this size go point by point in plain floats, below the fixed
-#: cost of the vectorised kernel's 30-odd numpy calls
-_SMALL = 8
 
 
 class _SplineRep:
@@ -256,8 +276,12 @@ class SupportOval:
     def __init__(self, rep, validate=True):
         self._rep = rep
         self._grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
-        self._p_grid, _, ddp = rep.jet(self._grid)
-        self._rho_grid = self._p_grid + ddp
+        closed = np.concatenate([self._grid, [TWO_PI]])
+        p, _, ddp = rep.jet(closed)
+        # (nodes, cos, sin, p) of the closed grid, for `_grid_margin`
+        self._scan = (closed, np.cos(closed), np.sin(closed), p)
+        self._p_grid = p[:-1]
+        self._rho_grid = (p + ddp)[:-1]
         sym = self._p_grid - rep.jet(np.mod(self._grid + np.pi, TWO_PI))[0]
         self.symmetry_defect = float(np.max(np.abs(sym)))
         self.symmetry_flag = self.symmetry_defect < 1e-8
@@ -337,10 +361,15 @@ class SupportOval:
         x, y = point
         return x * np.cos(a) + y * np.sin(a) - self._rep.jet(a)[0]
 
+    def _grid_margin(self, point):
+        """`support_margin` of the point at every node of the closed grid."""
+        x, y = point
+        _, cos, sin, p = self._scan
+        return x * cos + y * sin - p
+
     def is_exterior(self, point, margin=1e-12):
         """True when the point lies strictly outside the oval."""
-        vals = self.support_margin(point, self._grid)
-        return bool(np.max(vals) > margin)
+        return bool(np.max(self._grid_margin(point)) > margin)
 
     def tangent_angles_from(self, point):
         """Normal angles (alpha1, alpha2) of the two tangent lines through a point.
@@ -351,15 +380,13 @@ class SupportOval:
         Raises ContainmentError for interior or boundary points.
         """
         point = np.asarray(point, dtype=float)
-        x, y = point
+        x, y = point.tolist()
 
         def hdh(a):
             p, dp, _ = self._rep.jet(a)
             return x * np.cos(a) + y * np.sin(a) - p, -x * np.sin(a) + y * np.cos(a) - dp
 
-        cells = sign_cells(
-            lambda a: self.support_margin(point, a), np.concatenate([self._grid, [TWO_PI]])
-        )
+        cells = sign_cells(self._scan[0], self._grid_margin((x, y)))
         roots = np.unique(bracketed_root(hdh, *cells) % TWO_PI)
         # collapse near-duplicates from the seam at 0 / 2*pi
         uniq = []

@@ -85,10 +85,10 @@ def symplectic_defect(oval, a1, a2):
     return float(np.max(np.abs(det - 1.0)))
 
 
-def twist_violations(oval, samples, seed):
-    """Sampled chords where the map or its square fails to twist positively."""
-    rep = billiard.twist_report(oval, samples=samples, seed=seed)
-    return float(rep.violations + rep.violations_squared)
+def twist_violations(report):
+    """Sampled chords where the map or its square fails to twist positively,
+    from a `billiard.twist_report`."""
+    return float(report.violations + report.violations_squared)
 
 
 def regular_phi_defect(poly):
@@ -138,7 +138,9 @@ def battery(oval, samples, seed):
     """Every check on one table, from draws of `numpy.random.default_rng(seed)`:
     `samples` chords for the generating function, their first 2000 for the
     area check, one in twenty (at least 8) for the oracle.  Returns one record
-    `{"name", "passed", "defect", "tol"}` per check; passed is defect < tol."""
+    `{"name", "passed", "defect", "tol"}` per check; passed is defect < tol.
+    The map-twist record also gives `nonfinite`, the surveyed chords without
+    an image, which the square's survey leaves out."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
@@ -156,6 +158,7 @@ def battery(oval, samples, seed):
     triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]
     sub = slice(0, min(samples, 2000))
     regular = np.max([regular_phi_defect(polygons.PolygonConfig.regular(n)) for n in range(3, 9)])
+    twist = billiard.twist_report(oval, samples=min(samples, 2000), seed=seed)
     checks = [
         ("genfun-gradient-fd", gradient_fd_defect(oval, a1, a2), 1e-6),
         ("genfun-hessian-fd", hessian_fd_defect(oval, a1, a2), 1e-4),
@@ -164,7 +167,7 @@ def battery(oval, samples, seed):
         ("genfun-dual-forms", dual_forms_defect(oval, a1, a2), 1e-10),
         ("map-oracle-equivalence", oracle_defect(oval, x, x + w), 1e-8),
         ("map-symplectic", symplectic_defect(oval, a1[sub], a2[sub]), 1e-6),
-        ("map-twist", twist_violations(oval, min(samples, 2000), seed), 0.5),
+        ("map-twist", twist_violations(twist), 0.5),
         ("polygon-phi-regular", regular, 1e-12),
         ("polygon-unit-support-identity",
          unit_support_defect(polygons.PolygonConfig(alphas, np.ones(5))), 1e-11),
@@ -174,5 +177,6 @@ def battery(oval, samples, seed):
         ("triangle-wu-equilateral", equilateral_wu_defect(), 1e-12),
         ("triangle-expression-negative", worst_triangle_expression(triples), 0.0),
     ]
-    return [{"name": name, "passed": bool(d < tol), "defect": float(d), "tol": tol}
-            for name, d, tol in checks]
+    extra = {"map-twist": {"nonfinite": twist.nonfinite}}
+    return [{"name": name, "passed": bool(d < tol), "defect": float(d), "tol": tol,
+             **extra.get(name, {})} for name, d, tol in checks]

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from outerlength import forge
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
+
+# every run draws the same examples, so two commits' runs of the suite can be
+# compared test by test; `--hypothesis-profile` still selects another profile
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +61,22 @@ def fourier_tables(draw):
     # |p - 1| <= sum amp and |p'' + p - 1| <= sum (k^2 - 1) amp
     amp *= 0.6 / max(np.sum(amp * np.maximum(k**2 - 1, 1)), 1e-12)
     return SupportOval.from_fourier(1.0, amp * np.cos(phase), amp * np.sin(phase))
+
+
+@st.composite
+def single_harmonic_tables(draw):
+    """p = 1 + a cos k a + b sin k a, k in 1..4, with p''+ p >= 0.4 and p >= 0.4:
+    every series sum has one nonzero term, so it is exact in any order."""
+    k = draw(st.integers(1, 4))
+    amp = draw(st.floats(0.0, 0.6 / max(k * k - 1, 1)))
+    phase = draw(st.floats(0.0, TWO_PI))
+    cos_coef, sin_coef = np.zeros(k), np.zeros(k)
+    cos_coef[-1], sin_coef[-1] = amp * np.cos(phase), amp * np.sin(phase)
+    return SupportOval.from_fourier(1.0, cos_coef, sin_coef)
+
+
+@st.composite
+def spline_tables(draw):
+    """A `fourier_tables()` table resampled into the spline representation."""
+    table = draw(fourier_tables())
+    return SupportOval.from_callable(table.p, n=draw(st.sampled_from([64, 512])))

@@ -105,8 +105,8 @@ def test_symplectic_and_twist(tables):
     for name, oval in tables.items():
         a1, a2 = gf.sample_chords(rng, 10_000, 0.05, np.pi - 0.05)
         dets.append(verify.symplectic_defect(oval, a1, a2))
-        twist_violations += int(verify.twist_violations(oval, 10_000, 13))
         rep = bl.twist_report(oval, samples=10_000, seed=13)
+        twist_violations += int(verify.twist_violations(rep))
         assert rep.min_twist > 0 and rep.min_twist_squared > 0
     worst_det = np.max(dets)
     assert worst_det < 1e-6

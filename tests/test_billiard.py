@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from outerlength import billiard as bl
 from outerlength import genfun as gf
 from outerlength import verify
+from outerlength._solve import _SMALL, bracketed_root
 from outerlength.errors import ContainmentError
 from outerlength.genfun import ChordConfig
+from outerlength.oval import ellipse
 
-from conftest import fourier_tables
+from conftest import fourier_tables, single_harmonic_tables, spline_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +146,18 @@ class TestTwist:
             assert rep.min_twist > 0
             assert rep.min_twist_squared > 0
 
+    def test_images_without_a_root_are_counted(self):
+        # on a flat ellipse, chords this short often have no partner of equal
+        # radius (see test_solve::test_step_raises_without_reflection_root)
+        table = ellipse(1.0, 0.2)
+        window = (1.0001e-4, 1.0002e-4)
+        rep = bl.twist_report(table, 400, 0, *window)
+        a1, a2 = gf.sample_chords(np.random.default_rng(0), 400, *window)
+        missing = int(np.sum(np.isnan(bl.step_angles_arr(table, a1, a2))))
+        assert rep.samples == 400
+        assert 0 < rep.nonfinite == missing < 400
+        assert rep.violations == rep.violations_squared == 0
+
     def test_batched_step_residual(self, wobble3_table):
         rng = np.random.default_rng(6)
         a1 = rng.uniform(0, TWO_PI, 50)
@@ -217,3 +231,70 @@ def test_map_is_area_preserving_on_random_tables(table, seed):
     assert np.all(np.isfinite(a3))
     assert np.max(bl.step_residual(table, ChordConfig(a1, a2), ChordConfig(a2, a3))) < 1e-11
     assert verify.symplectic_defect(table, a1, a2) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables(), seed=st.integers(0, 2**32 - 1))
+def test_map_matches_oracle_on_random_tables(table, seed):
+    """The generating-function map and the Cartesian reflection rule move
+    the vertices of 20 chords to the same points."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, TWO_PI, 20)
+    w = rng.uniform(0.3, np.pi - 0.4, 20)
+    assert verify.oracle_defect(table, x, x + w) < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables(), seed=st.integers(0, 2**32 - 1))
+def test_phase_round_trip_on_random_tables(table, seed):
+    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 20)
+    for chord in map(ChordConfig, a1.tolist(), a2.tolist()):
+        back = bl.pair_from_phase(table, bl.phase_from_pair(table, chord))
+        assert back.alpha1 == chord.alpha1
+        assert abs(back.alpha2 - chord.alpha2) <= 1e-12
+
+
+def _scalar_and_batched(table, seed):
+    """Rows (alpha3 of `step`, alpha2 of `pair_from_phase`, p, p', p'') for
+    24 chords, once chord by chord through the float paths and once as
+    batches above the float cutoff."""
+    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 3 * _SMALL)
+    R = -gf.grad_arr(table, a1, a2)[0]
+    p1, dp1, _ = table.jet(a1)
+    pair = bracketed_root(bl._base_radius_fdf(table), *bl._gap_bracket(a1), a1, R, p1, dp1)
+    batched = np.array([bl.step_angles_arr(table, a1, a2), pair, *table.jet(a1)])
+    scalar = np.array([
+        (bl.step(table, ChordConfig(x, y)).alpha2,
+         bl.pair_from_phase(table, bl.PhasePoint(x, r)).alpha2,
+         *table.jet(x))
+        for x, y, r in zip(a1.tolist(), a2.tolist(), R.tolist())
+    ]).T
+    return scalar, batched
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=st.one_of(spline_tables(), single_harmonic_tables()), seed=st.integers(0, 2**32 - 1))
+def test_scalar_path_matches_the_batch_bit_for_bit(table, seed):
+    """Scalar `step`, `pair_from_phase` and jet run in plain floats; on spline
+    tables and on Fourier tables with one harmonic they give the batched
+    results to the last bit."""
+    scalar, batched = _scalar_and_batched(table, seed)
+    assert np.array_equal(scalar, batched)
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables(), seed=st.integers(0, 2**32 - 1))
+def test_scalar_path_within_rounding_of_the_batch(table, seed):
+    """With several harmonics the float jet sums the series in order while
+    the batch's matmul leaves the order to BLAS (dgemv here; the scalar
+    matmul it replaced used ddot and differed from the batch as well).  The
+    jets then agree within 2 rounding units of the sum of the absolute terms,
+    and the solved angles within 2e-15 relative to max(1, |angle|)."""
+    scalar, batched = _scalar_and_batched(table, seed)
+    desc = table.to_json()
+    k = np.arange(1, len(desc["cos"]) + 1)
+    size = np.abs(desc["cos"]) + np.abs(desc["sin"])
+    terms = [abs(desc["a0"]) + np.sum(size), np.sum(k * size), np.sum(k * k * size)]
+    assert np.all(np.abs(scalar[2:] - batched[2:]) <= 2.0 * np.spacing(terms)[:, None])
+    angles = np.abs(scalar[:2] - batched[:2])
+    assert np.all(angles <= 2e-15 * np.maximum(1.0, np.abs(batched[:2])))

@@ -107,6 +107,18 @@ class TestFiniteDifferences:
         assert gf.fd_hess_arr(*chord) == pytest.approx(gf.hess_arr(*chord), abs=1e-4)
 
 
+def test_gradient_on_floats_matches_one_entry_arrays():
+    """The scalar step's radii come from `grad_from_jets` on floats; they must
+    equal the array values bit for bit.  (A float `** 2` calls pow(), which
+    rounds differently from the array's square on about 0.1% of gaps.)"""
+    rng = np.random.default_rng(41)
+    rows = rng.uniform((gf.OMEGA_MIN, 0.3, -1.0, 0.3, -1.0),
+                       (np.pi - gf.OMEGA_MIN, 2.0, 1.0, 2.0, 1.0), (10_000, 5))
+    floats = [gf.grad_from_jets(w, (p1, dp1), (p2, dp2)) for w, p1, dp1, p2, dp2 in rows.tolist()]
+    arrays = [gf.grad_from_jets(r[0:1], (r[1:2], r[2:3]), (r[3:4], r[4:5])) for r in rows]
+    assert np.array_equal(np.array(floats), np.array(arrays)[..., 0])
+
+
 class TestSignPattern:
     def test_hessian_signs_bulk(self, round_table, ellipse_table, wobble3_table):
         rng = np.random.default_rng(15)

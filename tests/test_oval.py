@@ -126,6 +126,27 @@ class TestTangentAngles:
         assert round_table.is_exterior((1.5, 0.0))
         assert not round_table.is_exterior((0.9, 0.0))
 
+    @pytest.mark.parametrize(
+        "name", ["round_table", "ellipse_table", "wobble3_table", "wobble2_table", "forge_table"]
+    )
+    def test_exterior_exactly_where_tangency_returns(self, name, request):
+        """Both read the same grid margins: points 1e-4..1e-2 outside are
+        exterior and have tangents, points 1e-3 inside have neither."""
+        table = request.getfixturevalue(name)
+        table = table[0] if name == "forge_table" else table
+        rng = np.random.default_rng(31)
+        ang = rng.uniform(0.0, TWO_PI, 40)
+        normals = np.column_stack([np.cos(ang), np.sin(ang)])
+        dist = 10.0 ** rng.uniform(-4.0, -2.0, 40)
+        for sign, offset in ((1.0, dist), (-1.0, 1e-3)):
+            for point in table.point_at(ang) + sign * np.reshape(offset, (-1, 1)) * normals:
+                try:
+                    table.tangent_angles_from(point)
+                    tangent = True
+                except ContainmentError:
+                    tangent = False
+                assert table.is_exterior(point) == tangent == (sign > 0)
+
 
 class TestValidation:
     def test_circle_passes(self, round_table):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from outerlength import billiard as bl
-from outerlength._solve import bracketed_root, sign_cells
+from outerlength._solve import _SMALL, bracketed_root, sign_cells
 from outerlength.errors import StepFailureError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import ellipse
@@ -13,26 +13,56 @@ def cubic(x, c):
     return x**3 - c, 3.0 * x**2
 
 
+#: working-set sizes on both sides of the float branch's cutoff; each contract
+#: test below holds for every one of them
+SIZES = [1, _SMALL, _SMALL + 1]
+
+
+def chunked(size):
+    """`bracketed_root` with every call's working set made `size` entries:
+    the entries are solved in chunks of that size, the last padded by
+    repeating its own entries."""
+
+    def solve(fdf, lo, hi, *params):
+        lo, hi, *params = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (lo, hi, *params))
+        )
+        columns = [v.ravel() for v in (lo, hi, *params)]
+        total = lo.size
+        roots = []
+        for start in range(0, total, size):
+            chunk = [np.resize(v[start : start + size], size) for v in columns]
+            roots.append(bracketed_root(fdf, *chunk)[: min(size, total - start)])
+        return np.concatenate(roots).reshape(lo.shape)
+
+    return solve
+
+
 def test_roots_of_a_batch():
     c = np.array([-8.0, 0.001, 1.0, 27.0, 1000.0])
-    roots = bracketed_root(cubic, -20.0, 20.0, c)
-    assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12)
+    for size in SIZES:
+        roots = chunked(size)(cubic, -20.0, 20.0, c)
+        assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12), size
 
 
 def test_nan_where_no_sign_change():
-    roots = bracketed_root(cubic, np.array([0.0, 2.0, -1.0]), np.array([3.0, 3.0, 3.0]), 1.0)
-    assert roots[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.isnan(roots[1])
-    assert roots[2] == pytest.approx(1.0, abs=1e-12)
+    for size in SIZES:
+        roots = chunked(size)(cubic, np.array([0.0, 2.0, -1.0]), np.array([3.0, 3.0, 3.0]), 1.0)
+        assert roots[0] == pytest.approx(1.0, abs=1e-12), size
+        assert np.isnan(roots[1]), size
+        assert roots[2] == pytest.approx(1.0, abs=1e-12), size
 
 
 def test_nan_on_nan_bracket():
     assert np.isnan(bracketed_root(cubic, np.nan, 2.0, 1.0))
+    for size in SIZES:
+        assert np.isnan(chunked(size)(cubic, np.nan, 2.0, 1.0)), size
 
 
 def test_exact_root_at_either_endpoint():
-    roots = bracketed_root(cubic, np.array([2.0, -3.0]), np.array([5.0, 2.0]), 8.0)
-    assert roots.tolist() == [2.0, 2.0]
+    for size in SIZES:
+        roots = chunked(size)(cubic, np.array([2.0, -3.0]), np.array([5.0, 2.0]), 8.0)
+        assert roots.tolist() == [2.0, 2.0], size
 
 
 def test_shape_of_a_scalar_call():
@@ -43,17 +73,19 @@ def test_shape_of_a_scalar_call():
 
 
 def test_shape_of_an_nd_call():
-    c = np.arange(1.0, 13.0).reshape(3, 4)
-    roots = bracketed_root(cubic, 0.0, 5.0, c)
-    assert roots.shape == (3, 4)
-    assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12)
+    for shape in [(3, 4)] + [(1, size, 1) for size in SIZES]:
+        c = np.arange(1.0, 13.0)[: np.prod(shape)].reshape(shape)
+        roots = bracketed_root(cubic, 0.0, 5.0, c)
+        assert roots.shape == shape
+        assert np.allclose(roots, np.cbrt(c), rtol=0, atol=1e-12), shape
 
 
 def test_params_follow_their_entries():
     # entries converge at different iterations; each must keep its own target
     targets = np.array([1e-9, 2.0, 5.0, 100.0, 0.5, 8.0])
-    roots = bracketed_root(cubic, 0.0, 10.0, targets)
-    assert np.allclose(roots**3, targets, rtol=1e-12, atol=1e-12)
+    for size in SIZES:
+        roots = chunked(size)(cubic, 0.0, 10.0, targets)
+        assert np.allclose(roots**3, targets, rtol=1e-12, atol=1e-12), size
 
 
 def test_flat_slope_falls_back_to_bisection():
@@ -61,16 +93,35 @@ def test_flat_slope_falls_back_to_bisection():
     def fdf(x):
         return x**3 - 0.5, 3.0 * x**2
 
-    assert bracketed_root(fdf, -1.0, 1.0) == pytest.approx(np.cbrt(0.5), abs=1e-12)
+    for size in SIZES:
+        assert chunked(size)(fdf, -1.0, 1.0) == pytest.approx(np.cbrt(0.5), abs=1e-12), size
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_branch_follows_the_working_set_size(size):
+    """Up to the cutoff fdf sees floats, one entry at a time; above it, arrays.
+    Either way every root is the same to the last bit."""
+    seen = []
+
+    def fdf(x, c):
+        seen.append(type(x))
+        return cubic(x, c)
+
+    c = np.linspace(0.5, 50.0, size)
+    roots = bracketed_root(fdf, 0.0, 5.0, c)
+    assert set(seen) == ({float} if size <= _SMALL else {np.ndarray})
+    assert np.array_equal(roots, [bracketed_root(cubic, 0.0, 5.0, v) for v in c])
+    wide = np.concatenate([c, np.full(_SMALL + 1, 2.0)])
+    assert np.array_equal(roots, bracketed_root(cubic, 0.0, 5.0, wide)[:size])
 
 
 def test_sign_cells():
     grid = np.linspace(0.0, 4.0, 5)
-    lo, hi = sign_cells(lambda x: (x - 1.0) * (x - 2.5) * (x - 4.0), grid)
+    lo, hi = sign_cells(grid, (grid - 1.0) * (grid - 2.5) * (grid - 4.0))
     # an exact zero at node 1.0, a sign change in (2, 3), a zero at the last node
     assert lo.tolist() == [1.0, 2.0, 3.0]
     assert hi.tolist() == [2.0, 3.0, 4.0]
-    lo, hi = sign_cells(lambda x: x * x + 1.0, grid)
+    lo, hi = sign_cells(grid, grid * grid + 1.0)
     assert lo.size == 0 and hi.size == 0
 
 

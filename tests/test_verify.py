@@ -18,6 +18,12 @@ def test_battery_passes_on_a_valid_table(wobble3_table):
     assert failed_checks(wobble3_table) == set()
 
 
+def test_twist_record_counts_chords_without_image(wobble3_table):
+    records = {c["name"]: c for c in verify.battery(wobble3_table, 200, 0)}
+    assert records["map-twist"]["nonfinite"] == 0
+    assert all("nonfinite" not in c for name, c in records.items() if name != "map-twist")
+
+
 def test_shifted_map_fails_area_and_oracle(wobble3_table, monkeypatch):
     step = billiard.step_angles_arr
     monkeypatch.setattr(
