@@ -10,7 +10,11 @@ chord), so a vanishing gradient is the step equation at every vertex.
 
 One damped Newton method, `_newton`, solves the critical equations for a
 batch of orbits in lockstep; `_STOPS` lists why it stops a row.
-`find_periodic` runs it on one free orbit, whose every vertex moves.
+`find_periodic` runs it on one free orbit, whose every vertex moves.  The
+Hessian of a free orbit is cyclic tridiagonal; `_cyclic_solve` reorders its
+vertices into a band of width 2 and solves it in O(n) by LAPACK's pivoted
+banded LU, dropping a soft mode as a least-squares solve with rcond = 1e-10
+would.
 `invariant_curve_scan` runs it on one orbit per sample with the first
 vertex pinned at the sample's angle: the interior equations are solved and
 the leftover closure residual g[0] is reported as a function of the first
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize
 
 from . import billiard, genfun
@@ -89,6 +95,10 @@ class PeriodicOrbit:
     residual: float
     perimeter: float
     action: float
+    #: Newton steps taken and soft modes dropped by `find_periodic`;
+    #: None for an orbit found without Newton (`brute_oracle`)
+    iterations: int | None = None
+    dropped_modes: int | None = None
 
     def to_json(self):
         return {
@@ -97,6 +107,8 @@ class PeriodicOrbit:
             "angles": self.angles.tolist(),
             "perimeter": self.perimeter,
             "residual": self.residual,
+            "iterations": self.iterations,
+            "dropped_modes": self.dropped_modes,
         }
 
     def save(self, path):
@@ -112,7 +124,7 @@ def normalize_angles(angles, m=1):
     return rot - TWO_PI * np.floor(rot[0] / TWO_PI)
 
 
-def _orbit(oval, m, angles):
+def _orbit(oval, m, angles, iterations=None, dropped_modes=None):
     """The PeriodicOrbit through `angles`, normalized, from one action evaluation."""
     angles = normalize_angles(angles, m)
     action = total_action(oval, angles, m)
@@ -123,6 +135,8 @@ def _orbit(oval, m, angles):
         residual=float(np.max(np.abs(action_gradient(oval, angles, m)))),
         perimeter=action + m * oval.circumference,
         action=action,
+        iterations=iterations,
+        dropped_modes=dropped_modes,
     )
 
 
@@ -163,6 +177,68 @@ def _tridiagonal_solve(diag, off, rhs):
     return x
 
 
+#: a free step drops its softest mode when that mode's curvature is below
+#: this fraction of the stiffest, as `lstsq(rcond=1e-10)` drops singular values
+_SOFT = 1e-10
+
+
+def _band_layout(n):
+    """How `_cyclic_solve` stores a cyclic tridiagonal n x n matrix.
+
+    The vertices are taken in the order 0, n-1, 1, n-2, ..., in which every
+    cyclic neighbour lies at most 2 positions away, so the matrix becomes a
+    band with kl = ku = 2.  Returns that order, its inverse, the flat indices
+    in the transposed (n, 7) LAPACK band array of the entries diag[i],
+    off[i] at (i, i+1) and off[i] at (i+1, i), and a fixed unit start vector
+    for inverse iteration, 1 + sin(k) normalized, which is not orthogonal to
+    the rotation mode (1, ..., 1).
+    """
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.argsort(order)
+    a, b = pos, np.roll(pos, -1)
+    # entry (i, j) of the band lies at row 4 + i - j of column j
+    flat = np.concatenate([7 * pos + 4, 7 * b + 4 + a - b, 7 * a + 4 + b - a])
+    start = 1.0 + np.sin(np.arange(n))
+    return order, pos, flat, start / math.sqrt(start @ start)
+
+
+def _cyclic_solve(diag, off, rhs, layout):
+    """Solve H x = rhs for one cyclic tridiagonal H (see `_hessian_bands`)
+    in O(n); returns x and whether a soft mode was dropped.
+
+    H is factored once by LAPACK's banded LU with partial pivoting
+    (dgbtrf), which is safe on the indefinite Hessians of saddle orbits; an
+    exactly zero pivot, as on the circle's rotation mode, is replaced by
+    eps times a Gershgorin bound on the largest singular value, as LAPACK's
+    dstein does.  Two inverse-iteration steps on the same factors give the
+    softest mode v.  When its Rayleigh quotient is below _SOFT times the
+    bound, v is removed from the right-hand side and from x, which is what
+    `lstsq(H, rhs, rcond=_SOFT)` does to a mode that soft.
+    """
+    order, pos, flat, start = layout
+    band = np.zeros((len(diag), 7))
+    band.flat[flat] = np.concatenate([diag, off, off])
+    bound = np.abs(band).sum(axis=1).max()
+    lu, piv, _ = dgbtrf(band.T, 2, 2, overwrite_ab=1)
+    pivots = lu[4]
+    pivots[pivots == 0.0] = np.finfo(float).eps * bound
+    w = dgbtrs(lu, 2, 2, start, piv)[0]
+    w /= math.sqrt(w @ w)
+    w2 = dgbtrs(lu, 2, 2, w, piv)[0]
+    # H w2 = w with |w| = 1, so the Rayleigh quotient of w2 is w.w2 / w2.w2
+    soft = abs(w @ w2) < _SOFT * bound * (w2 @ w2)
+    b = rhs[order]
+    if soft:
+        v = w2 / math.sqrt(w2 @ w2)
+        b -= (v @ b) * v
+    x = dgbtrs(lu, 2, 2, b, piv, overwrite_b=1)[0]
+    if soft:
+        x -= (v @ x) * v
+    return x[pos], soft
+
+
 #: why `_newton` stopped a row; the scan accepts "converged" and "floor"
 _STOPS = {
     "converged": "residual below tol",
@@ -173,21 +249,24 @@ _STOPS = {
 }
 
 
-def _newton(oval, seeds, m, pinned, tol, max_iter):
+def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     """Damped Newton on the critical equations of every row of `seeds` (k, n),
     all rows in lockstep.
 
     A row's residual is max|g| over its action gradient g; a pinned row keeps
     its first angle and leaves g[0], the closure defect, out.  Pinned rows
     solve the tridiagonal interior Hessian by a Thomas sweep.  Free rows
-    solve the cyclic Hessian by `lstsq` with rcond=1e-10: a mode softer than
-    1e-10 of the stiffest is drift along a (near-)family of orbits, and a
-    Newton step along it leaves the quadratic model and stalls the search.
+    solve the cyclic Hessian by `_cyclic_solve`, a banded LU in O(n) that
+    drops a mode softer than _SOFT = 1e-10 of the stiffest: such a mode is
+    drift along a (near-)family of orbits, and a Newton step along it leaves
+    the quadratic model and stalls the search.
     The line search halves one step scale, shared by all rows still
     searching, from 1 down to 2**-24; it skips candidates whose gaps leave
     (GAP_MIN, pi - GAP_MIN), and a row takes the first that lowers its
     residual.  Returns the final angles and gradients and, per row, the key
-    in _STOPS of why it stopped (a "domain" row has a NaN gradient).
+    in _STOPS of why it stopped (a "domain" row has a NaN gradient).  When
+    `counts`, a (k, 2) integer array, is given, it receives per row the
+    Newton steps taken and the soft modes dropped.
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
@@ -197,6 +276,8 @@ def _newton(oval, seeds, m, pinned, tol, max_iter):
     g = action_gradient(oval, x, m)
     first = int(pinned)
     moved = np.ones(len(live), dtype=bool)
+    counts = np.zeros((len(angles), 2), dtype=int) if counts is None else counts
+    layout = None if pinned else _band_layout(angles.shape[1])
     for it in range(max_iter + 1):
         gn = np.max(np.abs(g[:, first:]), axis=1)
         stop = (gn < tol) | ~moved | (it == max_iter)
@@ -208,13 +289,15 @@ def _newton(oval, seeds, m, pinned, tol, max_iter):
             live, x, g, gn = live[~stop], x[~stop], g[~stop], gn[~stop]
         if not live.size:
             break
+        counts[live, 0] += 1
+        diag, off = _hessian_bands(oval, x, m)
         if pinned:
-            diag, off = _hessian_bands(oval, x, m)
             delta = np.zeros_like(x)
             delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
         else:
-            delta = np.array([np.linalg.lstsq(action_hessian(oval, xi, m), -gi, rcond=1e-10)[0]
-                              for xi, gi in zip(x, g)])
+            delta, soft = zip(*[_cyclic_solve(*row, layout) for row in zip(diag, off, -g)])
+            delta = np.array(delta)
+            counts[live, 1] += soft
         moved = np.zeros(len(live), dtype=bool)
         pending = np.flatnonzero(np.all(np.isfinite(delta), axis=1))
         scale = 1.0
@@ -240,21 +323,26 @@ def _newton(oval, seeds, m, pinned, tol, max_iter):
 def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
     """Newton search for an (n, m) orbit from a seed (default: equal gaps).
 
-    The seed is one free row of `_newton`: least-squares steps (stable on
-    rotationally symmetric tables, where the Hessian has an exact zero mode)
-    and a backtracking line search on the gradient norm that keeps every gap
-    in (GAP_MIN, pi - GAP_MIN).  A seed gap outside the chord domain raises
-    ChordDomainError.  A search that stops above `tol` raises
-    ConvergenceError, which names the stop reason and the residual reached.
+    The seed is one free row of `_newton`: each step solves the cyclic
+    tridiagonal Hessian in O(n) by a banded LU and drops a soft mode, such
+    as the exact zero mode of a rotationally symmetric table, as
+    `lstsq(rcond=1e-10)` would; a backtracking line search on the gradient
+    norm keeps every gap in (GAP_MIN, pi - GAP_MIN).  The orbit records the
+    Newton steps taken and the soft modes dropped.  A seed gap outside the
+    chord domain raises ChordDomainError.  A search that stops above `tol`
+    raises ConvergenceError, which names the stop reason and the residual
+    reached.
     """
     _check_period(n, m)
     seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else seed_angles
-    angles, g, reason = _newton(oval, np.asarray(seed, dtype=float)[None], m, False, tol, max_iter)
+    counts = np.zeros((1, 2), dtype=int)
+    angles, g, reason = _newton(oval, np.asarray(seed, dtype=float)[None], m, False, tol,
+                                max_iter, counts)
     if reason[0] == "domain":
         raise ChordDomainError(_STOPS["domain"])
     if reason[0] != "converged":
         raise ConvergenceError(f"{_STOPS[reason[0]]} (residual {np.max(np.abs(g)):.3e})")
-    return _orbit(oval, m, angles[0])
+    return _orbit(oval, m, angles[0], *counts[0].tolist())
 
 
 def closure_by_iteration(oval, angles, m=1):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import ChordDomainError, ConvergenceError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import ellipse, perturbed_circle
+from outerlength.oval import SupportOval, ellipse, perturbed_circle
 
 from conftest import fourier_tables
 
@@ -57,6 +58,64 @@ def test_action_hessian_matches_gradient_differences(n):
         for e in np.eye(n)
     ])
     assert np.max(np.abs(pd.action_hessian(oval, angles) - fd)) < 1e-5
+
+
+def dense_hessian(diag, off):
+    """The dense matrix of a pair of cyclic bands, laid out as `action_hessian`'s."""
+    H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    H[0, -1] = H[-1, 0] = off[-1]
+    return H
+
+
+def cyclic_solve(diag, off, rhs):
+    return pd._cyclic_solve(diag, off, rhs, pd._band_layout(len(diag)))
+
+
+class TestCyclicSolve:
+    """The banded solve of free Newton steps against `lstsq(rcond=1e-10)`."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 101])
+    def test_random_indefinite_bands_match_lstsq(self, n):
+        for seed in range(10):
+            diag, off, rhs = np.random.default_rng([n, seed]).normal(size=(3, n))
+            x, soft = cyclic_solve(diag, off, rhs)
+            ref = np.linalg.lstsq(dense_hessian(diag, off), rhs, rcond=1e-10)[0]
+            assert not soft
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 101, 1001])
+    def test_singular_laplacian_gives_the_minimum_norm_solution(self, n):
+        # the cyclic Laplacian's null vector is (1, ..., 1), the circle's
+        # rotation mode; the minimum-norm solution is the x orthogonal to it
+        # with H x = rhs - mean(rhs)
+        diag, off = np.full(n, 2.0), np.full(n, -1.0)
+        rhs = np.random.default_rng(n).normal(size=n)
+        x, soft = cyclic_solve(diag, off, rhs)
+        assert soft and np.all(np.isfinite(x))
+        residual = dense_hessian(diag, off) @ x - (rhs - np.mean(rhs))
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+        assert abs(np.sum(x)) / np.sqrt(n) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [5, 12, 101])
+    @pytest.mark.parametrize("ratio, dropped", [(1e-12, True), (1e-8, False)])
+    def test_planted_soft_mode(self, n, ratio, dropped):
+        # shift the diagonal so that the mode closest to zero has about
+        # `ratio` times the largest curvature
+        diag, off, rhs = np.random.default_rng(n).normal(size=(3, n))
+        lam = np.linalg.eigvalsh(dense_hessian(diag, off))
+        diag += ratio * np.max(np.abs(lam)) - lam[np.argmin(np.abs(lam))]
+        lam, vecs = np.linalg.eigh(dense_hessian(diag, off))
+        mode = vecs[:, np.argmin(np.abs(lam))]
+        x, soft = cyclic_solve(diag, off, rhs)
+        ref = np.linalg.lstsq(dense_hessian(diag, off), rhs, rcond=1e-10)[0]
+        assert soft == dropped
+        if dropped:
+            assert abs(mode @ x) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        else:
+            # kept: the step is dominated by the soft mode, as lstsq's is
+            assert abs(mode @ x) >= 0.99 * np.linalg.norm(x)
+            assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 class TestFindPeriodic:
@@ -125,13 +184,14 @@ class TestFindPeriodic:
         # a negated Hessian reverses every Newton step, so no step size lowers
         # the gradient; the search must say so instead of drifting for 80 steps
         calls = []
-        hessian = pd.action_hessian
+        bands = pd._hessian_bands
 
-        def reversed_hessian(oval, angles, m=1):
+        def reversed_bands(oval, angles, m):
             calls.append(m)
-            return -hessian(oval, angles, m)
+            diag, off = bands(oval, angles, m)
+            return -diag, -off
 
-        monkeypatch.setattr(pd, "action_hessian", reversed_hessian)
+        monkeypatch.setattr(pd, "_hessian_bands", reversed_bands)
         with pytest.raises(ConvergenceError, match="line search.*residual"):
             pd.find_periodic(ellipse(1.0, 0.6), 3)
         assert len(calls) <= 2
@@ -155,6 +215,46 @@ class TestFindPeriodic:
         orb = pd.find_periodic(round_table, 3, seed_angles=seed)
         assert 0.0 <= orb.angles[0] < TWO_PI / 3 + 1e-9
 
+    @pytest.mark.parametrize("table, perimeter", [
+        ("forge_table", 3.1494617422872437),
+        ("wobble3_table", 6.283205365562429),
+        ("ellipse_table", 4.44266071926916),
+    ])
+    def test_thousand_and_one_gon(self, request, table, perimeter):
+        # perimeters pinned from the dense least-squares Newton that the
+        # banded solve replaced
+        oval = request.getfixturevalue(table)
+        oval = oval[0] if table == "forge_table" else oval
+        orbit = pd.find_periodic(oval, 1001)
+        assert orbit.residual < 1e-11
+        assert orbit.perimeter == pytest.approx(perimeter, abs=1e-13)
+
+    def test_orbit_reports_steps_and_dropped_modes(self, monkeypatch, round_table,
+                                                   forge_table):
+        # the circle's equal-gap seed is already an orbit; on the forged
+        # table the (5, 2) Hessian has a mode of ~1e-12 of the stiffest.
+        # Each Newton step makes one Hessian and one solve.
+        exact = pd.find_periodic(round_table, 4)
+        assert (exact.iterations, exact.dropped_modes) == (0, 0)
+        solves = []
+        solve = pd._cyclic_solve
+
+        def spy(*args):
+            step, soft = solve(*args)
+            solves.append(soft)
+            return step, soft
+
+        monkeypatch.setattr(pd, "_cyclic_solve", spy)
+        orbit = pd.find_periodic(forge_table[0], 5, 2)
+        assert orbit.iterations == len(solves) >= 1
+        assert orbit.dropped_modes == sum(solves) >= 1
+        record = orbit.to_json()
+        assert (record["iterations"], record["dropped_modes"]) == (
+            orbit.iterations, orbit.dropped_modes)
+        oracle = pd.brute_oracle(round_table, 3, grid_density=1)
+        assert oracle.iterations is None and oracle.dropped_modes is None
+        assert oracle.to_json()["iterations"] is None
+
 
 @settings(max_examples=20, deadline=None)
 @given(table=fourier_tables())
@@ -168,6 +268,34 @@ def test_find_periodic_closes_or_raises_on_random_tables(table):
             continue
         assert orbit.residual < 1e-11
         assert pd.closure_by_iteration(table, orbit.angles, m) < 1e-8
+
+
+def rotated(table, phi):
+    """The Fourier table p(alpha - phi)."""
+    desc = table.to_json()
+    a, b = np.asarray(desc["cos"]), np.asarray(desc["sin"])
+    k = np.arange(1, len(a) + 1)
+    c, s = np.cos(k * phi), np.sin(k * phi)
+    return SupportOval.from_fourier(desc["a0"], a * c - b * s, a * s + b * c)
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables(), phi=st.floats(0.0, TWO_PI))
+def test_find_periodic_is_rotation_equivariant(table, phi):
+    """A table turned by phi, searched from the equal-gap seed turned by phi,
+    gives the same orbit perimeter, or both searches raise.  Angles are not
+    compared: along a dropped soft mode the table does not fix them."""
+    turned = rotated(table, phi)
+    for n, m in ((3, 1), (4, 1), (5, 2)):
+        seed = phi + TWO_PI * m * np.arange(n) / n
+        try:
+            orbit = pd.find_periodic(table, n, m)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                pd.find_periodic(turned, n, m, seed_angles=seed)
+            continue
+        assert pd.find_periodic(turned, n, m, seed_angles=seed).perimeter == pytest.approx(
+            orbit.perimeter, abs=1e-12)
 
 
 class TestBruteOracle:
