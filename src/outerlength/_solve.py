@@ -4,7 +4,10 @@ Every 1-D inversion in the package (the map's reflection rule, its inverse in
 phase coordinates, the tangency angles, the reparameterizations of the table
 constructors) is a root of a function with a known sign-change bracket.
 `bracketed_root` solves a whole array of them at once by safeguarded Newton
-steps; `sign_cells` finds the brackets of a function sampled on a grid.
+steps, from a predicted `start` when the caller has one inside the bracket
+(the map step passes its exact image on the circle), else from the
+bracket's midpoint; `sign_cells` finds the brackets of a function sampled
+on a grid.
 
 A call with at most `_SMALL` brackets (a scalar step, the two tangency cells
 of a point) solves them one by one in plain floats, below the fixed cost of
@@ -44,7 +47,7 @@ def sign_cells(grid, values):
     return grid[idx], grid[idx + 1]
 
 
-def _float_root(fdf, lo, hi, *params):
+def _float_root(fdf, lo, hi, start, *params):
     """One bracket of `bracketed_root` in plain floats, step for step the
     array loop's rules."""
     flo, fhi = fdf(lo, *params)[0], fdf(hi, *params)[0]
@@ -55,7 +58,8 @@ def _float_root(fdf, lo, hi, *params):
     if not flo * fhi < 0.0:
         return math.nan
     a, b, sign = lo, hi, math.copysign(1.0, fhi)
-    x = 0.5 * (a + b)
+    # a NaN start compares false and falls back to the midpoint
+    x = start if a < start < b else 0.5 * (a + b)
     step = b - a
     for _ in range(_MAX_ITER):
         f, df = fdf(x, *params)
@@ -76,31 +80,33 @@ def _float_root(fdf, lo, hi, *params):
     return math.nan
 
 
-def bracketed_root(fdf, lo, hi, *params):
+def bracketed_root(fdf, lo, hi, *params, start=np.nan):
     """Roots of f on the brackets [lo, hi], elementwise.
 
     `fdf(x, *params)` returns (f, f') at an array of points; `params` are
     arrays broadcast against lo and hi, handed to fdf cut down to the entries
-    still being solved.  Each entry takes Newton steps from the bracket's
-    midpoint and bisects instead when a step would leave the bracket or
-    shrinks by less than half.  An entry leaves the working set once its last
-    step is below `_XTOL`.  The result has the broadcast shape of the inputs;
-    it is an endpoint where f vanishes there and NaN where f has no sign
-    change on the bracket.
+    still being solved.  Each entry takes Newton steps from `start` when
+    inside the bracket, else from the midpoint: `start` (broadcast like the
+    params) is used where lo < start < hi, so a NaN start, the default, or
+    one on or past an edge gives the midpoint.  An entry bisects instead when
+    a step would leave the bracket or shrinks by less than half, and leaves
+    the working set once its last step is below `_XTOL`.  The result has the
+    broadcast shape of the inputs; it is an endpoint where f vanishes there
+    and NaN where f has no sign change on the bracket.
 
     With at most `_SMALL` brackets each is solved on its own in plain
     floats: fdf then receives floats, not arrays, and must return (f, f')
     equal to its array values.  The rules above, `_XTOL` and `_MAX_ITER`
     are the same on both branches.
     """
-    lo, hi, *params = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lo, hi, *params))
+    lo, hi, start, *params = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (lo, hi, start, *params))
     )
     shape = lo.shape
-    lo, hi = lo.ravel(), hi.ravel()
+    lo, hi, start = lo.ravel(), hi.ravel(), start.ravel()
     params = [p.ravel() for p in params]
     if lo.size <= _SMALL:
-        columns = (v.tolist() for v in (lo, hi, *params))
+        columns = (v.tolist() for v in (lo, hi, start, *params))
         root = np.array([_float_root(fdf, *entry) for entry in zip(*columns)], dtype=float)
         return root.reshape(shape)[()]
     both = [np.concatenate([p, p]) for p in params]
@@ -110,7 +116,8 @@ def bracketed_root(fdf, lo, hi, *params):
     act = np.flatnonzero(flo * fhi < 0.0)
     a, b, sign = lo[act], hi[act], np.sign(fhi[act])
     params = [p[act] for p in params]
-    x = 0.5 * (a + b)
+    start = start[act]
+    x = np.where((a < start) & (start < b), start, 0.5 * (a + b))
     step = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):

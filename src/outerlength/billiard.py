@@ -16,7 +16,10 @@ The radii are the first partials of the generating function (R1 = -S1,
 R2 = S2 from `genfun.grad_arr`), and every 1-D solve in this module goes
 through the package's one bracketed solver, `_solve.bracketed_root`.  The
 scalar `step` is a batch of one, which that solver and the oval's jet run in
-plain floats, with the same arithmetic as `step_angles_arr` on arrays.
+plain floats, with the same arithmetic as `step_angles_arr` on arrays.  The
+map's Newton starts from the predictor alpha3 = alpha2 + (alpha2 - alpha1):
+on a circle the map is the rotation by the gap, so the predictor is the
+image there, and on a table near a circle it is near the image.
 
 A second, purely geometric implementation (`cartesian_step`) moves an
 exterior point by the raw reflection rule: find the two tangent lines, build
@@ -99,13 +102,15 @@ def step_angles_arr(oval, a1, a2):
     """alpha3 solving R2(a1, a2) = R1(a2, alpha3) in (a2, a2 + pi), elementwise.
 
     R1(a2, .) is strictly increasing (S12 < 0), so the root is unique; chords
-    whose root leaves the guarded bracket come back as NaN.
+    whose root leaves the guarded bracket come back as NaN.  Newton starts
+    from the predictor a2 + (a2 - a1), the image on a circle.
     """
     w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
     target = genfun.grad_from_jets(w, jet1, jet2)[1]
     a2 = np.asarray(a2, dtype=float)
     return bracketed_root(
-        _base_radius_fdf(oval), *_gap_bracket(a2), a2, target, jet2[0], jet2[1]
+        _base_radius_fdf(oval), *_gap_bracket(a2), a2, target, jet2[0], jet2[1],
+        start=a2 + w,
     )
 
 
@@ -240,7 +245,8 @@ class TwistReport:
     """Sampled positivity survey of d(alpha')/dR for the map and its square.
 
     The square is surveyed on the `samples - nonfinite` chords whose image
-    the map found; `nonfinite` counts the others (no reflection root).
+    the map found; `nonfinite` counts the others (no reflection root), and a
+    survey with any of them does not pass.
     """
 
     samples: int
@@ -252,7 +258,7 @@ class TwistReport:
 
     @property
     def passed(self):
-        return self.violations == 0 and self.violations_squared == 0
+        return self.violations == 0 and self.violations_squared == 0 and self.nonfinite == 0
 
 
 def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):

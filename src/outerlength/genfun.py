@@ -150,24 +150,36 @@ def hess_arr(oval, a1, a2):
 # -- finite-difference verifiers ---------------------------------------------
 
 
+def _stencil_S(oval, a1, a2, d1, d2):
+    """S at the chords (a1 + d1, a2 + d2), the offsets d1, d2 broadcast on
+    new trailing axes: one `S_arr` call, so one jet per end and one integral
+    for the whole stencil."""
+    tail = (...,) + (None,) * max(np.ndim(d1), np.ndim(d2))
+    a1 = np.asarray(a1, dtype=float)[tail]
+    a2 = np.asarray(a2, dtype=float)[tail]
+    return S_arr(oval, a1 + d1, a2 + d2)
+
+
 def fd_grad_arr(oval, a1, a2, h=1e-5):
-    """Vectorized central-difference gradient (for bulk sampling suites)."""
-    S1 = (S_arr(oval, a1 + h, a2) - S_arr(oval, a1 - h, a2)) / (2 * h)
-    S2 = (S_arr(oval, a1, a2 + h) - S_arr(oval, a1, a2 - h)) / (2 * h)
-    return S1, S2
+    """Central-difference gradient of S, from S itself (p and its integral),
+    independent of the closed forms.  The four shifted chords (a1 +- h, a2),
+    (a1, a2 +- h) are one stencil of `S_arr`; the values are those of one
+    `S_arr` call per shifted chord."""
+    s = _stencil_S(oval, a1, a2, np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))
+    return (s[..., 0] - s[..., 1]) / (2 * h), (s[..., 2] - s[..., 3]) / (2 * h)
 
 
 def fd_hess_arr(oval, a1, a2, h=1e-4):
-    """Vectorized central second differences (for bulk sampling suites)."""
-    s0 = S_arr(oval, a1, a2)
-    S11 = (S_arr(oval, a1 + h, a2) - 2 * s0 + S_arr(oval, a1 - h, a2)) / h**2
-    S22 = (S_arr(oval, a1, a2 + h) - 2 * s0 + S_arr(oval, a1, a2 - h)) / h**2
-    S12 = (
-        S_arr(oval, a1 + h, a2 + h)
-        - S_arr(oval, a1 + h, a2 - h)
-        - S_arr(oval, a1 - h, a2 + h)
-        + S_arr(oval, a1 - h, a2 - h)
-    ) / (4 * h**2)
+    """Central second differences of S, from S itself, independent of the
+    closed forms.  The nine chords (a1 + i h, a2 + j h), i, j in {-1, 0, 1},
+    are one 3 x 3 stencil of `S_arr` (three shifted angle arrays per end); the
+    values are those of one `S_arr` call per shifted chord."""
+    off = np.array([-h, 0.0, h])
+    s = _stencil_S(oval, a1, a2, off[:, None], off)
+    s0 = s[..., 1, 1]
+    S11 = (s[..., 2, 1] - 2 * s0 + s[..., 0, 1]) / h**2
+    S22 = (s[..., 1, 2] - 2 * s0 + s[..., 1, 0]) / h**2
+    S12 = (s[..., 2, 2] - s[..., 2, 0] - s[..., 0, 2] + s[..., 0, 0]) / (4 * h**2)
     return S11, S12, S22
 
 

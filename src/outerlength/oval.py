@@ -42,23 +42,43 @@ TWO_PI = 2.0 * np.pi
 GRID_SIZE = 2048
 
 
+def _series(terms, coef):
+    """terms @ coef over the last axis.  A batch with more than one leading
+    axis is flattened to one first, so that numpy makes one BLAS gemv call
+    instead of a small product per row."""
+    if terms.ndim <= 2:
+        return terms @ coef
+    rows = terms.shape[:-1]
+    return (terms.reshape(math.prod(rows), -1) @ coef).reshape(rows)
+
+
 class _FourierRep:
-    """p as a finite trigonometric series; derivatives and integrals exact."""
+    """p as a finite trigonometric series; derivatives and integrals exact.
+
+    `a`, `b` hold every coefficient up to the highest harmonic, as given and
+    as written by `descriptor`; evaluation reads only the harmonics `k` with
+    a nonzero cos or sin coefficient (`perturbed_circle(eps, k)` stores k - 1
+    zero pairs), whose terms would add exact zeros.
+    """
 
     kind = "fourier"
 
     def __init__(self, a0, cos_coef=(), sin_coef=()):
         self.a0 = float(a0)
         n = max(len(cos_coef), len(sin_coef))
-        self.a = np.zeros(n)
-        self.b = np.zeros(n)
-        self.a[: len(cos_coef)] = cos_coef
-        self.b[: len(sin_coef)] = sin_coef
-        self.k = np.arange(1, n + 1)
+        a, b = np.zeros(n), np.zeros(n)
+        a[: len(cos_coef)] = cos_coef
+        b[: len(sin_coef)] = sin_coef
+        self.a, self.b = a, b
+        used = np.flatnonzero((a != 0.0) | (b != 0.0))
+        self.k = used + 1
+        self._a, self._b = a[used], b[used]
         # coefficients of the first and second derivative series
-        self._ak, self._bk = self.a * self.k, self.b * self.k
-        self._ak2, self._bk2 = self.a * self.k**2, self.b * self.k**2
-        coef = (self.k, self.a, self.b, self._ak, self._bk, self._ak2, self._bk2)
+        self._ak, self._bk = self._a * self.k, self._b * self.k
+        self._ak2, self._bk2 = self._a * self.k**2, self._b * self.k**2
+        # and of the antiderivative series
+        self._ak_1, self._bk_1 = self._a / self.k, self._b / self.k
+        coef = (self.k, self._a, self._b, self._ak, self._bk, self._ak2, self._bk2)
         self._terms = list(zip(*(v.tolist() for v in coef)))
 
     def _jet_float(self, a):
@@ -88,9 +108,9 @@ class _FourierRep:
         c, s = np.cos(ka), np.sin(ka)
         # each derivative rotates (cos, sin) by a quarter period
         neg_s = -s
-        p = c @ self.a + s @ self.b + self.a0
-        dp = neg_s @ self._ak + c @ self._bk
-        ddp = (-c) @ self._ak2 + neg_s @ self._bk2
+        p = _series(c, self._a) + _series(s, self._b) + self.a0
+        dp = _series(neg_s, self._ak) + _series(c, self._bk)
+        ddp = _series(-c, self._ak2) + _series(neg_s, self._bk2)
         return p, dp, ddp
 
     def integral(self, a, b):
@@ -100,8 +120,8 @@ class _FourierRep:
         if len(self.k):
             ka = np.multiply.outer(a, self.k)
             kb = np.multiply.outer(b, self.k)
-            out = out + (np.sin(kb) - np.sin(ka)) @ (self.a / self.k)
-            out = out - (np.cos(kb) - np.cos(ka)) @ (self.b / self.k)
+            out = out + _series(np.sin(kb) - np.sin(ka), self._ak_1)
+            out = out - _series(np.cos(kb) - np.cos(ka), self._bk_1)
         return out if np.ndim(out) else float(out)
 
     def periodicity_defect(self):

@@ -87,8 +87,9 @@ def symplectic_defect(oval, a1, a2):
 
 def twist_violations(report):
     """Sampled chords where the map or its square fails to twist positively,
-    from a `billiard.twist_report`."""
-    return float(report.violations + report.violations_squared)
+    from a `billiard.twist_report`; a chord the map cannot step (`nonfinite`)
+    counts as one, since the square's survey leaves it out."""
+    return float(report.violations + report.violations_squared + report.nonfinite)
 
 
 def regular_phi_defect(poly):
@@ -140,7 +141,7 @@ def battery(oval, samples, seed):
     area check, one in twenty (at least 8) for the oracle.  Returns one record
     `{"name", "passed", "defect", "tol"}` per check; passed is defect < tol.
     The map-twist record also gives `nonfinite`, the surveyed chords without
-    an image, which the square's survey leaves out."""
+    an image, which the square's survey leaves out and its defect counts."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)

@@ -80,3 +80,12 @@ def spline_tables(draw):
     """A `fourier_tables()` table resampled into the spline representation."""
     table = draw(fourier_tables())
     return SupportOval.from_callable(table.p, n=draw(st.sampled_from([64, 512])))
+
+
+def rotated(table, phi):
+    """The Fourier table p(alpha - phi)."""
+    desc = table.to_json()
+    a, b = np.asarray(desc["cos"]), np.asarray(desc["sin"])
+    k = np.arange(1, len(a) + 1)
+    c, s = np.cos(k * phi), np.sin(k * phi)
+    return SupportOval.from_fourier(desc["a0"], a * c - b * s, a * s + b * c)

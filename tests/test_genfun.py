@@ -107,6 +107,74 @@ class TestFiniteDifferences:
         assert gf.fd_hess_arr(*chord) == pytest.approx(gf.hess_arr(*chord), abs=1e-4)
 
 
+def per_shift_fd(oval, a1, a2, h_grad=1e-5, h_hess=1e-4):
+    """The finite differences with one `S_arr` call per shifted chord: the
+    reference for the stencil forms."""
+    S = gf.S_arr
+    grad = (
+        (S(oval, a1 + h_grad, a2) - S(oval, a1 - h_grad, a2)) / (2 * h_grad),
+        (S(oval, a1, a2 + h_grad) - S(oval, a1, a2 - h_grad)) / (2 * h_grad),
+    )
+    h = h_hess
+    s0 = S(oval, a1, a2)
+    hess = (
+        (S(oval, a1 + h, a2) - 2 * s0 + S(oval, a1 - h, a2)) / h**2,
+        (S(oval, a1 + h, a2 + h) - S(oval, a1 + h, a2 - h)
+         - S(oval, a1 - h, a2 + h) + S(oval, a1 - h, a2 - h)) / (4 * h**2),
+        (S(oval, a1, a2 + h) - 2 * s0 + S(oval, a1, a2 - h)) / h**2,
+    )
+    return grad, hess
+
+
+class TestStencil:
+    """`fd_grad_arr` and `fd_hess_arr` evaluate S on their whole stencil in
+    one call; the values are those of one call per shifted chord, bit for bit."""
+
+    @pytest.mark.parametrize("table", ["wobble2_table", "ellipse_table"])
+    def test_matches_per_shift_form(self, table, request):
+        oval = request.getfixturevalue(table)
+        rng = np.random.default_rng(17)
+        for shape in [(), (50,), (6, 7)]:
+            a1, a2 = gf.sample_chords(rng, int(np.prod(shape)))
+            a1, a2 = a1.reshape(shape)[()], a2.reshape(shape)[()]
+            grad, hess = per_shift_fd(oval, a1, a2)
+            assert np.array_equal(gf.fd_grad_arr(oval, a1, a2), grad), shape
+            assert np.array_equal(gf.fd_hess_arr(oval, a1, a2), hess), shape
+            assert np.shape(gf.fd_hess_arr(oval, a1, a2)[1]) == shape
+
+    def test_small_step_on_a_thin_table(self):
+        # `hessian_fd_defect` takes h = a twentieth of the least curvature radius
+        thin = ellipse(1.0, 0.02)
+        h = min(1e-4, thin.validate().min_curvature_radius / 20.0)
+        assert h < 1e-4
+        a1, a2 = gf.sample_chords(np.random.default_rng(18), 300)
+        _, hess = per_shift_fd(thin, a1, a2, h_hess=h)
+        assert np.array_equal(gf.fd_hess_arr(thin, a1, a2, h), hess)
+        assert verify.hessian_fd_defect(thin, a1, a2) < 1e-4
+
+    @pytest.mark.parametrize("table", ["wobble3_table", "ellipse_table"])
+    def test_one_stencil_is_two_jets_and_one_integral(self, table, request, monkeypatch):
+        oval = request.getfixturevalue(table)
+        calls = {"jet": 0, "integral": 0}
+
+        def counted(name):
+            inner = getattr(oval._rep, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oval._rep, name, counted(name))
+        a1, a2 = gf.sample_chords(np.random.default_rng(19), 1000)
+        for fd in (gf.fd_grad_arr, gf.fd_hess_arr):
+            calls.update(jet=0, integral=0)
+            fd(oval, a1, a2)
+            assert calls["jet"] <= 2 and calls["integral"] <= 1, fd.__name__
+
+
 def test_gradient_on_floats_matches_one_entry_arrays():
     """The scalar step's radii come from `grad_from_jets` on floats; they must
     equal the array values bit for bit.  (A float `** 2` calls pow(), which

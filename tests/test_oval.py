@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
@@ -242,6 +243,55 @@ def spline_table(request, ellipse_table, forge_table):
         "thin-ellipse": ellipse(1.0, 0.05),
         "from_f": forge_table[0],
     }[request.param]
+
+
+class TestSparseHarmonics:
+    """`perturbed_circle(eps, 3, phase)` stores zeros for harmonics 1 and 2;
+    the series skips them, and the descriptor still writes them."""
+
+    EPS, PHASE = 0.05, 0.7
+
+    def test_jet_matches_the_closed_forms(self):
+        """p = 1 + eps cos(3a - phase) and its two derivatives against a
+        50-digit reference, on the array and on the float path: p and p'
+        within one rounding unit of their series' scale (1 + eps, 3 eps),
+        p'' within two of 9 eps (it rounds two products of size up to 0.34
+        and their sum; 40 of 2560 angles at j / 64 read 2).  The angles are
+        multiples of 1/16, so 3a is exact in floats."""
+        table = perturbed_circle(self.EPS, 3, self.PHASE)
+        alphas = np.arange(-40, 120) / 16.0
+        eps, phase = mpmath.mpf(self.EPS), mpmath.mpf(self.PHASE)
+        with mpmath.workdps(50):
+            ref = np.array([
+                [float(1 + eps * mpmath.cos(3 * a - phase)),
+                 float(-3 * eps * mpmath.sin(3 * a - phase)),
+                 float(-9 * eps * mpmath.cos(3 * a - phase))]
+                for a in map(mpmath.mpf, alphas.tolist())
+            ]).T
+        tol = (np.spacing([1 + self.EPS, 3 * self.EPS, 9 * self.EPS]) * [1, 1, 2])[:, None]
+        vector = np.array(table.jet(alphas))
+        floats = np.array([table.jet(a) for a in alphas.tolist()]).T
+        assert np.all(np.abs(vector - ref) <= tol)
+        assert np.all(np.abs(floats - ref) <= tol)
+
+    def test_json_keeps_the_zero_coefficients(self):
+        table = perturbed_circle(self.EPS, 3, self.PHASE)
+        desc = table.to_json()
+        assert desc["cos"][:2] == [0.0, 0.0] and desc["sin"][:2] == [0.0, 0.0]
+        back = SupportOval.from_json(json.loads(json.dumps(desc)))
+        assert back.to_json() == desc
+        alphas = np.linspace(-1.0, 7.0, 50)
+        assert np.array_equal(back.jet(alphas), table.jet(alphas))
+
+    def test_all_zero_harmonics_are_the_circle(self):
+        zeros, round_ = SupportOval.from_fourier(1.0, [0, 0], [0, 0]), circle()
+        assert zeros.to_json()["cos"] == [0.0, 0.0]
+        alphas = np.linspace(-1.0, 7.0, 50)
+        assert np.array_equal(zeros.jet(alphas), round_.jet(alphas))
+        assert zeros.jet(0.3) == round_.jet(0.3) == (1.0, 0.0, 0.0)
+        assert np.array_equal(zeros.support_integral(alphas, alphas + 2.0),
+                              round_.support_integral(alphas, alphas + 2.0))
+        assert zeros.circumference == round_.circumference == TWO_PI
 
 
 class TestSplineKernel:

@@ -7,9 +7,9 @@ from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import ChordDomainError, ConvergenceError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import SupportOval, ellipse, perturbed_circle
+from outerlength.oval import ellipse, perturbed_circle
 
-from conftest import fourier_tables
+from conftest import fourier_tables, rotated
 
 TWO_PI = 2.0 * np.pi
 
@@ -268,15 +268,6 @@ def test_find_periodic_closes_or_raises_on_random_tables(table):
             continue
         assert orbit.residual < 1e-11
         assert pd.closure_by_iteration(table, orbit.angles, m) < 1e-8
-
-
-def rotated(table, phi):
-    """The Fourier table p(alpha - phi)."""
-    desc = table.to_json()
-    a, b = np.asarray(desc["cos"]), np.asarray(desc["sin"])
-    k = np.arange(1, len(a) + 1)
-    c, s = np.cos(k * phi), np.sin(k * phi)
-    return SupportOval.from_fourier(desc["a0"], a * c - b * s, a * s + b * c)
 
 
 @settings(max_examples=20, deadline=None)

@@ -23,17 +23,20 @@ def chunked(size):
     the entries are solved in chunks of that size, the last padded by
     repeating its own entries."""
 
-    def solve(fdf, lo, hi, *params):
-        lo, hi, *params = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (lo, hi, *params))
+    def solve(fdf, lo, hi, *params, start=np.nan):
+        lo, hi, start, *params = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (lo, hi, start, *params))
         )
-        columns = [v.ravel() for v in (lo, hi, *params)]
-        total = lo.size
+        shape = lo.shape
+        lo, hi, start, *params = (v.ravel() for v in (lo, hi, start, *params))
         roots = []
-        for start in range(0, total, size):
-            chunk = [np.resize(v[start : start + size], size) for v in columns]
-            roots.append(bracketed_root(fdf, *chunk)[: min(size, total - start)])
-        return np.concatenate(roots).reshape(lo.shape)
+        for first in range(0, lo.size, size):
+            lo_, hi_, start_, *params_ = (
+                np.resize(v[first : first + size], size) for v in (lo, hi, start, *params)
+            )
+            root = bracketed_root(fdf, lo_, hi_, *params_, start=start_)
+            roots.append(root[: min(size, lo.size - first)])
+        return np.concatenate(roots).reshape(shape)
 
     return solve
 
@@ -113,6 +116,50 @@ def test_branch_follows_the_working_set_size(size):
     assert np.array_equal(roots, [bracketed_root(cubic, 0.0, 5.0, v) for v in c])
     wide = np.concatenate([c, np.full(_SMALL + 1, 2.0)])
     assert np.array_equal(roots, bracketed_root(cubic, 0.0, 5.0, wide)[:size])
+
+
+#: targets of `cubic` for the start tests, roots in (0, 11)
+CUBES = np.array([0.001, 1.0, 8.0, 27.0, 64.0, 100.0, 500.0, 1000.0, 3.0])
+
+
+def test_start_inside_the_bracket_gives_the_same_root():
+    """Newton from a predicted start reaches the root found from the
+    midpoint, within 4 rounding units; from the root itself it takes fewer
+    evaluations."""
+    c = CUBES
+    calls = []
+
+    def fdf(x, c):
+        calls.append(np.size(x))
+        return cubic(x, c)
+
+    for size in SIZES:
+        del calls[:]
+        mid = chunked(size)(fdf, 0.0, 11.0, c)
+        from_mid = sum(calls)
+        for start in (np.cbrt(c), np.cbrt(c) * 1.3, np.full(c.shape, 0.5), np.full(c.shape, 10.9)):
+            del calls[:]
+            roots = chunked(size)(fdf, 0.0, 11.0, c, start=start)
+            assert np.all(np.abs(roots - mid) <= 4 * np.spacing(mid)), (size, start)
+            if np.array_equal(start, np.cbrt(c)):
+                assert sum(calls) < from_mid, size
+
+
+def test_start_off_the_bracket_falls_back_to_the_midpoint():
+    """A start that is NaN, outside the bracket or on its edge is the
+    midpoint start, bit for bit; a bracket without a sign change is NaN
+    whatever the start."""
+    c = CUBES
+    for size in SIZES:
+        mid = chunked(size)(cubic, 0.0, 11.0, c)
+        for start in (np.nan, -1.0, 0.0, 11.0, 12.0, np.inf, -np.inf):
+            roots = chunked(size)(cubic, 0.0, 11.0, c, start=start)
+            assert np.array_equal(roots, mid), (size, start)
+        lo, hi = np.array([0.0, 2.0, -1.0]), np.array([3.0, 3.0, 3.0])
+        roots = chunked(size)(cubic, lo, hi, 1.0, start=np.array([1.0, 2.5, 0.9]))
+        assert roots[0] == pytest.approx(1.0, abs=1e-12), size
+        assert np.isnan(roots[1]), size
+        assert roots[2] == pytest.approx(1.0, abs=1e-12), size
 
 
 def test_sign_cells():

@@ -24,6 +24,12 @@ def test_twist_record_counts_chords_without_image(wobble3_table):
     assert all("nonfinite" not in c for name, c in records.items() if name != "map-twist")
 
 
+def test_twist_check_counts_chords_without_image():
+    # the window of test_billiard's test_images_without_a_root_are_counted
+    report = billiard.twist_report(ellipse(1.0, 0.2), 400, 0, 1.0001e-4, 1.0002e-4)
+    assert verify.twist_violations(report) >= report.nonfinite > 0
+
+
 def test_shifted_map_fails_area_and_oracle(wobble3_table, monkeypatch):
     step = billiard.step_angles_arr
     monkeypatch.setattr(
