@@ -80,15 +80,15 @@ def _float_root(fdf, lo, hi, start, *params):
     return math.nan
 
 
-def bracketed_root(fdf, lo, hi, *params, start=np.nan):
+def bracketed_root(fdf, lo, hi, *params, start=None):
     """Roots of f on the brackets [lo, hi], elementwise.
 
     `fdf(x, *params)` returns (f, f') at an array of points; `params` are
     arrays broadcast against lo and hi, handed to fdf cut down to the entries
     still being solved.  Each entry takes Newton steps from `start` when
     inside the bracket, else from the midpoint: `start` (broadcast like the
-    params) is used where lo < start < hi, so a NaN start, the default, or
-    one on or past an edge gives the midpoint.  An entry bisects instead when
+    params) is used where lo < start < hi, so no start, a NaN one or one on
+    or past an edge gives the midpoint.  An entry bisects instead when
     a step would leave the bracket or shrinks by less than half, and leaves
     the working set once its last step is below `_XTOL`.  The result has the
     broadcast shape of the inputs; it is an endpoint where f vanishes there
@@ -99,6 +99,9 @@ def bracketed_root(fdf, lo, hi, *params, start=np.nan):
     equal to its array values.  The rules above, `_XTOL` and `_MAX_ITER`
     are the same on both branches.
     """
+    # no start: the lower edge, which gives the midpoint and, unlike a NaN,
+    # needs no broadcast of its own
+    start = lo if start is None else start
     lo, hi, start, *params = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lo, hi, start, *params))
     )

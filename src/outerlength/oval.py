@@ -43,13 +43,12 @@ GRID_SIZE = 2048
 
 
 def _series(terms, coef):
-    """terms @ coef over the last axis.  A batch with more than one leading
-    axis is flattened to one first, so that numpy makes one BLAS gemv call
-    instead of a small product per row."""
-    if terms.ndim <= 2:
-        return terms @ coef
+    """terms @ coef over the last axis, with the leading axes flattened to
+    one first: numpy then sums each row by one BLAS gemv, as for a 1-D batch,
+    where a stacked product would sum in another order.  Both sizes are
+    given, so empty batches keep working."""
     rows = terms.shape[:-1]
-    return (terms.reshape(math.prod(rows), -1) @ coef).reshape(rows)
+    return (terms.reshape(math.prod(rows), terms.shape[-1]) @ coef).reshape(rows)
 
 
 class _FourierRep:
@@ -104,14 +103,15 @@ class _FourierRep:
         if np.ndim(alpha) == 0:
             return self._jet_float(float(alpha))
         alpha = np.asarray(alpha, dtype=float)
-        ka = np.multiply.outer(alpha, self.k)
+        # one row per angle, so each series is summed as in `_series`
+        ka = np.multiply.outer(alpha.ravel(), self.k)
         c, s = np.cos(ka), np.sin(ka)
         # each derivative rotates (cos, sin) by a quarter period
         neg_s = -s
-        p = _series(c, self._a) + _series(s, self._b) + self.a0
-        dp = _series(neg_s, self._ak) + _series(c, self._bk)
-        ddp = _series(-c, self._ak2) + _series(neg_s, self._bk2)
-        return p, dp, ddp
+        p = c @ self._a + s @ self._b + self.a0
+        dp = neg_s @ self._ak + c @ self._bk
+        ddp = (-c) @ self._ak2 + neg_s @ self._bk2
+        return p.reshape(alpha.shape), dp.reshape(alpha.shape), ddp.reshape(alpha.shape)
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)

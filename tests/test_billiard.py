@@ -157,7 +157,6 @@ class TestTwist:
         assert rep.samples == 400
         assert 0 < rep.nonfinite == missing < 400
         assert rep.violations == rep.violations_squared == 0
-        assert not rep.passed
 
     def test_predicted_start_is_the_circle_image(self, monkeypatch):
         """On the circle the map turns a chord by its gap, so Newton starts

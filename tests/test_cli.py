@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from outerlength.cli import EXIT_VALIDATION, main
+from outerlength.cli import EXIT_NUMERIC, EXIT_VALIDATION, main
 from outerlength.oval import SupportOval, ellipse
 
 
@@ -154,6 +154,15 @@ class TestFindPeriodic:
         assert main(["find-periodic", "--table", forged_table, "--n", "4"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["perimeter"] == pytest.approx(4.0, abs=1e-8)
+
+    @pytest.mark.parametrize("cos", [[], [0, 0, 0.05]])
+    def test_seed_outside_the_chord_domain_is_numeric(self, cos, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"type": "fourier", "a0": 1.0, "cos": cos, "sin": []}))
+        argv = ["find-periodic", "--table", str(table), "--n", "4",
+                "--seed-angles", "0,5e-5,2.1,4.2"]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
 
 
 class TestScan:

@@ -7,7 +7,7 @@ from outerlength import genfun as gf
 from outerlength import verify
 from outerlength.errors import ChordDomainError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import circle, ellipse, perturbed_circle
+from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
 
@@ -126,15 +126,23 @@ def per_shift_fd(oval, a1, a2, h_grad=1e-5, h_hess=1e-4):
     return grad, hess
 
 
+@pytest.fixture(scope="module")
+def twelve_harmonic_table():
+    k = np.arange(1, 13)
+    return SupportOval.from_fourier(1.0, 0.02 / k**2, (-1.0) ** k * 0.01 / k**2)
+
+
 class TestStencil:
     """`fd_grad_arr` and `fd_hess_arr` evaluate S on their whole stencil in
-    one call; the values are those of one call per shifted chord, bit for bit."""
+    one call; the values are those of one call per shifted chord, bit for bit.
+    With several harmonics that needs each stencil point's series summed as
+    in a 1-D batch, which the second differences would magnify by 1 / h**2."""
 
-    @pytest.mark.parametrize("table", ["wobble2_table", "ellipse_table"])
+    @pytest.mark.parametrize("table", ["wobble2_table", "twelve_harmonic_table", "ellipse_table"])
     def test_matches_per_shift_form(self, table, request):
         oval = request.getfixturevalue(table)
         rng = np.random.default_rng(17)
-        for shape in [(), (50,), (6, 7)]:
+        for shape in [(), (1000,), (20, 30)]:
             a1, a2 = gf.sample_chords(rng, int(np.prod(shape)))
             a1, a2 = a1.reshape(shape)[()], a2.reshape(shape)[()]
             grad, hess = per_shift_fd(oval, a1, a2)

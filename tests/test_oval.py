@@ -293,6 +293,16 @@ class TestSparseHarmonics:
                               round_.support_integral(alphas, alphas + 2.0))
         assert zeros.circumference == round_.circumference == TWO_PI
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (0, 3, 1), (2, 0, 3)])
+    @pytest.mark.parametrize("table", [circle(), perturbed_circle(0.05, 3)])
+    def test_empty_batches_keep_their_shape(self, table, shape):
+        # the periodic Newton hands on (0, n + 1) angles when no seed lies in
+        # the chord domain
+        empty = np.zeros(shape)
+        assert all(v.shape == shape for v in table.jet(empty))
+        assert table.support_integral(empty, empty + 1.0).shape == shape
+        assert table.support_integral(empty[..., None], np.ones(3)).shape == shape + (3,)
+
 
 class TestSplineKernel:
     @staticmethod

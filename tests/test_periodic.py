@@ -210,6 +210,23 @@ class TestFindPeriodic:
         assert orbit.perimeter == pytest.approx(perimeter, abs=1e-9)
         assert orbit.residual < 1e-11
 
+    @pytest.mark.parametrize("table", ["round_table", "wobble3_table"])
+    def test_seed_outside_the_chord_domain_raises(self, request, table):
+        # the only row fails the entry filter, so the Newton runs on no rows
+        oval = request.getfixturevalue(table)
+        with pytest.raises(ChordDomainError):
+            pd.find_periodic(oval, 4, seed_angles=[0.0, 5e-5, 2.1, 4.2])
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_newton_without_a_row_in_the_domain(self, wobble3_table, pinned):
+        # a scan pass whose re-seeded rows all leave the domain leaves them
+        # unsolved instead of failing
+        seeds = np.array([[0.0, 5e-5, 2.1, 4.2], [1.0, 1.0 + 3e-5, 3.0, 5.0]])
+        angles, grads, reason = pd._newton(wobble3_table, seeds, 1, pinned, 1e-12, 40)
+        assert np.array_equal(angles, seeds)
+        assert np.all(np.isnan(grads))
+        assert list(reason) == ["domain", "domain"]
+
     def test_normalization_deterministic(self, round_table):
         seed = np.array([1.2, 1.2 + TWO_PI / 3, 1.2 + 2 * TWO_PI / 3])
         orb = pd.find_periodic(round_table, 3, seed_angles=seed)
