@@ -6,8 +6,8 @@ constructors) is a root of a function with a known sign-change bracket.
 `bracketed_root` solves a whole array of them at once by safeguarded Newton
 steps, from a predicted `start` when the caller has one inside the bracket
 (the map step passes its exact image on the circle), else from the
-bracket's midpoint; `sign_cells` finds the brackets of a function sampled
-on a grid.
+bracket's midpoint; `sign_cells` marks the grid cells that bracket a root
+of a function sampled on a grid.
 
 A call with at most `_SMALL` brackets (a scalar step, the two tangency cells
 of a point) solves them one by one in plain floats, below the fixed cost of
@@ -33,18 +33,18 @@ _MAX_ITER = 100
 _SMALL = 8
 
 
-def sign_cells(grid, values):
-    """Brackets (lo, hi) of the grid cells that hold a root of a function
-    with these values at the grid's nodes.
+def sign_cells(values):
+    """Mask of the cells between consecutive values along the last axis that
+    hold a root of a function with these values at the grid's nodes.
 
     A cell holds a root when the values change sign across it or vanish at
     its left node (at either node for the last cell).
     """
-    grid, values = np.asarray(grid, dtype=float), np.asarray(values)
-    hit = (values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)
-    hit[-1] |= values[-1] == 0.0
-    idx = np.flatnonzero(hit)
-    return grid[idx], grid[idx + 1]
+    values = np.asarray(values)
+    left, right = values[..., :-1], values[..., 1:]
+    hit = (left == 0.0) | (left * right < 0.0)
+    hit[..., -1] |= right[..., -1] == 0.0
+    return hit
 
 
 def _float_root(fdf, lo, hi, start, *params):
@@ -97,21 +97,25 @@ def bracketed_root(fdf, lo, hi, *params, start=None):
     With at most `_SMALL` brackets each is solved on its own in plain
     floats: fdf then receives floats, not arrays, and must return (f, f')
     equal to its array values.  The rules above, `_XTOL` and `_MAX_ITER`
-    are the same on both branches.
+    are the same on both branches.  A call whose inputs are all floats or
+    0-d arrays goes straight to that loop and returns a float.
     """
     # no start: the lower edge, which gives the midpoint and, unlike a NaN,
     # needs no broadcast of its own
     start = lo if start is None else start
-    lo, hi, start, *params = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lo, hi, start, *params))
-    )
+    entry = (lo, hi, start, *params)
+    if all(isinstance(v, float) or (isinstance(v, np.ndarray) and not v.shape) for v in entry):
+        return _float_root(fdf, *map(float, entry))
+    entry = [np.asarray(v, dtype=float) for v in entry]
+    both = np.broadcast(*entry)
+    if both.size <= _SMALL:
+        # one tuple of numpy scalars per entry, in C order
+        root = [_float_root(fdf, *map(float, values)) for values in both]
+        return np.array(root, dtype=float).reshape(both.shape)[()]
+    lo, hi, start, *params = np.broadcast_arrays(*entry)
     shape = lo.shape
     lo, hi, start = lo.ravel(), hi.ravel(), start.ravel()
     params = [p.ravel() for p in params]
-    if lo.size <= _SMALL:
-        columns = (v.tolist() for v in (lo, hi, start, *params))
-        root = np.array([_float_root(fdf, *entry) for entry in zip(*columns)], dtype=float)
-        return root.reshape(shape)[()]
     both = [np.concatenate([p, p]) for p in params]
     flo, fhi = np.split(np.asarray(fdf(np.concatenate([lo, hi]), *both)[0]), 2)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))

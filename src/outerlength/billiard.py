@@ -21,11 +21,12 @@ map's Newton starts from the predictor alpha3 = alpha2 + (alpha2 - alpha1):
 on a circle the map is the rotation by the gap, so the predictor is the
 image there, and on a table near a circle it is near the image.
 
-A second, purely geometric implementation (`cartesian_step`) moves an
-exterior point by the raw reflection rule: find the two tangent lines, build
-the circle tangent to the boundary at the far tangency point and to the near
-tangent line, then cut the far common tangent.  It shares only the pointwise
-oval primitives with the generating-function route and serves as its oracle.
+A second, purely geometric implementation (`cartesian_step`) moves exterior
+points by the raw reflection rule: find the two tangent lines, build the
+circle tangent to the boundary at the far tangency point and to the near
+tangent line, then cut the far common tangent.  It takes one point or an
+array of them, solved together.  It shares only the pointwise oval
+primitives with the generating-function route and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from . import genfun
 from ._solve import bracketed_root, sign_cells
 from .errors import StepFailureError
 from .genfun import OMEGA_MIN, ChordConfig
+from .oval import _cos_sin
 
 TWO_PI = 2.0 * np.pi
 
@@ -159,54 +161,68 @@ def map_phase(oval, point):
 # -- Cartesian oracle ----------------------------------------------------------
 
 
-def cartesian_step(oval, point):
-    """Geometric reflection rule applied to an exterior point; returns its image.
+#: offsets from alpha2 of the far-tangent scan's nodes
+_SCAN = np.linspace(1e-6, np.pi - 1e-6, 256)
 
-    Works in raw Cartesian data: tangency points, a distance solve for the
-    circle radius, a sign-scan for the far common tangent line, and a generic
-    2x2 linear solve for the image vertex.  Independent of the generating
-    function apart from the shared tangency primitives.
+
+def _first_failure(bad, M, what):
+    i = int(np.argmax(bad))
+    return StepFailureError(f"{what} for point {i}, {M.reshape(-1, 2)[i].tolist()}")
+
+
+def cartesian_step(oval, point):
+    """Geometric reflection rule applied to exterior points; returns the images.
+
+    A point (2,) gives its image (2,), k points (k, 2) their images (k, 2);
+    every step below works elementwise over the points, on scalars for one.
+    Works in raw Cartesian data: the tangency points, a distance solve for
+    the circle radius, a sign scan for the far common tangent, and a 2x2
+    linear solve for the image vertex, each done for all points at once
+    (one tangency call, one (k, 256) scan, one root solve, one stacked
+    linear solve).  Independent of the generating function apart from the
+    shared tangency primitives.  Raises ContainmentError or
+    StepFailureError naming the first point that fails.
     """
     M = np.asarray(point, dtype=float)
     a1, a2 = oval.tangent_angles_from(M)
-    P1 = oval.point_at(a1)
-    P2 = oval.point_at(a2)
-
-    def unit_normal_away_from(probe, on_line, direction):
-        n = np.array([-direction[1], direction[0]])
-        if np.dot(n, probe - on_line) > 0.0:
-            n = -n
-        return n
-
-    d1 = P1 - M
-    d1 /= np.linalg.norm(d1)
-    m1 = unit_normal_away_from(P2, M, d1)  # oval strictly on the negative side
-    d2 = P2 - M
-    d2 /= np.linalg.norm(d2)
-    nu2 = unit_normal_away_from(P1, M, d2)
+    Q = oval.point_at(np.array([a1, a2]))  # the tangency points P1, P2
+    D = Q - M
+    # unit normals of the lines M P1 and M P2, each pointing away from the
+    # other tangency point, so away from the oval
+    N = np.stack([-D[..., 1], D[..., 0]], axis=-1) / np.hypot(D[..., 0], D[..., 1])[..., None]
+    N = np.where(np.sum(N * D[::-1], axis=-1, keepdims=True) > 0.0, -N, N)
+    m1, nu2 = N
 
     # circle tangent to the boundary at P2 (center along nu2) and to line 1
-    denom = 1.0 + float(np.dot(nu2, m1))
-    r = -float(np.dot(P2 - M, m1)) / denom
-    if r <= 0.0:
-        raise StepFailureError("auxiliary circle collapsed")
-    O = P2 + r * nu2
+    r = -np.sum(D[1] * m1, axis=-1) / (1.0 + np.sum(nu2 * m1, axis=-1))
+    if not np.all(r > 0.0):
+        raise _first_failure(~(r > 0.0), M, "auxiliary circle collapsed")
+    O = Q[1] + r[..., None] * nu2
+    Ox, Oy = O[..., 0], O[..., 1]
 
-    # far common tangent of circle and oval: support line at beta with the
-    # circle on its inner side; q and its derivative dq from one jet
-    def qdq(beta):
+    # far common tangent of circle and oval: the support line at beta with
+    # the circle on its inner side, at the first sign change of q after a2.
+    # For a strictly convex oval q has exactly two roots, a1 and this one,
+    # so [a2, a2 + pi] brackets it alone; the scan keeps the oracle from
+    # resting on that argument, which it is there to check, for one jet
+    # call on (k, 256) angles
+    def qdq(beta, Ox, Oy, r):
         p, dp, _ = oval.jet(beta)
-        cb, sb = np.cos(beta), np.sin(beta)
-        return O[0] * cb + O[1] * sb + r - p, -O[0] * sb + O[1] * cb - dp
+        cb, sb = _cos_sin(beta)
+        return Ox * cb + Oy * sb + r - p, -Ox * sb + Oy * cb - dp
 
-    grid = np.linspace(a2 + 1e-6, a2 + np.pi - 1e-6, 256)
-    lo, hi = sign_cells(grid, qdq(grid)[0])
-    if not lo.size:
-        raise StepFailureError("no common tangent found by the Cartesian rule")
-    beta = bracketed_root(qdq, lo[0], hi[0])
+    hit = sign_cells(qdq(np.add.outer(a2, _SCAN), Ox[..., None], Oy[..., None], r[..., None])[0])
+    if not hit.any(axis=-1).all():
+        raise _first_failure(~hit.any(axis=-1), M, "no common tangent found by the Cartesian rule")
+    cell = np.argmax(hit, axis=-1)
+    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], Ox, Oy, r)
+    if np.isnan(beta).any():
+        raise _first_failure(np.isnan(beta), M, "common tangent lost")
 
-    A = np.array([[np.cos(a2), np.sin(a2)], [np.cos(beta), np.sin(beta)]])
-    return np.linalg.solve(A, oval.p(np.array([a2, beta])))
+    # the image is where the support lines at a2 and beta meet
+    normal = np.stack([a2, beta], axis=-1)
+    A = np.stack([np.cos(normal), np.sin(normal)], axis=-1)
+    return np.linalg.solve(A, oval.p(normal)[..., None])[..., 0]
 
 
 # -- Jacobian and twist --------------------------------------------------------

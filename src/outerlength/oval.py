@@ -20,8 +20,12 @@ point with normal angle alpha is
 
 and p'' + p is the curvature radius, so validity means p > 0 and p'' + p > 0
 everywhere.  Each `SupportOval` keeps cos, sin and p on a closed grid of
-`GRID_SIZE` + 1 nodes over [0, 2*pi], computed once: the tangency scan and
-`is_exterior` read a point's support margins off it.
+`GRID_SIZE` + 1 nodes over [0, 2*pi], computed once.  `tangent_angles_from`
+and `is_exterior` share one routine for a point or a (k, 2) array of them:
+they read the support margins off that grid, and where no node lies on the
+visible arc (points within about 1e-5 of the boundary) they refine the
+angle of maximum margin, so the test and the tangents cannot miss a point
+the grid cannot resolve.
 """
 
 from __future__ import annotations
@@ -33,13 +37,44 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from ._solve import _SMALL, bracketed_root, sign_cells
+from ._solve import _SMALL, bracketed_root
 from .errors import ContainmentError, OvalValidationError
 
 TWO_PI = 2.0 * np.pi
 
 #: number of nodes in the validation / scan grid
 GRID_SIZE = 2048
+#: width of one cell of that grid
+_CELL = TWO_PI / GRID_SIZE
+#: 2*pi as a plain float, for arithmetic on floats
+_TWO_PI = 2.0 * math.pi
+
+
+def _cos_sin(a):
+    """(cos a, sin a): by `math` for a float, which gives numpy's values
+    without its per-call cost, else by numpy."""
+    if isinstance(a, float):
+        return math.cos(a), math.sin(a)
+    return np.cos(a), np.sin(a)
+
+
+def _ordered_pair(r1, r2, point):
+    """Tangency roots as (alpha1, alpha2): reduced to [0, 2*pi) and ordered
+    so that 0 < alpha2 - alpha1 < pi, alpha2 lifted past 2*pi if need be."""
+    if r1 != r1 or r2 != r2:
+        raise ContainmentError(f"lost a tangency root of point {point.tolist()} to rounding")
+    r1, r2 = sorted((r1 % _TWO_PI, r2 % _TWO_PI))
+    return (r1, r2) if r2 - r1 < math.pi else (r2, r1 + _TWO_PI)
+
+
+def _as_points(point):
+    """Points as a (k, 2) float array, and whether a single (2,) point was given."""
+    xy = np.asarray(point, dtype=float)
+    if xy.shape == (2,):
+        return xy[None], True
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected a point (2,) or points (k, 2), got shape {xy.shape}")
+    return xy, False
 
 
 def _series(terms, coef):
@@ -100,7 +135,7 @@ class _FourierRep:
 
     def jet(self, alpha):
         """(p, p', p'') at alpha; cos(k alpha) and sin(k alpha) are computed once."""
-        if np.ndim(alpha) == 0:
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
             return self._jet_float(float(alpha))
         alpha = np.asarray(alpha, dtype=float)
         # one row per angle, so each series is summed as in `_series`
@@ -215,7 +250,7 @@ class _SplineRep:
 
     def jet(self, alpha):
         """(p, p', p'') at alpha."""
-        if np.ndim(alpha) == 0:
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
             return self._jet_float(float(alpha))
         a = np.asarray(alpha, dtype=float)
         if 0 < a.size <= _SMALL:
@@ -298,10 +333,12 @@ class SupportOval:
         self._grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
         closed = np.concatenate([self._grid, [TWO_PI]])
         p, _, ddp = rep.jet(closed)
-        # (nodes, cos, sin, p) of the closed grid, for `_grid_margin`
-        self._scan = (closed, np.cos(closed), np.sin(closed), p)
         self._p_grid = p[:-1]
         self._rho_grid = (p + ddp)[:-1]
+        # (nodes, cos, sin, p) of the closed grid, for `_grid_margin`; the
+        # node at 2*pi repeats the values at 0, so a margin's signs close up
+        cos, sin, p = (np.append(v[:-1], v[0]) for v in (np.cos(closed), np.sin(closed), p))
+        self._scan = (closed, cos, sin, p)
         sym = self._p_grid - rep.jet(np.mod(self._grid + np.pi, TWO_PI))[0]
         self.symmetry_defect = float(np.max(np.abs(sym)))
         self.symmetry_flag = self.symmetry_defect < 1e-8
@@ -381,49 +418,103 @@ class SupportOval:
         x, y = point
         return x * np.cos(a) + y * np.sin(a) - self._rep.jet(a)[0]
 
-    def _grid_margin(self, point):
-        """`support_margin` of the point at every node of the closed grid."""
-        x, y = point
+    def _margin_jet(self, a, x, y):
+        """(h, h', h'') of the support margin h(a) = x cos a + y sin a - p(a)
+        of the point (x, y); plain floats for a float angle."""
+        p, dp, ddp = self._rep.jet(a)
+        c, s = _cos_sin(a)
+        along = x * c + y * s
+        return along - p, -x * s + y * c - dp, -along - ddp
+
+    def _margin_fdf(self, a, x, y):
+        return self._margin_jet(a, x, y)[:2]
+
+    def _slope_fdf(self, a, x, y):
+        return self._margin_jet(a, x, y)[1:]
+
+    def _grid_margin(self, xy):
+        """`support_margin` of points (k, 2) at every node of the closed grid,
+        shape (k, GRID_SIZE + 1)."""
         _, cos, sin, p = self._scan
-        return x * cos + y * sin - p
+        return np.multiply.outer(xy[:, 0], cos) + np.multiply.outer(xy[:, 1], sin) - p
+
+    def _visible(self, xy, margin):
+        """Shared core of `is_exterior` and `tangent_angles_from` for points
+        (k, 2): their grid margins h, the largest node margin of each, and
+        whether each lies more than `margin` outside; where the grid alone
+        cannot tell, also the argmax node and the angle of maximum margin
+        (NaN elsewhere).
+
+        A row whose largest node margin exceeds `margin` is exterior.  For
+        the others the maximum is refined: h is strictly concave near it
+        (h'' = -(h + p'' + p)), so h' has one root on the two cells around
+        the argmax, and the point is exterior if h there exceeds `margin`.
+        """
+        h = self._grid_margin(xy)
+        top = h.max(axis=1)
+        exterior = top > margin
+        node, star = np.full((2, len(h)), np.nan)
+        fine = np.flatnonzero(~exterior)
+        if fine.size:
+            node[fine] = self._scan[0][np.argmax(h[fine], axis=1)]
+            x, y = xy[fine, 0], xy[fine, 1]
+            star[fine] = bracketed_root(self._slope_fdf, node[fine] - _CELL, node[fine] + _CELL, x, y)
+            exterior[fine] = self._margin_jet(star[fine], x, y)[0] > margin
+        return h, top, exterior, node, star
 
     def is_exterior(self, point, margin=1e-12):
-        """True when the point lies strictly outside the oval."""
-        return bool(np.max(self._grid_margin(point)) > margin)
+        """True when the point lies more than `margin` outside the oval, i.e.
+        some support margin exceeds it; k points (k, 2) give k booleans."""
+        xy, one = _as_points(point)
+        exterior = self._visible(xy, margin)[2]
+        return bool(exterior[0]) if one else exterior
 
     def tangent_angles_from(self, point):
         """Normal angles (alpha1, alpha2) of the two tangent lines through a point.
 
         The pair is ordered so that 0 < alpha2 - alpha1 < pi, which puts the
         oval ahead of the point in counterclockwise order along the line at
-        alpha1.  alpha1 is reduced to [0, 2*pi); alpha2 may exceed 2*pi.
-        Raises ContainmentError for interior or boundary points.
+        alpha1.  alpha1 is reduced to [0, 2*pi); alpha2 may exceed 2*pi.  A
+        point of shape (2,) gives two floats, k points (k, 2) two arrays.
+
+        The support margin h is positive exactly on the visible arc, one
+        interval.  Where a grid node has h > 0, the two grid cells where the
+        sign of h turns bracket the roots.  Where none does, the point is
+        within about (grid step)^2 of the boundary, and both roots lie in
+        the grid cell of the refined maximum, which splits it into one
+        bracket each (see `_visible`).  All 2k brackets go to one solver
+        call.  Raises ContainmentError, naming the first such point, when a
+        point is not exterior by `is_exterior`'s default margin.
         """
-        point = np.asarray(point, dtype=float)
-        x, y = point.tolist()
-
-        def hdh(a):
-            p, dp, _ = self._rep.jet(a)
-            return x * np.cos(a) + y * np.sin(a) - p, -x * np.sin(a) + y * np.cos(a) - dp
-
-        cells = sign_cells(self._scan[0], self._grid_margin((x, y)))
-        roots = np.unique(bracketed_root(hdh, *cells) % TWO_PI)
-        # collapse near-duplicates from the seam at 0 / 2*pi
-        uniq = []
-        for r in roots:
-            if not uniq or min(abs(r - uniq[-1]), TWO_PI - abs(r - uniq[-1])) > 1e-9:
-                uniq.append(r)
-        if len(uniq) > 2 and TWO_PI - (uniq[-1] - uniq[0]) < 1e-9:
-            uniq = uniq[:-1]
-        if len(uniq) != 2:
+        xy, one = _as_points(point)
+        h, top, exterior, node, star = self._visible(xy, 1e-12)
+        if not exterior.all():
+            i = int(np.argmin(exterior))
             raise ContainmentError(
-                f"point {point.tolist()} is not strictly exterior "
-                f"({len(uniq)} tangency roots found)"
+                f"{'point' if one else f'point {i},'} {xy[i].tolist()} is not strictly exterior"
             )
-        r1, r2 = uniq
-        if r2 - r1 < np.pi:
-            return r1, r2
-        return r2, r1 + TWO_PI
+        nodes = self._scan[0]
+        # a row with a positive node has one positive run, so its signs turn
+        # in exactly two cells (each row has an even number of turns)
+        seen = top > 0.0
+        pos = h > 0.0
+        rows, cell = np.nonzero(pos[:, :-1] != pos[:, 1:])
+        if cell.size != 2 * np.count_nonzero(seen):
+            i = int(np.argmax(np.bincount(rows, minlength=len(xy)) > 2))
+            raise ContainmentError(f"point {xy[i].tolist()} has no single visible arc on the grid")
+        cell = cell.reshape(-1, 2)
+        if seen.all():
+            lo, hi = nodes[cell], nodes[cell + 1]
+        else:
+            lo, hi = np.empty((len(xy), 2)), np.empty((len(xy), 2))
+            lo[seen], hi[seen] = nodes[cell], nodes[cell + 1]
+            node, peak = node[~seen], star[~seen]
+            start = np.where(peak < node, node - _CELL, node)
+            lo[~seen] = np.column_stack([start, peak])
+            hi[~seen] = np.column_stack([peak, start + _CELL])
+        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:]).tolist()
+        pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots)]
+        return pairs[0] if one else tuple(np.array(pairs).reshape(-1, 2).T)
 
     # -- validation --------------------------------------------------------
 
@@ -464,8 +555,10 @@ class SupportOval:
         raise ValueError(f"unknown oval descriptor type {obj.get('type')!r}")
 
     def save(self, path):
+        """Write `to_json()` to path; `json.dumps` encodes in C, where
+        `json.dump` writes chunk by chunk from Python."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path, validate=True):

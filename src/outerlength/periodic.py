@@ -112,8 +112,10 @@ class PeriodicOrbit:
         }
 
     def save(self, path):
+        """Write `to_json()` to path; `json.dumps` encodes in C, where
+        `json.dump` writes chunk by chunk from Python."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
+            fh.write(json.dumps(self.to_json()))
 
 
 def normalize_angles(angles, m=1):

@@ -434,17 +434,24 @@ def parallelogram_fields(state):
 
 @dataclass
 class TriangleWU:
-    """Bracket coefficients of the triangle distribution in half-angle form."""
+    """Bracket coefficients of the triangle distribution in half-angle form.
+
+    For one triple W and U have shape (3,) and a, b, expression are floats;
+    for arrays of triples of shape S, W and U have shape (3,) + S and the
+    others shape S.
+    """
 
     W: np.ndarray
     U: np.ndarray
-    a: float
-    b: float
-    expression: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    expression: float | np.ndarray
 
     @property
     def all_positive(self):
-        return bool(np.all(self.W > 0.0) and np.all(self.U > 0.0))
+        """Whether every W_i and U_i is positive, per triple."""
+        out = np.all(self.W > 0.0, axis=0) & np.all(self.U > 0.0, axis=0)
+        return bool(out) if out.ndim == 0 else out
 
 
 def triangle_WU(u, v, w):
@@ -453,13 +460,15 @@ def triangle_WU(u, v, w):
     (2u, 2v, 2w) are the exterior angles of a convex triangle, so u, v, w lie
     in (0, pi/2) and sum to pi.  All W_i, U_i are positive and the final
     expression is strictly negative, which is the obstruction to a horizontal
-    disc of 3-periodic orbits.
+    disc of 3-periodic orbits.  Elementwise over arrays of triples; raises
+    ValueError if any triple is outside that domain.
     """
-    trip = np.array([u, v, w], dtype=float)
-    if abs(float(np.sum(trip)) - np.pi) > 1e-12:
+    trip = np.array(np.broadcast_arrays(u, v, w), dtype=float)
+    if np.any(np.abs(np.sum(trip, axis=0) - np.pi) > 1e-12):
         raise ValueError("exterior half-angles must sum to pi")
     if np.any(trip <= 0.0) or np.any(trip >= np.pi / 2.0):
         raise ValueError("exterior half-angles must lie in (0, pi/2)")
+    u, v, w = trip
     tu, tv, tw = np.tan(trip)
     W = np.array([tu / np.sin(2 * v), tv / np.sin(2 * w), tw / np.sin(2 * u)])
     U = np.array([tw / np.sin(2 * v), tu / np.sin(2 * w), tv / np.sin(2 * u)])
@@ -473,7 +482,9 @@ def triangle_WU(u, v, w):
         - 1.0 / (np.cos(v) ** 2 * tu)
         - tw / (np.cos(v) ** 2 * tu**2)
     )
-    return TriangleWU(W=W, U=U, a=float(a), b=float(b), expression=float(expression))
+    if trip.ndim == 1:
+        a, b, expression = float(a), float(b), float(expression)
+    return TriangleWU(W=W, U=U, a=a, b=b, expression=expression)
 
 
 def triangle_from_half_angles(u, v, w, r=1.0, phase=0.0):

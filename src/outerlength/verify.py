@@ -57,16 +57,15 @@ def dual_forms_defect(oval, a1, a2):
 
 def oracle_defect(oval, a1, a2):
     """Largest distance between the images of the chord vertices under the
-    Cartesian reflection rule (point by point) and the generating-function map
-    (one batched step, which raises StepFailureError where it has no root)."""
+    Cartesian reflection rule and the generating-function map, each one
+    batched call (the map raises StepFailureError where it has no root)."""
     a3 = billiard.step_angles_arr(oval, a1, a2)
     if np.any(np.isnan(a3)):
         i = int(np.argmax(np.isnan(a3)))
         raise StepFailureError(f"no reflection root for chord ({a1[i]:.6f}, {a2[i]:.6f})")
     start = billiard.vertex_point(oval, ChordConfig(a1, a2)).T
     image = billiard.vertex_point(oval, ChordConfig(a2, a3)).T
-    return float(np.max([np.linalg.norm(billiard.cartesian_step(oval, M) - img)
-                         for M, img in zip(start, image)]))
+    return float(np.max(np.linalg.norm(billiard.cartesian_step(oval, start) - image, axis=1)))
 
 
 def symplectic_defect(oval, a1, a2):
@@ -129,10 +128,11 @@ def equilateral_wu_defect():
 
 
 def worst_triangle_expression(triples):
-    """Largest six-term obstruction over half-angle triples (u, v, w), or -inf
-    for none; the obstruction is strictly negative on every valid triple."""
-    values = [polygons.triangle_WU(*t).expression for t in triples]
-    return float(np.max(values, initial=-np.inf))
+    """Largest six-term obstruction over half-angle triples (u, v, w), in one
+    elementwise call, or -inf for none; the obstruction is strictly negative
+    on every valid triple."""
+    u, v, w = np.reshape(triples, (-1, 3)).T
+    return float(np.max(polygons.triangle_WU(u, v, w).expression, initial=-np.inf))
 
 
 def battery(oval, samples, seed):

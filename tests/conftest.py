@@ -64,6 +64,20 @@ def fourier_tables(draw):
 
 
 @st.composite
+def symmetric_fourier_tables(draw):
+    """A `fourier_tables()`-style table with even harmonics 2..8 only, so
+    p(alpha + pi) = p(alpha): the table is centrally symmetric."""
+    count = draw(st.integers(1, 4))
+    k = 2 * np.arange(1, count + 1)
+    amp = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+    phase = np.array(draw(st.lists(st.floats(0.0, TWO_PI), min_size=count, max_size=count)))
+    amp *= 0.6 / max(np.sum(amp * (k**2 - 1)), 1e-12)
+    cos_coef, sin_coef = np.zeros(k[-1]), np.zeros(k[-1])
+    cos_coef[k - 1], sin_coef[k - 1] = amp * np.cos(phase), amp * np.sin(phase)
+    return SupportOval.from_fourier(1.0, cos_coef, sin_coef)
+
+
+@st.composite
 def single_harmonic_tables(draw):
     """p = 1 + a cos k a + b sin k a, k in 1..4, with p''+ p >= 0.4 and p >= 0.4:
     every series sum has one nonzero term, so it is exact in any order."""

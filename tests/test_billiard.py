@@ -11,7 +11,9 @@ from outerlength.errors import ContainmentError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import circle, ellipse
 
-from conftest import fourier_tables, rotated, single_harmonic_tables, spline_tables
+from conftest import (
+    fourier_tables, rotated, single_harmonic_tables, spline_tables, symmetric_fourier_tables,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,6 +78,41 @@ class TestCartesianOracle:
             # one (a1, w) pair per row
             a1, w = rng.uniform((0, 0.3), (TWO_PI, np.pi - 0.4), (60, 2)).T
             assert verify.oracle_defect(oval, a1, a1 + w) < 1e-8
+
+    def test_one_point_gives_one_image(self, wobble3_table):
+        M = np.array([1.3, 0.9])
+        assert bl.cartesian_step(wobble3_table, M).shape == (2,)
+        assert bl.cartesian_step(wobble3_table, M[None]).shape == (1, 2)
+        assert bl.cartesian_step(wobble3_table, np.empty((0, 2))).shape == (0, 2)
+
+    def test_batch_equals_point_by_point(self, round_table, ellipse_table, wobble3_table):
+        """To the last bit on tables whose jets agree on floats and arrays."""
+        rng = np.random.default_rng(12)
+        for oval in (round_table, ellipse_table, wobble3_table):
+            a1, w = rng.uniform((0, 0.3), (TWO_PI, np.pi - 0.4), (40, 2)).T
+            M = bl.vertex_point(oval, ChordConfig(a1, a1 + w)).T
+            images = bl.cartesian_step(oval, M)
+            assert images.shape == (40, 2)
+            assert np.array_equal(images, [bl.cartesian_step(oval, m) for m in M])
+
+    def test_interior_point_in_a_batch_is_named(self, round_table):
+        with pytest.raises(ContainmentError, match="point 1,"):
+            bl.cartesian_step(round_table, [(2.0, 0.0), (0.5, 0.0), (0.0, 3.0)])
+
+    def test_near_points_agree_with_the_map(
+        self, round_table, ellipse_table, wobble3_table, forge_table
+    ):
+        """Points 1e-7..1e-6 outside, where the old 2048-node sign scan
+        missed the tangents of about half: the map and the Cartesian rule
+        move every one to the same point within 1e-8."""
+        rng = np.random.default_rng(13)
+        for oval in (round_table, ellipse_table, wobble3_table, forge_table[0]):
+            ang = rng.uniform(0.0, TWO_PI, 50)
+            normals = np.column_stack([np.cos(ang), np.sin(ang)])
+            M = oval.point_at(ang) + 10.0 ** rng.uniform(-7.0, -6.0, (50, 1)) * normals
+            a1, a2 = oval.tangent_angles_from(M)
+            image = bl.vertex_point(oval, ChordConfig(a2, bl.step_angles_arr(oval, a1, a2))).T
+            assert np.max(np.linalg.norm(bl.cartesian_step(oval, M) - image, axis=1)) < 1e-8
 
     def test_auxiliary_circle_tangencies(self, wobble3_table):
         state = ChordConfig(0.2, 1.4)
@@ -286,6 +323,25 @@ def test_batched_map_is_rotation_equivariant(table, phi, seed):
     turned = bl.step_angles_arr(rotated(table, phi), a1 + phi, a2 + phi)
     assert np.array_equal(np.isnan(turned), np.isnan(a3))
     assert np.all(np.abs(turned - (a3 + phi))[~np.isnan(a3)] <= 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=symmetric_fourier_tables(), seed=st.integers(0, 2**32 - 1))
+def test_map_commutes_with_central_symmetry(table, seed):
+    """On a centrally symmetric table the point reflection M -> -M, which
+    turns every angle by pi, commutes with the batched map (within 1e-12,
+    the same chords without image) and with the batched Cartesian rule
+    (within 1e-12 on the gaps the oracle checks, 0.3..pi - 0.4; its own
+    error grows with the vertex distance, to about 3e-12 near gap pi)."""
+    rng = np.random.default_rng(seed)
+    a1, a2 = gf.sample_chords(rng, 200, 0.05, np.pi - 0.05)
+    a3 = bl.step_angles_arr(table, a1, a2)
+    turned = bl.step_angles_arr(table, a1 + np.pi, a2 + np.pi)
+    assert np.array_equal(np.isnan(turned), np.isnan(a3))
+    assert np.all(np.abs(turned - (a3 + np.pi))[~np.isnan(a3)] <= 1e-12)
+    x = rng.uniform(0.0, TWO_PI, 20)
+    M = bl.vertex_point(table, ChordConfig(x, x + rng.uniform(0.3, np.pi - 0.4, 20))).T
+    assert np.max(np.abs(bl.cartesian_step(table, -M) + bl.cartesian_step(table, M))) <= 1e-12
 
 
 def _scalar_and_batched(table, seed):

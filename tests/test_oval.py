@@ -149,6 +149,120 @@ class TestTangentAngles:
                 assert table.is_exterior(point) == tangent == (sign > 0)
 
 
+#: the tables of the near-boundary regression: round, a moderate and a thin
+#: ellipse (least curvature radius 0.0025), one harmonic, a forged table
+NEAR_TABLES = ["round_table", "ellipse_06", "ellipse_005", "wobble3_table", "forge_table"]
+
+
+@pytest.fixture(scope="module")
+def ellipse_06():
+    return ellipse(1.0, 0.6)
+
+
+@pytest.fixture(scope="module")
+def ellipse_005():
+    return ellipse(1.0, 0.05)
+
+
+def _table(name, request):
+    table = request.getfixturevalue(name)
+    return table[0] if name == "forge_table" else table
+
+
+def _offset_points(table, seed, count, decades, sign=1.0):
+    """Points at log-uniform distance `decades` along the outward normal
+    (inward for sign -1) of random boundary points."""
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, TWO_PI, count)
+    dist = 10.0 ** rng.uniform(*decades, count)
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    return table.point_at(ang) + sign * dist[:, None] * normals
+
+
+def _resolved(table, points):
+    """Whether some node of the tangency grid has a margin above 1e-12."""
+    grid = np.linspace(0.0, TWO_PI, oval_module.GRID_SIZE, endpoint=False)
+    return np.array([np.max(table.support_margin(p, grid)) > 1e-12 for p in points])
+
+
+class TestNearBoundaryTangency:
+    """Points 1e-11..1e-6 outside, where the visible arc can be narrower
+    than a grid cell: the tangency solve refines the maximum margin there."""
+
+    @pytest.mark.parametrize("name", NEAR_TABLES)
+    def test_every_near_point_has_tangents(self, name, request):
+        table = _table(name, request)
+        points = _offset_points(table, 41, 80, (-11.0, -6.0))
+        assert not _resolved(table, points).all()  # some points need the refinement
+        a1, a2 = table.tangent_angles_from(points)
+        assert np.all((0.0 < a2 - a1) & (a2 - a1 < np.pi))
+        margins = [table.support_margin(p, [x, y]) for p, x, y in zip(points, a1, a2)]
+        assert np.max(np.abs(margins)) <= 1e-15
+        assert table.is_exterior(points).all()
+
+    @pytest.mark.parametrize("name", NEAR_TABLES)
+    def test_exterior_agrees_with_tangency(self, name, request):
+        """Near points outside and points 1e-3 inside: `is_exterior` holds
+        exactly where `tangent_angles_from` returns, point by point and in
+        a batch."""
+        table = _table(name, request)
+        outside = _offset_points(table, 42, 30, (-11.0, -6.0))
+        inside = _offset_points(table, 43, 30, (-3.0, -3.0), sign=-1.0)
+        points = np.concatenate([outside, inside])
+        exterior = table.is_exterior(points)
+        assert exterior.tolist() == [True] * 30 + [False] * 30
+        for point, ext in zip(points, exterior):
+            try:
+                table.tangent_angles_from(point)
+                tangent = True
+            except ContainmentError:
+                tangent = False
+            assert table.is_exterior(point) == tangent == ext
+
+    @pytest.mark.parametrize("name", NEAR_TABLES)
+    def test_batch_equals_point_by_point(self, name, request):
+        """Bit for bit where the grid resolves the visible arc, within 4
+        rounding units where the maximum is refined.  These tables' jets
+        agree to the last bit on floats and arrays, which a Fourier table
+        with several harmonics does not promise."""
+        table = _table(name, request)
+        points = np.concatenate([
+            _offset_points(table, 44, 40, (-11.0, -6.0)),
+            _offset_points(table, 45, 20, (-4.0, 0.0)),
+        ])
+        batch = np.column_stack(table.tangent_angles_from(points))
+        single = np.array([table.tangent_angles_from(p) for p in points])
+        resolved = _resolved(table, points)
+        assert resolved.any() and not resolved.all()
+        assert np.array_equal(batch[resolved], single[resolved])
+        assert np.all(np.abs(batch - single) <= 4 * np.spacing(np.abs(single)))
+
+    def test_one_point_gives_floats(self, wobble3_table):
+        point = np.array([1.2, 0.7])
+        angles = wobble3_table.tangent_angles_from(point)
+        assert isinstance(angles, tuple) and len(angles) == 2
+        assert all(type(a) is float for a in angles)
+        assert wobble3_table.is_exterior(point) is True
+        a1, a2 = wobble3_table.tangent_angles_from(point[None])
+        assert a1.shape == a2.shape == (1,)
+        assert (a1[0], a2[0]) == angles
+
+    def test_interior_point_in_a_batch_is_named(self, round_table):
+        points = np.array([[2.0, 0.0], [0.0, 1.5], [1.0, 1.0], [0.3, 0.2], [-2.0, 0.5]])
+        assert round_table.is_exterior(points).tolist() == [True, True, True, False, True]
+        with pytest.raises(ContainmentError, match=r"point 3, \[0\.3, 0\.2\]"):
+            round_table.tangent_angles_from(points)
+
+    def test_empty_batch(self, wobble3_table):
+        a1, a2 = wobble3_table.tangent_angles_from(np.empty((0, 2)))
+        assert a1.shape == a2.shape == (0,)
+        assert wobble3_table.is_exterior(np.empty((0, 2))).shape == (0,)
+
+    def test_bad_shape_rejected(self, round_table):
+        with pytest.raises(ValueError):
+            round_table.tangent_angles_from(np.ones((2, 3)))
+
+
 class TestValidation:
     def test_circle_passes(self, round_table):
         report = round_table.validate()
@@ -208,6 +322,14 @@ class TestRepresentations:
         assert obj["type"] == "samples"
         alphas = np.linspace(0, TWO_PI, 100)
         assert np.max(np.abs(back.p(alphas) - spline_wobble3.p(alphas))) == 0.0
+
+    @pytest.mark.parametrize("name", ["wobble3_table", "spline_wobble3"])
+    def test_saved_text_is_json_dumps(self, name, request, tmp_path):
+        table = request.getfixturevalue(name)
+        path = tmp_path / "t.json"
+        table.save(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(table.to_json())
+        assert SupportOval.load(path).to_json() == table.to_json()
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):

@@ -343,3 +343,46 @@ class TestTriangleWU:
             pg.triangle_WU(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             pg.triangle_WU(1.7, 0.7, np.pi - 2.4)
+
+    def test_scalar_call_gives_floats(self):
+        wu = pg.triangle_WU(0.6, 1.0, np.pi - 1.6)
+        assert wu.W.shape == wu.U.shape == (3,)
+        assert all(type(x) is float for x in (wu.a, wu.b, wu.expression))
+        assert wu.all_positive is True
+
+    def test_arrays_match_a_loop(self):
+        rng = np.random.default_rng(47)
+        u, v = rng.uniform(0.05, np.pi / 2 - 0.05, (2, 400))
+        keep = (0.05 < np.pi - u - v) & (np.pi - u - v < np.pi / 2 - 0.05)
+        u, v = u[keep][:180].reshape(-1, 2), v[keep][:180].reshape(-1, 2)  # a 2-d batch
+        w = np.pi - u - v
+        wu = pg.triangle_WU(u, v, w)
+        assert wu.W.shape == wu.U.shape == (3,) + u.shape
+        assert wu.expression.shape == wu.all_positive.shape == u.shape
+        for idx in np.ndindex(u.shape):
+            one = pg.triangle_WU(u[idx], v[idx], w[idx])
+            assert np.array_equal(wu.W[(slice(None),) + idx], one.W)
+            assert np.array_equal(wu.U[(slice(None),) + idx], one.U)
+            assert (wu.a[idx], wu.b[idx], wu.expression[idx]) == (one.a, one.b, one.expression)
+            assert wu.all_positive[idx] == one.all_positive
+
+    def test_all_positive_per_triple(self):
+        U = np.ones((3, 3))
+        U[1, 2] = -1.0
+        W = np.ones((3, 3))
+        W[0, 1] = 0.0
+        wu = pg.TriangleWU(W=W, U=U, a=np.zeros(3), b=np.zeros(3), expression=np.zeros(3))
+        assert wu.all_positive.tolist() == [True, False, False]
+
+    def test_domain_validation_applies_to_every_entry(self):
+        u = np.array([0.6, 0.7, 0.8])
+        v = np.array([1.0, 0.9, 0.8])
+        pg.triangle_WU(u, v, np.pi - u - v)
+        off_sum = np.pi - u - v
+        off_sum[2] += 1e-9
+        with pytest.raises(ValueError, match="sum to pi"):
+            pg.triangle_WU(u, v, off_sum)
+        wide = u.copy()
+        wide[1] = 1.7
+        with pytest.raises(ValueError, match="lie in"):
+            pg.triangle_WU(wide, v - (wide - u), np.pi - u - v)

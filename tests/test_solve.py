@@ -116,6 +116,19 @@ def test_branch_follows_the_working_set_size(size):
     assert np.array_equal(roots, [bracketed_root(cubic, 0.0, 5.0, v) for v in c])
     wide = np.concatenate([c, np.full(_SMALL + 1, 2.0)])
     assert np.array_equal(roots, bracketed_root(cubic, 0.0, 5.0, wide)[:size])
+    # one bracket given as floats, 0-d arrays or a mix (numpy scalars too)
+    # skips the broadcast; fdf still sees plain floats, the result is a
+    # float, and it equals the batch's root to the last bit
+    for value, root in zip(c.tolist(), roots.tolist()):
+        for lo, hi, target in [
+            (0.0, 5.0, value),
+            (np.array(0.0), np.array(5.0), np.array(value)),
+            (0.0, np.array(5.0), np.float64(value)),
+        ]:
+            seen.clear()
+            scalar = bracketed_root(fdf, lo, hi, target, start=np.array(np.nan))
+            assert set(seen) == {float}
+            assert type(scalar) is float and scalar == root
 
 
 #: targets of `cubic` for the start tests, roots in (0, 11)
@@ -164,12 +177,13 @@ def test_start_off_the_bracket_falls_back_to_the_midpoint():
 
 def test_sign_cells():
     grid = np.linspace(0.0, 4.0, 5)
-    lo, hi = sign_cells(grid, (grid - 1.0) * (grid - 2.5) * (grid - 4.0))
+    values = (grid - 1.0) * (grid - 2.5) * (grid - 4.0)
     # an exact zero at node 1.0, a sign change in (2, 3), a zero at the last node
-    assert lo.tolist() == [1.0, 2.0, 3.0]
-    assert hi.tolist() == [2.0, 3.0, 4.0]
-    lo, hi = sign_cells(grid, grid * grid + 1.0)
-    assert lo.size == 0 and hi.size == 0
+    assert sign_cells(values).tolist() == [False, True, True, True]
+    assert not sign_cells(grid * grid + 1.0).any()
+    # rows of a 2-d array are marked on their own
+    rows = sign_cells(np.stack([values, grid * grid + 1.0, -values]))
+    assert rows.tolist() == [[False, True, True, True], [False] * 4, [False, True, True, True]]
 
 
 def test_step_raises_without_reflection_root():

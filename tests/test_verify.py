@@ -5,7 +5,7 @@ the batched map cannot step is an error, not a defect."""
 import numpy as np
 import pytest
 
-from outerlength import billiard, genfun, verify
+from outerlength import billiard, genfun, polygons, verify
 from outerlength.errors import StepFailureError
 from outerlength.oval import ellipse
 
@@ -75,3 +75,12 @@ def test_unstepped_chord_raises(wobble3_table, monkeypatch):
     a1 = np.array([0.5, 1.5])
     with pytest.raises(StepFailureError, match="no reflection root"):
         verify.oracle_defect(wobble3_table, a1, a1 + 1.0)
+
+
+def test_worst_triangle_expression_is_the_largest_of_the_loop():
+    rng = np.random.default_rng(3)
+    uv = rng.uniform(0.05, np.pi / 2 - 0.05, (200, 2))
+    triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]
+    worst = verify.worst_triangle_expression(triples)
+    assert worst == max(polygons.triangle_WU(*t).expression for t in triples) < 0.0
+    assert verify.worst_triangle_expression([]) == -np.inf
