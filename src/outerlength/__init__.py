@@ -67,6 +67,7 @@ from .polygons import (
     ParallelogramFields,
     PolygonConfig,
     TriangleWU,
+    brackets,
     flow_commutator,
     growth_report,
     parallelogram_fields,
@@ -76,7 +77,7 @@ from .polygons import (
     phi_via_tangency,
     rotation_field,
     side_lengths,
-    tangency_point,
+    tangency_points,
     triangle_WU,
     vertices,
     xi_bracket,

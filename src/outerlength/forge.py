@@ -23,7 +23,9 @@ flat ends and p(0) + p(pi/2) = 1, extend it to the second quadrant by
 
     beta = alpha + arccos(-p'(alpha)),   p(beta) = -p(alpha) + sin(beta - alpha),
 
-and close up by central symmetry.
+and close up by central symmetry.  The arc is fitted in the basis cos(2 j a),
+which is the Chebyshev basis T_j(x) in x = cos 2a; uniform nodes on
+[0, pi/2] are Chebyshev-Lobatto points, so the fit is one DCT-I.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from ._solve import bracketed_root
 from .errors import (
@@ -41,7 +44,6 @@ from .errors import (
     ReparamError,
     SeamError,
 )
-from .genfun import ChordConfig
 from .oval import SupportOval, _refined_min
 
 TWO_PI = 2.0 * np.pi
@@ -208,13 +210,6 @@ class ParallelogramFamily:
     def state(self, x):
         return parallelogram_orbit(self.spec, x)
 
-    def chord(self, x):
-        s = self.state(x)
-        return ChordConfig(s.alpha1, s.alpha2)
-
-    def sample(self, n=32):
-        return [self.state(x) for x in np.linspace(0.0, TWO_PI, n, endpoint=False)]
-
 
 def _alpha_of_x(spec, x):
     fp = spec.fprime(x)
@@ -305,39 +300,26 @@ def balanced_radon_seed(eps, base=0.5):
     return arc
 
 
-class _CosineArc:
-    """Support arc on [0, pi/2] in the basis cos(2 j a); flat ends are built in."""
+def _arc_jet(samples):
+    """(p, p', p'') of the support arc through samples at a_k = (pi/2) k/n,
+    k = 0..n, in the basis cos(2 j a) = T_j(x), x = cos 2a: a Chebyshev series
+    P in x, whose coefficients are the DCT-I of the samples (the FFT of their
+    even extension), because the nodes map to the Chebyshev-Lobatto points
+    x_k = cos(pi k/n).  The chain rule gives p' = -2 sin(2a) P'(x), which
+    vanishes at both ends, and p'' = 4 sin(2a)^2 P''(x) - 4 x P'(x)."""
+    n = len(samples) - 1
+    c = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / n
+    c[[0, -1]] /= 2.0
+    series = Chebyshev(c)
+    d1 = series.deriv()
+    d2 = d1.deriv()
 
-    def __init__(self, coefficients):
-        self.c = np.asarray(coefficients, dtype=float)
-        self.j = np.arange(len(self.c))
+    def jet(a):
+        x, s = np.cos(2.0 * a), np.sin(2.0 * a)
+        dp = d1(x)
+        return series(x), -2.0 * s * dp, 4.0 * (s * s * d2(x) - x * dp)
 
-    @classmethod
-    def fit(cls, samples):
-        samples = np.asarray(samples, dtype=float)
-        n = len(samples) - 1
-        if n < 4:
-            raise ArcConstraintError("need at least 5 arc samples")
-        nodes = (np.pi / 2.0) * np.arange(n + 1) / n
-        design = np.cos(2.0 * np.multiply.outer(nodes, np.arange(n + 1.0)))
-        return cls(np.linalg.solve(design, samples))
-
-    def value(self, a, deriv=0):
-        a = np.asarray(a, dtype=float)
-        # in place: this (points x basis) array is radon_like's peak memory
-        ja = 2.0 * np.multiply.outer(a, self.j)
-        if deriv == 0:
-            return np.cos(ja, out=ja) @ self.c
-        if deriv == 1:
-            return -(np.sin(ja, out=ja) @ (2.0 * self.j * self.c))
-        return -(np.cos(ja, out=ja) @ ((2.0 * self.j) ** 2 * self.c))
-
-    def end_sum(self):
-        # p(0) + p(pi/2) = sum over even j of 2 c_j
-        return float(2.0 * np.sum(self.c[::2]))
-
-    def project_end_sum(self, target=1.0):
-        self.c[0] += (target - self.end_sum()) / 2.0
+    return jet
 
 
 def radon_like(arc, n_out=8192, samples_for_callable=129):
@@ -345,7 +327,8 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
 
     `arc` is either an array of support samples on a uniform grid over
     [0, pi/2] including both endpoints, or a callable.  The arc must satisfy
-    p'(0) = p'(pi/2) = 0 (enforced structurally by the cosine-basis fit) and
+    p'(0) = p'(pi/2) = 0 (enforced structurally by the fit in the basis
+    cos(2 j a), written as a Chebyshev series in cos 2a) and
     p(0) + p(pi/2) = 1 (checked, then projected exactly).  The extension to
     [pi/2, pi] pairs each angle alpha with beta = alpha + arccos(-p'(alpha))
     and sets p(beta) = -p(alpha) + sin(beta - alpha); the lower half plane
@@ -354,18 +337,22 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     if callable(arc):
         nodes = np.linspace(0.0, np.pi / 2.0, samples_for_callable)
         arc = arc(nodes)
-    fit = _CosineArc.fit(arc)
-    defect = abs(fit.end_sum() - 1.0)
+    arc = np.asarray(arc, dtype=float)
+    if not np.all(np.isfinite(arc)):
+        raise ArcConstraintError("arc samples must be finite")
+    if arc.ndim != 1 or len(arc) < 5:
+        raise ArcConstraintError("need a 1-d array of at least 5 arc samples")
+    # the fit interpolates at both ends, so p(0) + p(pi/2) is the end samples' sum
+    end_sum = float(arc[0] + arc[-1])
+    defect = abs(end_sum - 1.0)
     if defect > 1e-6:
         raise ArcConstraintError(
-            f"p(0) + p(pi/2) = {fit.end_sum():.8f}, must be 1 (defect {defect:.2e})"
+            f"p(0) + p(pi/2) = {end_sum:.8f}, must be 1 (defect {defect:.2e})"
         )
-    fit.project_end_sum(1.0)
+    jet = _arc_jet(arc + (1.0 - end_sum) / 2.0)
 
     probe = np.linspace(0.0, np.pi / 2.0, 2048)
-    pv = fit.value(probe)
-    dpv = fit.value(probe, 1)
-    ddpv = fit.value(probe, 2)
+    pv, dpv, ddpv = jet(probe)
     if np.min(ddpv + pv) <= 1e-10:
         raise ArcConstraintError(
             f"seed arc is not strictly convex (min p''+p = {np.min(ddpv + pv):.3e})"
@@ -377,8 +364,7 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     # derivative entering the seam at pi/2 is -p''(0)/(1 + p''(0)), so a seed
     # whose own p''(pi/2) differs leaves a curvature jump that the sampled
     # representation cannot track to closure accuracy
-    k0 = fit.value(0.0, 2)
-    k1 = fit.value(np.pi / 2.0, 2)
+    (p0, p1), (dp0, dp1), (k0, k1) = jet(np.array([0.0, np.pi / 2.0]))
     curvature_jump = abs(k1 + k0 / (1.0 + k0))
     if curvature_jump > 1e-4:
         raise SeamError(
@@ -398,32 +384,27 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     full = np.empty(n_out)
     q = n_out // 4
 
-    full[: q + 1] = fit.value(grid[: q + 1])
-
-    def beta_of(a):
-        return a + np.arccos(-fit.value(a, 1))
+    full[: q + 1] = jet(grid[: q + 1])[0]
 
     def fdf(a, target):
-        return beta_of(a) - target, 1.0 + fit.value(a, 2) / np.sqrt(1.0 - fit.value(a, 1) ** 2)
+        _, dp, ddp = jet(a)
+        return a + np.arccos(-dp) - target, 1.0 + ddp / np.sqrt(1.0 - dp * dp)
 
-    # invert beta on (pi/2, pi]; the cosine basis mirrors the arc about pi/2,
-    # so beta stays monotone on [0, pi] and runs from pi/2 to 3*pi/2 there
+    # invert beta on (pi/2, pi]; the series in cos 2a mirrors the arc about
+    # pi/2, so beta stays monotone on [0, pi] and runs from pi/2 to 3*pi/2 there
     second = grid[(grid > np.pi / 2.0) & (grid <= np.pi + 1e-12)]
     alpha = bracketed_root(fdf, 0.0, np.pi, second)
-    ext = -fit.value(alpha) + np.sin(second - alpha)
+    ext = -jet(alpha)[0] + np.sin(second - alpha)
     full[q + 1 : q + 1 + len(second)] = ext
 
     half = n_out // 2
     full[half:] = full[:half]
 
     # seam audit: values and slopes of the two branches at pi/2 and pi
-    seam_val = abs((1.0 - fit.value(0.0)) - fit.value(np.pi / 2.0))
-    seam_val = max(seam_val, abs((1.0 - fit.value(np.pi / 2.0)) - fit.value(0.0)))
-    # extension slope is cos(beta - alpha): vanishes at both seams like the arc's
-    seam_slope = max(
-        abs(np.cos(beta_of(0.0) - 0.0) - fit.value(0.0, 1)),
-        abs(np.cos(beta_of(np.pi / 2.0) - np.pi / 2.0) - fit.value(np.pi / 2.0, 1)),
-    )
+    seam_val = max(abs((1.0 - p0) - p1), abs((1.0 - p1) - p0))
+    # extension slope is cos(beta - alpha) with beta - alpha = arccos(-p'):
+    # it vanishes at both seams like the arc's, so each term reads 2|p'|
+    seam_slope = max(abs(np.cos(np.arccos(-dp0)) - dp0), abs(np.cos(np.arccos(-dp1)) - dp1))
     seam = max(seam_val, seam_slope)
     if seam > 1e-8:
         raise SeamError(f"extension does not close C^1 (seam defect {seam:.3e})")

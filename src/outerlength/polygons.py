@@ -13,10 +13,12 @@ fields
 span an n-dimensional distribution tangent to the perimeter level sets; its
 first Lie brackets generically fill out the whole tangent space of the fixed
 perimeter slice (rank 2n - 1), which is why surfaces of periodic orbits
-cannot exist.   Phi_i has a closed rational-trigonometric form in the
-neighboring support data, implemented here both directly and via C_i; the
-brackets use machine-precision complex-step partials of the closed form,
-while an independent flow-commutator verifier integrates the fields with RK4.
+cannot exist.  Every field function takes a polygon and returns all n
+indices at once: `phi` is the closed rational-trigonometric form of Phi,
+`phi_via_tangency` the determinant with the points C_i, `phi_partials` its
+machine-precision complex-step partials, and `brackets` the n rows
+[xi_i, xi_{i+1}] built from them, which an independent flow-commutator
+verifier checks by integrating the fields with RK4.
 
 The module also carries the parallelogram specialization (contact structure
 on perimeter-4 parallelograms) and the triangle quantities W_i, U_i whose
@@ -48,13 +50,16 @@ class PolygonConfig:
         object.__setattr__(self, "ps", ps)
         if len(alphas) < 3 or len(alphas) != len(ps):
             raise ValueError("need n >= 3 sides with matching support values")
+        if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(ps))):
+            raise ValueError("side angles and support values must be finite")
+        # every comparison below is written so that a NaN fails it
         gaps = self.gaps
-        if np.any(gaps <= 0.0) or np.any(gaps >= np.pi):
+        if not np.all((gaps > 0.0) & (gaps < np.pi)):
             raise ValueError(f"gap sequence {gaps.tolist()} must lie in (0, pi)")
-        if abs(np.sum(gaps) - TWO_PI) > 1e-9:
+        if not abs(np.sum(gaps) - TWO_PI) <= 1e-9:
             raise ValueError("side normals must advance by exactly one turn")
         sides = side_lengths(self)
-        if np.any(sides <= 0.0):
+        if not np.all(sides > 0.0):
             raise ValueError(
                 f"support values give sides {sides.tolist()}; every side must have "
                 "positive length"
@@ -121,17 +126,12 @@ def perimeter_from_vertices(poly):
     return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
 
-def tangency_point(poly, i):
-    """Point C_i on side i: cotangent-weighted combination of its endpoints."""
-    v = vertices(poly)
-    n = poly.n
-    g = poly.gaps
-    beta_minus = g[(i - 1) % n] / 2.0
-    beta_plus = g[i] / 2.0
-    v_minus = v[i]            # vertex between sides i-1, i
-    v_plus = v[(i + 1) % n]   # vertex between sides i, i+1
-    cm, cp = 1.0 / np.tan(beta_minus), 1.0 / np.tan(beta_plus)
-    return (cm * v_plus + cp * v_minus) / (cm + cp)
+def tangency_points(poly):
+    """(n, 2) points C_i on side i: cotangent-weighted combinations of its endpoints."""
+    v = vertices(poly)  # v[i] lies between sides i-1 and i, v[i+1] between i and i+1
+    cm = 1.0 / np.tan(np.roll(poly.gaps, 1) / 2.0)[:, None]
+    cp = 1.0 / np.tan(poly.gaps / 2.0)[:, None]
+    return (cm * np.roll(v, -1, axis=0) + cp * v) / (cm + cp)
 
 
 # -- the fields Phi_i, xi_i ---------------------------------------------------
@@ -139,80 +139,47 @@ def tangency_point(poly, i):
 
 def _phi_raw(beta_minus, beta_plus, p_prev, p_self, p_next):
     """Closed form of Phi in half-gap variables; complex-step safe."""
-    num = np.cos(beta_minus) ** 2 * (p_next + p_self) - np.cos(beta_plus) ** 2 * (
-        p_prev + p_self
-    )
-    den = (
-        2.0
-        * np.sin(beta_minus + beta_plus)
-        * np.cos(beta_minus)
-        * np.cos(beta_plus)
-    )
-    return num / den
+    cm, cp = np.cos(beta_minus), np.cos(beta_plus)
+    num = cm**2 * (p_next + p_self) - cp**2 * (p_prev + p_self)
+    return num / (2.0 * np.sin(beta_minus + beta_plus) * cm * cp)
 
 
-def _neighbor_data(poly, i):
-    n = poly.n
-    g = poly.gaps
-    return (
-        g[(i - 1) % n] / 2.0,
-        g[i] / 2.0,
-        poly.ps[(i - 1) % n],
-        poly.ps[i],
-        poly.ps[(i + 1) % n],
-    )
-
-
-def phi(poly, i):
-    """Phi_i from the closed rational-trigonometric form."""
-    return float(_phi_raw(*_neighbor_data(poly, i)))
-
-
-def phi_all(poly):
+def _phi_args(poly):
+    """The arguments of `_phi_raw` for every index: half-gaps and neighbor supports."""
     g = poly.gaps
     p = poly.ps
-    return np.asarray(
-        _phi_raw(np.roll(g, 1) / 2.0, g / 2.0, np.roll(p, 1), p, np.roll(p, -1))
-    )
+    return [np.roll(g, 1) / 2.0, g / 2.0, np.roll(p, 1), p, np.roll(p, -1)]
 
 
-def phi_via_tangency(poly, i):
+def phi(poly):
+    """Phi_i of every side from the closed rational-trigonometric form."""
+    return _phi_raw(*_phi_args(poly))
+
+
+def phi_via_tangency(poly):
     """Phi_i as the determinant [(cos a_i, sin a_i), C_i]; the geometric route."""
-    c = tangency_point(poly, i)
-    a = poly.alphas[i]
-    return float(np.cos(a) * c[1] - np.sin(a) * c[0])
+    c = tangency_points(poly)
+    a = poly.alphas
+    return np.cos(a) * c[:, 1] - np.sin(a) * c[:, 0]
 
 
-def phi_partials(poly, i):
-    """Partials of Phi_i wrt its six neighboring coordinates (complex step).
+def phi_partials(poly):
+    """Partials of every Phi_i wrt its six neighboring coordinates (complex step).
 
-    Returns a dict keyed by ('alpha', offset) and ('p', offset) for offsets
-    -1, 0, +1; exact to machine precision.
+    Returns (d_alpha, d_p), each of shape (3, n): row k holds the partials
+    wrt alpha_{i+k-1} and p_{i+k-1}, so rows 0, 1, 2 are the offsets -1, 0,
+    +1; exact to machine precision.
     """
-    bm, bp, pm, p0, pp = _neighbor_data(poly, i)
-    h = _CSTEP
+    args = _phi_args(poly)
 
-    def d(*args):
-        return float(np.imag(_phi_raw(*args)) / h)
+    def d(k):
+        shifted = list(args)
+        shifted[k] = shifted[k] + 1j * _CSTEP
+        return np.imag(_phi_raw(*shifted)) / _CSTEP
 
-    d_bm = d(bm + 1j * h, bp, pm, p0, pp)
-    d_bp = d(bm, bp + 1j * h, pm, p0, pp)
-    return {
-        ("alpha", -1): -0.5 * d_bm,
-        ("alpha", 0): 0.5 * d_bm - 0.5 * d_bp,
-        ("alpha", 1): 0.5 * d_bp,
-        ("p", -1): d(bm, bp, pm + 1j * h, p0, pp),
-        ("p", 0): d(bm, bp, pm, p0 + 1j * h, pp),
-        ("p", 1): d(bm, bp, pm, p0, pp + 1j * h),
-    }
-
-
-def xi_field(poly, i):
-    """The rotation field of side i as a vector in (alpha_0..  , p_0..) coordinates."""
-    out = np.zeros(2 * poly.n)
-    out[i] = 1.0
-    out[poly.n + i] = phi(poly, i)
-    return out
+    d_bm, d_bp = d(0), d(1)
+    d_alpha = np.array([-0.5 * d_bm, 0.5 * d_bm - 0.5 * d_bp, 0.5 * d_bp])
+    return d_alpha, np.array([d(2), d(3), d(4)])
 
 
 def rotation_field(point, alpha):
@@ -221,21 +188,34 @@ def rotation_field(point, alpha):
     return 1.0, float(b * np.cos(alpha) - a * np.sin(alpha))
 
 
-def xi_bracket(poly, i, j):
-    """Closed-form Lie bracket [xi_i, xi_j]; zero unless i, j are cyclic neighbors."""
+def _bracket_coefficients(poly):
+    """(W, U): the dp_i coefficient of [xi_{i-1}, xi_i] is W_i, that of
+    [xi_i, xi_{i+1}] is -U_i."""
+    (da_m, _, da_p), (dp_m, _, dp_p) = phi_partials(poly)
+    f = phi(poly)
+    return da_m + np.roll(f, 1) * dp_m, da_p + np.roll(f, -1) * dp_p
+
+
+def brackets(poly):
+    """(n, 2n) closed-form Lie brackets: row i is [xi_i, xi_{i+1}] in
+    (alpha_0.., p_0..) coordinates; it is vertical and touches p_i, p_{i+1}."""
     n = poly.n
-    out = np.zeros(2 * n)
-    if (j - i) % n == 1:
-        pi_, pj = phi(poly, i), phi(poly, j)
-        di, dj = phi_partials(poly, i), phi_partials(poly, j)
-        w = dj[("alpha", -1)] + pi_ * dj[("p", -1)]
-        u = di[("alpha", 1)] + pj * di[("p", 1)]
-        out[n + j] = w
-        out[n + i] = -u
-        return out
-    if (i - j) % n == 1:
-        return -xi_bracket(poly, j, i)
+    W, U = _bracket_coefficients(poly)
+    i = np.arange(n)
+    out = np.zeros((n, 2 * n))
+    out[i, n + (i + 1) % n] = np.roll(W, -1)
+    out[i, n + i] = -U
     return out
+
+
+def xi_bracket(poly, i, j):
+    """[xi_i, xi_j] from `brackets`; zero unless i, j are cyclic neighbors."""
+    n = poly.n
+    if (j - i) % n == 1:
+        return brackets(poly)[i % n]
+    if (i - j) % n == 1:
+        return -brackets(poly)[j % n]
+    return np.zeros(2 * n)
 
 
 # -- flow-commutator verifier ---------------------------------------------------
@@ -304,24 +284,16 @@ class GrowthReport:
     def matches_expected(self):
         return self.rank == self.expected
 
-    def to_csv(self):
-        lines = ["index,singular_value"]
-        lines += [f"{i},{s:.16g}" for i, s in enumerate(self.singular_values)]
-        lines.append(f"# n={self.n} rank={self.rank} expected={self.expected} "
-                     f"theta_rank={self.theta_rank}")
-        return "\n".join(lines) + "\n"
-
 
 def growth_report(poly, rel_tol=1e-8):
     """Rank of span{xi_i} + span{[xi_i, xi_{i+1}]} (all tangent to {F = const})."""
     n = poly.n
-    rows = [xi_field(poly, i) for i in range(n)]
-    brackets = [xi_bracket(poly, i, (i + 1) % n) for i in range(n)]
-    mat = np.array(rows + brackets)
+    B = brackets(poly)
+    mat = np.vstack([np.hstack([np.eye(n), np.diag(phi(poly))]), B])  # xi_i, then B_i
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > rel_tol * sv[0]))
     # conormal pairing theta_j(B_i) = coefficient of dp_j (brackets are vertical)
-    theta = np.array([[b[n + j] for j in range(n)] for b in brackets])
+    theta = B[:, n:]
     tsv = np.linalg.svd(theta, compute_uv=False)
     theta_rank = int(np.sum(tsv > rel_tol * max(tsv[0], 1e-300)))
     return GrowthReport(
@@ -345,35 +317,10 @@ def perimeter_partials(poly):
     return dF_da, dF_dp
 
 
-def perimeter_derivative_along_xi(poly, i):
-    """Directional derivative of the perimeter along xi_i (vanishes identically)."""
+def perimeter_derivative_along_xi(poly):
+    """Directional derivatives of the perimeter along every xi_i (vanish identically)."""
     dF_da, dF_dp = perimeter_partials(poly)
-    return float(dF_da[i] + phi(poly, i) * dF_dp[i])
-
-
-# -- recentring helpers --------------------------------------------------------------
-
-
-def recenter(poly, origin):
-    """Same polygon with support values taken from a new origin."""
-    ox, oy = origin
-    return PolygonConfig(
-        poly.alphas, poly.ps - (ox * np.cos(poly.alphas) + oy * np.sin(poly.alphas))
-    )
-
-
-def incenter(poly):
-    """Center and radius of the maximal inscribed circle touching all sides.
-
-    Exact for triangles (3x3 linear solve); least squares otherwise, which is
-    exact precisely when an inscribed circle tangent to every side exists
-    (e.g. regular polygons).
-    """
-    A = np.column_stack(
-        [np.cos(poly.alphas), np.sin(poly.alphas), np.ones(poly.n)]
-    )
-    sol, *_ = np.linalg.lstsq(A, poly.ps, rcond=None)
-    return np.array([sol[0], sol[1]]), float(sol[2])
+    return dF_da + phi(poly) * dF_dp
 
 
 # -- parallelogram contact structure ---------------------------------------------------
@@ -464,9 +411,10 @@ def triangle_WU(u, v, w):
     ValueError if any triple is outside that domain.
     """
     trip = np.array(np.broadcast_arrays(u, v, w), dtype=float)
-    if np.any(np.abs(np.sum(trip, axis=0) - np.pi) > 1e-12):
+    # written so that a NaN entry fails the check
+    if not np.all(np.abs(np.sum(trip, axis=0) - np.pi) <= 1e-12):
         raise ValueError("exterior half-angles must sum to pi")
-    if np.any(trip <= 0.0) or np.any(trip >= np.pi / 2.0):
+    if not np.all((trip > 0.0) & (trip < np.pi / 2.0)):
         raise ValueError("exterior half-angles must lie in (0, pi/2)")
     u, v, w = trip
     tu, tv, tw = np.tan(trip)
@@ -496,12 +444,4 @@ def triangle_from_half_angles(u, v, w, r=1.0, phase=0.0):
 
 def wu_from_fields(u, v, w):
     """(W, U) via the Phi partials on the unit-incircle triangle (independent route)."""
-    poly = triangle_from_half_angles(u, v, w)
-    phis = phi_all(poly)
-    Wv = np.empty(3)
-    Uv = np.empty(3)
-    for i in range(3):
-        d = phi_partials(poly, i)
-        Wv[i] = d[("alpha", -1)] + phis[(i - 1) % 3] * d[("p", -1)]
-        Uv[i] = d[("alpha", 1)] + phis[(i + 1) % 3] * d[("p", 1)]
-    return Wv, Uv
+    return _bracket_coefficients(triangle_from_half_angles(u, v, w))

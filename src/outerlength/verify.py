@@ -93,15 +93,13 @@ def twist_violations(report):
 
 def regular_phi_defect(poly):
     """Largest |Phi_i| on a polygon where every Phi_i vanishes (regular n-gons)."""
-    return float(np.max(np.abs(polygons.phi_all(poly))))
+    return float(np.max(np.abs(polygons.phi(poly))))
 
 
 def unit_support_defect(poly):
     """Phi_i against tan(g_i / 2) - tan(g_{i-1} / 2), for unit support numbers."""
     g = poly.gaps
-    return float(np.max(np.abs([
-        polygons.phi(poly, i) - (np.tan(g[i] / 2) - np.tan(g[i - 1] / 2)) for i in range(poly.n)
-    ])))
+    return float(np.max(np.abs(polygons.phi(poly) - (np.tan(g / 2) - np.tan(np.roll(g, 1) / 2)))))
 
 
 def perimeter_euclid_defect(poly):
@@ -117,8 +115,7 @@ def bracket_flow_defect(poly, i, j):
 
 def perimeter_derivative_defect(poly):
     """Largest |d perimeter| along the rotation fields xi_i, which keep it fixed."""
-    return float(np.max(np.abs([polygons.perimeter_derivative_along_xi(poly, i)
-                                for i in range(poly.n)])))
+    return float(np.max(np.abs(polygons.perimeter_derivative_along_xi(poly))))
 
 
 def equilateral_wu_defect():

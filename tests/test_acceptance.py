@@ -278,8 +278,8 @@ def test_triangle_bracket_quantities():
         w = np.pi - u - v
         if not 1e-3 < w < np.pi / 2 - 1e-3:
             continue
-        assert pg.triangle_WU(u, v, w).all_positive
         triples.append((u, v, w))
+    assert np.all(pg.triangle_WU(*np.transpose(triples)).all_positive)
     worst = verify.worst_triangle_expression(triples)
     assert worst < 0.0
     print(

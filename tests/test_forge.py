@@ -190,6 +190,25 @@ class TestContactCoordinates:
 
 
 class TestRadonLike:
+    def test_arc_jet_matches_closed_forms(self):
+        """The series in cos 2a through 129 samples of the balanced seed gives
+        its closed-form p, p', p'' on 2048 angles; this pins the signs of the
+        chain rule (errors read 2.2e-16, 1.2e-14 and 2.0e-12)."""
+        eps = 0.03
+        nodes = np.linspace(0.0, np.pi / 2, 129)
+        jet = forge._arc_jet(forge.balanced_radon_seed(eps)(nodes))
+        a = np.linspace(0.0, np.pi / 2, 2048)
+        exact = (
+            0.5 + eps * np.cos(2 * a) - eps / 9 * np.cos(6 * a),
+            -2 * eps * np.sin(2 * a) + 2 * eps / 3 * np.sin(6 * a),
+            -4 * eps * np.cos(2 * a) + 4 * eps * np.cos(6 * a),
+        )
+        for got, want, tol in zip(jet(a), exact, (1e-15, 1e-13, 1e-11)):
+            assert np.max(np.abs(got - want)) < tol
+        # the fit interpolates any samples at its nodes, the last coefficient included
+        samples = 0.5 + 0.01 * np.random.default_rng(49).standard_normal(129)
+        assert np.max(np.abs(forge._arc_jet(samples)(nodes)[0] - samples)) < 1e-14
+
     def test_circle_seed(self):
         oval = forge.radon_like(np.full(65, 0.5))
         alphas = np.linspace(0, TWO_PI, 321)

@@ -1,3 +1,6 @@
+import contextlib
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -98,9 +101,9 @@ class TestPhi:
     def test_zero_on_regular_polygons(self):
         for n in range(3, 9):
             reg = pg.PolygonConfig.regular(n)
-            assert np.max(np.abs(pg.phi_all(reg))) < 1e-12
+            assert np.max(np.abs(pg.phi(reg))) < 1e-12
             scaled = pg.PolygonConfig.regular(n, r=2.7)
-            assert np.max(np.abs(pg.phi_all(scaled))) < 1e-12
+            assert np.max(np.abs(pg.phi(scaled))) < 1e-12
 
     def test_unit_support_identity(self):
         # p = 1: Phi_i = tan(gap_i / 2) - tan(gap_{i-1} / 2)
@@ -108,35 +111,56 @@ class TestPhi:
         for n in (3, 4, 6):
             poly = random_polygon(rng, n, p_spread=0.0)
             gaps = poly.gaps
+            phis = pg.phi(poly)
             for i in range(n):
                 expected = np.tan(gaps[i] / 2) - np.tan(gaps[(i - 1) % n] / 2)
-                assert pg.phi(poly, i) == pytest.approx(expected, abs=1e-11)
+                assert phis[i] == pytest.approx(expected, abs=1e-11)
 
     def test_two_routes_agree(self):
         rng = np.random.default_rng(34)
         for n in range(3, 9):
             poly = random_polygon(rng, n)
-            for i in range(n):
-                assert pg.phi(poly, i) == pytest.approx(
-                    pg.phi_via_tangency(poly, i), abs=1e-11
-                )
+            via = pg.phi_via_tangency(poly)
+            for i, value in enumerate(pg.phi(poly)):
+                assert value == pytest.approx(via[i], abs=1e-11)
+
+    def test_partials_match_mpmath(self):
+        """Complex-step partials of every Phi_i against 40-digit mpmath
+        derivatives of the closed form in its six neighboring coordinates,
+        within 1e-12 of max(1, |ref|); these polygons read at most 1.1e-15."""
+        mp = mpmath.mp
+
+        def closed(a_prev, a_self, a_next, p_prev, p_self, p_next):
+            bm, bp = (a_self - a_prev) / 2, (a_next - a_self) / 2
+            num = mp.cos(bm) ** 2 * (p_next + p_self) - mp.cos(bp) ** 2 * (p_prev + p_self)
+            return num / (2 * mp.sin(bm + bp) * mp.cos(bm) * mp.cos(bp))
+
+        rng = np.random.default_rng(36)
+        with mp.workdps(40):
+            for n in range(3, 10):
+                poly = None
+                while poly is None:  # redraw until the support values give a convex polygon
+                    with contextlib.suppress(ValueError):
+                        poly = random_polygon(rng, n)
+                d_alpha, d_p = pg.phi_partials(poly)
+                a = [mp.mpf(x) for x in poly.alphas]
+                p = [mp.mpf(x) for x in poly.ps]
+                for i in range(n):
+                    a_prev = a[i - 1] - (2 * mp.pi if i == 0 else 0)
+                    a_next = a[(i + 1) % n] + (2 * mp.pi if i == n - 1 else 0)
+                    x = (a_prev, a[i], a_next, p[i - 1], p[i], p[(i + 1) % n])
+                    for k in range(6):
+                        ref = float(mp.diff(closed, x, tuple(int(m == k) for m in range(6))))
+                        got = (d_alpha, d_p)[k // 3][k % 3, i]
+                        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_tangency_point_is_excircle_touch_point(self):
         rng = np.random.default_rng(35)
         for _ in range(10):
             poly = random_polygon(rng, 3, p_spread=0.0)  # incenter at origin
+            points = pg.tangency_points(poly)
             for i in range(3):
-                assert np.allclose(
-                    pg.tangency_point(poly, i), excircle_tangency(poly, i), atol=1e-10
-                )
-
-    def test_recenter_and_incenter(self):
-        rng = np.random.default_rng(36)
-        poly = random_polygon(rng, 3, p_spread=0.0)
-        shifted = pg.recenter(poly, (0.3, -0.2))
-        center, radius = pg.incenter(shifted)
-        assert np.allclose(center, [-0.3, 0.2], atol=1e-12)
-        assert radius == pytest.approx(1.0, abs=1e-12)
+                assert np.allclose(points[i], excircle_tangency(poly, i), atol=1e-10)
 
 
 class TestRotationField:
@@ -230,15 +254,15 @@ class TestGrowth:
 class TestPerimeterInvariance:
     def test_derivative_vanishes_on_regular(self):
         reg = pg.PolygonConfig.regular(6)
-        for i in range(6):
-            assert abs(pg.perimeter_derivative_along_xi(reg, i)) < 1e-12
+        for value in pg.perimeter_derivative_along_xi(reg):
+            assert abs(value) < 1e-12
 
     def test_derivative_vanishes_on_random_polygons(self):
         rng = np.random.default_rng(43)
         for n in (3, 4, 5, 7):
             poly = random_polygon(rng, n)
-            for i in range(n):
-                assert abs(pg.perimeter_derivative_along_xi(poly, i)) < 1e-10
+            for value in pg.perimeter_derivative_along_xi(poly):
+                assert abs(value) < 1e-10
 
     def test_first_order_drift_under_flow(self):
         # Richardson-extrapolated first-order drift of F along the xi_i flow
@@ -286,12 +310,13 @@ class TestParallelogramFields:
             s = forge.parallelogram_orbit(forge_spec, x)
             poly = pg.PolygonConfig(s.angles(), s.supports())
             cw = np.cos(s.omega)
-            assert pg.phi(poly, 0) == pytest.approx(-cw, abs=1e-11)
-            assert pg.phi(poly, 1) == pytest.approx(cw, abs=1e-11)
-            assert pg.phi(poly, 2) == pytest.approx(-cw, abs=1e-11)
-            assert pg.phi(poly, 3) == pytest.approx(cw, abs=1e-11)
+            phis = pg.phi(poly)
+            assert phis[0] == pytest.approx(-cw, abs=1e-11)
+            assert phis[1] == pytest.approx(cw, abs=1e-11)
+            assert phis[2] == pytest.approx(-cw, abs=1e-11)
+            assert phis[3] == pytest.approx(cw, abs=1e-11)
             # unnormalized form -cot(w)(p1 + p2) agrees as well
-            assert pg.phi(poly, 0) == pytest.approx(
+            assert phis[0] == pytest.approx(
                 -(s.p1 + s.p2) / np.tan(s.omega), abs=1e-11
             )
 
