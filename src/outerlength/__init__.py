@@ -15,6 +15,7 @@ from .billiard import (
     PhasePoint,
     TwistReport,
     cartesian_step,
+    iterate,
     jacobian,
     map_phase,
     orbit,

@@ -15,11 +15,15 @@ rather than assumed.
 The radii are the first partials of the generating function (R1 = -S1,
 R2 = S2 from `genfun.grad_arr`), and every 1-D solve in this module goes
 through the package's one bracketed solver, `_solve.bracketed_root`.  The
-scalar `step` is a batch of one, which that solver and the oval's jet run in
-plain floats, with the same arithmetic as `step_angles_arr` on arrays.  The
 map's Newton starts from the predictor alpha3 = alpha2 + (alpha2 - alpha1):
 on a circle the map is the rotation by the gap, so the predictor is the
 image there, and on a table near a circle it is near the image.
+
+`iterate` is the one loop over map steps; `step`, `orbit` and the iteration
+checks of `outerlength.periodic` call it.  It advances arrays of chords in
+lockstep, one `step_angles_arr` call per step, and a float chord in plain
+floats, with the same arithmetic.  An orbit is its sequence of tangency
+angles (`OrbitRecord.alphas`), its radii and vertices computed on the arrays.
 
 A second, purely geometric implementation (`cartesian_step`) moves exterior
 points by the raw reflection rule: find the two tangent lines, build the
@@ -32,7 +36,7 @@ primitives with the generating-function route and serves as its oracle.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,24 +62,21 @@ class PhasePoint:
 
 
 def vertex_point(oval, state):
-    """Chord vertex: intersection of the tangent lines at alpha1, alpha2."""
+    """Chord vertex: intersection of the tangent lines at alpha1, alpha2;
+    elementwise on a chord of arrays, with (x, y) on the first axis."""
     a1, a2 = state.alpha1, state.alpha2
     p1, p2 = oval.p(np.array([a1, a2]))
     sw = np.sin(a2 - a1)
-    return np.array(
-        [
-            (p1 * np.sin(a2) - p2 * np.sin(a1)) / sw,
-            (p2 * np.cos(a1) - p1 * np.cos(a2)) / sw,
-        ]
-    )
+    return np.array([(p1 * np.sin(a2) - p2 * np.sin(a1)) / sw,
+                     (p2 * np.cos(a1) - p1 * np.cos(a2)) / sw])
 
 
 def auxiliary_circle(oval, state):
-    """Center and radius of the reflection circle of the chord (tangent at alpha2)."""
-    r = genfun.grad_arr(oval, state.alpha1, state.alpha2)[1]
+    """Center and radius of the reflection circle of the chord (tangent at
+    alpha2), elementwise on a chord of arrays: centers (..., 2)."""
     a2 = state.alpha2
-    center = oval.point_at(a2) + r * np.array([np.cos(a2), np.sin(a2)])
-    return center, float(r)
+    r = genfun.grad_arr(oval, state.alpha1, a2)[1]
+    return oval.point_at(a2) + r[..., None] * np.stack(_cos_sin(a2), axis=-1), r
 
 
 # -- the map -----------------------------------------------------------------
@@ -116,15 +117,30 @@ def step_angles_arr(oval, a1, a2):
     )
 
 
+def iterate(oval, a1, a2, steps):
+    """Tangency angles alpha_0 ... alpha_{steps+1} of `steps` map steps from
+    the chord (a1, a2), shape (steps + 2,) + shape(a1): chord i is rows i, i + 1.
+
+    Arrays of starts advance in lockstep, one `step_angles_arr` call per
+    step; a float start stays in plain floats.  A chord without a reflection
+    root raises StepFailureError naming the step and the first such chord.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    alphas = [a1, a2]
+    for i in range(steps):
+        a3 = step_angles_arr(oval, alphas[-2], alphas[-1])
+        if np.isnan(a3).any():
+            c1, c2 = (np.ravel(a)[np.argmax(np.isnan(a3))] for a in alphas[-2:])
+            raise StepFailureError(f"step {i + 1} failed: no reflection root for chord "
+                                   f"({c1:.6f}, {c2:.6f}); degenerate geometry")
+        alphas.append(a3)
+    return np.array(alphas)
+
+
 def step(oval, state):
-    """One billiard step: (alpha1, alpha2) -> (alpha2, alpha3)."""
-    a3 = step_angles_arr(oval, state.alpha1, state.alpha2)
-    if np.isnan(a3):
-        raise StepFailureError(
-            f"no reflection root for chord ({state.alpha1:.6f}, {state.alpha2:.6f}); "
-            "degenerate geometry"
-        )
-    return ChordConfig(state.alpha2, float(a3))
+    """One billiard step: (alpha1, alpha2) -> (alpha2, alpha3), by `iterate`."""
+    return ChordConfig(*iterate(oval, state.alpha1, state.alpha2, 1)[1:])
 
 
 def step_residual(oval, state, new_state):
@@ -302,47 +318,34 @@ def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.0
 
 @dataclass
 class OrbitRecord:
-    """Iterated chords with their radii and Cartesian vertices."""
+    """An orbit of n steps as its tangency angles alphas (n + 2,), chord i
+    being alphas[i], alphas[i + 1], with the chords' radii and vertices."""
 
-    states: list[ChordConfig] = field(default_factory=list)
-    radii: list[float] = field(default_factory=list)
-    vertices: list[np.ndarray] = field(default_factory=list)
+    alphas: np.ndarray
+    radii: np.ndarray
+    vertices: np.ndarray
 
     @property
     def closure_residual(self):
         """Phase distance between the final and initial chords, angles mod 2*pi."""
-        first, last = self.states[0], self.states[-1]
-        da1 = (last.alpha1 - first.alpha1 + np.pi) % TWO_PI - np.pi
-        da2 = (last.alpha2 - first.alpha2 + np.pi) % TWO_PI - np.pi
-        return float(np.hypot(da1, da2))
+        d = (self.alphas[-2:] - self.alphas[:2] + np.pi) % TWO_PI - np.pi
+        return float(np.hypot(*d))
 
     def to_csv(self):
         buf = io.StringIO()
         buf.write("step,alpha1,alpha2,R,M_x,M_y\n")
-        for i, (s, r, m) in enumerate(zip(self.states, self.radii, self.vertices)):
-            buf.write(
-                f"{i},{s.alpha1:.16g},{s.alpha2:.16g},{r:.16g},{m[0]:.16g},{m[1]:.16g}\n"
-            )
+        rows = zip(self.alphas[:-1].tolist(), self.alphas[1:].tolist(), self.radii.tolist(),
+                   self.vertices.tolist())
+        for i, (a1, a2, r, m) in enumerate(rows):
+            buf.write(f"{i},{a1:.16g},{a2:.16g},{r:.16g},{m[0]:.16g},{m[1]:.16g}\n")
         buf.write(f"# closure_residual={self.closure_residual:.16g}\n")
         return buf.getvalue()
 
 
 def orbit(oval, state, n):
-    """Iterate the map n times, recording chords, radii, and vertices.
-
-    A step failure is re-raised with the failing iterate prepended.
-    """
-    rec = OrbitRecord()
-    current = state
-    rec.states.append(current)
-    rec.radii.append(phase_from_pair(oval, current).R)
-    rec.vertices.append(vertex_point(oval, current))
-    for i in range(n):
-        try:
-            current = step(oval, current)
-        except StepFailureError as exc:
-            raise StepFailureError(f"step {i + 1} failed: {exc}") from exc
-        rec.states.append(current)
-        rec.radii.append(phase_from_pair(oval, current).R)
-        rec.vertices.append(vertex_point(oval, current))
-    return rec
+    """Iterate the map n times from the chord `state` (one `iterate` call)
+    and record the radii and vertices of the n + 1 chords, one call each."""
+    alphas = iterate(oval, state.alpha1, state.alpha2, n)
+    chords = ChordConfig(alphas[:-1], alphas[1:])
+    return OrbitRecord(alphas, -genfun.grad_arr(oval, chords.alpha1, chords.alpha2)[0],
+                       vertex_point(oval, chords).T)

@@ -217,8 +217,8 @@ class _SplineRep:
 
     def __init__(self, samples):
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or len(samples) < 16:
-            raise OvalValidationError("need a 1-d array of at least 16 samples")
+        if samples.ndim != 1 or len(samples) < 16 or not np.isfinite(samples).all():
+            raise OvalValidationError("need a 1-d array of at least 16 finite samples")
         self.samples = samples.copy()
         self.samples.setflags(write=False)
         n = len(samples)
@@ -524,11 +524,11 @@ class SupportOval:
         min_rho = _refined_min(self.curvature_radius, self._grid, self._rho_grid)
         defect = self._rep.periodicity_defect()
         messages = []
-        if min_p <= 1e-12:
+        if not min_p > 1e-12:
             messages.append(f"support function not positive (min p = {min_p:.3e})")
-        if min_rho <= 1e-12:
+        if not min_rho > 1e-12:
             messages.append(f"not strictly convex (min p''+p = {min_rho:.3e})")
-        if defect > 1e-9:
+        if not defect <= 1e-9:
             messages.append(f"periodicity defect {defect:.3e}")
         return ValidationReport(
             min_support=min_p,
@@ -546,13 +546,15 @@ class SupportOval:
 
     @classmethod
     def from_json(cls, obj, validate=True):
-        if obj.get("type") == "fourier":
-            return cls.from_fourier(
-                obj["a0"], obj.get("cos", ()), obj.get("sin", ()), validate=validate
-            )
-        if obj.get("type") == "samples":
-            return cls.from_samples(obj["p"], validate=validate)
-        raise ValueError(f"unknown oval descriptor type {obj.get('type')!r}")
+        key = {"fourier": "a0", "samples": "p"}.get(obj.get("type"))
+        if key is None:
+            raise ValueError(f"unknown oval descriptor type {obj.get('type')!r}")
+        if key not in obj:
+            raise ValueError(f"{obj['type']} oval descriptor lacks the key {key!r}")
+        if key == "a0":
+            return cls.from_fourier(obj["a0"], obj.get("cos", ()), obj.get("sin", ()),
+                                    validate=validate)
+        return cls.from_samples(obj["p"], validate=validate)
 
     def save(self, path):
         """Write `to_json()` to path; `json.dumps` encodes in C, where

@@ -19,9 +19,11 @@ would.
 vertex pinned at the sample's angle: the interior equations are solved and
 the leftover closure residual g[0] is reported as a function of the first
 angle.  Tables carrying an invariant curve of n-periodic points produce an
-identically vanishing residual curve.  A derivative-free multi-start search,
-`brute_oracle`, validates `find_periodic` independently of the Newton
-machinery.
+identically vanishing residual curve.  Two checks stand apart from the
+Newton machinery: `brute_oracle`, a derivative-free multi-start search, and
+`closure_by_iteration`, which closes orbits by iterating the map itself
+(`billiard.iterate`, every row of a scan in one call); `rotation_number`
+averages the advance along orbits iterated in lockstep the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from scipy.optimize import minimize
 
 from . import billiard, genfun
 from .errors import ChordDomainError, ConvergenceError
-from .genfun import ChordConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -348,14 +349,12 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
 
 
 def closure_by_iteration(oval, angles, m=1):
-    """Residual of the orbit under n raw billiard steps (the independent check)."""
-    angles = np.asarray(angles, dtype=float)
-    n = len(angles)
-    state = ChordConfig(angles[0], angles[1] if n > 1 else angles[0] + np.pi / 2)
-    rec = billiard.orbit(oval, state, n)
-    last = rec.states[-1]
-    target = (angles[0] + TWO_PI * m, angles[1] + TWO_PI * m)
-    return float(np.hypot(last.alpha1 - target[0], last.alpha2 - target[1]))
+    """Distance of the first chord's image under n raw billiard steps from that
+    chord shifted by 2*pi*m, for an orbit (n,) or each row of orbits (k, n)."""
+    a = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    _check_period(len(a), m)
+    end = billiard.iterate(oval, a[0], a[1], len(a))[-2:]
+    return np.hypot(*(end - (a[:2] + TWO_PI * m)))[()]
 
 
 def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
@@ -537,11 +536,9 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
 
 
 def rotation_number(oval, state, iters=256):
-    """Average angular advance per step divided by 2*pi, along one orbit."""
-    total = 0.0
-    current = state
-    for _ in range(iters):
-        new = billiard.step(oval, current)
-        total += new.alpha1 - current.alpha1
-        current = new
-    return total / (iters * TWO_PI)
+    """Mean angular advance per step over `iters` steps (summed in order, not
+    telescoped) over 2*pi, along one orbit or each orbit of a chord of arrays."""
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    alphas = billiard.iterate(oval, state.alpha1, state.alpha2, iters - 1)
+    return np.cumsum(np.diff(alphas, axis=0), axis=0)[-1] / (iters * TWO_PI)

@@ -83,6 +83,9 @@ class PolygonConfig:
 
     @classmethod
     def from_json(cls, obj):
+        for key in ("alpha", "p"):
+            if key not in obj:
+                raise ValueError(f"polygon descriptor lacks the key {key!r}")
         return cls(np.asarray(obj["alpha"]), np.asarray(obj["p"]))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import billiard
+from .genfun import ChordConfig
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -17,15 +18,13 @@ def render_svg(oval, orbits=(), show_circles=False, size=640, stroke=1.5,
                boundary_samples=720):
     """Compose an SVG drawing: boundary, orbit chords, tangency dots, circles.
 
-    `orbits` is an iterable of OrbitRecord.  The view box is fitted to the
-    content with a 10% margin; the y axis points up.
+    `orbits` is an iterable of OrbitRecord; the dots and the circles of an
+    orbit come from one `point_at` and one `auxiliary_circle` call.  The view
+    box is fitted to the content with a 10% margin; the y axis points up.
     """
     alphas = np.linspace(0.0, 2.0 * np.pi, boundary_samples, endpoint=False)
     boundary = oval.point_at(alphas)
-    cloud = [boundary]
-    for rec in orbits:
-        cloud.append(np.asarray(rec.vertices))
-    cloud = np.vstack(cloud)
+    cloud = np.vstack([boundary] + [rec.vertices for rec in orbits])
     lo = cloud.min(axis=0)
     hi = cloud.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
@@ -52,21 +51,19 @@ def render_svg(oval, orbits=(), show_circles=False, size=640, stroke=1.5,
     ]
     for k, rec in enumerate(orbits):
         color = _PALETTE[k % len(_PALETTE)]
-        verts = tx(np.asarray(rec.vertices))
         parts.append(
-            f'<polyline points="{_fmt(verts)}" fill="none" stroke="{color}" '
+            f'<polyline points="{_fmt(tx(rec.vertices))}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke}"/>'
         )
-        touch = tx(np.array([oval.point_at(s.alpha1) for s in rec.states]))
-        for x, y in touch:
+        for x, y in tx(oval.point_at(rec.alphas[:-1])):
             parts.append(
                 f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{2.2 * stroke:.2f}" '
                 f'fill="{color}"/>'
             )
         if show_circles:
-            for s in rec.states[:-1]:
-                center, radius = billiard.auxiliary_circle(oval, s)
-                cx, cy = tx(center)[0]
+            centers, radii = billiard.auxiliary_circle(
+                oval, ChordConfig(rec.alphas[:-2], rec.alphas[1:-1]))
+            for (cx, cy), radius in zip(tx(centers), radii.tolist()):
                 parts.append(
                     f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{radius * scale:.4f}" '
                     f'fill="none" stroke="{color}" stroke-width="{stroke / 2}" '

@@ -160,9 +160,13 @@ def test_four_periodic_tables_end_to_end(eps):
     ]))
     assert angle_defect < 1e-9
     assert support_defect < 1e-9
+    # the independent route: every scanned orbit closes under 4 map steps
+    closure = float(np.max(pd.closure_by_iteration(oval, angles)))
+    assert closure < 1e-8
     print(
         f"\n[PASS] four-periodic table eps={eps}: scan residual {max_res:.2e} < 1e-8 "
-        f"(256 angles), parallelogram defect {max(angle_defect, support_defect):.2e} < 1e-9"
+        f"(256 angles), parallelogram defect {max(angle_defect, support_defect):.2e} < 1e-9, "
+        f"closure by iteration {closure:.2e} < 1e-8"
     )
 
 
@@ -209,9 +213,12 @@ def test_radon_construction():
     max_res = float(np.nanmax(np.abs(scan.residual)))
     assert scan.all_closed
     assert max_res < 1e-8
+    closure = float(np.max(pd.closure_by_iteration(oval, scan.orbit_angles)))
+    assert closure < 1e-8
     print(
         f"\n[PASS] radon construction: circle defect {circle_defect:.1e}, "
-        f"perturbed-seed scan residual {max_res:.2e} < 1e-8 (128 angles)"
+        f"perturbed-seed scan residual {max_res:.2e} < 1e-8 (128 angles), "
+        f"closure by iteration {closure:.2e} < 1e-8"
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from outerlength.cli import EXIT_NUMERIC, EXIT_VALIDATION, main
+from outerlength.cli import EXIT_IO, EXIT_NUMERIC, EXIT_VALIDATION, main
 from outerlength.oval import SupportOval, ellipse
 
 
@@ -272,3 +272,28 @@ class TestRender:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "<polygon" in text and "<polyline" in text
+
+
+@pytest.mark.parametrize("table, reason, verify_code", [
+    ({"type": "fourier"}, "lacks the key 'a0'", EXIT_IO),
+    ({"type": "fourier", "a0": float("nan")}, "not positive", EXIT_VALIDATION),
+], ids=["missing-key", "nan-support"])
+@pytest.mark.parametrize("command", [
+    ["scan", "--n", "4", "--samples", "8"],
+    ["iterate", "--state", "0,1"],
+    ["find-periodic", "--n", "3"],
+    ["render"],
+    ["verify"],
+], ids=lambda c: c[0])
+def test_malformed_table_exits_with_its_reason(tmp_path, capsys, table, reason, verify_code,
+                                               command):
+    # a missing key is an unreadable table to verify, an invalid configuration
+    # to every other command; a NaN table fails validation everywhere
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    args = [command[0], "--table", str(path), *command[1:]]
+    if command[0] == "render":
+        args += ["--svg", str(tmp_path / "fig.svg")]
+    assert main(args) == (verify_code if command[0] == "verify" else EXIT_VALIDATION)
+    captured = capsys.readouterr()  # verify reports a failed validation on stdout
+    assert reason in captured.out + captured.err

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from outerlength import forge
+from outerlength import billiard, forge
+from outerlength import periodic as pd
 from outerlength import polygons as pg
-from outerlength.errors import ArcConstraintError
+from outerlength.errors import ArcConstraintError, OvalValidationError
+from outerlength.genfun import ChordConfig
+from outerlength.oval import SupportOval, circle, ellipse
 
 NAN = float("nan")
 SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+CHORD = ChordConfig(0.0, 1.0)
 CASES = {
     "polygon-nan-angle": (lambda: pg.PolygonConfig(np.r_[SQUARE[:3], NAN], np.ones(4)),
                           ValueError, "finite"),
@@ -24,6 +28,22 @@ CASES = {
                            ArcConstraintError, "finite"),
     "radon-2d-samples": (lambda: forge.radon_like(np.full((65, 2), 0.5)),
                          ArcConstraintError, "1-d array"),
+    "circle-nan-radius": (lambda: circle(NAN), OvalValidationError, "not positive"),
+    "fourier-nan-coefficient": (lambda: SupportOval.from_fourier(1.0, [NAN]),
+                                OvalValidationError, "not positive"),
+    "samples-nan": (lambda: SupportOval.from_samples(np.r_[np.ones(31), NAN]),
+                    OvalValidationError, "finite"),
+    "ellipse-nan-axis": (lambda: ellipse(1.0, NAN), OvalValidationError, "finite"),
+    "orbit-negative-steps": (lambda: billiard.orbit(circle(), CHORD, -1), ValueError,
+                             "non-negative"),
+    "rotation-number-no-iters": (lambda: pd.rotation_number(circle(), CHORD, iters=0),
+                                 ValueError, "at least 1"),
+    "closure-two-angles": (lambda: pd.closure_by_iteration(circle(), [0.0, 2.0]),
+                           ValueError, "at least 3"),
+    "oval-json-missing-key": (lambda: SupportOval.from_json({"type": "fourier"}), ValueError,
+                              "lacks the key 'a0'"),
+    "polygon-json-missing-key": (lambda: pg.PolygonConfig.from_json({"alpha": [0, 2, 4]}),
+                                 ValueError, "lacks the key 'p'"),
 }
 
 

@@ -421,7 +421,10 @@ class TestRotationNumber:
         assert rho == pytest.approx(w / TWO_PI, abs=1e-12)
 
     def test_forge_family_quarter(self, forge_table):
+        # 64 states along the invariant curve, iterated in lockstep
         oval, family = forge_table
-        s = family.state(0.3)
-        rho = pd.rotation_number(oval, ChordConfig(s.alpha1, s.alpha2), iters=40)
-        assert rho == pytest.approx(0.25, abs=1e-10)
+        states = [family.state(x) for x in np.linspace(0.0, TWO_PI, 64, endpoint=False)]
+        chords = ChordConfig(*np.array([(s.alpha1, s.alpha2) for s in states]).T)
+        rho = pd.rotation_number(oval, chords, iters=40)
+        assert rho.shape == (64,)
+        assert np.max(np.abs(rho - 0.25)) < 1e-10

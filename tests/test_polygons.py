@@ -245,6 +245,18 @@ class TestGrowth:
             poly = random_polygon(rng, 3)
             assert pg.growth_report(poly).rank == 5
 
+    def test_field_rows_from_the_geometric_route(self):
+        # rows xi_i = (e_i, Phi_i e_i) with Phi from the tangency points, then
+        # the closed-form brackets: the same singular values as the report's
+        rng = np.random.default_rng(43)
+        for n in range(3, 10):
+            for _ in range(4):
+                poly = random_polygon(rng, n, p_spread=0.05)
+                fields = np.hstack([np.eye(n), np.diag(pg.phi_via_tangency(poly))])
+                sv = np.linalg.svd(np.vstack([fields, pg.brackets(poly)]), compute_uv=False)
+                reported = pg.growth_report(poly).singular_values
+                assert np.max(np.abs(reported - sv)) < 1e-12 * sv[0]
+
     def test_random_pentagon_reported_not_asserted(self):
         rng = np.random.default_rng(42)
         rep = pg.growth_report(random_polygon(rng, 5))
