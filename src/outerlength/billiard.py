@@ -294,6 +294,10 @@ class TwistReport:
 
 def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):
     """Sample the phase cylinder and survey the twist of the map and its square."""
+    if not samples >= 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not omega_lo <= omega_hi:
+        raise ValueError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
     _, s12, s22 = genfun.hess_arr(oval, a1, a2)

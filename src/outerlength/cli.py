@@ -56,6 +56,8 @@ def cmd_forge(args):
         spec = forge.FourPeriodicSpec.from_json(spec_obj)
         oval, _ = forge.from_f(spec)
     elif spec_obj.get("type") == "radon-arc":
+        if "p" not in spec_obj:
+            raise ValueError("radon-arc spec lacks the key 'p'")
         oval = forge.radon_like(np.asarray(spec_obj["p"], dtype=float))
     else:
         raise ValueError(f"unknown table spec type {spec_obj.get('type')!r}")

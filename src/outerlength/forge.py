@@ -141,6 +141,10 @@ class FourPeriodicSpec:
 
     @classmethod
     def from_json(cls, obj):
+        if "harmonics" not in obj:
+            raise ValueError("four-periodic spec lacks the key 'harmonics'")
+        if not all("k" in h for h in obj["harmonics"]):
+            raise ValueError("four-periodic spec harmonic lacks the key 'k'")
         coeffs = {
             int(h["k"]): (float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
             for h in obj["harmonics"]

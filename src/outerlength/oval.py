@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
 from ._solve import _SMALL, bracketed_root
 from .errors import ContainmentError, OvalValidationError
@@ -205,6 +205,89 @@ def _compensated_cumsum(values):
     return total
 
 
+def _knot_bsplines(t, k, n):
+    """The k + 1 B-splines of degree k on knots t that can be nonzero on
+    [t[k + j], t[k + j + 1]), at its left end x_j = t[k + j], j < n: a list
+    of k + 1 arrays, entry a holding B_{j + a}(x_j).  Cox-de Boor recursion
+    in the operation order of scipy's `_deBoor_D`, elementwise over j."""
+    x = t[k:k + n]
+    b = [1.0]
+    for j in range(1, k + 1):
+        prev, b = b, [0.0]
+        for i in range(1, j + 1):
+            right, left = t[k + i:k + i + n], t[k + i - j:k + i - j + n]
+            w = prev[i - 1] / (right - left)
+            b[i - 1] = b[i - 1] + w * (right - x)
+            b.append(w * (x - left))
+    return b
+
+
+def _periodic_quintic(samples):
+    """Taylor coefficients, highest power first, of the periodic quintic
+    spline through n samples at the nodes i h, h = 2*pi / n, taken at each
+    interval's start: a (6, n) array.
+
+    The arithmetic is that of scipy 1.17's `make_interp_spline(x, y, k=5,
+    bc_type="periodic")` followed by `.derivative(m)(x[:-1]) / m!`, step for
+    step, so the coefficients agree with it to the last bit:
+    - knots: the closed grid x, extended by five steps on each side with the
+      spacings of the other end (`_periodic_knots`);
+    - the collocation matrix is cyclic with bands (2, 2): the B-splines at
+      the knots, one row per node, the rows' wrapped entries in two 2 x 2
+      corner blocks;
+    - the Woodbury solve of `_woodbury_algorithm`: banded LU of the band
+      (dgbtrf, dgbtrs as in dgbsv), then a 4 x 4 capacitance solve (dgesv),
+      its inverse C-ordered as scipy's `solve` returns it, since the layout
+      picks BLAS's summation order in the products below;
+    - `splder`'s repeated differences, and each derivative evaluated at its
+      interval's left knot as `BSpline.__call__` does.
+    The band is strictly diagonally dominant (66 > 26 + 26 + 1 + 1 in units
+    of 1/120), so neither solve can meet a zero pivot.
+    """
+    n, k = len(samples), 5
+    x = np.linspace(0.0, TWO_PI, n + 1)
+    dx = np.diff(x)
+    t = np.zeros(n + 1 + 2 * k)
+    t[k:-k] = x
+    for i in range(k):
+        t[k - i - 1] = t[k - i] - dx[-i - 1]
+        t[-k + i] = t[-k + i - 1] + dx[i]
+    # row j of the matrix holds B_{j + a}(x_j), a < 5, in column j + a - 2
+    # (mod n); in LAPACK's band layout with two rows for the fill-in, the
+    # entry (j, j + d) goes to row 4 - d
+    bspl = _knot_bsplines(t, k, n)
+    band = np.zeros((7, n))
+    for a in range(5):
+        d = a - 2
+        band[4 - d, max(d, 0):n + min(d, 0)] = bspl[a][max(-d, 0):n - max(d, 0)]
+    corners = np.zeros((n, 4))
+    corners[:2, :2] = [[bspl[0][0], bspl[1][0]], [0.0, bspl[0][1]]]
+    corners[-2:, -2:] = [[bspl[4][-2], 0.0], [bspl[3][-1], bspl[4][-1]]]
+    lu, piv, _ = dgbtrf(band, 2, 2, overwrite_ab=1)
+    z = dgbtrs(lu, 2, 2, corners, piv)[0]
+    picked = [-2, -1, 0, 1]
+    inv = np.ascontiguousarray(dgesv(np.identity(4) + z[picked], np.identity(4))[2])
+    y = dgbtrs(lu, 2, 2, samples, piv)[0]
+    c = y - z @ (inv @ y[picked])
+    # the B-spline coefficients: the solution with its first and last
+    # coefficients repeated around the seam, then zeros to the knots' length
+    c = np.concatenate((c[-2:], c, c[:3], np.zeros(k + 1)))
+    coef = np.empty((k + 1, n))
+    for m in range(k + 1):
+        deg = k - m
+        if m:
+            bspl = _knot_bsplines(t, deg, n)
+        value = 0.0
+        for a in range(deg + 1):
+            value = value + c[a:a + n] * bspl[a]
+        coef[k - m] = value / math.factorial(m)
+        if deg:
+            dt = t[deg + 1:-1] - t[1:-deg - 1]
+            c = np.concatenate(((c[1:-1 - deg] - c[:-2 - deg]) * deg / dt, np.zeros(deg)))
+            t = t[1:-1]
+    return coef
+
+
 class _SplineRep:
     """p sampled on a uniform grid, interpolated by a periodic quintic spline.
 
@@ -222,14 +305,7 @@ class _SplineRep:
         self.samples = samples.copy()
         self.samples.setflags(write=False)
         n = len(samples)
-        x = np.linspace(0.0, TWO_PI, n + 1)
-        y = np.concatenate([samples, samples[:1]])
-        spl = make_interp_spline(x, y, k=5, bc_type="periodic")
-        # Taylor coefficients at each interval's start (what PPoly.from_spline
-        # computes, bit for bit, without loading FITPACK)
-        self._coef = np.array(
-            [spl.derivative(m)(x[:-1]) / math.factorial(m) for m in range(5, -1, -1)]
-        )
+        self._coef = _periodic_quintic(self.samples)
         self._n = n
         self._h = TWO_PI / n
         self._cum = _compensated_cumsum(_quintic_primitive(self._coef, self._h))

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.optimize import minimize
 
 from . import billiard, genfun
 from .errors import ChordDomainError, ConvergenceError
@@ -361,8 +360,12 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
     """Derivative-free multi-start minimization of the action (test oracle).
 
     Deliberately avoids the Newton machinery: penalized Nelder-Mead from a
-    coarse grid of jittered seeds, best critical point wins.
+    coarse grid of jittered seeds, best critical point wins.  scipy.optimize
+    is imported here, its only user, so that importing the package does not
+    load it.
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     big = 1e6
 

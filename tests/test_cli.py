@@ -77,6 +77,19 @@ class TestForge:
         out = tmp_path / "table.json"
         assert main(["forge", "--spec", str(spec), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("spec_obj, reason", [
+        ({"type": "four-periodic"}, "lacks the key 'harmonics'"),
+        ({"type": "four-periodic", "harmonics": [{"sin": 0.1}]}, "lacks the key 'k'"),
+        ({"type": "radon-arc"}, "lacks the key 'p'"),
+    ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p"])
+    def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec_obj, reason):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_obj))
+        out = tmp_path / "table.json"
+        assert main(["forge", "--spec", str(spec), "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_file(self, tmp_path):
         assert main(
             ["forge", "--spec", str(tmp_path / "nope.json"), "--out", "t.json"]

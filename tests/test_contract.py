@@ -6,7 +6,7 @@ import pytest
 from outerlength import billiard, forge
 from outerlength import periodic as pd
 from outerlength import polygons as pg
-from outerlength.errors import ArcConstraintError, OvalValidationError
+from outerlength.errors import ArcConstraintError, ChordDomainError, OvalValidationError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse
 
@@ -44,6 +44,16 @@ CASES = {
                               "lacks the key 'a0'"),
     "polygon-json-missing-key": (lambda: pg.PolygonConfig.from_json({"alpha": [0, 2, 4]}),
                                  ValueError, "lacks the key 'p'"),
+    "spec-json-no-harmonics": (lambda: forge.FourPeriodicSpec.from_json({"type": "four-periodic"}),
+                               ValueError, "lacks the key 'harmonics'"),
+    "spec-json-harmonic-no-k": (lambda: forge.FourPeriodicSpec.from_json(
+                                    {"type": "four-periodic", "harmonics": [{"sin": 0.1}]}),
+                                ValueError, "lacks the key 'k'"),
+    "chord-nan-gap": (lambda: ChordConfig(NAN, 1.0), ChordDomainError, "offending value nan"),
+    "twist-no-samples": (lambda: billiard.twist_report(circle(), samples=0), ValueError,
+                         "samples must be at least 1"),
+    "twist-inverted-window": (lambda: billiard.twist_report(circle(), omega_lo=2.0, omega_hi=1.0),
+                              ValueError, "omega_lo must not exceed omega_hi"),
 }
 
 

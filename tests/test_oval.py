@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
+from outerlength import forge
 from outerlength import oval as oval_module
 from outerlength.errors import ContainmentError, OvalValidationError
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
@@ -346,6 +347,14 @@ def _bspline(table):
     return make_interp_spline(x, np.append(samples, samples[0]), k=5, bc_type="periodic")
 
 
+def _scipy_taylor(table):
+    """Taylor coefficients of `_bspline(table)` at each interval's start,
+    highest power first: the layout of the spline table's own `_coef`."""
+    spl = _bspline(table)
+    x = np.linspace(0.0, TWO_PI, len(table.to_json()["p"]) + 1)[:-1]
+    return np.array([spl.derivative(m)(x) / math.factorial(m) for m in range(5, -1, -1)])
+
+
 def _gauss_integral(spl, a, b):
     """Integral of the periodic B-spline over [a, b]: three-point Gauss-Legendre
     on every knot interval, exact for quintics, summed with math.fsum."""
@@ -483,14 +492,27 @@ class TestSplineKernel:
 
     def test_one_interpolation_per_table(self, monkeypatch):
         calls = []
+        build = oval_module._periodic_quintic
 
-        def counting(*args, **kwargs):
+        def counting(samples):
             calls.append(1)
-            return make_interp_spline(*args, **kwargs)
+            return build(samples)
 
-        monkeypatch.setattr(oval_module, "make_interp_spline", counting)
+        monkeypatch.setattr(oval_module, "_periodic_quintic", counting)
         ellipse(1.0, 0.5)
         assert len(calls) == 1
+
+    def test_coefficients_are_scipys_to_the_bit(self, spline_table):
+        assert np.array_equal(spline_table._rep._coef, _scipy_taylor(spline_table))
+
+    @pytest.mark.parametrize("make", [
+        lambda: forge.radon_like(forge.balanced_radon_seed(0.03)),
+        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=16),
+        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=17),
+    ], ids=["radon_like", "16-samples", "17-samples"])
+    def test_coefficients_are_scipys_to_the_bit_on_other_grids(self, make):
+        table = make()
+        assert np.array_equal(table._rep._coef, _scipy_taylor(table))
 
 
 @pytest.mark.parametrize("table", [perturbed_circle(0.05, 3), ellipse(1.0, 0.5)], ids=["fourier", "spline"])
