@@ -31,14 +31,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _load_table(path):
-    oval = SupportOval.load(path, validate=False)
-    report = oval.validate()
-    if not report.passed:
-        raise OvalValidationError("; ".join(report.messages))
-    return oval
-
-
 def _parse_pair(text, name):
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 2:
@@ -51,16 +43,8 @@ def _parse_pair(text, name):
 
 def cmd_forge(args):
     with open(args.spec, encoding="utf-8") as fh:
-        spec_obj = json.load(fh)
-    if spec_obj.get("type") == "four-periodic":
-        spec = forge.FourPeriodicSpec.from_json(spec_obj)
-        oval, _ = forge.from_f(spec)
-    elif spec_obj.get("type") == "radon-arc":
-        if "p" not in spec_obj:
-            raise ValueError("radon-arc spec lacks the key 'p'")
-        oval = forge.radon_like(np.asarray(spec_obj["p"], dtype=float))
-    else:
-        raise ValueError(f"unknown table spec type {spec_obj.get('type')!r}")
+        spec = json.load(fh)
+    oval = forge.table_from_spec(spec)
     oval.save(args.out)
     report = oval.validate().to_dict()
     report["table"] = args.out
@@ -69,7 +53,7 @@ def cmd_forge(args):
 
 
 def cmd_iterate(args):
-    oval = _load_table(args.table)
+    oval = SupportOval.load(args.table)
     if args.state:
         a1, a2 = _parse_pair(args.state, "state")
         state = ChordConfig(a1, a2)
@@ -92,7 +76,7 @@ def cmd_iterate(args):
 
 
 def cmd_find_periodic(args):
-    oval = _load_table(args.table)
+    oval = SupportOval.load(args.table)
     seed = None
     if args.seed_angles:
         seed = np.array([float(x) for x in args.seed_angles.split(",")])
@@ -108,7 +92,7 @@ def cmd_find_periodic(args):
 
 
 def cmd_scan(args):
-    oval = _load_table(args.table)
+    oval = SupportOval.load(args.table)
     report = periodic.invariant_curve_scan(
         oval, args.n, m=args.m, samples=args.samples, closure_tol=args.tol
     )
@@ -132,7 +116,7 @@ def cmd_scan(args):
 def cmd_verify(args):
     try:
         oval = SupportOval.load(args.table, validate=False)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"cannot read table: {exc}", file=sys.stderr)
         return EXIT_IO
     validation = oval.validate()
@@ -154,7 +138,7 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    oval = _load_table(args.table)
+    oval = SupportOval.load(args.table)
     orbits = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.orbits):

@@ -48,24 +48,25 @@ from .oval import SupportOval, _refined_min
 
 TWO_PI = 2.0 * np.pi
 
+#: the uniform grid on [0, 2*pi) that surveys f and inverts alpha(x)
+_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+
 
 # -- the one-variable data -----------------------------------------------------
 
 
 class FourPeriodicSpec:
-    """A function f with f(x + pi/2) = -f(x), |f'| < 2, f(0) = 0.
+    """A function f with f(x + pi/2) = -f(x), |f'| < 2, f(0) = 0, read
+    through one evaluation `jet(x) -> (f, f', f'')`.
 
     Built either from trigonometric coefficients on the allowed harmonics
     (2, 6, 10, ...; the ones anti-periodic under a quarter turn) or from
     callables (f, f', optionally f'').
     """
 
-    def __init__(self, f, fprime, fsecond=None, harmonics=None, grid=4096):
-        self._f = f
-        self._fp = fprime
-        self._fpp = fsecond
+    def __init__(self, jet, harmonics=None):
+        self.jet = jet
         self.harmonics = harmonics
-        self._grid = np.linspace(0.0, TWO_PI, grid, endpoint=False)
         self._validate()
 
     @classmethod
@@ -79,50 +80,39 @@ class FourPeriodicSpec:
         cs = np.array([coefficients[int(k)][0] for k in ks], dtype=float)
         ss = np.array([coefficients[int(k)][1] for k in ks], dtype=float)
 
-        def f(x, ks=ks, cs=cs, ss=ss):
+        def jet(x):
             kx = np.multiply.outer(np.asarray(x, dtype=float), ks)
-            return np.cos(kx) @ cs + np.sin(kx) @ ss
+            c, s = np.cos(kx), np.sin(kx)
+            return (c @ cs + s @ ss, -s @ (ks * cs) + c @ (ks * ss),
+                    -c @ (ks * ks * cs) - s @ (ks * ks * ss))
 
-        def fp(x, ks=ks, cs=cs, ss=ss):
-            kx = np.multiply.outer(np.asarray(x, dtype=float), ks)
-            return -np.sin(kx) @ (ks * cs) + np.cos(kx) @ (ks * ss)
-
-        def fpp(x, ks=ks, cs=cs, ss=ss):
-            kx = np.multiply.outer(np.asarray(x, dtype=float), ks)
-            return -np.cos(kx) @ (ks * ks * cs) - np.sin(kx) @ (ks * ks * ss)
-
-        return cls(f, fp, fpp, harmonics=dict(coefficients))
+        return cls(jet, harmonics=dict(coefficients))
 
     @classmethod
     def from_callable(cls, f, fprime, fsecond=None):
-        return cls(f, fprime, fsecond)
+        """f'' defaults to the central difference of f' with step 1e-6."""
+        if fsecond is None:
+            def fsecond(x):
+                return (fprime(x + 1e-6) - fprime(x - 1e-6)) / 2e-6
 
-    def f(self, x):
-        return self._f(x)
-
-    def fprime(self, x):
-        return self._fp(x)
-
-    def fsecond(self, x, h=1e-6):
-        if self._fpp is not None:
-            return self._fpp(x)
-        return (self._fp(x + h) - self._fp(x - h)) / (2.0 * h)
+        return cls(lambda x: (f(x), fprime(x), fsecond(x)))
 
     def _validate(self):
-        g = self._grid
-        anti = np.max(np.abs(self._f(g + np.pi / 2.0) + self._f(g)))
+        # the grid starts at 0 and a quarter turn is a quarter of its nodes
+        fv, fp, _ = self.jet(_GRID)
+        anti = np.max(np.abs(np.roll(fv, -(len(_GRID) // 4)) + fv))
         if anti > 1e-12:
             raise ArcConstraintError(
                 f"f(x + pi/2) = -f(x) violated (defect {anti:.3e})"
             )
-        if abs(float(self._f(0.0))) > 1e-12:
+        if abs(float(fv[0])) > 1e-12:
             raise ArcConstraintError("normalization f(0) = 0 violated")
 
         def neg_abs_fp(x):
-            return -np.abs(self._fp(x))
+            return -np.abs(self.jet(x)[1])
 
         # the refined maximum of |f'| is minus the refined minimum of -|f'|
-        self.max_fprime = -_refined_min(neg_abs_fp, self._grid, neg_abs_fp(self._grid))
+        self.max_fprime = -_refined_min(neg_abs_fp, _GRID, -np.abs(fp))
         if self.max_fprime >= 2.0 - 1e-12:
             raise FPrimeBoundError(
                 f"f-prime bound violated: max |f'| = {self.max_fprime:.6f} >= 2"
@@ -143,13 +133,32 @@ class FourPeriodicSpec:
     def from_json(cls, obj):
         if "harmonics" not in obj:
             raise ValueError("four-periodic spec lacks the key 'harmonics'")
-        if not all("k" in h for h in obj["harmonics"]):
+        harmonics = obj["harmonics"]
+        if not (isinstance(harmonics, list) and all(isinstance(h, dict) for h in harmonics)):
+            raise ValueError("four-periodic spec 'harmonics' must be a list of objects")
+        if not all("k" in h for h in harmonics):
             raise ValueError("four-periodic spec harmonic lacks the key 'k'")
         coeffs = {
             int(h["k"]): (float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
-            for h in obj["harmonics"]
+            for h in harmonics
         }
         return cls.from_harmonics(coeffs)
+
+
+def table_from_spec(obj):
+    """The table a spec object describes: `{"type": "four-periodic",
+    "harmonics": [{"k", "cos", "sin"}, ...]}` through `from_f`, or
+    `{"type": "radon-arc", "p": [...]}` through `radon_like`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"table spec must be a JSON object, not {type(obj).__name__}")
+    kind = obj.get("type")
+    if kind == "four-periodic":
+        return from_f(FourPeriodicSpec.from_json(obj))[0]
+    if kind == "radon-arc":
+        if "p" not in obj:
+            raise ValueError("radon-arc spec lacks the key 'p'")
+        return radon_like(np.asarray(obj["p"], dtype=float))
+    raise ValueError(f"unknown table spec type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -189,19 +198,19 @@ class ParallelogramState:
 
 
 def _family_raw(spec, x):
+    """(alpha1, alpha2, p1, p2) of the family at x, and alpha1'(x), from one jet."""
     x = np.asarray(x, dtype=float)
-    fp = spec.fprime(x)
+    fv, fp, fpp = spec.jet(x)
     w = np.arccos(fp / 2.0)
     root = np.sqrt(4.0 - fp * fp)
-    fv = spec.f(x)
     p1 = (root - 2.0 * fv) / 4.0
     p2 = (root + 2.0 * fv) / 4.0
-    return x - w / 2.0, x + w / 2.0, p1, p2
+    return x - w / 2.0, x + w / 2.0, p1, p2, 1.0 + fpp / (2.0 * root)
 
 
 def parallelogram_orbit(spec, x):
     """The circumscribed parallelogram of the family at parameter x."""
-    a1, a2, p1, p2 = _family_raw(spec, float(x))
+    a1, a2, p1, p2, _ = _family_raw(spec, float(x))
     return ParallelogramState(float(a1), float(a2), float(p1), float(p2))
 
 
@@ -215,36 +224,26 @@ class ParallelogramFamily:
         return parallelogram_orbit(self.spec, x)
 
 
-def _alpha_of_x(spec, x):
-    fp = spec.fprime(x)
-    return x - np.arccos(fp / 2.0) / 2.0
-
-
-def _alpha_prime(spec, x):
-    fp = spec.fprime(x)
-    return 1.0 + spec.fsecond(x) / (2.0 * np.sqrt(4.0 - fp * fp))
-
-
-def from_f(spec, n_alpha=4096):
+def from_f(spec):
     """Build the table of the family encoded by f, plus the family itself.
 
     Fails loudly on each distinct breakdown: |f'| reaching 2 (caught at spec
     construction), non-monotone angle reparameterization, and non-convex
     envelope.
     """
-    xs = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    ap = _alpha_prime(spec, xs)
+    ap = _family_raw(spec, _GRID)[4]
     if np.min(ap) <= 1e-10:
         raise ReparamError(
             f"alpha(x) not strictly increasing (min alpha' = {np.min(ap):.3e})"
         )
 
     def fdf(t, alpha):
-        return _alpha_of_x(spec, t) - alpha, _alpha_prime(spec, t)
+        a1, _, _, _, da1 = _family_raw(spec, t)
+        return a1 - alpha, da1
 
     # alpha(x) lies in [x - pi/2, x], so x(alpha) lies in [alpha, alpha + pi/2]
-    alphas = np.linspace(0.0, TWO_PI, n_alpha, endpoint=False)
-    samples = _family_raw(spec, bracketed_root(fdf, alphas, alphas + np.pi / 2.0, alphas))[2]
+    x = bracketed_root(fdf, _GRID, _GRID + np.pi / 2.0, _GRID)
+    samples = _family_raw(spec, x)[2]
     try:
         oval = SupportOval.from_samples(samples)
     except OvalValidationError as exc:
@@ -255,10 +254,9 @@ def from_f(spec, n_alpha=4096):
 def boundary_from_family(spec, x):
     """Boundary point of the table at parameter x via the parametric envelope
     formula gamma = p (cos a, sin a) + (dp/dx / da/dx) (-sin a, cos a)."""
-    a1, _, p1, _ = _family_raw(spec, x)
+    a1, _, p1, _, da_dx = _family_raw(spec, x)
     h = 1e-6
     dp_dx = (_family_raw(spec, x + h)[2] - _family_raw(spec, x - h)[2]) / (2 * h)
-    da_dx = _alpha_prime(spec, x)
     t = dp_dx / da_dx
     return np.array(
         [p1 * np.cos(a1) - t * np.sin(a1), p1 * np.sin(a1) + t * np.cos(a1)]
@@ -289,17 +287,17 @@ def state_from_contact(x, y, z):
 # -- quadrant-arc extension ------------------------------------------------------
 
 
-def balanced_radon_seed(eps, base=0.5):
+def balanced_radon_seed(eps):
     """A perturbed quadrant arc meeting all extension constraints exactly.
 
-    Returns the callable base + eps cos(2a) - (eps/9) cos(6a).  Odd multiples
-    of the double angle keep p(0) + p(pi/2) = 2 * base, and the -eps/9 weight
+    Returns the callable 1/2 + eps cos(2a) - (eps/9) cos(6a).  Odd multiples
+    of the double angle keep p(0) + p(pi/2) = 1, and the -eps/9 weight
     balances the endpoint curvatures (p''(0) = p''(pi/2) = 0) so the extended
     table is C^2 across the seams.
     """
 
     def arc(a):
-        return base + eps * np.cos(2.0 * a) - (eps / 9.0) * np.cos(6.0 * a)
+        return 0.5 + eps * np.cos(2.0 * a) - (eps / 9.0) * np.cos(6.0 * a)
 
     return arc
 
@@ -326,11 +324,12 @@ def _arc_jet(samples):
     return jet
 
 
-def radon_like(arc, n_out=8192, samples_for_callable=129):
+def radon_like(arc):
     """Extend a first-quadrant support arc to a full table by the reflection rule.
 
     `arc` is either an array of support samples on a uniform grid over
-    [0, pi/2] including both endpoints, or a callable.  The arc must satisfy
+    [0, pi/2] including both endpoints, or a callable, sampled at 129 such
+    nodes.  The table holds 8192 samples.  The arc must satisfy
     p'(0) = p'(pi/2) = 0 (enforced structurally by the fit in the basis
     cos(2 j a), written as a Chebyshev series in cos 2a) and
     p(0) + p(pi/2) = 1 (checked, then projected exactly).  The extension to
@@ -339,7 +338,7 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     follows by central symmetry.
     """
     if callable(arc):
-        nodes = np.linspace(0.0, np.pi / 2.0, samples_for_callable)
+        nodes = np.linspace(0.0, np.pi / 2.0, 129)
         arc = arc(nodes)
     arc = np.asarray(arc, dtype=float)
     if not np.all(np.isfinite(arc)):
@@ -382,11 +381,9 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
             f"extension map beta(alpha) not monotone (min beta' = {np.min(beta_prime):.3e})"
         )
 
-    if n_out % 4:
-        raise ValueError("n_out must be divisible by 4")
-    grid = np.linspace(0.0, TWO_PI, n_out, endpoint=False)
-    full = np.empty(n_out)
-    q = n_out // 4
+    grid = np.linspace(0.0, TWO_PI, 8192, endpoint=False)
+    full = np.empty(len(grid))
+    q = len(grid) // 4
 
     full[: q + 1] = jet(grid[: q + 1])[0]
 
@@ -401,8 +398,7 @@ def radon_like(arc, n_out=8192, samples_for_callable=129):
     ext = -jet(alpha)[0] + np.sin(second - alpha)
     full[q + 1 : q + 1 + len(second)] = ext
 
-    half = n_out // 2
-    full[half:] = full[:half]
+    full[2 * q :] = full[: 2 * q]
 
     # seam audit: values and slopes of the two branches at pi/2 and pi
     seam_val = max(abs((1.0 - p0) - p1), abs((1.0 - p1) - p0))

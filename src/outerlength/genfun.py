@@ -36,14 +36,14 @@ OMEGA_MIN = 1e-4
 
 def _check_omega(omega):
     """Raise ChordDomainError unless every gap lies in [OMEGA_MIN, pi - OMEGA_MIN];
-    a float gap is checked by one comparison, which also refuses NaN."""
+    both tests are written so that a NaN gap fails them."""
     if isinstance(omega, float):
         if not OMEGA_MIN <= omega <= math.pi - OMEGA_MIN:
             raise ChordDomainError(
                 f"gap outside ({OMEGA_MIN}, pi - {OMEGA_MIN}): offending value {omega}"
             )
         return
-    bad = (omega < OMEGA_MIN) | (omega > np.pi - OMEGA_MIN)
+    bad = np.logical_not((omega >= OMEGA_MIN) & (omega <= np.pi - OMEGA_MIN))
     if np.any(bad):
         raise ChordDomainError(
             f"gap outside ({OMEGA_MIN}, pi - {OMEGA_MIN}): "

@@ -622,6 +622,8 @@ class SupportOval:
 
     @classmethod
     def from_json(cls, obj, validate=True):
+        if not isinstance(obj, dict):
+            raise ValueError(f"oval descriptor must be a JSON object, not {type(obj).__name__}")
         key = {"fourier": "a0", "samples": "p"}.get(obj.get("type"))
         if key is None:
             raise ValueError(f"unknown oval descriptor type {obj.get('type')!r}")

@@ -83,6 +83,8 @@ class PolygonConfig:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError(f"polygon descriptor must be a JSON object, not {type(obj).__name__}")
         for key in ("alpha", "p"):
             if key not in obj:
                 raise ValueError(f"polygon descriptor lacks the key {key!r}")

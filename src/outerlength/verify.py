@@ -55,14 +55,21 @@ def dual_forms_defect(oval, a1, a2):
     return float(np.max(np.abs([s1 + r1, s2 - r2])))
 
 
-def oracle_defect(oval, a1, a2):
-    """Largest distance between the images of the chord vertices under the
-    Cartesian reflection rule and the generating-function map, each one
-    batched call (the map raises StepFailureError where it has no root)."""
+def _stepped(oval, a1, a2):
+    """alpha3 of every chord by the batched map, or StepFailureError naming
+    the first chord without a reflection root."""
     a3 = billiard.step_angles_arr(oval, a1, a2)
     if np.any(np.isnan(a3)):
         i = int(np.argmax(np.isnan(a3)))
         raise StepFailureError(f"no reflection root for chord ({a1[i]:.6f}, {a2[i]:.6f})")
+    return a3
+
+
+def oracle_defect(oval, a1, a2):
+    """Largest distance between the images of the chord vertices under the
+    Cartesian reflection rule and the generating-function map, each one
+    batched call (the map raises StepFailureError where it has no root)."""
+    a3 = _stepped(oval, a1, a2)
     start = billiard.vertex_point(oval, ChordConfig(a1, a2)).T
     image = billiard.vertex_point(oval, ChordConfig(a2, a3)).T
     return float(np.max(np.linalg.norm(billiard.cartesian_step(oval, start) - image, axis=1)))
@@ -70,13 +77,14 @@ def oracle_defect(oval, a1, a2):
 
 def symplectic_defect(oval, a1, a2):
     """Worst |det DT - 1| in (R, alpha), with d alpha3 / d alpha1 from central
-    differences (h = 1e-5) of the batched map; an unstepped chord gives NaN.
+    differences (h = 1e-5) of the batched map.  A chord the map cannot step
+    raises StepFailureError naming it; a shifted start it cannot step gives NaN.
 
     T = Phi F Phi^-1 with Phi(a, b) = (R1(a, b), a) and F(a1, a2) = (a2, a3),
     so det DT = -S12(a2, a3) (d alpha3 / d alpha1) / S12(a1, a2).
     """
     h = 1e-5
-    a3 = billiard.step_angles_arr(oval, a1, a2)
+    a3 = _stepped(oval, a1, a2)
     plus = billiard.step_angles_arr(oval, a1 + h, a2)
     minus = billiard.step_angles_arr(oval, a1 - h, a2)
     da3 = (plus - minus) / (2 * h)

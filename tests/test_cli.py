@@ -81,7 +81,9 @@ class TestForge:
         ({"type": "four-periodic"}, "lacks the key 'harmonics'"),
         ({"type": "four-periodic", "harmonics": [{"sin": 0.1}]}, "lacks the key 'k'"),
         ({"type": "radon-arc"}, "lacks the key 'p'"),
-    ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p"])
+        ([3], "must be a JSON object"),
+        ({"type": "four-periodic", "harmonics": 5}, "must be a list of objects"),
+    ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p", "not-object", "harmonics-int"])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec_obj, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_obj))
@@ -290,7 +292,8 @@ class TestRender:
 @pytest.mark.parametrize("table, reason, verify_code", [
     ({"type": "fourier"}, "lacks the key 'a0'", EXIT_IO),
     ({"type": "fourier", "a0": float("nan")}, "not positive", EXIT_VALIDATION),
-], ids=["missing-key", "nan-support"])
+    ([1, 2], "must be a JSON object", EXIT_IO),
+], ids=["missing-key", "nan-support", "not-object"])
 @pytest.mark.parametrize("command", [
     ["scan", "--n", "4", "--samples", "8"],
     ["iterate", "--state", "0,1"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from outerlength import billiard, forge
+from outerlength import billiard, forge, genfun
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import ArcConstraintError, ChordDomainError, OvalValidationError
@@ -49,6 +49,18 @@ CASES = {
     "spec-json-harmonic-no-k": (lambda: forge.FourPeriodicSpec.from_json(
                                     {"type": "four-periodic", "harmonics": [{"sin": 0.1}]}),
                                 ValueError, "lacks the key 'k'"),
+    "oval-json-not-object": (lambda: SupportOval.from_json([1, 2]), ValueError,
+                             "must be a JSON object"),
+    "polygon-json-not-object": (lambda: pg.PolygonConfig.from_json([1, 2]), ValueError,
+                                "must be a JSON object"),
+    "spec-not-object": (lambda: forge.table_from_spec([3]), ValueError, "must be a JSON object"),
+    "spec-json-harmonics-not-list": (lambda: forge.FourPeriodicSpec.from_json(
+                                         {"type": "four-periodic", "harmonics": 5}),
+                                     ValueError, "must be a list of objects"),
+    "action-nan-angle": (lambda: pd.total_action(circle(), [NAN, 2.0, 4.0]), ChordDomainError,
+                         "offending value nan"),
+    "grad-nan-gap": (lambda: genfun.grad_arr(circle(), [NAN, 0.1], [1.0, 1.2]),
+                     ChordDomainError, "offending value nan"),
     "chord-nan-gap": (lambda: ChordConfig(NAN, 1.0), ChordDomainError, "offending value nan"),
     "twist-no-samples": (lambda: billiard.twist_report(circle(), samples=0), ValueError,
                          "samples must be at least 1"),

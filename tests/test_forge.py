@@ -45,15 +45,64 @@ class TestFourPeriodicSpec:
     def test_json_round_trip(self, forge_spec):
         back = forge.FourPeriodicSpec.from_json(forge_spec.to_json())
         xs = np.linspace(0, TWO_PI, 64)
-        assert np.max(np.abs(back.f(xs) - forge_spec.f(xs))) == 0.0
+        assert np.max(np.abs(back.jet(xs)[0] - forge_spec.jet(xs)[0])) == 0.0
 
     def test_callable_spec_matches_harmonics(self, forge_spec):
         spec = forge.FourPeriodicSpec.from_callable(
             lambda x: 0.1 * np.sin(2 * x), lambda x: 0.2 * np.cos(2 * x)
         )
         xs = np.linspace(0, TWO_PI, 64)
-        assert np.max(np.abs(spec.f(xs) - forge_spec.f(xs))) < 1e-15
-        assert abs(spec.fsecond(0.7) - forge_spec.fsecond(0.7)) < 1e-6
+        assert np.max(np.abs(spec.jet(xs)[0] - forge_spec.jet(xs)[0])) < 1e-15
+        assert abs(spec.jet(0.7)[2] - forge_spec.jet(0.7)[2]) < 1e-6
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_harmonic_jet_is_the_closed_form(self, eps):
+        # f = eps sin 2x, so (f, f', f'') = (eps sin 2x, 2 eps cos 2x, -4 eps sin 2x)
+        xs = np.linspace(-1.0, 7.0, 257)
+        got = forge.FourPeriodicSpec.from_harmonics({2: (0.0, eps)}).jet(xs)
+        want = (eps * np.sin(2 * xs), 2 * eps * np.cos(2 * xs), -4 * eps * np.sin(2 * xs))
+        for g, w, scale in zip(got, want, (eps, 2 * eps, 4 * eps)):
+            assert np.max(np.abs(g - w)) <= 4 * np.spacing(scale)
+
+    def test_callable_jet_without_fsecond_differences_fprime(self, forge_spec):
+        spec = forge.FourPeriodicSpec.from_callable(
+            lambda x: 0.1 * np.sin(2 * x), lambda x: 0.2 * np.cos(2 * x)
+        )
+        xs = np.linspace(0, TWO_PI, 257)
+        _, fp, fpp = spec.jet(xs)
+        _, hfp, hfpp = forge_spec.jet(xs)
+        assert np.max(np.abs(fp - hfp)) < 1e-15
+        assert np.max(np.abs(fpp - hfpp)) < 1e-6
+
+
+class TestTableFromSpec:
+    def test_four_periodic_spec_is_from_f(self, forge_spec, forge_table):
+        oval = forge.table_from_spec(forge_spec.to_json())
+        alphas = np.linspace(0, TWO_PI, 64)
+        assert np.array_equal(oval.p(alphas), forge_table[0].p(alphas))
+
+    def test_radon_arc_spec_is_radon_like(self):
+        nodes = np.linspace(0, np.pi / 2, 129)
+        arc = forge.balanced_radon_seed(0.03)(nodes)
+        oval = forge.table_from_spec({"type": "radon-arc", "p": arc.tolist()})
+        alphas = np.linspace(0, TWO_PI, 64)
+        assert np.array_equal(oval.p(alphas), forge.radon_like(arc).p(alphas))
+
+    @pytest.mark.parametrize("obj, reason", [
+        ([3], "must be a JSON object, not list"),
+        ("four-periodic", "must be a JSON object, not str"),
+        ({}, "unknown table spec type None"),
+        ({"type": "hexagon"}, "unknown table spec type 'hexagon'"),
+        ({"type": "four-periodic"}, "lacks the key 'harmonics'"),
+        ({"type": "four-periodic", "harmonics": 5}, "must be a list of objects"),
+        ({"type": "four-periodic", "harmonics": [3]}, "must be a list of objects"),
+        ({"type": "four-periodic", "harmonics": [{"sin": 0.1}]}, "lacks the key 'k'"),
+        ({"type": "radon-arc"}, "lacks the key 'p'"),
+    ], ids=["list", "string", "no-type", "unknown-type", "no-harmonics", "harmonics-int",
+            "harmonic-int", "harmonic-no-k", "radon-arc-no-p"])
+    def test_malformed_spec_raises_value_error(self, obj, reason):
+        with pytest.raises(ValueError, match=reason):
+            forge.table_from_spec(obj)
 
 
 class TestFromF:

@@ -77,6 +77,17 @@ def test_unstepped_chord_raises(wobble3_table, monkeypatch):
         verify.oracle_defect(wobble3_table, a1, a1 + 1.0)
 
 
+def test_unstepped_chord_raises_in_the_area_check(wobble3_table, monkeypatch):
+    step = billiard.step_angles_arr
+    monkeypatch.setattr(
+        billiard, "step_angles_arr",
+        lambda oval, a1, a2: np.where(a1 > 1.0, np.nan, step(oval, a1, a2)),
+    )
+    a1 = np.array([0.5, 1.5])
+    with pytest.raises(StepFailureError, match=r"no reflection root for chord \(1.500000"):
+        verify.symplectic_defect(wobble3_table, a1, a1 + 1.0)
+
+
 def test_worst_triangle_expression_is_the_largest_of_the_loop():
     rng = np.random.default_rng(3)
     uv = rng.uniform(0.05, np.pi / 2 - 0.05, (200, 2))
