@@ -6,7 +6,12 @@ class OuterLengthError(Exception):
 
 
 class OvalValidationError(OuterLengthError):
-    """A support function violates positivity, convexity, or periodicity."""
+    """A support function violates positivity, convexity, or periodicity;
+    `report` is the failed survey, None for data that cannot be surveyed."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ContainmentError(OuterLengthError):

@@ -44,7 +44,7 @@ from .errors import (
     ReparamError,
     SeamError,
 )
-from .oval import SupportOval, _refined_min
+from .oval import SupportOval, _json_fields, _json_floats, _refined_min
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,14 +98,15 @@ class FourPeriodicSpec:
         return cls(lambda x: (f(x), fprime(x), fsecond(x)))
 
     def _validate(self):
-        # the grid starts at 0 and a quarter turn is a quarter of its nodes
+        # the grid starts at 0 and a quarter turn is a quarter of its nodes;
+        # each test is written so that a NaN fails it
         fv, fp, _ = self.jet(_GRID)
         anti = np.max(np.abs(np.roll(fv, -(len(_GRID) // 4)) + fv))
-        if anti > 1e-12:
+        if not anti <= 1e-12:
             raise ArcConstraintError(
                 f"f(x + pi/2) = -f(x) violated (defect {anti:.3e})"
             )
-        if abs(float(fv[0])) > 1e-12:
+        if not abs(float(fv[0])) <= 1e-12:
             raise ArcConstraintError("normalization f(0) = 0 violated")
 
         def neg_abs_fp(x):
@@ -113,7 +114,7 @@ class FourPeriodicSpec:
 
         # the refined maximum of |f'| is minus the refined minimum of -|f'|
         self.max_fprime = -_refined_min(neg_abs_fp, _GRID, -np.abs(fp))
-        if self.max_fprime >= 2.0 - 1e-12:
+        if not self.max_fprime < 2.0 - 1e-12:
             raise FPrimeBoundError(
                 f"f-prime bound violated: max |f'| = {self.max_fprime:.6f} >= 2"
             )
@@ -131,17 +132,16 @@ class FourPeriodicSpec:
 
     @classmethod
     def from_json(cls, obj):
-        if "harmonics" not in obj:
-            raise ValueError("four-periodic spec lacks the key 'harmonics'")
-        harmonics = obj["harmonics"]
+        (harmonics,) = _json_fields(obj, "four-periodic spec", "harmonics")
         if not (isinstance(harmonics, list) and all(isinstance(h, dict) for h in harmonics)):
             raise ValueError("four-periodic spec 'harmonics' must be a list of objects")
-        if not all("k" in h for h in harmonics):
-            raise ValueError("four-periodic spec harmonic lacks the key 'k'")
-        coeffs = {
-            int(h["k"]): (float(h.get("cos", 0.0)), float(h.get("sin", 0.0)))
-            for h in harmonics
-        }
+        what = "four-periodic spec harmonic"
+        coeffs = {}
+        for h in harmonics:
+            (k,) = _json_fields(h, what, "k")
+            cos, sin = (_json_floats(h.get(c, 0.0), f"{what} {c!r}", many=False)
+                        for c in ("cos", "sin"))
+            coeffs[_json_floats(k, f"{what} 'k'", many=False)] = (cos, sin)
         return cls.from_harmonics(coeffs)
 
 
@@ -149,15 +149,13 @@ def table_from_spec(obj):
     """The table a spec object describes: `{"type": "four-periodic",
     "harmonics": [{"k", "cos", "sin"}, ...]}` through `from_f`, or
     `{"type": "radon-arc", "p": [...]}` through `radon_like`."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"table spec must be a JSON object, not {type(obj).__name__}")
+    _json_fields(obj, "table spec")
     kind = obj.get("type")
     if kind == "four-periodic":
         return from_f(FourPeriodicSpec.from_json(obj))[0]
     if kind == "radon-arc":
-        if "p" not in obj:
-            raise ValueError("radon-arc spec lacks the key 'p'")
-        return radon_like(np.asarray(obj["p"], dtype=float))
+        (p,) = _json_fields(obj, "radon-arc spec", "p")
+        return radon_like(_json_floats(p, "radon-arc spec 'p'", many=True))
     raise ValueError(f"unknown table spec type {kind!r}")
 
 
@@ -253,11 +251,11 @@ def from_f(spec):
 
 def boundary_from_family(spec, x):
     """Boundary point of the table at parameter x via the parametric envelope
-    formula gamma = p (cos a, sin a) + (dp/dx / da/dx) (-sin a, cos a)."""
+    formula gamma = p (cos a, sin a) + (dp/dx / da/dx) (-sin a, cos a), with
+    dp1/dx = -f' (f'' / sqrt(4 - f'^2) + 2) / 4 from the jet of f."""
     a1, _, p1, _, da_dx = _family_raw(spec, x)
-    h = 1e-6
-    dp_dx = (_family_raw(spec, x + h)[2] - _family_raw(spec, x - h)[2]) / (2 * h)
-    t = dp_dx / da_dx
+    _, fp, fpp = spec.jet(np.asarray(x, dtype=float))
+    t = -fp * (fpp / np.sqrt(4.0 - fp * fp) + 2.0) / 4.0 / da_dx
     return np.array(
         [p1 * np.cos(a1) - t * np.sin(a1), p1 * np.sin(a1) + t * np.cos(a1)]
     )

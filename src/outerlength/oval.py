@@ -77,6 +77,35 @@ def _as_points(point):
     return xy, False
 
 
+def _json_fields(obj, what, *keys):
+    """The values of the required `keys` of the JSON object `obj`, a `what`;
+    a ValueError names a non-object or the first missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _json_floats(value, name, many):
+    """A JSON number as a float or, with `many`, a JSON list of numbers as a
+    float array; a ValueError names `name` for any other value.  The item
+    types are tested as a set: `np.asarray(value, dtype=float)` would take
+    None as NaN and "1.5" as 1.5, and a bool is not a number here."""
+    listed = type(value) is list
+    odd = set(map(type, value if listed else [value])) - {int, float}
+    if listed != many or odd:
+        got = type(value).__name__
+        if listed and many:
+            got = "a list holding " + ", ".join(sorted(t.__name__ for t in odd))
+        raise ValueError(f"{name} must be {'a list of numbers' if many else 'a number'}, not {got}")
+    try:
+        return np.array(value, dtype=float) if many else float(value)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond float range") from None
+
+
 def _series(terms, coef):
     """terms @ coef over the last axis, with the leading axes flattened to
     one first: numpy then sums each row by one BLAS gemv, as for a 1-D batch,
@@ -362,7 +391,7 @@ class _SplineRep:
         return {"type": "samples", "p": self.samples.tolist()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """Grid survey of the oval invariants (refined near the minima)."""
 
@@ -402,42 +431,37 @@ def _refined_min(fn, grid_alphas, grid_vals, levels=3, local=32):
 
 
 class SupportOval:
-    """Immutable strictly convex oval given by its support function."""
+    """Immutable strictly convex oval given by its support function; the
+    constructor surveys it once and raises `OvalValidationError` if it fails."""
 
-    def __init__(self, rep, validate=True):
+    def __init__(self, rep):
         self._rep = rep
-        self._grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
-        closed = np.concatenate([self._grid, [TWO_PI]])
+        closed = np.linspace(0.0, TWO_PI, GRID_SIZE + 1)
         p, _, ddp = rep.jet(closed)
-        self._p_grid = p[:-1]
-        self._rho_grid = (p + ddp)[:-1]
         # (nodes, cos, sin, p) of the closed grid, for `_grid_margin`; the
         # node at 2*pi repeats the values at 0, so a margin's signs close up
         cos, sin, p = (np.append(v[:-1], v[0]) for v in (np.cos(closed), np.sin(closed), p))
         self._scan = (closed, cos, sin, p)
-        sym = self._p_grid - rep.jet(np.mod(self._grid + np.pi, TWO_PI))[0]
-        self.symmetry_defect = float(np.max(np.abs(sym)))
-        self.symmetry_flag = self.symmetry_defect < 1e-8
-        if validate:
-            report = self.validate()
-            if not report.passed:
-                raise OvalValidationError("; ".join(report.messages))
+        self._report = self._survey(closed[:-1], p[:-1], p[:-1] + ddp[:-1])
+        self.symmetry_flag = self._report.symmetry_defect < 1e-8
+        if not self._report.passed:
+            raise OvalValidationError("; ".join(self._report.messages), self._report)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_fourier(cls, a0, cos_coef=(), sin_coef=(), validate=True):
-        return cls(_FourierRep(a0, cos_coef, sin_coef), validate=validate)
+    def from_fourier(cls, a0, cos_coef=(), sin_coef=()):
+        return cls(_FourierRep(a0, cos_coef, sin_coef))
 
     @classmethod
-    def from_samples(cls, samples, validate=True):
-        return cls(_SplineRep(samples), validate=validate)
+    def from_samples(cls, samples):
+        return cls(_SplineRep(samples))
 
     @classmethod
-    def from_callable(cls, fn, n=4096, validate=True):
+    def from_callable(cls, fn, n=4096):
         """Resample an arbitrary support callable into the spline representation."""
         alphas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        return cls.from_samples(fn(alphas), validate=validate)
+        return cls.from_samples(fn(alphas))
 
     # -- pointwise geometry ------------------------------------------------
 
@@ -594,11 +618,13 @@ class SupportOval:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self):
-        """Survey the invariants on the grid, refining near minima."""
-        min_p = _refined_min(self.p, self._grid, self._p_grid)
-        min_rho = _refined_min(self.curvature_radius, self._grid, self._rho_grid)
+    def _survey(self, grid, p, rho):
+        """The invariants at the nodes `grid` of the open grid, where p and
+        rho = p'' + p take the given values, with the minima refined."""
+        min_p = _refined_min(self.p, grid, p)
+        min_rho = _refined_min(self.curvature_radius, grid, rho)
         defect = self._rep.periodicity_defect()
+        sym = p - self._rep.jet(np.mod(grid + np.pi, TWO_PI))[0]
         messages = []
         if not min_p > 1e-12:
             messages.append(f"support function not positive (min p = {min_p:.3e})")
@@ -606,14 +632,20 @@ class SupportOval:
             messages.append(f"not strictly convex (min p''+p = {min_rho:.3e})")
         if not defect <= 1e-9:
             messages.append(f"periodicity defect {defect:.3e}")
+        if not np.isfinite(p).all():
+            messages.append("support function not finite")
         return ValidationReport(
             min_support=min_p,
             min_curvature_radius=min_rho,
             periodicity_defect=defect,
-            symmetry_defect=self.symmetry_defect,
+            symmetry_defect=float(np.max(np.abs(sym))),
             passed=not messages,
             messages=tuple(messages),
         )
+
+    def validate(self):
+        """The constructor's grid survey of the invariants, refined near minima."""
+        return self._report
 
     # -- serialization -----------------------------------------------------
 
@@ -621,18 +653,19 @@ class SupportOval:
         return self._rep.descriptor()
 
     @classmethod
-    def from_json(cls, obj, validate=True):
-        if not isinstance(obj, dict):
-            raise ValueError(f"oval descriptor must be a JSON object, not {type(obj).__name__}")
-        key = {"fourier": "a0", "samples": "p"}.get(obj.get("type"))
-        if key is None:
-            raise ValueError(f"unknown oval descriptor type {obj.get('type')!r}")
-        if key not in obj:
-            raise ValueError(f"{obj['type']} oval descriptor lacks the key {key!r}")
-        if key == "a0":
-            return cls.from_fourier(obj["a0"], obj.get("cos", ()), obj.get("sin", ()),
-                                    validate=validate)
-        return cls.from_samples(obj["p"], validate=validate)
+    def from_json(cls, obj):
+        _json_fields(obj, "oval descriptor")
+        kind = obj.get("type")
+        what = f"{kind} oval descriptor"
+        if kind == "fourier":
+            (a0,) = _json_fields(obj, what, "a0")
+            cos, sin = (_json_floats(obj.get(k, []), f"{what} {k!r}", many=True)
+                        for k in ("cos", "sin"))
+            return cls.from_fourier(_json_floats(a0, f"{what} 'a0'", many=False), cos, sin)
+        if kind == "samples":
+            (p,) = _json_fields(obj, what, "p")
+            return cls.from_samples(_json_floats(p, f"{what} 'p'", many=True))
+        raise ValueError(f"unknown oval descriptor type {kind!r}")
 
     def save(self, path):
         """Write `to_json()` to path; `json.dumps` encodes in C, where
@@ -641,9 +674,9 @@ class SupportOval:
             fh.write(json.dumps(self.to_json()))
 
     @classmethod
-    def load(cls, path, validate=True):
+    def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), validate=validate)
+            return cls.from_json(json.load(fh))
 
     def __repr__(self):
         return f"SupportOval(kind={self.kind!r}, symmetric={self.symmetry_flag})"

@@ -29,7 +29,6 @@ averages the advance along orbits iterated in lockstep the same way.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -110,12 +109,6 @@ class PeriodicOrbit:
             "iterations": self.iterations,
             "dropped_modes": self.dropped_modes,
         }
-
-    def save(self, path):
-        """Write `to_json()` to path; `json.dumps` encodes in C, where
-        `json.dump` writes chunk by chunk from Python."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json()))
 
 
 def normalize_angles(angles, m=1):

@@ -78,18 +78,6 @@ class PolygonConfig:
     def regular(cls, n, r=1.0, phase=0.0):
         return cls(phase + TWO_PI * np.arange(n) / n, np.full(n, float(r)))
 
-    def to_json(self):
-        return {"alpha": self.alphas.tolist(), "p": self.ps.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError(f"polygon descriptor must be a JSON object, not {type(obj).__name__}")
-        for key in ("alpha", "p"):
-            if key not in obj:
-                raise ValueError(f"polygon descriptor lacks the key {key!r}")
-        return cls(np.asarray(obj["alpha"]), np.asarray(obj["p"]))
-
 
 # -- raw geometry ------------------------------------------------------------
 
@@ -227,33 +215,26 @@ def xi_bracket(poly, i, j):
 
 
 def _rk4_flow(alphas, ps, i, t, substeps=4):
-    """Integrate the xi_i flow for time t with RK4 (raw arrays, no validation)."""
-    a = alphas.copy()
-    p = ps.copy()
-    n = len(a)
-    h = t / substeps
+    """Integrate the xi_i flow for time t with RK4 (raw arrays, no validation).
+    Only alpha_i, at unit speed, and p_i move along xi_i, so RK4 steps the
+    pair alone, with p_i' = Phi_i and the neighbouring sides fixed."""
+    near = [i - 1, i, (i + 1) % len(alphas)]
+    (a_prev, a, a_next), (p_prev, p, p_next) = alphas[near], ps[near]
 
     def vel(a, p):
-        gm = (a[i] - a[(i - 1) % n]) % TWO_PI
-        gp = (a[(i + 1) % n] - a[i]) % TWO_PI
-        return _phi_raw(gm / 2.0, gp / 2.0, p[(i - 1) % n], p[i], p[(i + 1) % n])
+        return _phi_raw((a - a_prev) % TWO_PI / 2.0, (a_next - a) % TWO_PI / 2.0,
+                        p_prev, p, p_next)
 
+    h = t / substeps
     for _ in range(substeps):
         k1 = vel(a, p)
-        a2, p2 = a.copy(), p.copy()
-        a2[i] += h / 2
-        p2[i] += h / 2 * k1
-        k2 = vel(a2, p2)
-        p3 = p.copy()
-        p3[i] += h / 2 * k2
-        k3 = vel(a2, p3)
-        a4, p4 = a.copy(), p.copy()
-        a4[i] += h
-        p4[i] += h * k3
-        k4 = vel(a4, p4)
-        a[i] += h
-        p[i] += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return a, p
+        k2 = vel(a + h / 2, p + h / 2 * k1)
+        k3 = vel(a + h / 2, p + h / 2 * k2)
+        k4 = vel(a + h, p + h * k3)
+        a, p = a + h, p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    alphas, ps = alphas.copy(), ps.copy()
+    alphas[i], ps[i] = a, p
+    return alphas, ps
 
 
 def flow_commutator(poly, i, j, h=1e-3):

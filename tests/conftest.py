@@ -31,6 +31,12 @@ def wobble3_table():
 
 
 @pytest.fixture(scope="session")
+def thin_ellipse():
+    # least curvature radius 4e-4
+    return ellipse(1.0, 0.02)
+
+
+@pytest.fixture(scope="session")
 def wobble2_table():
     return perturbed_circle(0.1, 2)
 

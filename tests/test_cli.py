@@ -83,7 +83,13 @@ class TestForge:
         ({"type": "radon-arc"}, "lacks the key 'p'"),
         ([3], "must be a JSON object"),
         ({"type": "four-periodic", "harmonics": 5}, "must be a list of objects"),
-    ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p", "not-object", "harmonics-int"])
+        ({"type": "four-periodic", "harmonics": [{"k": 2, "sin": None}]},
+         "harmonic 'sin' must be a number"),
+        ({"type": "radon-arc", "p": {"a": 1}}, "'p' must be a list of numbers"),
+        ({"type": "four-periodic", "harmonics": [{"k": 2, "cos": float("nan")}]},
+         "f(x + pi/2) = -f(x) violated"),
+    ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p", "not-object", "harmonics-int",
+            "null-sin", "object-p", "nan-cos"])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec_obj, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_obj))
@@ -293,7 +299,11 @@ class TestRender:
     ({"type": "fourier"}, "lacks the key 'a0'", EXIT_IO),
     ({"type": "fourier", "a0": float("nan")}, "not positive", EXIT_VALIDATION),
     ([1, 2], "must be a JSON object", EXIT_IO),
-], ids=["missing-key", "nan-support", "not-object"])
+    ({"type": "fourier", "a0": None}, "'a0' must be a number", EXIT_IO),
+    ({"type": "fourier", "a0": 1.0, "cos": 5}, "'cos' must be a list of numbers", EXIT_IO),
+    # no survey is made of these samples, so verify has no report to print
+    ({"type": "samples", "p": [1.0] * 31 + [float("nan")]}, "finite samples", EXIT_VALIDATION),
+], ids=["missing-key", "nan-support", "not-object", "null-a0", "int-cos", "nan-sample"])
 @pytest.mark.parametrize("command", [
     ["scan", "--n", "4", "--samples", "8"],
     ["iterate", "--state", "0,1"],

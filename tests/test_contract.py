@@ -1,12 +1,18 @@
 """Inputs outside an entry point's domain end in the typed error it already raises."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerlength import billiard, forge, genfun
 from outerlength import periodic as pd
 from outerlength import polygons as pg
-from outerlength.errors import ArcConstraintError, ChordDomainError, OvalValidationError
+from outerlength.errors import (
+    ArcConstraintError, ChordDomainError, OuterLengthError, OvalValidationError,
+)
 from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse
 
@@ -42,8 +48,6 @@ CASES = {
                            ValueError, "at least 3"),
     "oval-json-missing-key": (lambda: SupportOval.from_json({"type": "fourier"}), ValueError,
                               "lacks the key 'a0'"),
-    "polygon-json-missing-key": (lambda: pg.PolygonConfig.from_json({"alpha": [0, 2, 4]}),
-                                 ValueError, "lacks the key 'p'"),
     "spec-json-no-harmonics": (lambda: forge.FourPeriodicSpec.from_json({"type": "four-periodic"}),
                                ValueError, "lacks the key 'harmonics'"),
     "spec-json-harmonic-no-k": (lambda: forge.FourPeriodicSpec.from_json(
@@ -51,9 +55,25 @@ CASES = {
                                 ValueError, "lacks the key 'k'"),
     "oval-json-not-object": (lambda: SupportOval.from_json([1, 2]), ValueError,
                              "must be a JSON object"),
-    "polygon-json-not-object": (lambda: pg.PolygonConfig.from_json([1, 2]), ValueError,
-                                "must be a JSON object"),
     "spec-not-object": (lambda: forge.table_from_spec([3]), ValueError, "must be a JSON object"),
+    "oval-json-null-a0": (lambda: SupportOval.from_json({"type": "fourier", "a0": None}),
+                          ValueError, "'a0' must be a number, not NoneType"),
+    "oval-json-int-cos": (lambda: SupportOval.from_json({"type": "fourier", "a0": 1.0, "cos": 5}),
+                          ValueError, "'cos' must be a list of numbers, not int"),
+    "oval-json-string-sample": (lambda: SupportOval.from_json(
+                                    {"type": "samples", "p": [1.0] * 31 + ["1.5"]}),
+                                ValueError, "'p' must be a list of numbers, not a list holding str"),
+    "oval-json-bool-a0": (lambda: SupportOval.from_json({"type": "fourier", "a0": True}),
+                          ValueError, "'a0' must be a number, not bool"),
+    "oval-json-huge-a0": (lambda: SupportOval.from_json({"type": "fourier", "a0": 10**400}),
+                          ValueError, "'a0' holds an integer beyond float range"),
+    "spec-json-null-sin": (lambda: forge.table_from_spec(
+                               {"type": "four-periodic", "harmonics": [{"k": 2, "sin": None}]}),
+                           ValueError, "harmonic 'sin' must be a number"),
+    "spec-json-object-p": (lambda: forge.table_from_spec({"type": "radon-arc", "p": {"a": 1}}),
+                           ValueError, "'p' must be a list of numbers, not dict"),
+    "spec-nan-coefficient": (lambda: forge.FourPeriodicSpec.from_harmonics({2: (NAN, 0.0)}),
+                             ArcConstraintError, r"f\(x \+ pi/2\) = -f\(x\) violated"),
     "spec-json-harmonics-not-list": (lambda: forge.FourPeriodicSpec.from_json(
                                          {"type": "four-periodic", "harmonics": 5}),
                                      ValueError, "must be a list of objects"),
@@ -74,3 +94,44 @@ CASES = {
 def test_rejected_input_raises_typed_error(call, error, reason):
     with pytest.raises(error, match=reason):
         call()
+
+
+# -- the table and spec JSON readers -------------------------------------------
+
+#: a valid descriptor for each reader and format
+DESCRIPTORS = [
+    (SupportOval.from_json, {"type": "fourier", "a0": 1.0, "cos": [0.0, 0.05], "sin": [0.0, 0.02]}),
+    (SupportOval.from_json, {"type": "samples", "p": [1.0] * 32}),
+    (forge.table_from_spec, {"type": "four-periodic", "harmonics": [{"k": 2, "cos": 0.0,
+                                                                     "sin": 0.1}]}),
+    (forge.table_from_spec, {"type": "radon-arc", "p": [0.5] * 17}),
+]
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(), st.floats(),
+    st.sampled_from([10**400, -(10**400)]),
+)
+JSON_VALUES = st.one_of(
+    st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8),
+    # a list of numbers long enough for the spline, with one odd item
+    st.builds(lambda xs, i, odd: xs[:i] + [odd] + xs[i:],
+              st.lists(st.floats(0.9, 1.1), min_size=20, max_size=40), st.integers(0, 20),
+              JSON_SCALARS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_json_value_gives_a_table_or_a_typed_error(data):
+    """Any JSON value in any one key of a table or spec descriptor (or of a
+    harmonic) gives a table, or a ValueError or `OuterLengthError` naming
+    the reason; never a TypeError, KeyError or AttributeError."""
+    reader, obj = data.draw(st.sampled_from(DESCRIPTORS))
+    obj = copy.deepcopy(obj)
+    holder = data.draw(st.sampled_from([obj] + obj.get("harmonics", [])))
+    holder[data.draw(st.sampled_from(sorted(holder)))] = data.draw(JSON_VALUES)
+    try:
+        table = reader(obj)
+    except (ValueError, OuterLengthError):
+        return
+    assert isinstance(table, SupportOval)

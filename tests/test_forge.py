@@ -140,7 +140,7 @@ class TestFromF:
         for x in (0.2, 1.0, 2.2, 4.4):
             pt = forge.boundary_from_family(family.spec, x)
             s = family.state(x)
-            assert np.allclose(pt, oval.point_at(s.alpha1), atol=1e-7)
+            assert np.allclose(pt, oval.point_at(s.alpha1), rtol=0.0, atol=1e-12)
 
     def test_round_trip_through_tangency_extraction(self, forge_table):
         oval, family = forge_table

@@ -271,8 +271,9 @@ class TestValidation:
         assert abs(report.min_curvature_radius - 1.0) < 1e-12
 
     def test_strong_cos2_fails(self):
-        bad = SupportOval.from_fourier(1.0, [0.0, 0.4], validate=False)
-        report = bad.validate()
+        with pytest.raises(OvalValidationError) as failed:
+            SupportOval.from_fourier(1.0, [0.0, 0.4])
+        report = failed.value.report
         assert not report.passed
         assert report.min_curvature_radius < 0
 
@@ -281,6 +282,12 @@ class TestValidation:
         report = good.validate()
         assert report.passed
         assert abs(report.min_curvature_radius - 0.7) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_infinite_table_fails(self):
+        # p = inf passes both minimum tests, and every map step on it is NaN
+        with pytest.raises(OvalValidationError, match="not finite"):
+            circle(np.inf)
 
     def test_constructor_raises_on_invalid(self):
         with pytest.raises(OvalValidationError):
@@ -331,6 +338,21 @@ class TestRepresentations:
         table.save(path)
         assert path.read_text(encoding="utf-8") == json.dumps(table.to_json())
         assert SupportOval.load(path).to_json() == table.to_json()
+
+    @pytest.mark.parametrize("name", ["round_table", "ellipse_table", "wobble3_table",
+                                      "wobble2_table", "spline_wobble3", "thin_ellipse",
+                                      "forge_table"])
+    def test_saved_table_reads_back(self, name, request, tmp_path):
+        table = request.getfixturevalue(name)
+        table = table[0] if name == "forge_table" else table
+        path = tmp_path / "t.json"
+        table.save(path)
+        back = SupportOval.load(path)
+        assert back.to_json() == table.to_json()
+        alphas = np.linspace(-1.0, 7.5, 4096)
+        for u, v in zip(back.jet(alphas), table.jet(alphas)):
+            assert np.array_equal(u, v)
+        assert back.validate() == table.validate()
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):

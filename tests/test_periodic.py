@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,14 +271,6 @@ class TestFindPeriodic:
         oracle = pd.brute_oracle(round_table, 3, grid_density=1)
         assert oracle.iterations is None and oracle.dropped_modes is None
         assert oracle.to_json()["iterations"] is None
-
-
-def test_saved_orbit_is_json_dumps(round_table, tmp_path):
-    orbit = pd.find_periodic(round_table, 3)
-    path = tmp_path / "orbit.json"
-    orbit.save(path)
-    assert path.read_text(encoding="utf-8") == json.dumps(orbit.to_json())
-    assert json.loads(path.read_text(encoding="utf-8")) == orbit.to_json()
 
 
 @settings(max_examples=20, deadline=None)
