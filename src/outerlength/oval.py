@@ -48,6 +48,8 @@ GRID_SIZE = 2048
 _CELL = TWO_PI / GRID_SIZE
 #: 2*pi as a plain float, for arithmetic on floats
 _TWO_PI = 2.0 * math.pi
+#: a point is exterior when some support margin exceeds this
+_EXTERIOR_MARGIN = 1e-12
 
 
 def _cos_sin(a):
@@ -538,35 +540,35 @@ class SupportOval:
         _, cos, sin, p = self._scan
         return np.multiply.outer(xy[:, 0], cos) + np.multiply.outer(xy[:, 1], sin) - p
 
-    def _visible(self, xy, margin):
+    def _visible(self, xy):
         """Shared core of `is_exterior` and `tangent_angles_from` for points
         (k, 2): their grid margins h, the largest node margin of each, and
-        whether each lies more than `margin` outside; where the grid alone
+        whether each is exterior (see `_EXTERIOR_MARGIN`); where the grid alone
         cannot tell, also the argmax node and the angle of maximum margin
         (NaN elsewhere).
 
-        A row whose largest node margin exceeds `margin` is exterior.  For
-        the others the maximum is refined: h is strictly concave near it
+        A row whose largest node margin exceeds the threshold is exterior.
+        For the others the maximum is refined: h is strictly concave near it
         (h'' = -(h + p'' + p)), so h' has one root on the two cells around
-        the argmax, and the point is exterior if h there exceeds `margin`.
+        the argmax, and the point is exterior if h there exceeds it.
         """
         h = self._grid_margin(xy)
         top = h.max(axis=1)
-        exterior = top > margin
+        exterior = top > _EXTERIOR_MARGIN
         node, star = np.full((2, len(h)), np.nan)
         fine = np.flatnonzero(~exterior)
         if fine.size:
             node[fine] = self._scan[0][np.argmax(h[fine], axis=1)]
             x, y = xy[fine, 0], xy[fine, 1]
             star[fine] = bracketed_root(self._slope_fdf, node[fine] - _CELL, node[fine] + _CELL, x, y)
-            exterior[fine] = self._margin_jet(star[fine], x, y)[0] > margin
+            exterior[fine] = self._margin_jet(star[fine], x, y)[0] > _EXTERIOR_MARGIN
         return h, top, exterior, node, star
 
-    def is_exterior(self, point, margin=1e-12):
-        """True when the point lies more than `margin` outside the oval, i.e.
-        some support margin exceeds it; k points (k, 2) give k booleans."""
+    def is_exterior(self, point):
+        """True when some support margin of the point exceeds
+        `_EXTERIOR_MARGIN` = 1e-12; k points (k, 2) give k booleans."""
         xy, one = _as_points(point)
-        exterior = self._visible(xy, margin)[2]
+        exterior = self._visible(xy)[2]
         return bool(exterior[0]) if one else exterior
 
     def tangent_angles_from(self, point):
@@ -584,10 +586,10 @@ class SupportOval:
         the grid cell of the refined maximum, which splits it into one
         bracket each (see `_visible`).  All 2k brackets go to one solver
         call.  Raises ContainmentError, naming the first such point, when a
-        point is not exterior by `is_exterior`'s default margin.
+        point is not exterior by `is_exterior`.
         """
         xy, one = _as_points(point)
-        h, top, exterior, node, star = self._visible(xy, 1e-12)
+        h, top, exterior, node, star = self._visible(xy)
         if not exterior.all():
             i = int(np.argmin(exterior))
             raise ContainmentError(

@@ -315,7 +315,7 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     return angles, grads, reason
 
 
-def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
+def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     """Newton search for an (n, m) orbit from a seed (default: equal gaps).
 
     The seed is one free row of `_newton`: each step solves the cyclic
@@ -323,7 +323,7 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
     as the exact zero mode of a rotationally symmetric table, as
     `lstsq(rcond=1e-10)` would; a backtracking line search on the gradient
     norm keeps every gap in (GAP_MIN, pi - GAP_MIN).  The orbit records the
-    Newton steps taken and the soft modes dropped.  A seed gap outside the
+    Newton steps taken, at most 80, and the soft modes dropped.  A seed gap outside the
     chord domain raises ChordDomainError.  A search that stops above `tol`
     raises ConvergenceError, which names the stop reason and the residual
     reached.
@@ -332,7 +332,7 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11, max_iter=80):
     seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else seed_angles
     counts = np.zeros((1, 2), dtype=int)
     angles, g, reason = _newton(oval, np.asarray(seed, dtype=float)[None], m, False, tol,
-                                max_iter, counts)
+                                80, counts)
     if reason[0] == "domain":
         raise ChordDomainError(_STOPS["domain"])
     if reason[0] != "converged":
@@ -464,15 +464,6 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _mirror(near, k, residuals):
-    """The sample as far again beyond neighbour `near` of each sample `k`,
-    and whether it is solved (a finite residual)."""
-    far = 2 * near - k
-    solved = (far >= 0) & (far < len(residuals))
-    solved[solved] = np.isfinite(residuals[far[solved]])
-    return far, solved
-
-
 def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
                          alpha_lo=0.0, alpha_hi=TWO_PI):
     """Sweep the first angle, close the remaining vertices variationally,
@@ -483,48 +474,40 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     has isolated zeros.  All samples are solved together as pinned rows of
     `_newton`; a row passes when it converges or stops at the round-off floor
     of its gradient.  The first pass seeds every sample from equal gaps.
-    Each later pass re-seeds the failed samples from their nearest solved
-    neighbour and runs while some failed sample has a nearer solved
-    neighbour than on its last try.  When the sample as far again beyond
-    that neighbour is solved too, the seed's angles relative to its first
-    are extrapolated linearly through the two (2 r(near) - r(far), the
-    secant predictor of natural-parameter continuation); otherwise they are
-    the neighbour's.  Between two neighbours at the same distance the one
-    with a secant wins, then the earlier.  Either way the seed is shifted to
-    the sample's own first angle.  Samples that no pass solves are reported
-    as NaN.
+    Each later pass marches outward (natural-parameter continuation): it
+    seeds every unsolved sample next to one that the previous pass solved,
+    and the scan ends when a pass solves nothing.  Each solved neighbour
+    predicts the sample's angles relative to its first: its own, or, when
+    the sample beyond it is solved too, the secant through both
+    (2 r(near) - r(far)).  The seed is the mean of the two sides'
+    predictions, shifted to the sample's own first angle.  The first and
+    last samples are not neighbours, so a window is scanned as an interval.
+    Samples that no pass solves are reported as NaN.
     """
     _check_period(n, m)
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi)):
+        raise ValueError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite")
     alphas = np.linspace(alpha_lo, alpha_hi, samples, endpoint=False)
     orbit_angles = np.full((samples, n), np.nan)
     residuals = np.full(samples, np.nan)
     seeds = alphas[:, None] + TWO_PI * m * np.arange(n) / n
-    tried = np.full(samples, -1)
+    # angles relative to the first, NaN where unsolved and on two rows of
+    # padding at each end: sample k is row k + 2, its neighbours are rows
+    # k + 1 and k + 3, and the samples beyond them rows k and k + 4
+    rel = np.full((samples + 4, n), np.nan)
     todo = np.arange(samples)
     while todo.size:
         angles, g, reason = _newton(oval, seeds[todo], m, True, 1e-12, 40)
         ok = (reason == "converged") | (reason == "floor")
-        orbit_angles[todo[ok]], residuals[todo[ok]] = angles[ok], g[ok, 0]
-        solved = np.flatnonzero(np.isfinite(residuals))
-        failed = np.flatnonzero(~np.isfinite(residuals))
-        if not solved.size:
-            break
-        pos = np.searchsorted(solved, failed)
-        before = solved[np.maximum(pos - 1, 0)]
-        after = solved[np.minimum(pos, len(solved) - 1)]
-        rank_b = 2 * np.abs(failed - before) + ~_mirror(before, failed, residuals)[1]
-        rank_a = 2 * np.abs(after - failed) + ~_mirror(after, failed, residuals)[1]
-        near = np.where(rank_b <= rank_a, before, after)
-        retry = near != tried[failed]
-        todo, near = failed[retry], near[retry]
-        tried[todo] = near
-        far, secant = _mirror(near, todo, residuals)
-        rel = orbit_angles[near] - orbit_angles[near, :1]
-        far = far[secant]
-        rel[secant] = 2.0 * rel[secant] - (orbit_angles[far] - orbit_angles[far, :1])
-        seeds[todo] = rel + alphas[todo, None]
+        new = todo[ok]
+        orbit_angles[new], residuals[new] = angles[ok], g[ok, 0]
+        rel[new + 2] = angles[ok] - angles[ok, :1]
+        todo = np.intersect1d(np.r_[new - 1, new + 1], np.flatnonzero(np.isnan(residuals)))
+        one, two = rel[[todo + 1, todo + 3]], rel[[todo, todo + 4]]
+        pred = np.where(np.isnan(two), one, 2.0 * one - two)
+        seeds[todo] = np.nanmean(pred, axis=0) + alphas[todo, None]
     return ScanReport(
         n=n, m=m, alpha1=alphas, residual=residuals, closure_tol=closure_tol,
         orbit_angles=orbit_angles,

@@ -14,7 +14,6 @@ import contextlib
 import numpy as np
 
 from . import billiard, genfun, polygons
-from .errors import StepFailureError
 from .genfun import ChordConfig
 
 TWO_PI = 2.0 * np.pi
@@ -55,21 +54,11 @@ def dual_forms_defect(oval, a1, a2):
     return float(np.max(np.abs([s1 + r1, s2 - r2])))
 
 
-def _stepped(oval, a1, a2):
-    """alpha3 of every chord by the batched map, or StepFailureError naming
-    the first chord without a reflection root."""
-    a3 = billiard.step_angles_arr(oval, a1, a2)
-    if np.any(np.isnan(a3)):
-        i = int(np.argmax(np.isnan(a3)))
-        raise StepFailureError(f"no reflection root for chord ({a1[i]:.6f}, {a2[i]:.6f})")
-    return a3
-
-
 def oracle_defect(oval, a1, a2):
     """Largest distance between the images of the chord vertices under the
     Cartesian reflection rule and the generating-function map, each one
     batched call (the map raises StepFailureError where it has no root)."""
-    a3 = _stepped(oval, a1, a2)
+    a3 = billiard.iterate(oval, a1, a2, 1)[2]
     start = billiard.vertex_point(oval, ChordConfig(a1, a2)).T
     image = billiard.vertex_point(oval, ChordConfig(a2, a3)).T
     return float(np.max(np.linalg.norm(billiard.cartesian_step(oval, start) - image, axis=1)))
@@ -84,7 +73,7 @@ def symplectic_defect(oval, a1, a2):
     so det DT = -S12(a2, a3) (d alpha3 / d alpha1) / S12(a1, a2).
     """
     h = 1e-5
-    a3 = _stepped(oval, a1, a2)
+    a3 = billiard.iterate(oval, a1, a2, 1)[2]
     plus = billiard.step_angles_arr(oval, a1 + h, a2)
     minus = billiard.step_angles_arr(oval, a1 - h, a2)
     da3 = (plus - minus) / (2 * h)

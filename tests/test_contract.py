@@ -86,6 +86,10 @@ CASES = {
                          "samples must be at least 1"),
     "twist-inverted-window": (lambda: billiard.twist_report(circle(), omega_lo=2.0, omega_hi=1.0),
                               ValueError, "omega_lo must not exceed omega_hi"),
+    "scan-nan-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=NAN), ValueError,
+                        r"scan window \[nan, .*must be finite"),
+    "scan-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_hi=np.inf),
+                        ValueError, r"scan window .*inf\) must be finite"),
 }
 
 

@@ -365,7 +365,7 @@ class TestInvariantCurveScan:
     @pytest.mark.parametrize("n", [4, 7])
     def test_flat_ellipse_solves_every_sample(self, n):
         # equal-gap seeds alone leave about a quarter of these samples
-        # unsolved; re-seeding from solved neighbours recovers them
+        # unsolved; marching outward from the solved ones recovers them
         report = pd.invariant_curve_scan(ellipse(1.0, 0.1), n, samples=128)
         assert report.solver_failures == 0
 
@@ -373,9 +373,35 @@ class TestInvariantCurveScan:
     def test_thin_ellipse_scans_close(self, b, n):
         # on these parallelogram families the vertices after the first move
         # about one sample step per sample, so a rigid shift of a solved
-        # neighbour starts outside Newton's basin; the secant predictor does not
+        # neighbour starts outside Newton's basin; the secant predictor does
+        # not, and a sample whose two neighbours are solved in the same pass
+        # needs the mean of both sides' predictions ((0.02, 7), sample 63)
         report = pd.invariant_curve_scan(ellipse(1.0, b), n, samples=128)
         assert report.all_closed
+
+    @pytest.fixture
+    def newton_rows(self, monkeypatch):
+        """The number of rows of each `_newton` call made while the test runs."""
+        rows, newton = [], pd._newton
+
+        def spy(oval, seeds, *args):
+            rows.append(len(seeds))
+            return newton(oval, seeds, *args)
+
+        monkeypatch.setattr(pd, "_newton", spy)
+        return rows
+
+    @pytest.mark.parametrize("b, n", [(0.02, 4), (0.02, 7), (0.05, 4), (0.1, 4)])
+    def test_march_takes_at_most_two_rows_per_sample(self, newton_rows, b, n):
+        # each pass after the first seeds only samples next to one just
+        # solved; these scans take 1.6 to 1.9 rows per sample
+        report = pd.invariant_curve_scan(ellipse(1.0, b), n, samples=128)
+        assert report.all_closed
+        assert sum(newton_rows) <= 2 * 128
+
+    def test_scan_solved_by_the_first_pass_calls_newton_once(self, newton_rows, forge_table):
+        assert pd.invariant_curve_scan(forge_table[0], 4, samples=64).all_closed
+        assert newton_rows == [64]
 
     def test_stop_reasons(self, wobble3_table):
         # the second seed's first gap, 5e-5, is below OMEGA_MIN
