@@ -28,6 +28,7 @@ from .billiard import (
 from .errors import (
     ArcConstraintError,
     ChordDomainError,
+    ConfigError,
     ContainmentError,
     ConvergenceError,
     ConvexityError,

@@ -14,11 +14,21 @@ of a point) solves them one by one in plain floats, below the fixed cost of
 the array loop's numpy calls on one or two entries.  Both branches apply the
 same rules in the same order, so an entry gets the same root either way as
 long as fdf gives the same values on floats as on arrays.
+
+The banded solves of the spline (`oval`) and of the Newton steps
+(`periodic`) take LAPACK's `dgbtrf`, `dgbtrs` and `dgesv` from here: scipy's
+`_flapack` extension, loaded once by its file path so that importing the
+package does not run `scipy.linalg`'s package `__init__`.  They are the
+objects `scipy.linalg.lapack` exports, so they round the same.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +41,40 @@ _MAX_ITER = 100
 #: working sets up to this size go entry by entry in plain floats, here and
 #: in the spline support function's jet
 _SMALL = 8
+#: the module name scipy gives its LAPACK wrappers
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """The file of scipy's `_flapack` extension, or None if none is found."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                return path
+    return None
+
+
+def _load_lapack():
+    """scipy's `_flapack` module: the one already imported, else loaded from
+    its file and entered in `sys.modules`, so that a later `scipy.linalg`
+    import reuses it; `scipy.linalg.lapack`'s routines if no file is found."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        path = _flapack_path()
+        if path is None:
+            from scipy.linalg import lapack as module
+        else:
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+    return module
+
+
+_LAPACK = _load_lapack()
+dgbtrf, dgbtrs, dgesv = _LAPACK.dgbtrf, _LAPACK.dgbtrs, _LAPACK.dgesv
 
 
 def sign_cells(values):

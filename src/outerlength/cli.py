@@ -212,15 +212,15 @@ def main(argv=None):
     except (TableConstructionError, OvalValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OuterLengthError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (OSError, json.JSONDecodeError) as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # before OuterLengthError: a ConfigError is both
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OuterLengthError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ class OvalValidationError(OuterLengthError):
         self.report = report
 
 
+class ConfigError(OuterLengthError, ValueError):
+    """An argument is outside the values the function accepts."""
+
+
 class ContainmentError(OuterLengthError):
     """A point that must lie strictly outside the oval does not."""
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
-from ._solve import _SMALL, bracketed_root
-from .errors import ContainmentError, OvalValidationError
+from ._solve import _SMALL, bracketed_root, dgbtrf, dgbtrs, dgesv
+from .errors import ConfigError, ContainmentError, OvalValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -693,7 +693,11 @@ def circle(radius=1.0):
 
 
 def ellipse(a, b, n=4096):
-    """Origin-centered axis-aligned ellipse with semi-axes a, b (sampled)."""
+    """Origin-centered axis-aligned ellipse with semi-axes a, b (sampled);
+    OvalValidationError names a semi-axis that is not finite and positive."""
+    for name, axis in (("a", a), ("b", b)):
+        if not (math.isfinite(axis) and axis > 0.0):
+            raise OvalValidationError(f"semi-axis {name} = {axis!r} is not finite and positive")
 
     def h(alpha):
         return np.sqrt((a * np.cos(alpha)) ** 2 + (b * np.sin(alpha)) ** 2)
@@ -702,7 +706,14 @@ def ellipse(a, b, n=4096):
 
 
 def perturbed_circle(eps, harmonic, phase=0.0, radius=1.0):
-    """Table p = radius + eps * cos(harmonic * alpha - phase)."""
+    """Table p = radius + eps * cos(harmonic * alpha - phase); ConfigError
+    unless harmonic is an integer >= 1."""
+    try:
+        valid = operator.index(harmonic) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"harmonic = {harmonic!r} is not an integer >= 1")
     cos_coef = np.zeros(harmonic)
     sin_coef = np.zeros(harmonic)
     cos_coef[harmonic - 1] = eps * np.cos(phase)

@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import billiard, genfun
+from ._solve import dgbtrf, dgbtrs
 from .errors import ChordDomainError, ConvergenceError
 
 TWO_PI = 2.0 * np.pi

@@ -27,9 +27,12 @@ signs forbid two-parameter families of 3-periodic orbits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -202,12 +205,20 @@ def brackets(poly):
 
 
 def xi_bracket(poly, i, j):
-    """[xi_i, xi_j] from `brackets`; zero unless i, j are cyclic neighbors."""
+    """[xi_i, xi_j] from `brackets`; zero unless i, j are cyclic neighbors.
+    Raises ConfigError unless i and j are side indices in range(poly.n)."""
     n = poly.n
+    for name, k in (("i", i), ("j", j)):
+        try:
+            valid = operator.index(k) in range(n)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigError(f"side index {name} = {k!r} is not in range({n})")
     if (j - i) % n == 1:
-        return brackets(poly)[i % n]
+        return brackets(poly)[i]
     if (i - j) % n == 1:
-        return -brackets(poly)[j % n]
+        return -brackets(poly)[j]
     return np.zeros(2 * n)
 
 

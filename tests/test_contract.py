@@ -11,10 +11,10 @@ from outerlength import billiard, forge, genfun
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import (
-    ArcConstraintError, ChordDomainError, OuterLengthError, OvalValidationError,
+    ArcConstraintError, ChordDomainError, ConfigError, OuterLengthError, OvalValidationError,
 )
 from outerlength.genfun import ChordConfig
-from outerlength.oval import SupportOval, circle, ellipse
+from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
 NAN = float("nan")
 SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
@@ -40,6 +40,22 @@ CASES = {
     "samples-nan": (lambda: SupportOval.from_samples(np.r_[np.ones(31), NAN]),
                     OvalValidationError, "finite"),
     "ellipse-nan-axis": (lambda: ellipse(1.0, NAN), OvalValidationError, "finite"),
+    "ellipse-negative-axis": (lambda: ellipse(1.0, -1.0), OvalValidationError,
+                              "semi-axis b = -1.0 is not finite and positive"),
+    "ellipse-zero-axis": (lambda: ellipse(0.0, 1.0), OvalValidationError,
+                          "semi-axis a = 0.0 is not finite and positive"),
+    "ellipse-inf-axis": (lambda: ellipse(np.inf, 1.0), OvalValidationError,
+                         "semi-axis a = inf is not finite and positive"),
+    "perturbed-fractional-harmonic": (lambda: perturbed_circle(0.05, 2.5), ConfigError,
+                                      r"harmonic = 2\.5 is not an integer >= 1"),
+    "perturbed-zero-harmonic": (lambda: perturbed_circle(0.05, 0), ConfigError,
+                                "harmonic = 0 is not an integer >= 1"),
+    "perturbed-nan-harmonic": (lambda: perturbed_circle(0.05, NAN), ConfigError,
+                               "harmonic = nan is not an integer >= 1"),
+    "xi-bracket-index-past-n": (lambda: pg.xi_bracket(pg.PolygonConfig.regular(4), 0, 99),
+                                ConfigError, r"side index j = 99 is not in range\(4\)"),
+    "xi-bracket-negative-index": (lambda: pg.xi_bracket(pg.PolygonConfig.regular(4), -1, 0),
+                                  ConfigError, r"side index i = -1 is not in range\(4\)"),
     "orbit-negative-steps": (lambda: billiard.orbit(circle(), CHORD, -1), ValueError,
                              "non-negative"),
     "rotation-number-no-iters": (lambda: pd.rotation_number(circle(), CHORD, iters=0),
