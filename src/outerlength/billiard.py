@@ -42,7 +42,7 @@ import numpy as np
 
 from . import genfun
 from ._solve import bracketed_root, sign_cells
-from .errors import StepFailureError
+from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
 from .oval import _cos_sin
 
@@ -58,7 +58,7 @@ class PhasePoint:
 
     def __post_init__(self):
         if not self.R > 0.0:
-            raise ValueError("phase radius must be positive")
+            raise ConfigError("phase radius must be positive")
 
 
 def vertex_point(oval, state):
@@ -125,10 +125,8 @@ def iterate(oval, a1, a2, steps):
     step; a float start stays in plain floats.  A chord without a reflection
     root raises StepFailureError naming the step and the first such chord.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
     alphas = [a1, a2]
-    for i in range(steps):
+    for i in range(checked_count(steps, "steps", 0)):
         a3 = step_angles_arr(oval, alphas[-2], alphas[-1])
         if np.isnan(a3).any():
             c1, c2 = (np.ravel(a)[np.argmax(np.isnan(a3))] for a in alphas[-2:])
@@ -260,8 +258,9 @@ def jacobian(oval, state):
     )
 
 
-def fd_jacobian(oval, state, h=1e-6):
+def fd_jacobian(oval, state):
     """Finite-difference differential in (R, alpha), the check on `jacobian`."""
+    h = 1e-6  # central-difference step
     base = phase_from_pair(oval, state)
     out = np.empty((2, 2))
     for j, (dR, da) in enumerate(((h, 0.0), (0.0, h))):
@@ -294,10 +293,9 @@ class TwistReport:
 
 def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):
     """Sample the phase cylinder and survey the twist of the map and its square."""
-    if not samples >= 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = checked_count(samples, "samples", 1)
     if not omega_lo <= omega_hi:
-        raise ValueError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
+        raise ConfigError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
     _, s12, s22 = genfun.hess_arr(oval, a1, a2)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count argument."""
+
+import operator
 
 
 class OuterLengthError(Exception):
@@ -16,6 +18,20 @@ class OvalValidationError(OuterLengthError):
 
 class ConfigError(OuterLengthError, ValueError):
     """An argument is outside the values the function accepts."""
+
+
+def checked_count(value, name, least, below=None):
+    """`operator.index(value)`; ConfigError naming the argument `name` unless
+    `value` is an integer in [least, below), or >= least when `below` is None."""
+    try:
+        k = operator.index(value)
+    except TypeError:  # a float, even an integral one, as `range` refuses it
+        k = least - 1
+    if k < least or (below is not None and k >= below):
+        span = f"an integer >= {least}" if below is None else (
+            f"in range({below})" if least == 0 else f"in range({least}, {below})")
+        raise ConfigError(f"{name} = {value!r} is not {span}")
+    return k
 
 
 class ContainmentError(OuterLengthError):

@@ -38,6 +38,7 @@ from numpy.polynomial import Chebyshev
 from ._solve import bracketed_root
 from .errors import (
     ArcConstraintError,
+    ConfigError,
     ConvexityError,
     FPrimeBoundError,
     OvalValidationError,
@@ -271,7 +272,10 @@ def contact_coordinates(state):
 
 
 def state_from_contact(x, y, z):
-    """Invert contact coordinates under the perimeter-4 normalization."""
+    """Invert contact coordinates under the perimeter-4 normalization;
+    ConfigError unless x and z are finite and |y| < 2."""
+    if not (np.isfinite(x).all() and np.isfinite(z).all() and (np.abs(y) < 2.0).all()):
+        raise ConfigError(f"contact coordinates ({x}, {y}, {z}) need finite x, z and |y| < 2")
     w = np.arccos(y / 2.0)
     s = np.sin(w)
     return ParallelogramState(

@@ -169,11 +169,12 @@ def _stencil_S(oval, a1, a2, d1, d2):
     return S_arr(oval, a1 + d1, a2 + d2)
 
 
-def fd_grad_arr(oval, a1, a2, h=1e-5):
+def fd_grad_arr(oval, a1, a2):
     """Central-difference gradient of S, from S itself (p and its integral),
     independent of the closed forms.  The four shifted chords (a1 +- h, a2),
-    (a1, a2 +- h) are one stencil of `S_arr`; the values are those of one
-    `S_arr` call per shifted chord."""
+    (a1, a2 +- h), h = 1e-5, are one stencil of `S_arr`; the values are those
+    of one `S_arr` call per shifted chord."""
+    h = 1e-5
     s = _stencil_S(oval, a1, a2, np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))
     return (s[..., 0] - s[..., 1]) / (2 * h), (s[..., 2] - s[..., 3]) / (2 * h)
 

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._solve import _SMALL, bracketed_root, dgbtrf, dgbtrs, dgesv
-from .errors import ConfigError, ContainmentError, OvalValidationError
+from .errors import ConfigError, ContainmentError, OvalValidationError, checked_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,7 +74,7 @@ def _as_points(point):
     if xy.shape == (2,):
         return xy[None], True
     if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError(f"expected a point (2,) or points (k, 2), got shape {xy.shape}")
+        raise ConfigError(f"expected a point (2,) or points (k, 2), got shape {xy.shape}")
     return xy, False
 
 
@@ -130,6 +129,10 @@ class _FourierRep:
 
     def __init__(self, a0, cos_coef=(), sin_coef=()):
         self.a0 = float(a0)
+        cos_coef, sin_coef = np.asarray(cos_coef, dtype=float), np.asarray(sin_coef, dtype=float)
+        if cos_coef.ndim != 1 or sin_coef.ndim != 1:
+            raise OvalValidationError(f"need 1-d coefficient lists, got shapes "
+                                      f"{cos_coef.shape} and {sin_coef.shape}")
         n = max(len(cos_coef), len(sin_coef))
         a, b = np.zeros(n), np.zeros(n)
         a[: len(cos_coef)] = cos_coef
@@ -475,9 +478,9 @@ class SupportOval:
         """(p, p', p'') at alpha, in one evaluation; scalars give floats."""
         return self._rep.jet(alpha)
 
-    def p(self, alpha, deriv=0):
-        """Support function value (or derivative of order `deriv` <= 2) at alpha."""
-        return self._rep.jet(alpha)[deriv]
+    def p(self, alpha):
+        """Support function value at alpha (`jet` gives its derivatives)."""
+        return self._rep.jet(alpha)[0]
 
     def support_integral(self, a, b):
         """Exact integral of p over [a, b]; accepts scalars or arrays."""
@@ -504,7 +507,7 @@ class SupportOval:
         a1 = np.asarray(alpha1, dtype=float)
         a2 = np.asarray(alpha2, dtype=float)
         if not np.all((a1 < a2) & (a2 <= a1 + TWO_PI + 1e-12)):
-            raise ValueError("need alpha1 < alpha2 <= alpha1 + 2*pi")
+            raise ConfigError("need alpha1 < alpha2 <= alpha1 + 2*pi")
         out = self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.integral(a1, a2)
         return out if np.ndim(out) else float(out)
 
@@ -692,8 +695,8 @@ def circle(radius=1.0):
     return SupportOval.from_fourier(radius)
 
 
-def ellipse(a, b, n=4096):
-    """Origin-centered axis-aligned ellipse with semi-axes a, b (sampled);
+def ellipse(a, b):
+    """Origin-centered axis-aligned ellipse with semi-axes a, b (4096 samples);
     OvalValidationError names a semi-axis that is not finite and positive."""
     for name, axis in (("a", a), ("b", b)):
         if not (math.isfinite(axis) and axis > 0.0):
@@ -702,20 +705,15 @@ def ellipse(a, b, n=4096):
     def h(alpha):
         return np.sqrt((a * np.cos(alpha)) ** 2 + (b * np.sin(alpha)) ** 2)
 
-    return SupportOval.from_callable(h, n=n)
+    return SupportOval.from_callable(h)
 
 
-def perturbed_circle(eps, harmonic, phase=0.0, radius=1.0):
-    """Table p = radius + eps * cos(harmonic * alpha - phase); ConfigError
+def perturbed_circle(eps, harmonic, phase=0.0):
+    """Table p = 1 + eps * cos(harmonic * alpha - phase); ConfigError
     unless harmonic is an integer >= 1."""
-    try:
-        valid = operator.index(harmonic) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ConfigError(f"harmonic = {harmonic!r} is not an integer >= 1")
+    harmonic = checked_count(harmonic, "harmonic", 1)
     cos_coef = np.zeros(harmonic)
     sin_coef = np.zeros(harmonic)
     cos_coef[harmonic - 1] = eps * np.cos(phase)
     sin_coef[harmonic - 1] = eps * np.sin(phase)
-    return SupportOval.from_fourier(radius, cos_coef, sin_coef)
+    return SupportOval.from_fourier(1.0, cos_coef, sin_coef)

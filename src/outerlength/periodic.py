@@ -36,7 +36,7 @@ import numpy as np
 
 from . import billiard, genfun
 from ._solve import dgbtrf, dgbtrs
-from .errors import ChordDomainError, ConvergenceError
+from .errors import ChordDomainError, ConfigError, ConvergenceError, checked_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,13 +142,13 @@ def _gaps_ok(angles, m, gap_min=GAP_MIN):
 
 
 def _check_period(n, m):
-    """Reject an (n, m) that no orbit of the billiard can have."""
-    if n < 3:
-        raise ValueError("period must be at least 3")
-    if m < 1 or np.gcd(n, m) != 1:
-        raise ValueError("winding m must satisfy gcd(n, m) = 1")
+    """(n, m) as integers; ConfigError for one that no orbit can have."""
+    n, m = checked_count(n, "n", 3), checked_count(m, "m", 1)
+    if math.gcd(n, m) != 1:
+        raise ConfigError("winding m must satisfy gcd(n, m) = 1")
     if 2.0 * m / n >= 1.0 - 1e-9:
-        raise ValueError(f"mean gap 2*pi*{m}/{n} is not below pi")
+        raise ConfigError(f"mean gap 2*pi*{m}/{n} is not below pi")
+    return n, m
 
 
 def _tridiagonal_solve(diag, off, rhs):
@@ -323,16 +323,17 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     as the exact zero mode of a rotationally symmetric table, as
     `lstsq(rcond=1e-10)` would; a backtracking line search on the gradient
     norm keeps every gap in (GAP_MIN, pi - GAP_MIN).  The orbit records the
-    Newton steps taken, at most 80, and the soft modes dropped.  A seed gap outside the
-    chord domain raises ChordDomainError.  A search that stops above `tol`
-    raises ConvergenceError, which names the stop reason and the residual
-    reached.
+    Newton steps taken, at most 80, and the soft modes dropped.  A seed that
+    is not n finite angles raises ConfigError, a seed gap outside the chord
+    domain ChordDomainError.  A search that stops above `tol` raises
+    ConvergenceError, which names the stop reason and the residual reached.
     """
-    _check_period(n, m)
-    seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else seed_angles
+    n, m = _check_period(n, m)
+    seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else np.asarray(seed_angles, float)
+    if seed.shape != (n,) or not np.isfinite(seed).all():
+        raise ConfigError(f"seed_angles must be {n} finite angles, got {seed.tolist()}")
     counts = np.zeros((1, 2), dtype=int)
-    angles, g, reason = _newton(oval, np.asarray(seed, dtype=float)[None], m, False, tol,
-                                80, counts)
+    angles, g, reason = _newton(oval, seed[None], m, False, tol, 80, counts)
     if reason[0] == "domain":
         raise ChordDomainError(_STOPS["domain"])
     if reason[0] != "converged":
@@ -357,6 +358,7 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
     is imported here, its only user, so that importing the package does not
     load it.
     """
+    n, m = _check_period(n, m)
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
@@ -484,11 +486,10 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     last samples are not neighbours, so a window is scanned as an interval.
     Samples that no pass solves are reported as NaN.
     """
-    _check_period(n, m)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    n, m = _check_period(n, m)
+    samples = checked_count(samples, "samples", 1)
     if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi)):
-        raise ValueError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite")
+        raise ConfigError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite")
     alphas = np.linspace(alpha_lo, alpha_hi, samples, endpoint=False)
     orbit_angles = np.full((samples, n), np.nan)
     residuals = np.full(samples, np.nan)
@@ -517,7 +518,6 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
 def rotation_number(oval, state, iters=256):
     """Mean angular advance per step over `iters` steps (summed in order, not
     telescoped) over 2*pi, along one orbit or each orbit of a chord of arrays."""
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    iters = checked_count(iters, "iters", 1)
     alphas = billiard.iterate(oval, state.alpha1, state.alpha2, iters - 1)
     return np.cumsum(np.diff(alphas, axis=0), axis=0)[-1] / (iters * TWO_PI)

@@ -27,12 +27,11 @@ signs forbid two-parameter families of 3-periodic orbits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -52,18 +51,18 @@ class PolygonConfig:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "ps", ps)
         if len(alphas) < 3 or len(alphas) != len(ps):
-            raise ValueError("need n >= 3 sides with matching support values")
+            raise ConfigError("need n >= 3 sides with matching support values")
         if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(ps))):
-            raise ValueError("side angles and support values must be finite")
+            raise ConfigError("side angles and support values must be finite")
         # every comparison below is written so that a NaN fails it
         gaps = self.gaps
         if not np.all((gaps > 0.0) & (gaps < np.pi)):
-            raise ValueError(f"gap sequence {gaps.tolist()} must lie in (0, pi)")
+            raise ConfigError(f"gap sequence {gaps.tolist()} must lie in (0, pi)")
         if not abs(np.sum(gaps) - TWO_PI) <= 1e-9:
-            raise ValueError("side normals must advance by exactly one turn")
+            raise ConfigError("side normals must advance by exactly one turn")
         sides = side_lengths(self)
         if not np.all(sides > 0.0):
-            raise ValueError(
+            raise ConfigError(
                 f"support values give sides {sides.tolist()}; every side must have "
                 "positive length"
             )
@@ -78,8 +77,9 @@ class PolygonConfig:
         return np.diff(ext)
 
     @classmethod
-    def regular(cls, n, r=1.0, phase=0.0):
-        return cls(phase + TWO_PI * np.arange(n) / n, np.full(n, float(r)))
+    def regular(cls, n, r=1.0):
+        n = checked_count(n, "n", 3)
+        return cls(TWO_PI * np.arange(n) / n, np.full(n, float(r)))
 
 
 # -- raw geometry ------------------------------------------------------------
@@ -208,13 +208,7 @@ def xi_bracket(poly, i, j):
     """[xi_i, xi_j] from `brackets`; zero unless i, j are cyclic neighbors.
     Raises ConfigError unless i and j are side indices in range(poly.n)."""
     n = poly.n
-    for name, k in (("i", i), ("j", j)):
-        try:
-            valid = operator.index(k) in range(n)
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ConfigError(f"side index {name} = {k!r} is not in range({n})")
+    i, j = checked_count(i, "side index i", 0, n), checked_count(j, "side index j", 0, n)
     if (j - i) % n == 1:
         return brackets(poly)[i]
     if (i - j) % n == 1:
@@ -248,11 +242,11 @@ def _rk4_flow(alphas, ps, i, t, substeps=4):
     return alphas, ps
 
 
-def flow_commutator(poly, i, j, h=1e-3):
+def flow_commutator(poly, i, j):
     """[xi_i, xi_j] estimated from the group commutator of the RK4 flows.
 
     Symmetric in +-h, which cancels the cubic BCH term; agreement with the
-    closed form is expected at the 1e-5 level for h = 1e-3.
+    closed form is expected at the 1e-5 level for the time step h = 1e-3.
     """
 
     def group_comm(t):
@@ -261,7 +255,7 @@ def flow_commutator(poly, i, j, h=1e-3):
             a, p = _rk4_flow(a, p, idx, s)
         return np.concatenate([a - poly.alphas, p - poly.ps]) / t**2
 
-    return 0.5 * (group_comm(h) + group_comm(-h))
+    return 0.5 * (group_comm(1e-3) + group_comm(-1e-3))
 
 
 # -- growth of the distribution ---------------------------------------------------
@@ -282,8 +276,9 @@ class GrowthReport:
         return self.rank == self.expected
 
 
-def growth_report(poly, rel_tol=1e-8):
+def growth_report(poly):
     """Rank of span{xi_i} + span{[xi_i, xi_{i+1}]} (all tangent to {F = const})."""
+    rel_tol = 1e-8  # singular values below this fraction of the largest count as zero
     n = poly.n
     B = brackets(poly)
     mat = np.vstack([np.hstack([np.eye(n), np.diag(phi(poly))]), B])  # xi_i, then B_i
@@ -362,7 +357,7 @@ def parallelogram_fields(state):
     a1, a2, p1, p2 = _as_parallelogram(state)
     w = a2 - a1
     if not 0.0 < w < np.pi:
-        raise ValueError("parallelogram gap must lie in (0, pi)")
+        raise ConfigError("parallelogram gap must lie in (0, pi)")
     cw, sw = np.cos(w), np.sin(w)
     return ParallelogramFields(
         xi1=np.array([1.0, 0.0, -cw, 0.0]),
@@ -405,14 +400,14 @@ def triangle_WU(u, v, w):
     in (0, pi/2) and sum to pi.  All W_i, U_i are positive and the final
     expression is strictly negative, which is the obstruction to a horizontal
     disc of 3-periodic orbits.  Elementwise over arrays of triples; raises
-    ValueError if any triple is outside that domain.
+    ConfigError if any triple is outside that domain.
     """
     trip = np.array(np.broadcast_arrays(u, v, w), dtype=float)
     # written so that a NaN entry fails the check
     if not np.all(np.abs(np.sum(trip, axis=0) - np.pi) <= 1e-12):
-        raise ValueError("exterior half-angles must sum to pi")
+        raise ConfigError("exterior half-angles must sum to pi")
     if not np.all((trip > 0.0) & (trip < np.pi / 2.0)):
-        raise ValueError("exterior half-angles must lie in (0, pi/2)")
+        raise ConfigError("exterior half-angles must lie in (0, pi/2)")
     u, v, w = trip
     tu, tv, tw = np.tan(trip)
     W = np.array([tu / np.sin(2 * v), tv / np.sin(2 * w), tw / np.sin(2 * u)])
@@ -432,11 +427,9 @@ def triangle_WU(u, v, w):
     return TriangleWU(W=W, U=U, a=a, b=b, expression=expression)
 
 
-def triangle_from_half_angles(u, v, w, r=1.0, phase=0.0):
-    """Triangle with exterior half-angles (u, v, w), incircle radius r at the origin."""
-    return PolygonConfig(
-        phase + np.array([0.0, 2.0 * u, 2.0 * u + 2.0 * v]), np.full(3, float(r))
-    )
+def triangle_from_half_angles(u, v, w):
+    """Triangle with exterior half-angles (u, v, w), unit incircle at the origin."""
+    return PolygonConfig(np.array([0.0, 2.0 * u, 2.0 * u + 2.0 * v]), np.ones(3))
 
 
 def wu_from_fields(u, v, w):

@@ -14,6 +14,7 @@ import contextlib
 import numpy as np
 
 from . import billiard, genfun, polygons
+from .errors import ConfigError, checked_count
 from .genfun import ChordConfig
 
 TWO_PI = 2.0 * np.pi
@@ -136,8 +137,7 @@ def battery(oval, samples, seed):
     `{"name", "passed", "defect", "tol"}` per check; passed is defect < tol.
     The map-twist record also gives `nonfinite`, the surveyed chords without
     an image, which the square's survey leaves out and its defect counts."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = checked_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples)
     x = rng.uniform(0, TWO_PI, max(8, samples // 20))
@@ -147,7 +147,7 @@ def battery(oval, samples, seed):
     alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
     poly = None
     while poly is None:  # redraw until the pentagon is convex
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(ConfigError):
             poly = polygons.PolygonConfig(alphas, 1.0 + rng.uniform(-0.2, 0.2, 5))
     uv = [rng.uniform(0.05, np.pi / 2 - 0.05, 2) for _ in range(200)]
     triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]

@@ -205,7 +205,7 @@ def test_radon_construction():
     # seam continuity of p and p' at the quadrant boundaries
     h = 1e-6
     seam_defect = np.max([
-        abs(oval.p(seam + h, deriv) - oval.p(seam - h, deriv))
+        abs(oval.jet(seam + h)[deriv] - oval.jet(seam - h)[deriv])
         for seam in (np.pi / 2, np.pi, 3 * np.pi / 2, 0.0) for deriv in (0, 1)
     ])
     assert seam_defect < 1e-5  # finite-difference straddle of the seam

@@ -185,6 +185,12 @@ class TestFindPeriodic:
         assert main(argv) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_seed_of_another_period_is_rejected(self, circle_table, capsys):
+        argv = ["find-periodic", "--table", circle_table, "--n", "3",
+                "--seed-angles", "0,1.5,3,4.5"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "seed_angles must be 3 finite angles" in capsys.readouterr().err
+
 
 class TestScan:
     def test_forged_table_flat_zero(self, forged_table, tmp_path, capsys):
@@ -280,7 +286,7 @@ class TestVerify:
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_too_few_samples_rejected(self, circle_table, samples, capsys):
         assert main(["verify", "--table", circle_table, "--samples", samples]) == 2
-        assert "samples must be at least 1" in capsys.readouterr().err
+        assert f"samples = {samples} is not an integer >= 1" in capsys.readouterr().err
 
 
 class TestRender:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerlength import billiard, forge, genfun
+from outerlength import billiard, forge, genfun, verify
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import (
@@ -56,12 +56,12 @@ CASES = {
                                 ConfigError, r"side index j = 99 is not in range\(4\)"),
     "xi-bracket-negative-index": (lambda: pg.xi_bracket(pg.PolygonConfig.regular(4), -1, 0),
                                   ConfigError, r"side index i = -1 is not in range\(4\)"),
-    "orbit-negative-steps": (lambda: billiard.orbit(circle(), CHORD, -1), ValueError,
-                             "non-negative"),
+    "orbit-negative-steps": (lambda: billiard.orbit(circle(), CHORD, -1), ConfigError,
+                             "steps = -1 is not an integer >= 0"),
     "rotation-number-no-iters": (lambda: pd.rotation_number(circle(), CHORD, iters=0),
-                                 ValueError, "at least 1"),
+                                 ConfigError, "iters = 0 is not an integer >= 1"),
     "closure-two-angles": (lambda: pd.closure_by_iteration(circle(), [0.0, 2.0]),
-                           ValueError, "at least 3"),
+                           ConfigError, "n = 2 is not an integer >= 3"),
     "oval-json-missing-key": (lambda: SupportOval.from_json({"type": "fourier"}), ValueError,
                               "lacks the key 'a0'"),
     "spec-json-no-harmonics": (lambda: forge.FourPeriodicSpec.from_json({"type": "four-periodic"}),
@@ -98,14 +98,47 @@ CASES = {
     "grad-nan-gap": (lambda: genfun.grad_arr(circle(), [NAN, 0.1], [1.0, 1.2]),
                      ChordDomainError, "offending value nan"),
     "chord-nan-gap": (lambda: ChordConfig(NAN, 1.0), ChordDomainError, "offending value nan"),
-    "twist-no-samples": (lambda: billiard.twist_report(circle(), samples=0), ValueError,
-                         "samples must be at least 1"),
+    "twist-no-samples": (lambda: billiard.twist_report(circle(), samples=0), ConfigError,
+                         "samples = 0 is not an integer >= 1"),
     "twist-inverted-window": (lambda: billiard.twist_report(circle(), omega_lo=2.0, omega_hi=1.0),
                               ValueError, "omega_lo must not exceed omega_hi"),
     "scan-nan-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=NAN), ValueError,
                         r"scan window \[nan, .*must be finite"),
     "scan-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_hi=np.inf),
                         ValueError, r"scan window .*inf\) must be finite"),
+    "period-shared-factor": (lambda: pd.find_periodic(circle(), 6, m=2), ConfigError,
+                             r"gcd\(n, m\) = 1"),
+    "period-mean-gap-past-pi": (lambda: pd.find_periodic(circle(), 3, m=2), ConfigError,
+                                r"mean gap 2\*pi\*2/3 is not below pi"),
+    "seed-longer-than-period": (lambda: pd.find_periodic(circle(), 3, seed_angles=[0, 1.5, 3, 4.5]),
+                                ConfigError, "seed_angles must be 3 finite angles"),
+    "seed-2d": (lambda: pd.find_periodic(circle(), 3, seed_angles=[[0.0, 2.0, 4.0]]),
+                ConfigError, "seed_angles must be 3 finite angles"),
+    "seed-nan-angle": (lambda: pd.find_periodic(circle(), 3, seed_angles=[0.0, NAN, 4.0]),
+                       ConfigError, "seed_angles must be 3 finite angles"),
+    "oracle-two-gon": (lambda: pd.brute_oracle(circle(), 2), ConfigError,
+                       "n = 2 is not an integer >= 3"),
+    "contact-nan-x": (lambda: forge.state_from_contact(NAN, 1.0, 1.0), ConfigError,
+                      r"need finite x, z and \|y\| < 2"),
+    "contact-y-past-two": (lambda: forge.state_from_contact(0.0, 3.0, 0.0), ConfigError,
+                           r"need finite x, z and \|y\| < 2"),
+    "fourier-2d-coefficients": (lambda: SupportOval.from_fourier(1.0, [[0.1]]),
+                                OvalValidationError, r"1-d coefficient lists, got shapes \(1, 1\)"),
+    "triangle-degenerate": (lambda: pg.triangle_WU(0.0, 0.0, np.pi), ConfigError,
+                            r"must lie in \(0, pi/2\)"),
+    "polygon-wrap-gap": (lambda: pg.PolygonConfig(SQUARE[:3], np.ones(3)), ConfigError,
+                         "must lie in"),
+    "parallelogram-zero-gap": (lambda: pg.parallelogram_fields((1.0, 1.0, 1.0, 1.0)),
+                               ConfigError, r"gap must lie in \(0, pi\)"),
+    "phase-negative-radius": (lambda: billiard.PhasePoint(0.0, -1.0), ConfigError,
+                              "phase radius must be positive"),
+    "arc-reversed": (lambda: circle().arc_length(1.0, 0.5), ConfigError, "need alpha1 < alpha2"),
+    "points-bad-shape": (lambda: circle().is_exterior(np.ones((2, 3))), ConfigError,
+                         r"got shape \(2, 3\)"),
+    "twist-nan-window": (lambda: billiard.twist_report(circle(), omega_lo=NAN), ConfigError,
+                         "omega_lo must not exceed omega_hi"),
+    "scan-minus-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=-np.inf),
+                              ConfigError, r"scan window \[-inf, .*must be finite"),
 }
 
 
@@ -155,3 +188,45 @@ def test_any_json_value_gives_a_table_or_a_typed_error(data):
     except (ValueError, OuterLengthError):
         return
     assert isinstance(table, SupportOval)
+
+
+# -- count arguments ---------------------------------------------------------
+
+#: (entry point called with the count, least valid count, end of the valid
+#: range or None, a small valid count), one per `errors.checked_count` call
+COUNTS = {
+    "iterate-steps": (lambda k: billiard.iterate(circle(), 0.0, 1.0, k), 0, None, 2),
+    "twist-samples": (lambda k: billiard.twist_report(circle(), samples=k), 1, None, 4),
+    "find-periodic-n": (lambda k: pd.find_periodic(circle(), k), 3, None, 3),
+    "find-periodic-m": (lambda k: pd.find_periodic(circle(), 5, m=k), 1, None, 2),
+    "closure-m": (lambda k: pd.closure_by_iteration(circle(), [0.0, 2.0, 4.0], m=k), 1, None, 1),
+    "oracle-n": (lambda k: pd.brute_oracle(circle(), k, grid_density=1), 3, None, 3),
+    "scan-samples": (lambda k: pd.invariant_curve_scan(circle(), 4, samples=k), 1, None, 2),
+    "scan-n": (lambda k: pd.invariant_curve_scan(circle(), k, samples=2), 3, None, 3),
+    "rotation-iters": (lambda k: pd.rotation_number(circle(), CHORD, iters=k), 1, None, 3),
+    "battery-samples": (lambda k: verify.battery(circle(), k, 0), 1, None, 20),
+    "perturbed-harmonic": (lambda k: perturbed_circle(0.05, k), 1, None, 2),
+    "xi-bracket-i": (lambda k: pg.xi_bracket(pg.PolygonConfig.regular(4), k, 1), 0, 4, 2),
+    "xi-bracket-j": (lambda k: pg.xi_bracket(pg.PolygonConfig.regular(4), 1, k), 0, 4, 3),
+    "regular-n": (lambda k: pg.PolygonConfig.regular(k), 3, None, 4),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_count_that_is_not_an_integer_in_range_raises_config_error(data):
+    """NaN, infinities, floats (integral ones too), None, strings and integers
+    below the range (or at its end) all end in ConfigError naming the
+    argument: never a TypeError, NumPy's UFuncTypeError or an IndexError."""
+    call, least, below, _ = data.draw(st.sampled_from(list(COUNTS.values())))
+    bad = [NAN, np.inf, -np.inf, 2.5, 3.0, 1e300, least - 1, None, "3"]
+    value = data.draw(st.one_of(st.sampled_from(bad + ([below] if below else [])),
+                                st.integers(max_value=least - 1)))
+    with pytest.raises(ConfigError, match=r"= .* is not (an integer >=|in range)"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, valid", [(c[0], c[3]) for c in COUNTS.values()],
+                         ids=COUNTS.keys())
+def test_a_small_valid_count_returns(call, valid):
+    call(valid)
