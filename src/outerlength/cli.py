@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import billiard, forge, periodic, render, verify
-from .errors import OuterLengthError, OvalValidationError, TableConstructionError
+from .errors import OuterLengthError, OvalValidationError, TableConstructionError, checked_count
 from .genfun import ChordConfig
 from .oval import SupportOval
 
@@ -130,10 +130,11 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
+    count = checked_count(args.orbits, "orbits", 0)
     oval = SupportOval.load(args.table)
     orbits = []
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.orbits):
+    for _ in range(count):
         a1 = rng.uniform(0, 2 * np.pi)
         w = rng.uniform(0.6, 2.4)
         orbits.append(billiard.orbit(oval, ChordConfig(a1, a1 + w), args.steps))

@@ -30,6 +30,7 @@ the grid cannot resolve.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -464,8 +465,10 @@ class SupportOval:
 
     @classmethod
     def from_callable(cls, fn, n=4096):
-        """Resample an arbitrary support callable into the spline representation."""
-        alphas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        """Resample an arbitrary support callable into the spline representation
+        at n equally spaced angles; ConfigError unless n is an integer >= 0, and
+        the spline refuses n < 16."""
+        alphas = np.linspace(0.0, TWO_PI, checked_count(n, "n", 0), endpoint=False)
         return cls.from_samples(fn(alphas))
 
     # -- pointwise geometry ------------------------------------------------
@@ -511,8 +514,9 @@ class SupportOval:
         out = self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.integral(a1, a2)
         return out if np.ndim(out) else float(out)
 
-    @property
+    @functools.cached_property
     def circumference(self):
+        """Boundary length, the integral of p over one period; computed once."""
         return self._rep.integral(0.0, TWO_PI)
 
     # -- exterior points and tangency -------------------------------------

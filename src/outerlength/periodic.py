@@ -9,7 +9,8 @@ billiard map: component i of the gradient is R2(previous chord) - R1(next
 chord), so a vanishing gradient is the step equation at every vertex.
 
 One damped Newton method, `_newton`, solves the critical equations for a
-batch of orbits in lockstep; `_STOPS` lists why it stops a row.
+batch of orbits in lockstep; `_STOPS` lists why it stops a row.  Each iterate
+is one `genfun.path_jets` call, which `_derivatives` turns into gradient and Hessian.
 `find_periodic` runs it on one free orbit, whose every vertex moves.  The
 Hessian of a free orbit is cyclic tridiagonal; `_cyclic_solve` reorders its
 vertices into a band of width 2 and solves it in O(n) by LAPACK's pivoted
@@ -28,6 +29,7 @@ averages the advance along orbits iterated in lockstep the same way.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -51,6 +53,11 @@ def _extended(angles, m):
     return np.concatenate([angles, angles[..., :1] + TWO_PI * m], axis=-1)
 
 
+def _prev(a):
+    """`np.roll(a, 1, axis=-1)`, entry i holds a[i - 1], without its overhead."""
+    return np.concatenate([a[..., -1:], a[..., :-1]], axis=-1)
+
+
 def total_action(oval, angles, m=1):
     """Cyclic sum of S over the orbit chords (perimeter minus m * boundary length)."""
     ext = _extended(angles, m)
@@ -63,22 +70,23 @@ def action_gradient(oval, angles, m=1):
     `angles` may hold one orbit per row; the gradient is taken along the last axis.
     """
     S1, S2 = genfun.grad_from_jets(*genfun.path_jets(oval, _extended(angles, m)))
-    return np.roll(S2, 1, axis=-1) + S1
+    return _prev(S2) + S1
 
 
-def _hessian_bands(oval, angles, m):
-    """Diagonal and cyclic off-diagonal of the action Hessian, on the last axis.
-
-    diag[i] = S11(chord i) + S22(chord i-1); off[i] = S12(chord i) couples
-    vertex i to vertex i+1 (vertex n-1 to vertex 0 for the last entry).
+def _derivatives(oval, angles, m):
+    """`action_gradient` and the Hessian bands (diag, off) on the last axis, from
+    one `genfun.path_jets` call.  diag[i] = S11(chord i) + S22(chord i-1);
+    off[i] = S12(chord i) couples vertex i to vertex i+1 (n-1 to 0 for the last).
     """
-    S11, S12, S22 = genfun.hess_from_jets(*genfun.path_jets(oval, _extended(angles, m)))
-    return S11 + np.roll(S22, 1, axis=-1), S12
+    jets = genfun.path_jets(oval, _extended(angles, m))
+    S1, S2 = genfun.grad_from_jets(*jets)
+    S11, S12, S22 = genfun.hess_from_jets(*jets)
+    return _prev(S2) + S1, S11 + _prev(S22), S12
 
 
 def action_hessian(oval, angles, m=1):
     """Cyclic tridiagonal-plus-corners Hessian assembled from chord Hessians."""
-    diag, off = _hessian_bands(oval, angles, m)
+    _, diag, off = _derivatives(oval, angles, m)
     H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
     H[0, -1] = H[-1, 0] = off[-1]
     return H
@@ -120,19 +128,16 @@ def normalize_angles(angles, m=1):
 
 
 def _orbit(oval, m, angles, iterations=None, dropped_modes=None):
-    """The PeriodicOrbit through `angles`, normalized, from one action evaluation."""
+    """The PeriodicOrbit through `angles`, normalized, from one `path_jets` call; its
+    perimeter is sum (p_i + p_{i+1}) tan(w_i / 2), its action that minus m * circumference."""
     angles = normalize_angles(angles, m)
-    action = total_action(oval, angles, m)
-    return PeriodicOrbit(
-        n=len(angles),
-        m=m,
-        angles=angles,
-        residual=float(np.max(np.abs(action_gradient(oval, angles, m)))),
-        perimeter=action + m * oval.circumference,
-        action=action,
-        iterations=iterations,
-        dropped_modes=dropped_modes,
-    )
+    w, jet1, jet2 = genfun.path_jets(oval, _extended(angles, m))
+    S1, S2 = genfun.grad_from_jets(w, jet1, jet2)
+    perimeter = float(np.sum((jet2[0] + jet1[0]) * np.tan(w / 2.0)))
+    return PeriodicOrbit(n=len(angles), m=m, angles=angles,
+                         residual=float(np.max(np.abs(_prev(S2) + S1))), perimeter=perimeter,
+                         action=perimeter - m * oval.circumference,
+                         iterations=iterations, dropped_modes=dropped_modes)
 
 
 def _gaps_ok(angles, m, gap_min=GAP_MIN):
@@ -177,6 +182,7 @@ def _tridiagonal_solve(diag, off, rhs):
 _SOFT = 1e-10
 
 
+@functools.lru_cache(maxsize=64)
 def _band_layout(n):
     """How `_cyclic_solve` stores a cyclic tridiagonal n x n matrix.
 
@@ -186,7 +192,7 @@ def _band_layout(n):
     in the transposed (n, 7) LAPACK band array of the entries diag[i],
     off[i] at (i, i+1) and off[i] at (i+1, i), and a fixed unit start vector
     for inverse iteration, 1 + sin(k) normalized, which is not orthogonal to
-    the rotation mode (1, ..., 1).
+    the rotation mode (1, ..., 1).  Cached per n, so the arrays are read-only.
     """
     order = np.empty(n, dtype=int)
     order[0::2] = np.arange((n + 1) // 2)
@@ -196,11 +202,14 @@ def _band_layout(n):
     # entry (i, j) of the band lies at row 4 + i - j of column j
     flat = np.concatenate([7 * pos + 4, 7 * b + 4 + a - b, 7 * a + 4 + b - a])
     start = 1.0 + np.sin(np.arange(n))
-    return order, pos, flat, start / math.sqrt(start @ start)
+    layout = order, pos, flat, start / math.sqrt(start @ start)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def _cyclic_solve(diag, off, rhs, layout):
-    """Solve H x = rhs for one cyclic tridiagonal H (see `_hessian_bands`)
+    """Solve H x = rhs for one cyclic tridiagonal H (see `_derivatives`)
     in O(n); returns x and whether a soft mode was dropped.
 
     H is factored once by LAPACK's banded LU with partial pivoting
@@ -258,17 +267,19 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     The line search halves one step scale, shared by all rows still
     searching, from 1 down to 2**-24; it skips candidates whose gaps leave
     (GAP_MIN, pi - GAP_MIN), and a row takes the first that lowers its
-    residual.  Returns the final angles and gradients and, per row, the key
-    in _STOPS of why it stopped (a "domain" row has a NaN gradient).  When
-    `counts`, a (k, 2) integer array, is given, it receives per row the
-    Newton steps taken and the soft modes dropped.
+    residual.  Each candidate is one `_derivatives` call, and a row keeps the
+    gradient and Hessian bands of the one it takes for its next step: one
+    support-function evaluation per iterate.  Returns the final angles and
+    gradients and, per row, the key in _STOPS of why it stopped (a "domain"
+    row has a NaN gradient).  When `counts`, a (k, 2) integer array, is given,
+    it receives per row the Newton steps taken and the soft modes dropped.
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
     reason = np.full(len(angles), "domain", dtype=object)
     live = np.flatnonzero(_gaps_ok(angles, m, genfun.OMEGA_MIN))
     x = angles[live]
-    g = action_gradient(oval, x, m)
+    g, diag, off = _derivatives(oval, x, m)
     first = int(pinned)
     moved = np.ones(len(live), dtype=bool)
     counts = np.zeros((len(angles), 2), dtype=int) if counts is None else counts
@@ -281,11 +292,10 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
             angles[rows], grads[rows] = x[stop], g[stop]
             reason[rows] = np.select([r < tol, r < 100.0 * tol, moved[stop]],
                                      ["converged", "floor", "max_iter"], "no descent")
-            live, x, g, gn = live[~stop], x[~stop], g[~stop], gn[~stop]
+            live, x, g, gn, diag, off = (v[~stop] for v in (live, x, g, gn, diag, off))
         if not live.size:
             break
         counts[live, 0] += 1
-        diag, off = _hessian_bands(oval, x, m)
         if pinned:
             delta = np.zeros_like(x)
             delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
@@ -304,10 +314,10 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
             drop = np.zeros(len(pending), dtype=bool)
             if valid.size:
                 rows = pending[valid]
-                gc = action_gradient(oval, cand[valid], m)
+                gc, dc, oc = _derivatives(oval, cand[valid], m)
                 down = np.max(np.abs(gc[:, first:]), axis=1) < gn[rows]
                 x[rows[down]] = cand[valid[down]]
-                g[rows[down]] = gc[down]
+                g[rows[down]], diag[rows[down]], off[rows[down]] = gc[down], dc[down], oc[down]
                 moved[rows[down]] = True
                 drop[valid[down] if scale >= 1e-3 else valid] = True
             pending = pending[~drop]

@@ -247,7 +247,9 @@ def flow_commutator(poly, i, j):
 
     Symmetric in +-h, which cancels the cubic BCH term; agreement with the
     closed form is expected at the 1e-5 level for the time step h = 1e-3.
+    Raises ConfigError unless i and j are side indices in range(poly.n).
     """
+    i, j = checked_count(i, "side index i", 0, poly.n), checked_count(j, "side index j", 0, poly.n)
 
     def group_comm(t):
         a, p = poly.alphas.copy(), poly.ps.copy()

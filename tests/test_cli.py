@@ -300,6 +300,13 @@ class TestRender:
         assert text.startswith("<svg")
         assert "<polygon" in text and "<polyline" in text
 
+    def test_negative_orbit_count_rejected(self, circle_table, tmp_path, capsys):
+        svg = tmp_path / "fig.svg"
+        assert main(["render", "--table", circle_table, "--svg", str(svg),
+                     "--orbits", "-3"]) == EXIT_VALIDATION
+        assert "orbits = -3 is not an integer >= 0" in capsys.readouterr().err
+        assert not svg.exists()
+
 
 @pytest.mark.parametrize("table, reason, verify_code", [
     ({"type": "fourier"}, "lacks the key 'a0'", EXIT_IO),

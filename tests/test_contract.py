@@ -208,6 +208,12 @@ COUNTS = {
     "perturbed-harmonic": (lambda k: perturbed_circle(0.05, k), 1, None, 2),
     "xi-bracket-i": (lambda k: pg.xi_bracket(pg.PolygonConfig.regular(4), k, 1), 0, 4, 2),
     "xi-bracket-j": (lambda k: pg.xi_bracket(pg.PolygonConfig.regular(4), 1, k), 0, 4, 3),
+    "flow-commutator-i": (lambda k: pg.flow_commutator(pg.PolygonConfig.regular(4), k, 1),
+                          0, 4, 2),
+    "flow-commutator-j": (lambda k: pg.flow_commutator(pg.PolygonConfig.regular(4), 1, k),
+                          0, 4, 3),
+    # n < 16 passes the count check and is refused by the spline
+    "from-callable-n": (lambda k: SupportOval.from_callable(np.ones_like, k), 0, None, 16),
     "regular-n": (lambda k: pg.PolygonConfig.regular(k), 3, None, 4),
 }
 

@@ -293,6 +293,11 @@ class TestValidation:
         with pytest.raises(OvalValidationError):
             SupportOval.from_fourier(1.0, [0.0, 0.4])
 
+    @pytest.mark.parametrize("n", [0, 15])
+    def test_spline_refuses_too_few_samples(self, n):
+        with pytest.raises(OvalValidationError, match="at least 16"):
+            SupportOval.from_callable(np.ones_like, n)
+
 
 class TestRepresentations:
     def test_fourier_spline_agree(self, wobble3_table, spline_wobble3):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outerlength import genfun
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import ChordDomainError, ConvergenceError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import ellipse, perturbed_circle
+from outerlength.oval import SupportOval, ellipse, perturbed_circle
 
 from conftest import fourier_tables, rotated
 
@@ -58,6 +59,69 @@ def test_action_hessian_matches_gradient_differences(n):
         for e in np.eye(n)
     ])
     assert np.max(np.abs(pd.action_hessian(oval, angles) - fd)) < 1e-5
+
+
+#: a table with several harmonics, whose jets BLAS sums over four terms
+FOURIER = SupportOval.from_fourier(1.0, [0.0, 0.03, 0.02, 0.0, 0.01], [0.01, 0.0, 0.015, 0.005])
+
+
+@pytest.fixture(params=["fourier", "forged"])
+def table(request, forge_table):
+    return FOURIER if request.param == "fourier" else forge_table[0]
+
+
+class TestDerivatives:
+    """`_derivatives`, the one evaluation per Newton iterate, against the
+    public functions and the chord Hessians of `genfun.hess_arr`."""
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (12, 5)])
+    @pytest.mark.parametrize("k", [1, 16], ids=["free", "pinned"])
+    def test_rows_match_the_public_functions(self, table, n, m, k):
+        # one row as `find_periodic` passes it, or a scan pass's rows: the
+        # samples' first angles with jittered equal gaps
+        rng = np.random.default_rng([n, k])
+        rows = (np.linspace(0.0, TWO_PI, k, endpoint=False)[:, None]
+                + TWO_PI * m * (np.arange(n) + rng.uniform(-0.1, 0.1, (k, n))) / n)
+        g, diag, off = pd._derivatives(table, rows, m)
+        assert np.array_equal(g, pd.action_gradient(table, rows, m))
+        for row, gi, di, oi in zip(rows, g, diag, off):
+            H = pd.action_hessian(table, row, m)
+            assert np.array_equal(gi, pd.action_gradient(table, row, m))
+            assert np.array_equal(di, np.diag(H))
+            assert np.array_equal(oi, np.r_[np.diag(H, 1), H[-1, 0]])
+        ext = np.concatenate([rows, rows[:, :1] + TWO_PI * m], axis=1)
+        S11, S12, S22 = genfun.hess_arr(table, ext[:, :-1], ext[:, 1:])
+        assert np.array_equal(diag, S11 + np.roll(S22, 1, axis=1))
+        assert np.array_equal(off, S12)
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (7, 3)])
+    def test_closed_form_perimeter_is_action_plus_boundary(self, table, n, m):
+        orbit = pd.find_periodic(table, n, m)
+        action = pd.total_action(table, orbit.angles, m)
+        assert abs(orbit.perimeter - (action + m * table.circumference)) <= 1e-12
+        assert abs(orbit.action - action) <= 1e-12
+
+    def test_one_path_jets_call_per_iterate(self, monkeypatch):
+        # one call at the seed, one per line-search candidate, one for the
+        # orbit; on this table one step backtracks, so one candidate is refused
+        calls, candidates = [], []
+        path_jets, gaps_ok = genfun.path_jets, pd._gaps_ok
+
+        def counted_path_jets(oval, vertices):
+            calls.append(vertices)
+            return path_jets(oval, vertices)
+
+        def counted_gaps_ok(angles, m, *gap_min):
+            ok = gaps_ok(angles, m, *gap_min)
+            if not gap_min:  # a line-search test, not the seed's domain check
+                candidates.append(int(np.sum(ok)))
+            return ok
+
+        monkeypatch.setattr(genfun, "path_jets", counted_path_jets)
+        monkeypatch.setattr(pd, "_gaps_ok", counted_gaps_ok)
+        orbit = pd.find_periodic(ellipse(1.0, 0.2), 3)
+        assert orbit.iterations == 7 and sum(candidates) == 8
+        assert len(calls) == 1 + sum(candidates) + 1
 
 
 def dense_hessian(diag, off):
@@ -183,18 +247,22 @@ class TestFindPeriodic:
     def test_line_search_without_descent_raises(self, monkeypatch):
         # a negated Hessian reverses every Newton step, so no step size lowers
         # the gradient; the search must say so instead of drifting for 80 steps
-        calls = []
-        bands = pd._hessian_bands
+        solves = []
+        derivatives, solve = pd._derivatives, pd._cyclic_solve
 
         def reversed_bands(oval, angles, m):
-            calls.append(m)
-            diag, off = bands(oval, angles, m)
-            return -diag, -off
+            g, diag, off = derivatives(oval, angles, m)
+            return g, -diag, -off
 
-        monkeypatch.setattr(pd, "_hessian_bands", reversed_bands)
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(pd, "_derivatives", reversed_bands)
+        monkeypatch.setattr(pd, "_cyclic_solve", counted_solve)
         with pytest.raises(ConvergenceError, match="line search.*residual"):
             pd.find_periodic(ellipse(1.0, 0.6), 3)
-        assert len(calls) <= 2
+        assert len(solves) <= 2
 
     @pytest.mark.parametrize("gap", [5e-4, 2e-3])
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from outerlength import forge
 from outerlength import polygons as pg
+from outerlength.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,6 +221,11 @@ class TestBrackets:
                 closed = pg.xi_bracket(poly, i, j)
                 flowed = pg.flow_commutator(poly, i, j)
                 assert np.max(np.abs(closed - flowed)) < 1e-5
+
+    @pytest.mark.parametrize("i, j", [(0, 99), (0, 1.5), (-1, 1), (4, 1), (1, -1)])
+    def test_flow_commutator_side_out_of_range(self, i, j):
+        with pytest.raises(ConfigError, match="side index"):
+            pg.flow_commutator(pg.PolygonConfig.regular(4), i, j)
 
 
 class TestGrowth:
