@@ -43,11 +43,13 @@ from .errors import (
 from .forge import (
     FourPeriodicSpec,
     ParallelogramFamily,
+    ParallelogramFields,
     ParallelogramState,
     balanced_radon_seed,
     boundary_from_family,
     contact_coordinates,
     from_f,
+    parallelogram_fields,
     parallelogram_orbit,
     radon_like,
     state_from_contact,
@@ -66,13 +68,11 @@ from .periodic import (
 )
 from .polygons import (
     GrowthReport,
-    ParallelogramFields,
     PolygonConfig,
     TriangleWU,
     brackets,
     flow_commutator,
     growth_report,
-    parallelogram_fields,
     perimeter,
     perimeter_derivative_along_xi,
     phi,

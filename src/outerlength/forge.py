@@ -15,11 +15,14 @@ Undoing the change of variables gives the closed-form family
     p1 = (sqrt(4 - f'(x)^2) - 2 f(x)) / 4,   p2 = p1 + f(x),
 
 and the table is the envelope of the side lines, i.e. the support function
-p(alpha1(x)) = p1(x) resampled onto a uniform angle grid.  The same family
-satisfies p'(alpha1) = -cos(w), p'(alpha2) = cos(w), p(alpha1) + p(alpha2) =
-sin(w) with w = alpha2 - alpha1, which drives the quadrant-arc extension
-constructor `radon_like`: prescribe a convex support arc on [0, pi/2] with
-flat ends and p(0) + p(pi/2) = 1, extend it to the second quadrant by
+p(alpha1(x)) = p1(x) resampled onto a uniform angle grid (`_lift` undoes the
+change of variables).  `parallelogram_fields` reduces the rotation fields of
+`polygons` to these parallelograms, with the contact and perimeter forms.
+The same family satisfies p'(alpha1) = -cos(w), p'(alpha2) = cos(w),
+p(alpha1) + p(alpha2) = sin(w) with w = alpha2 - alpha1, which drives the
+quadrant-arc extension constructor `radon_like`: prescribe a convex support
+arc on [0, pi/2] with flat ends and p(0) + p(pi/2) = 1, extend it to the
+second quadrant by
 
     beta = alpha + arccos(-p'(alpha)),   p(beta) = -p(alpha) + sin(beta - alpha),
 
@@ -181,30 +184,19 @@ class ParallelogramState:
     def perimeter(self):
         return 4.0 * (self.p1 + self.p2) / np.sin(self.omega)
 
-    def shifted(self):
-        """Quarter-turn of the cyclic side labels: (a1,a2,p1,p2) -> (a2,a1+pi,p2,p1)."""
-        return ParallelogramState(
-            self.alpha2, self.alpha1 + np.pi, self.p2, self.p1
-        )
 
-    def angles(self):
-        return np.array(
-            [self.alpha1, self.alpha2, self.alpha1 + np.pi, self.alpha2 + np.pi]
-        )
-
-    def supports(self):
-        return np.array([self.p1, self.p2, self.p1, self.p2])
+def _lift(x, y, z):
+    """(alpha1, alpha2, p1, p2) of the perimeter-4 parallelogram at contact point (x, y, z)."""
+    w = np.arccos(y / 2.0)
+    root = np.sqrt(4.0 - y * y)
+    return x - w / 2.0, x + w / 2.0, (root - 2.0 * z) / 4.0, (root + 2.0 * z) / 4.0
 
 
 def _family_raw(spec, x):
-    """(alpha1, alpha2, p1, p2) of the family at x, and alpha1'(x), from one jet."""
+    """The lift of (x, f'(x), f(x)) and alpha1'(x), from one jet of f."""
     x = np.asarray(x, dtype=float)
     fv, fp, fpp = spec.jet(x)
-    w = np.arccos(fp / 2.0)
-    root = np.sqrt(4.0 - fp * fp)
-    p1 = (root - 2.0 * fv) / 4.0
-    p2 = (root + 2.0 * fv) / 4.0
-    return x - w / 2.0, x + w / 2.0, p1, p2, 1.0 + fpp / (2.0 * root)
+    return *_lift(x, fp, fv), 1.0 + fpp / (2.0 * np.sqrt(4.0 - fp * fp))
 
 
 def parallelogram_orbit(spec, x):
@@ -262,13 +254,12 @@ def boundary_from_family(spec, x):
     )
 
 
-# -- contact coordinates --------------------------------------------------------
+# -- contact coordinates and the rotation fields --------------------------------
 
 
 def contact_coordinates(state):
     """(x, y, z) of a perimeter-4 parallelogram: mean angle, 2 cos(gap), p2 - p1."""
-    a1, a2, p1, p2 = state.alpha1, state.alpha2, state.p1, state.p2
-    return ((a1 + a2) / 2.0, 2.0 * np.cos(a2 - a1), p2 - p1)
+    return (state.alpha1 + state.alpha2) / 2.0, 2.0 * np.cos(state.omega), state.p2 - state.p1
 
 
 def state_from_contact(x, y, z):
@@ -276,13 +267,43 @@ def state_from_contact(x, y, z):
     ConfigError unless x and z are finite and |y| < 2."""
     if not (np.isfinite(x).all() and np.isfinite(z).all() and (np.abs(y) < 2.0).all()):
         raise ConfigError(f"contact coordinates ({x}, {y}, {z}) need finite x, z and |y| < 2")
-    w = np.arccos(y / 2.0)
-    s = np.sin(w)
-    return ParallelogramState(
-        alpha1=x - w / 2.0,
-        alpha2=x + w / 2.0,
-        p1=(s - z) / 2.0,
-        p2=(s + z) / 2.0,
+    return ParallelogramState(*_lift(x, y, z))
+
+
+@dataclass
+class ParallelogramFields:
+    """Rotation fields, their bracket, and the two 1-forms on parallelogram space,
+    in the coordinate order (alpha1, alpha2, p1, p2)."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    bracket: np.ndarray
+    contact_form: np.ndarray
+    perimeter_form: np.ndarray
+
+    @property
+    def contact_nondegenerate(self):
+        return bool(np.linalg.norm(self.bracket) > 1e-12)
+
+
+def parallelogram_fields(state):
+    """The distribution of `polygons` on origin-centered perimeter-4 parallelograms.
+
+    xi1 = d/d alpha1 - cos(w) d/d p1, xi2 = d/d alpha2 + cos(w) d/d p2, and
+    [xi1, xi2] = sin(w) (d/d p1 - d/d p2); the contact form
+    cos(w)(d alpha1 + d alpha2) + d p1 - d p2 and the perimeter differential
+    cos(w)(d alpha1 - d alpha2) + d p1 + d p2 both annihilate xi1, xi2.
+    """
+    w = state.omega
+    if not 0.0 < w < np.pi:
+        raise ConfigError("parallelogram gap must lie in (0, pi)")
+    cw, sw = np.cos(w), np.sin(w)
+    return ParallelogramFields(
+        xi1=np.array([1.0, 0.0, -cw, 0.0]),
+        xi2=np.array([0.0, 1.0, 0.0, cw]),
+        bracket=np.array([0.0, 0.0, sw, -sw]),
+        contact_form=np.array([cw, cw, 1.0, -1.0]),
+        perimeter_form=np.array([cw, -cw, 1.0, 1.0]),
     )
 
 

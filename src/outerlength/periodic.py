@@ -334,11 +334,14 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     `lstsq(rcond=1e-10)` would; a backtracking line search on the gradient
     norm keeps every gap in (GAP_MIN, pi - GAP_MIN).  The orbit records the
     Newton steps taken, at most 80, and the soft modes dropped.  A seed that
-    is not n finite angles raises ConfigError, a seed gap outside the chord
-    domain ChordDomainError.  A search that stops above `tol` raises
-    ConvergenceError, which names the stop reason and the residual reached.
+    is not n finite angles, or a `tol` that is not finite and positive,
+    raises ConfigError, a seed gap outside the chord domain ChordDomainError.
+    A search that stops above `tol` raises ConvergenceError, which names the
+    stop reason and the residual reached.
     """
     n, m = _check_period(n, m)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol = {tol!r} is not finite and positive")
     seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else np.asarray(seed_angles, float)
     if seed.shape != (n,) or not np.isfinite(seed).all():
         raise ConfigError(f"seed_angles must be {n} finite angles, got {seed.tolist()}")
@@ -445,26 +448,26 @@ class ScanReport:
         return bool(np.all(np.isfinite(self.residual)) and np.all(self.closed_mask))
 
     @property
+    def cyclic(self):
+        """Whether the samples span one full turn, so the last neighbours the first."""
+        a = self.alpha1
+        return len(a) > 1 and math.isclose(len(a) * (a[1] - a[0]), TWO_PI, rel_tol=1e-9)
+
+    @property
     def max_closure_run(self):
-        """Longest cyclic run of consecutive closure samples."""
+        """Longest run of consecutive closure samples, wrapping when `cyclic`."""
         mask = self.closed_mask
-        if mask.all():
-            return int(len(mask))
-        if not mask.any():
-            return 0
-        # cut the cycle at a non-closure sample, then take the longest run
-        k = int(np.argmin(mask))
-        rolled = np.roll(mask, -k)
-        best = run = 0
-        for v in rolled:
-            run = run + 1 if v else 0
-            best = max(best, run)
-        return int(best)
+        if self.cyclic and not mask.all():  # cut the cycle at a non-closure sample
+            mask = np.roll(mask, -int(np.argmin(mask)))
+        edges = np.flatnonzero(np.diff(np.r_[False, mask, False]))  # run starts, ends
+        return int(np.max(edges[1::2] - edges[::2], initial=0))
 
     @property
     def sign_changes(self):
-        finite = self.residual[np.isfinite(self.residual)]
-        return int(np.sum(np.sign(finite[:-1]) * np.sign(finite[1:]) < 0))
+        """Sign changes between consecutive finite residuals, wrapping when `cyclic`."""
+        signs = np.sign(self.residual[np.isfinite(self.residual)])
+        pairs = signs * np.roll(signs, -1) if self.cyclic else signs[:-1] * signs[1:]
+        return int(np.sum(pairs < 0))
 
     def to_csv(self):
         buf = io.StringIO()
@@ -494,10 +497,13 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     (2 r(near) - r(far)).  The seed is the mean of the two sides'
     predictions, shifted to the sample's own first angle.  The first and
     last samples are not neighbours, so a window is scanned as an interval.
-    Samples that no pass solves are reported as NaN.
+    Samples that no pass solves are reported as NaN.  ConfigError unless
+    `closure_tol` is finite and positive.
     """
     n, m = _check_period(n, m)
     samples = checked_count(samples, "samples", 1)
+    if not 0.0 < closure_tol < math.inf:
+        raise ConfigError(f"closure_tol = {closure_tol!r} is not finite and positive")
     if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi)):
         raise ConfigError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite")
     alphas = np.linspace(alpha_lo, alpha_hi, samples, endpoint=False)

@@ -20,9 +20,9 @@ machine-precision complex-step partials, and `brackets` the n rows
 [xi_i, xi_{i+1}] built from them, which an independent flow-commutator
 verifier checks by integrating the fields with RK4.
 
-The module also carries the parallelogram specialization (contact structure
-on perimeter-4 parallelograms) and the triangle quantities W_i, U_i whose
-signs forbid two-parameter families of 3-periodic orbits.
+The module also carries the triangle quantities W_i, U_i whose signs forbid
+two-parameter families of 3-periodic orbits.  `forge` specializes the
+fields to the n = 4 family of its tables.
 """
 
 from __future__ import annotations
@@ -273,10 +273,6 @@ class GrowthReport:
     theta_rank: int
     singular_values: np.ndarray
 
-    @property
-    def matches_expected(self):
-        return self.rank == self.expected
-
 
 def growth_report(poly):
     """Rank of span{xi_i} + span{[xi_i, xi_{i+1}]} (all tangent to {F = const})."""
@@ -315,59 +311,6 @@ def perimeter_derivative_along_xi(poly):
     """Directional derivatives of the perimeter along every xi_i (vanish identically)."""
     dF_da, dF_dp = perimeter_partials(poly)
     return dF_da + phi(poly) * dF_dp
-
-
-# -- parallelogram contact structure ---------------------------------------------------
-
-
-def _as_parallelogram(state):
-    if hasattr(state, "alpha1"):
-        return state.alpha1, state.alpha2, state.p1, state.p2
-    a1, a2, p1, p2 = state
-    return a1, a2, p1, p2
-
-
-@dataclass
-class ParallelogramFields:
-    """Rotation fields, their bracket, and the two 1-forms on parallelogram space.
-
-    All vectors/covectors are in the coordinate order (alpha1, alpha2, p1, p2).
-    """
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    bracket: np.ndarray
-    contact_form: np.ndarray
-    perimeter_form: np.ndarray
-
-    def pair(self, form, vec):
-        return float(np.dot(form, vec))
-
-    @property
-    def contact_nondegenerate(self):
-        return bool(np.linalg.norm(self.bracket) > 1e-12)
-
-
-def parallelogram_fields(state):
-    """Specialize the distribution to origin-centered perimeter-4 parallelograms.
-
-    xi1 = d/d alpha1 - cos(w) d/d p1, xi2 = d/d alpha2 + cos(w) d/d p2, and
-    [xi1, xi2] = sin(w) (d/d p1 - d/d p2); the contact form
-    cos(w)(d alpha1 + d alpha2) + d p1 - d p2 and the perimeter differential
-    cos(w)(d alpha1 - d alpha2) + d p1 + d p2 both annihilate xi1, xi2.
-    """
-    a1, a2, p1, p2 = _as_parallelogram(state)
-    w = a2 - a1
-    if not 0.0 < w < np.pi:
-        raise ConfigError("parallelogram gap must lie in (0, pi)")
-    cw, sw = np.cos(w), np.sin(w)
-    return ParallelogramFields(
-        xi1=np.array([1.0, 0.0, -cw, 0.0]),
-        xi2=np.array([0.0, 1.0, 0.0, cw]),
-        bracket=np.array([0.0, 0.0, sw, -sw]),
-        contact_form=np.array([cw, cw, 1.0, -1.0]),
-        perimeter_form=np.array([cw, -cw, 1.0, 1.0]),
-    )
 
 
 # -- triangle quantities of the bracket obstruction -------------------------------------

@@ -191,6 +191,11 @@ class TestFindPeriodic:
         assert main(argv) == EXIT_VALIDATION
         assert "seed_angles must be 3 finite angles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, tol", [("find-periodic", "inf"), ("scan", "nan")])
+    def test_tolerance_that_is_not_finite_is_rejected(self, forged_table, command, tol, capsys):
+        assert main([command, "--table", forged_table, "--n", "4", "--tol", tol]) == EXIT_VALIDATION
+        assert "is not finite and positive" in capsys.readouterr().err
+
 
 class TestScan:
     def test_forged_table_flat_zero(self, forged_table, tmp_path, capsys):

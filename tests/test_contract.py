@@ -116,6 +116,19 @@ CASES = {
                 ConfigError, "seed_angles must be 3 finite angles"),
     "seed-nan-angle": (lambda: pd.find_periodic(circle(), 3, seed_angles=[0.0, NAN, 4.0]),
                        ConfigError, "seed_angles must be 3 finite angles"),
+    "find-periodic-inf-tol": (lambda: pd.find_periodic(perturbed_circle(0.05, 3, 0.7), 5, 2,
+                                                       tol=np.inf),
+                              ConfigError, "tol = inf is not finite and positive"),
+    "find-periodic-nan-tol": (lambda: pd.find_periodic(circle(), 3, tol=NAN), ConfigError,
+                              "tol = nan is not finite and positive"),
+    "find-periodic-zero-tol": (lambda: pd.find_periodic(circle(), 3, tol=0.0), ConfigError,
+                               "tol = 0.0 is not finite and positive"),
+    "scan-inf-tol": (lambda: pd.invariant_curve_scan(circle(), 4, closure_tol=np.inf),
+                     ConfigError, "closure_tol = inf is not finite and positive"),
+    "scan-nan-tol": (lambda: pd.invariant_curve_scan(circle(), 4, closure_tol=NAN),
+                     ConfigError, "closure_tol = nan is not finite and positive"),
+    "scan-negative-tol": (lambda: pd.invariant_curve_scan(circle(), 4, closure_tol=-1e-8),
+                          ConfigError, "closure_tol = -1e-08 is not finite and positive"),
     "oracle-two-gon": (lambda: pd.brute_oracle(circle(), 2), ConfigError,
                        "n = 2 is not an integer >= 3"),
     "contact-nan-x": (lambda: forge.state_from_contact(NAN, 1.0, 1.0), ConfigError,
@@ -128,7 +141,8 @@ CASES = {
                             r"must lie in \(0, pi/2\)"),
     "polygon-wrap-gap": (lambda: pg.PolygonConfig(SQUARE[:3], np.ones(3)), ConfigError,
                          "must lie in"),
-    "parallelogram-zero-gap": (lambda: pg.parallelogram_fields((1.0, 1.0, 1.0, 1.0)),
+    "parallelogram-zero-gap": (lambda: forge.parallelogram_fields(
+                                   forge.ParallelogramState(1.0, 1.0, 1.0, 1.0)),
                                ConfigError, r"gap must lie in \(0, pi\)"),
     "phase-negative-radius": (lambda: billiard.PhasePoint(0.0, -1.0), ConfigError,
                               "phase radius must be positive"),

@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from outerlength import billiard as bl
 from outerlength import forge
 from outerlength import periodic as pd
+from outerlength import polygons as pg
 from outerlength.errors import (
     ArcConstraintError,
     ConvexityError,
@@ -175,11 +178,12 @@ class TestParallelogramFamily:
     def test_quarter_shift_cycles_sides(self, forge_spec):
         x = 0.37
         direct = forge.parallelogram_orbit(forge_spec, x + np.pi / 2)
-        cycled = forge.parallelogram_orbit(forge_spec, x).shifted()
-        assert direct.alpha1 == pytest.approx(cycled.alpha1, abs=1e-12)
-        assert direct.alpha2 == pytest.approx(cycled.alpha2, abs=1e-12)
-        assert direct.p1 == pytest.approx(cycled.p1, abs=1e-12)
-        assert direct.p2 == pytest.approx(cycled.p2, abs=1e-12)
+        s = forge.parallelogram_orbit(forge_spec, x)
+        # a quarter turn of the cyclic side labels: (a1, a2, p1, p2) -> (a2, a1 + pi, p2, p1)
+        assert direct.alpha1 == pytest.approx(s.alpha2, abs=1e-12)
+        assert direct.alpha2 == pytest.approx(s.alpha1 + np.pi, abs=1e-12)
+        assert direct.p1 == pytest.approx(s.p2, abs=1e-12)
+        assert direct.p2 == pytest.approx(s.p1, abs=1e-12)
 
     def test_four_step_orbit_closes(self, forge_table):
         oval, family = forge_table
@@ -187,15 +191,6 @@ class TestParallelogramFamily:
             s = family.state(x)
             rec = bl.orbit(oval, ChordConfig(s.alpha1, s.alpha2), 4)
             assert rec.closure_residual < 1e-8
-
-    def test_opposite_sides_parallel(self, forge_table):
-        oval, family = forge_table
-        s = family.state(1.1)
-        angles = s.angles()
-        supports = s.supports()
-        assert angles[2] - angles[0] == pytest.approx(np.pi, abs=1e-12)
-        assert angles[3] - angles[1] == pytest.approx(np.pi, abs=1e-12)
-        assert supports[0] == supports[2] and supports[1] == supports[3]
 
 
 class TestContactCoordinates:
@@ -236,6 +231,53 @@ class TestContactCoordinates:
         back = forge.state_from_contact(*forge.contact_coordinates(s))
         assert back.alpha1 == pytest.approx(s.alpha1, abs=1e-12)
         assert back.p1 == pytest.approx(s.p1, abs=1e-12)
+
+    def test_contact_round_trip_returns_the_state(self, forge_spec):
+        for x in np.linspace(0, TWO_PI, 9):
+            s = forge.parallelogram_orbit(forge_spec, x)
+            back = forge.state_from_contact(*forge.contact_coordinates(s))
+            assert np.max(np.abs(np.subtract(astuple(back), astuple(s)))) <= 1e-15
+
+
+class TestParallelogramFields:
+    def test_square_specialization(self):
+        f = forge.parallelogram_fields(forge.ParallelogramState(0.0, np.pi / 2, 0.5, 0.5))
+        assert np.allclose(f.xi1, [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(f.xi2, [0, 1, 0, 0], atol=1e-15)
+        assert np.allclose(f.bracket, [0, 0, 1, -1], atol=1e-15)
+
+    def test_bracket_magnitude(self):
+        w = np.pi / 3
+        f = forge.parallelogram_fields(forge.ParallelogramState(0.0, w, 0.4, np.sin(w) - 0.4))
+        assert np.linalg.norm(f.bracket) == pytest.approx(
+            np.sqrt(2) * np.sin(w), abs=1e-14
+        )
+        assert f.contact_nondegenerate
+
+    def test_forms_annihilate_the_fields(self, forge_spec):
+        for x in np.linspace(0, TWO_PI, 9):
+            f = forge.parallelogram_fields(forge.parallelogram_orbit(forge_spec, x))
+            for form in (f.contact_form, f.perimeter_form):
+                assert abs(np.dot(form, f.xi1)) < 1e-12
+                assert abs(np.dot(form, f.xi2)) < 1e-12
+
+    def test_reduction_from_general_formulas(self, forge_spec):
+        # the general Phi on 4-gon parallelogram data reproduces the
+        # specialized field coefficients -cos(w), +cos(w)
+        for x in (0.2, 1.0, 2.8):
+            s = forge.parallelogram_orbit(forge_spec, x)
+            poly = pg.PolygonConfig([s.alpha1, s.alpha2, s.alpha1 + np.pi, s.alpha2 + np.pi],
+                                    [s.p1, s.p2, s.p1, s.p2])
+            cw = np.cos(s.omega)
+            phis = pg.phi(poly)
+            assert phis[0] == pytest.approx(-cw, abs=1e-11)
+            assert phis[1] == pytest.approx(cw, abs=1e-11)
+            assert phis[2] == pytest.approx(-cw, abs=1e-11)
+            assert phis[3] == pytest.approx(cw, abs=1e-11)
+            # unnormalized form -cot(w)(p1 + p2) agrees as well
+            assert phis[0] == pytest.approx(
+                -(s.p1 + s.p2) / np.tan(s.omega), abs=1e-11
+            )
 
 
 class TestRadonLike:

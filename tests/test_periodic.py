@@ -417,6 +417,26 @@ class TestInvariantCurveScan:
         # 3-fold symmetric table: two critical families per third of a turn
         assert report.sign_changes == 6
 
+    def test_full_turn_counts_the_last_and_first_as_neighbours(self, wobble3_table):
+        # off the symmetry line the residual changes sign between the last
+        # sample and the first too; a periodic residual has an even count
+        for offset in np.linspace(0.0, TWO_PI / 256, 9)[1:]:
+            report = pd.invariant_curve_scan(wobble3_table, 3, samples=64, alpha_lo=offset,
+                                             alpha_hi=offset + TWO_PI)
+            assert report.cyclic
+            assert report.sign_changes == 6
+
+    def test_window_ends_are_not_neighbours(self):
+        residual = np.array([0.0, 1.0, 1.0, 0.0])
+        window = pd.ScanReport(3, 1, np.linspace(0.0, 1.0, 4, endpoint=False), residual, 1e-8)
+        turn = pd.ScanReport(3, 1, np.linspace(0.0, TWO_PI, 4, endpoint=False), residual, 1e-8)
+        assert not window.cyclic and turn.cyclic
+        assert window.max_closure_run == 1
+        assert turn.max_closure_run == 2
+        residual = np.array([1.0, -1.0, -1.0, -1.0])
+        assert pd.ScanReport(3, 1, window.alpha1, residual, 1e-8).sign_changes == 1
+        assert pd.ScanReport(3, 1, turn.alpha1, residual, 1e-8).sign_changes == 2
+
     def test_star_polygons_on_integrable_table(self, round_table):
         report = pd.invariant_curve_scan(round_table, 5, m=2, samples=16)
         assert report.all_closed

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from outerlength import forge
 from outerlength import polygons as pg
 from outerlength.errors import ConfigError
 
@@ -295,48 +294,6 @@ class TestPerimeterInvariance:
         d1 = drift(1e-5)
         d2 = drift(5e-6)
         assert abs(2 * d2 - d1) < 1e-7
-
-
-class TestParallelogramFields:
-    def test_square_specialization(self):
-        f = pg.parallelogram_fields((0.0, np.pi / 2, 0.5, 0.5))
-        assert np.allclose(f.xi1, [1, 0, 0, 0], atol=1e-15)
-        assert np.allclose(f.xi2, [0, 1, 0, 0], atol=1e-15)
-        assert np.allclose(f.bracket, [0, 0, 1, -1], atol=1e-15)
-
-    def test_bracket_magnitude(self):
-        w = np.pi / 3
-        f = pg.parallelogram_fields((0.0, w, 0.4, np.sin(w) - 0.4))
-        assert np.linalg.norm(f.bracket) == pytest.approx(
-            np.sqrt(2) * np.sin(w), abs=1e-14
-        )
-        assert f.contact_nondegenerate
-
-    def test_forms_annihilate_the_fields(self, forge_spec):
-        for x in np.linspace(0, TWO_PI, 9):
-            state = forge.parallelogram_orbit(forge_spec, x)
-            f = pg.parallelogram_fields(state)
-            assert abs(f.pair(f.contact_form, f.xi1)) < 1e-12
-            assert abs(f.pair(f.contact_form, f.xi2)) < 1e-12
-            assert abs(f.pair(f.perimeter_form, f.xi1)) < 1e-12
-            assert abs(f.pair(f.perimeter_form, f.xi2)) < 1e-12
-
-    def test_reduction_from_general_formulas(self, forge_spec):
-        # the general Phi on 4-gon parallelogram data reproduces the
-        # specialized field coefficients -cos(w), +cos(w)
-        for x in (0.2, 1.0, 2.8):
-            s = forge.parallelogram_orbit(forge_spec, x)
-            poly = pg.PolygonConfig(s.angles(), s.supports())
-            cw = np.cos(s.omega)
-            phis = pg.phi(poly)
-            assert phis[0] == pytest.approx(-cw, abs=1e-11)
-            assert phis[1] == pytest.approx(cw, abs=1e-11)
-            assert phis[2] == pytest.approx(-cw, abs=1e-11)
-            assert phis[3] == pytest.approx(cw, abs=1e-11)
-            # unnormalized form -cot(w)(p1 + p2) agrees as well
-            assert phis[0] == pytest.approx(
-                -(s.p1 + s.p2) / np.tan(s.omega), abs=1e-11
-            )
 
 
 class TestTriangleWU:
