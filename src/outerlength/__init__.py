@@ -12,12 +12,10 @@ distribution whose non-integrability forbids open sets of periodic points.
 
 from .billiard import (
     OrbitRecord,
-    PhasePoint,
     TwistReport,
     cartesian_step,
     iterate,
     jacobian,
-    map_phase,
     orbit,
     pair_from_phase,
     phase_from_pair,
@@ -52,7 +50,6 @@ from .forge import (
     parallelogram_fields,
     parallelogram_orbit,
     radon_like,
-    state_from_contact,
 )
 from .genfun import ChordConfig
 from .oval import SupportOval, ValidationReport, circle, ellipse, perturbed_circle
@@ -77,9 +74,6 @@ from .polygons import (
     perimeter_derivative_along_xi,
     phi,
     phi_via_tangency,
-    rotation_field,
-    side_lengths,
-    tangency_points,
     triangle_WU,
     vertices,
     xi_bracket,

@@ -49,18 +49,6 @@ from .oval import _cos_sin
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Cylinder coordinates (alpha, R): base tangency angle and auxiliary radius."""
-
-    alpha: float
-    R: float
-
-    def __post_init__(self):
-        if not self.R > 0.0:
-            raise ConfigError("phase radius must be positive")
-
-
 def vertex_point(oval, state):
     """Chord vertex: intersection of the tangent lines at alpha1, alpha2;
     elementwise on a chord of arrays, with (x, y) on the first axis."""
@@ -154,22 +142,16 @@ def step_residual(oval, state, new_state):
 def phase_from_pair(oval, state):
     """(alpha, R) coordinates of a chord: base angle plus its auxiliary radius."""
     S1, _ = genfun.grad_arr(oval, state.alpha1, state.alpha2)
-    return PhasePoint(state.alpha1, float(-S1))
+    return state.alpha1, float(-S1)
 
 
-def pair_from_phase(oval, point):
-    """Invert R = R1(alpha, alpha2) for alpha2; monotone since S12 < 0."""
-    a1 = point.alpha
-    p1, dp1, _ = oval.jet(a1)
-    a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(a1), a1, point.R, p1, dp1)
+def pair_from_phase(oval, alpha, R):
+    """Invert R = R1(alpha, alpha2) for alpha2, monotone since S12 < 0; StepFailureError if none."""
+    p1, dp1, _ = oval.jet(alpha)
+    a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(alpha), alpha, R, p1, dp1)
     if np.isnan(a2):
-        raise StepFailureError(f"radius {point.R} outside the admissible range")
-    return ChordConfig(a1, float(a2))
-
-
-def map_phase(oval, point):
-    """The billiard map in (alpha, R) coordinates."""
-    return phase_from_pair(oval, step(oval, pair_from_phase(oval, point)))
+        raise StepFailureError(f"radius {R} outside the admissible range")
+    return ChordConfig(alpha, float(a2))
 
 
 # -- Cartesian oracle ----------------------------------------------------------
@@ -261,13 +243,15 @@ def jacobian(oval, state):
 def fd_jacobian(oval, state):
     """Finite-difference differential in (R, alpha), the check on `jacobian`."""
     h = 1e-6  # central-difference step
-    base = phase_from_pair(oval, state)
+
+    def image(alpha, R):  # the map in (alpha, R) coordinates
+        return phase_from_pair(oval, step(oval, pair_from_phase(oval, alpha, R)))
+
+    alpha, R = phase_from_pair(oval, state)
     out = np.empty((2, 2))
     for j, (dR, da) in enumerate(((h, 0.0), (0.0, h))):
-        plus = map_phase(oval, PhasePoint(base.alpha + da, base.R + dR))
-        minus = map_phase(oval, PhasePoint(base.alpha - da, base.R - dR))
-        out[0, j] = (plus.R - minus.R) / (2 * h)
-        out[1, j] = (plus.alpha - minus.alpha) / (2 * h)
+        (a_plus, R_plus), (a_minus, R_minus) = image(alpha + da, R + dR), image(alpha - da, R - dR)
+        out[:, j] = (R_plus - R_minus) / (2 * h), (a_plus - a_minus) / (2 * h)
     return out
 
 

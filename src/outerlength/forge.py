@@ -200,8 +200,12 @@ def _family_raw(spec, x):
 
 
 def parallelogram_orbit(spec, x):
-    """The circumscribed parallelogram of the family at parameter x."""
-    a1, a2, p1, p2, _ = _family_raw(spec, float(x))
+    """The circumscribed parallelogram of the family at parameter x;
+    ConfigError unless x is finite."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise ConfigError(f"family parameter x = {x} is not finite")
+    a1, a2, p1, p2, _ = _family_raw(spec, x)
     return ParallelogramState(float(a1), float(a2), float(p1), float(p2))
 
 
@@ -245,9 +249,13 @@ def from_f(spec):
 def boundary_from_family(spec, x):
     """Boundary point of the table at parameter x via the parametric envelope
     formula gamma = p (cos a, sin a) + (dp/dx / da/dx) (-sin a, cos a), with
-    dp1/dx = -f' (f'' / sqrt(4 - f'^2) + 2) / 4 from the jet of f."""
+    dp1/dx = -f' (f'' / sqrt(4 - f'^2) + 2) / 4 from the jet of f; ConfigError
+    unless every x is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigError(f"family parameter x = {x.tolist()} is not finite")
     a1, _, p1, _, da_dx = _family_raw(spec, x)
-    _, fp, fpp = spec.jet(np.asarray(x, dtype=float))
+    _, fp, fpp = spec.jet(x)
     t = -fp * (fpp / np.sqrt(4.0 - fp * fp) + 2.0) / 4.0 / da_dx
     return np.array(
         [p1 * np.cos(a1) - t * np.sin(a1), p1 * np.sin(a1) + t * np.cos(a1)]
@@ -262,14 +270,6 @@ def contact_coordinates(state):
     return (state.alpha1 + state.alpha2) / 2.0, 2.0 * np.cos(state.omega), state.p2 - state.p1
 
 
-def state_from_contact(x, y, z):
-    """Invert contact coordinates under the perimeter-4 normalization;
-    ConfigError unless x and z are finite and |y| < 2."""
-    if not (np.isfinite(x).all() and np.isfinite(z).all() and (np.abs(y) < 2.0).all()):
-        raise ConfigError(f"contact coordinates ({x}, {y}, {z}) need finite x, z and |y| < 2")
-    return ParallelogramState(*_lift(x, y, z))
-
-
 @dataclass
 class ParallelogramFields:
     """Rotation fields, their bracket, and the two 1-forms on parallelogram space,
@@ -280,10 +280,6 @@ class ParallelogramFields:
     bracket: np.ndarray
     contact_form: np.ndarray
     perimeter_form: np.ndarray
-
-    @property
-    def contact_nondegenerate(self):
-        return bool(np.linalg.norm(self.bracket) > 1e-12)
 
 
 def parallelogram_fields(state):

@@ -70,13 +70,17 @@ def _ordered_pair(r1, r2, point):
 
 
 def _as_points(point):
-    """Points as a (k, 2) float array, and whether a single (2,) point was given."""
+    """Points as a (k, 2) float array, and whether a single (2,) point was
+    given; ConfigError for another shape or a non-finite coordinate."""
     xy = np.asarray(point, dtype=float)
-    if xy.shape == (2,):
-        return xy[None], True
-    if xy.ndim != 2 or xy.shape[1] != 2:
+    one = xy.shape == (2,)
+    if not (one or xy.ndim == 2 and xy.shape[1] == 2):
         raise ConfigError(f"expected a point (2,) or points (k, 2), got shape {xy.shape}")
-    return xy, False
+    xy = xy.reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        bad = np.argmin(np.isfinite(xy).all(axis=1))
+        raise ConfigError(f"points must be finite, got {xy[bad].tolist()}")
+    return xy, one
 
 
 def _json_fields(obj, what, *keys):

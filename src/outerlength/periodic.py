@@ -64,32 +64,15 @@ def total_action(oval, angles, m=1):
     return float(np.sum(genfun.S_arr(oval, ext[..., :-1], ext[..., 1:])))
 
 
-def action_gradient(oval, angles, m=1):
-    """Gradient component i: R2 of the chord into vertex i minus R1 out of it.
-
-    `angles` may hold one orbit per row; the gradient is taken along the last axis.
-    """
-    S1, S2 = genfun.grad_from_jets(*genfun.path_jets(oval, _extended(angles, m)))
-    return _prev(S2) + S1
-
-
 def _derivatives(oval, angles, m):
-    """`action_gradient` and the Hessian bands (diag, off) on the last axis, from
-    one `genfun.path_jets` call.  diag[i] = S11(chord i) + S22(chord i-1);
-    off[i] = S12(chord i) couples vertex i to vertex i+1 (n-1 to 0 for the last).
-    """
+    """Action gradient g and Hessian bands (diag, off) on the last axis, from one
+    `genfun.path_jets` call: g[i] = S2(chord i-1) + S1(chord i);
+    diag[i] = S11(chord i) + S22(chord i-1); off[i] = S12(chord i) couples
+    vertex i to vertex i+1 (n-1 to 0 for the last)."""
     jets = genfun.path_jets(oval, _extended(angles, m))
     S1, S2 = genfun.grad_from_jets(*jets)
     S11, S12, S22 = genfun.hess_from_jets(*jets)
     return _prev(S2) + S1, S11 + _prev(S22), S12
-
-
-def action_hessian(oval, angles, m=1):
-    """Cyclic tridiagonal-plus-corners Hessian assembled from chord Hessians."""
-    _, diag, off = _derivatives(oval, angles, m)
-    H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
-    H[0, -1] = H[-1, 0] = off[-1]
-    return H
 
 
 @dataclass
@@ -498,14 +481,14 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     predictions, shifted to the sample's own first angle.  The first and
     last samples are not neighbours, so a window is scanned as an interval.
     Samples that no pass solves are reported as NaN.  ConfigError unless
-    `closure_tol` is finite and positive.
+    `closure_tol` is finite and positive and -inf < alpha_lo < alpha_hi < inf.
     """
     n, m = _check_period(n, m)
     samples = checked_count(samples, "samples", 1)
     if not 0.0 < closure_tol < math.inf:
         raise ConfigError(f"closure_tol = {closure_tol!r} is not finite and positive")
-    if not (math.isfinite(alpha_lo) and math.isfinite(alpha_hi)):
-        raise ConfigError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite")
+    if not -math.inf < alpha_lo < alpha_hi < math.inf:
+        raise ConfigError(f"scan window [{alpha_lo}, {alpha_hi}) must be finite and non-empty")
     alphas = np.linspace(alpha_lo, alpha_hi, samples, endpoint=False)
     orbit_angles = np.full((samples, n), np.nan)
     residuals = np.full(samples, np.nan)

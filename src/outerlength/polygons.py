@@ -178,12 +178,6 @@ def phi_partials(poly):
     return d_alpha, np.array([d(2), d(3), d(4)])
 
 
-def rotation_field(point, alpha):
-    """Infinitesimal rotation of a line about a fixed point, as (d alpha, d p)."""
-    a, b = point
-    return 1.0, float(b * np.cos(alpha) - a * np.sin(alpha))
-
-
 def _bracket_coefficients(poly):
     """(W, U): the dp_i coefficient of [xi_{i-1}, xi_i] is W_i, that of
     [xi_i, xi_{i+1}] is -U_i."""
@@ -294,8 +288,9 @@ def growth_report(poly):
 # -- perimeter invariance ----------------------------------------------------------
 
 
-def perimeter_partials(poly):
-    """(dF/d alpha_i, dF/d p_i) arrays of the perimeter formula."""
+def perimeter_derivative_along_xi(poly):
+    """Directional derivatives dF/d alpha_i + Phi_i dF/d p_i of the perimeter
+    formula F along every xi_i (vanish identically)."""
     p = poly.ps
     g = poly.gaps
     g_prev = np.roll(g, 1)
@@ -304,12 +299,6 @@ def perimeter_partials(poly):
         (p_prev + p) / np.cos(g_prev / 2.0) ** 2 - (p + p_next) / np.cos(g / 2.0) ** 2
     )
     dF_dp = np.tan(g / 2.0) + np.tan(g_prev / 2.0)
-    return dF_da, dF_dp
-
-
-def perimeter_derivative_along_xi(poly):
-    """Directional derivatives of the perimeter along every xi_i (vanish identically)."""
-    dF_da, dF_dp = perimeter_partials(poly)
     return dF_da + phi(poly) * dF_dp
 
 

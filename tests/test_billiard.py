@@ -7,7 +7,7 @@ from outerlength import billiard as bl
 from outerlength import genfun as gf
 from outerlength import verify
 from outerlength._solve import _SMALL, bracketed_root
-from outerlength.errors import ContainmentError
+from outerlength.errors import ContainmentError, StepFailureError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import circle, ellipse
 
@@ -233,23 +233,27 @@ class TestTwist:
 class TestPhaseCoordinates:
     def test_round_trip(self, wobble3_table):
         state = ChordConfig(0.7, 2.0)
-        pt = bl.phase_from_pair(wobble3_table, state)
-        back = bl.pair_from_phase(wobble3_table, pt)
+        back = bl.pair_from_phase(wobble3_table, *bl.phase_from_pair(wobble3_table, state))
         assert back.alpha2 == pytest.approx(state.alpha2, abs=1e-11)
 
     def test_map_phase_consistent_with_step(self, wobble3_table):
+        # the map in (alpha, R) coordinates, as `fd_jacobian` differences it
         state = ChordConfig(0.7, 2.0)
-        pt = bl.phase_from_pair(wobble3_table, state)
-        image = bl.map_phase(wobble3_table, pt)
+        alpha, R = bl.phase_from_pair(wobble3_table, state)
+        chord = bl.step(wobble3_table, bl.pair_from_phase(wobble3_table, alpha, R))
+        image_alpha, image_R = bl.phase_from_pair(wobble3_table, chord)
         new = bl.step(wobble3_table, state)
-        assert image.alpha == pytest.approx(new.alpha1, abs=1e-11)
-        assert image.R == pytest.approx(
+        assert image_alpha == pytest.approx(new.alpha1, abs=1e-11)
+        assert image_R == pytest.approx(
             float(gf.radii_arr(wobble3_table, new.alpha1, new.alpha2)[0]), abs=1e-9
         )
 
     def test_phase_point_requires_positive_radius(self):
-        with pytest.raises(ValueError):
-            bl.PhasePoint(0.0, -1.0)
+        # every chord's auxiliary radius is positive, so no chord has these
+        for table in (circle(), ellipse(1.0, 0.2)):
+            for R in (-1.0, 0.0, 1e-300):
+                with pytest.raises(StepFailureError, match="outside the admissible range"):
+                    bl.pair_from_phase(table, 0.3, R)
 
 
 class TestOrbits:
@@ -311,7 +315,7 @@ def test_map_matches_oracle_on_random_tables(table, seed):
 def test_phase_round_trip_on_random_tables(table, seed):
     a1, a2 = gf.sample_chords(np.random.default_rng(seed), 20)
     for chord in map(ChordConfig, a1.tolist(), a2.tolist()):
-        back = bl.pair_from_phase(table, bl.phase_from_pair(table, chord))
+        back = bl.pair_from_phase(table, *bl.phase_from_pair(table, chord))
         assert back.alpha1 == chord.alpha1
         assert abs(back.alpha2 - chord.alpha2) <= 1e-12
 
@@ -359,7 +363,7 @@ def _scalar_and_batched(table, seed):
     batched = np.array([bl.step_angles_arr(table, a1, a2), pair, *table.jet(a1)])
     scalar = np.array([
         (bl.step(table, ChordConfig(x, y)).alpha2,
-         bl.pair_from_phase(table, bl.PhasePoint(x, r)).alpha2,
+         bl.pair_from_phase(table, x, r).alpha2,
          *table.jet(x))
         for x, y, r in zip(a1.tolist(), a2.tolist(), R.tolist())
     ]).T

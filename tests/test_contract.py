@@ -11,7 +11,8 @@ from outerlength import billiard, forge, genfun, verify
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import (
-    ArcConstraintError, ChordDomainError, ConfigError, OuterLengthError, OvalValidationError,
+    ArcConstraintError, ChordDomainError, ConfigError, FPrimeBoundError, OuterLengthError,
+    OvalValidationError, StepFailureError,
 )
 from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
@@ -19,6 +20,7 @@ from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 NAN = float("nan")
 SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 CHORD = ChordConfig(0.0, 1.0)
+SPEC = forge.FourPeriodicSpec.from_harmonics({2: (0.0, 0.1)})
 CASES = {
     "polygon-nan-angle": (lambda: pg.PolygonConfig(np.r_[SQUARE[:3], NAN], np.ones(4)),
                           ValueError, "finite"),
@@ -131,10 +133,15 @@ CASES = {
                           ConfigError, "closure_tol = -1e-08 is not finite and positive"),
     "oracle-two-gon": (lambda: pd.brute_oracle(circle(), 2), ConfigError,
                        "n = 2 is not an integer >= 3"),
-    "contact-nan-x": (lambda: forge.state_from_contact(NAN, 1.0, 1.0), ConfigError,
-                      r"need finite x, z and \|y\| < 2"),
-    "contact-y-past-two": (lambda: forge.state_from_contact(0.0, 3.0, 0.0), ConfigError,
-                           r"need finite x, z and \|y\| < 2"),
+    "contact-nan-x": (lambda: forge.parallelogram_orbit(SPEC, NAN), ConfigError,
+                      "family parameter x = nan is not finite"),
+    # the contact graph y = f'(x) reaches |y| = 2
+    "contact-y-past-two": (lambda: forge.FourPeriodicSpec.from_harmonics({2: (0.0, 1.0)}),
+                           FPrimeBoundError, r"max \|f'\| = 2\.000000 >= 2"),
+    "family-inf-x": (lambda: forge.ParallelogramFamily(SPEC).state(np.inf), ConfigError,
+                     "family parameter x = inf is not finite"),
+    "boundary-nan-x": (lambda: forge.boundary_from_family(SPEC, [0.5, NAN]), ConfigError,
+                       r"family parameter x = \[0\.5, nan\] is not finite"),
     "fourier-2d-coefficients": (lambda: SupportOval.from_fourier(1.0, [[0.1]]),
                                 OvalValidationError, r"1-d coefficient lists, got shapes \(1, 1\)"),
     "triangle-degenerate": (lambda: pg.triangle_WU(0.0, 0.0, np.pi), ConfigError,
@@ -144,8 +151,8 @@ CASES = {
     "parallelogram-zero-gap": (lambda: forge.parallelogram_fields(
                                    forge.ParallelogramState(1.0, 1.0, 1.0, 1.0)),
                                ConfigError, r"gap must lie in \(0, pi\)"),
-    "phase-negative-radius": (lambda: billiard.PhasePoint(0.0, -1.0), ConfigError,
-                              "phase radius must be positive"),
+    "phase-negative-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, -1.0),
+                              StepFailureError, "radius -1.0 outside the admissible range"),
     "arc-reversed": (lambda: circle().arc_length(1.0, 0.5), ConfigError, "need alpha1 < alpha2"),
     "points-bad-shape": (lambda: circle().is_exterior(np.ones((2, 3))), ConfigError,
                          r"got shape \(2, 3\)"),
@@ -153,6 +160,18 @@ CASES = {
                          "omega_lo must not exceed omega_hi"),
     "scan-minus-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=-np.inf),
                               ConfigError, r"scan window \[-inf, .*must be finite"),
+    "scan-empty-window": (lambda: pd.invariant_curve_scan(circle(), 4, samples=8,
+                                                          alpha_lo=0.0, alpha_hi=0.0),
+                          ConfigError, r"window \[0\.0, 0\.0\) must be finite and non-empty"),
+    "scan-reversed-window": (lambda: pd.invariant_curve_scan(circle(), 4, samples=8,
+                                                             alpha_lo=1.0, alpha_hi=0.0),
+                             ConfigError, r"window \[1\.0, 0\.0\) must be finite and non-empty"),
+    "exterior-nan-point": (lambda: circle().is_exterior((NAN, 0.0)), ConfigError,
+                           r"points must be finite, got \[nan, 0\.0\]"),
+    "tangency-inf-point": (lambda: circle().tangent_angles_from((np.inf, 0.0)), ConfigError,
+                           r"points must be finite, got \[inf, 0\.0\]"),
+    "oracle-nan-point": (lambda: billiard.cartesian_step(circle(), (NAN, 2.0)), ConfigError,
+                         r"points must be finite, got \[nan, 2\.0\]"),
 }
 
 

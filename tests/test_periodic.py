@@ -47,18 +47,27 @@ class TestTotalAction:
             pd.total_action(round_table, [0.0, 0.5, 1.0])  # wrap gap > pi
 
 
+def dense_hessian(diag, off):
+    """The dense cyclic tridiagonal matrix of the Hessian bands of `_derivatives`."""
+    H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    H[0, -1] = H[-1, 0] = off[-1]
+    return H
+
+
 @pytest.mark.parametrize("n", [3, 7, 101])
 def test_action_hessian_matches_gradient_differences(n):
     oval = ellipse(1.0, 0.6)
     rng = np.random.default_rng(n)
     angles = (np.arange(n) + rng.uniform(-0.2, 0.2, n)) * TWO_PI / n
     h = 1e-6
+
+    def gradient(a):
+        return pd._derivatives(oval, a, 1)[0]
+
     fd = np.column_stack([
-        (pd.action_gradient(oval, angles + h * e) - pd.action_gradient(oval, angles - h * e))
-        / (2 * h)
-        for e in np.eye(n)
+        (gradient(angles + h * e) - gradient(angles - h * e)) / (2 * h) for e in np.eye(n)
     ])
-    assert np.max(np.abs(pd.action_hessian(oval, angles) - fd)) < 1e-5
+    assert np.max(np.abs(dense_hessian(*pd._derivatives(oval, angles, 1)[1:]) - fd)) < 1e-5
 
 
 #: a table with several harmonics, whose jets BLAS sums over four terms
@@ -72,7 +81,7 @@ def table(request, forge_table):
 
 class TestDerivatives:
     """`_derivatives`, the one evaluation per Newton iterate, against the
-    public functions and the chord Hessians of `genfun.hess_arr`."""
+    chord gradients and Hessians of `genfun.grad_arr` and `genfun.hess_arr`."""
 
     @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (12, 5)])
     @pytest.mark.parametrize("k", [1, 16], ids=["free", "pinned"])
@@ -83,16 +92,15 @@ class TestDerivatives:
         rows = (np.linspace(0.0, TWO_PI, k, endpoint=False)[:, None]
                 + TWO_PI * m * (np.arange(n) + rng.uniform(-0.1, 0.1, (k, n))) / n)
         g, diag, off = pd._derivatives(table, rows, m)
-        assert np.array_equal(g, pd.action_gradient(table, rows, m))
-        for row, gi, di, oi in zip(rows, g, diag, off):
-            H = pd.action_hessian(table, row, m)
-            assert np.array_equal(gi, pd.action_gradient(table, row, m))
-            assert np.array_equal(di, np.diag(H))
-            assert np.array_equal(oi, np.r_[np.diag(H, 1), H[-1, 0]])
         ext = np.concatenate([rows, rows[:, :1] + TWO_PI * m], axis=1)
+        S1, S2 = genfun.grad_arr(table, ext[:, :-1], ext[:, 1:])
         S11, S12, S22 = genfun.hess_arr(table, ext[:, :-1], ext[:, 1:])
+        assert np.array_equal(g, S1 + np.roll(S2, 1, axis=1))
         assert np.array_equal(diag, S11 + np.roll(S22, 1, axis=1))
         assert np.array_equal(off, S12)
+        # a row on its own gives the batch's values
+        for got, batch in zip(pd._derivatives(table, rows[-1], m), (g, diag, off)):
+            assert np.array_equal(got, batch[-1])
 
     @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (7, 3)])
     def test_closed_form_perimeter_is_action_plus_boundary(self, table, n, m):
@@ -122,13 +130,6 @@ class TestDerivatives:
         orbit = pd.find_periodic(ellipse(1.0, 0.2), 3)
         assert orbit.iterations == 7 and sum(candidates) == 8
         assert len(calls) == 1 + sum(candidates) + 1
-
-
-def dense_hessian(diag, off):
-    """The dense matrix of a pair of cyclic bands, laid out as `action_hessian`'s."""
-    H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
-    H[0, -1] = H[-1, 0] = off[-1]
-    return H
 
 
 def cyclic_solve(diag, off, rhs):
@@ -508,8 +509,7 @@ class TestInvariantCurveScan:
             assert solved.all()
             angles = report.orbit_angles[solved]
             assert np.array_equal(angles[:, 0], report.alpha1[solved])
-            for row in angles:
-                assert np.max(np.abs(pd.action_gradient(oval, row)[1:])) < 1e-10
+            assert np.max(np.abs(pd._derivatives(oval, angles, 1)[0][:, 1:])) < 1e-10
 
     def test_csv_layout(self, round_table):
         report = pd.invariant_curve_scan(round_table, 3, samples=8)

@@ -163,27 +163,6 @@ class TestPhi:
                 assert np.allclose(points[i], excircle_tangency(poly, i), atol=1e-10)
 
 
-class TestRotationField:
-    def test_origin_point(self):
-        _, dp = pg.rotation_field((0.0, 0.0), 1.234)
-        assert dp == 0.0
-
-    def test_unit_point(self):
-        assert pg.rotation_field((1.0, 0.0), 0.0)[1] == pytest.approx(0.0)
-        assert pg.rotation_field((1.0, 0.0), np.pi / 2)[1] == pytest.approx(-1.0)
-
-    def test_finite_difference_consistency(self):
-        # support value of the pencil of lines through X: p(a) = X . n(a);
-        # the rotation field's dp matches its derivative
-        X = (0.7, -1.1)
-        h = 1e-6
-        for a in (0.0, 0.9, 2.5, 4.0):
-            p_plus = X[0] * np.cos(a + h) + X[1] * np.sin(a + h)
-            p_minus = X[0] * np.cos(a - h) + X[1] * np.sin(a - h)
-            fd = (p_plus - p_minus) / (2 * h)
-            assert pg.rotation_field(X, a)[1] == pytest.approx(fd, abs=1e-7)
-
-
 class TestBrackets:
     def test_distant_fields_commute(self):
         rng = np.random.default_rng(37)

@@ -198,4 +198,4 @@ def test_step_raises_without_reflection_root():
 def test_pair_from_phase_raises_outside_the_radius_range():
     table = ellipse(1.0, 0.2)
     with pytest.raises(StepFailureError):
-        bl.pair_from_phase(table, bl.PhasePoint(0.3, 1e12))
+        bl.pair_from_phase(table, 0.3, 1e12)
