@@ -29,13 +29,15 @@ A second, purely geometric implementation (`cartesian_step`) moves exterior
 points by the raw reflection rule: find the two tangent lines, build the
 circle tangent to the boundary at the far tangency point and to the near
 tangent line, then cut the far common tangent.  It takes one point or an
-array of them, solved together.  It shares only the pointwise oval
+array of them, elementwise on the x and y components: one point in plain
+floats, an array solved together.  It shares only the pointwise oval
 primitives with the generating-function route and serves as its oracle.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ from . import genfun
 from ._solve import bracketed_root, sign_cells
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
-from .oval import _cos_sin
+from .oval import _cos_sin, _ufunc
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,18 +55,18 @@ def vertex_point(oval, state):
     """Chord vertex: intersection of the tangent lines at alpha1, alpha2;
     elementwise on a chord of arrays, with (x, y) on the first axis."""
     a1, a2 = state.alpha1, state.alpha2
-    p1, p2 = oval.p(np.array([a1, a2]))
-    sw = np.sin(a2 - a1)
-    return np.array([(p1 * np.sin(a2) - p2 * np.sin(a1)) / sw,
-                     (p2 * np.cos(a1) - p1 * np.cos(a2)) / sw])
+    (c1, s1), (c2, s2) = _cos_sin(a1), _cos_sin(a2)
+    p1, p2, sw = oval.p(a1), oval.p(a2), _ufunc("sin", a2 - a1)
+    return np.array([(p1 * s2 - p2 * s1) / sw, (p2 * c1 - p1 * c2) / sw])
 
 
 def auxiliary_circle(oval, state):
     """Center and radius of the reflection circle of the chord (tangent at
     alpha2), elementwise on a chord of arrays: centers (..., 2)."""
     a2 = state.alpha2
-    r = genfun.grad_arr(oval, state.alpha1, a2)[1]
-    return oval.point_at(a2) + r[..., None] * np.stack(_cos_sin(a2), axis=-1), r
+    # a float chord's radius is a float: r[()] returns it as a numpy scalar
+    r = np.asarray(genfun.grad_arr(oval, state.alpha1, a2)[1])
+    return oval.point_at(a2) + r[..., None] * np.stack(_cos_sin(a2), axis=-1), r[()]
 
 
 # -- the map -----------------------------------------------------------------
@@ -84,7 +86,7 @@ def _base_radius_fdf(oval):
 
     def fdf(b, a, target, pa, dpa):
         S1, S2 = genfun.grad_from_jets(b - a, (pa, dpa), oval.jet(b))
-        return -S1 - target, (S2 - S1) / np.sin(b - a)
+        return -S1 - target, (S2 - S1) / _ufunc("sin", b - a)
 
     return fdf
 
@@ -147,6 +149,9 @@ def phase_from_pair(oval, state):
 
 def pair_from_phase(oval, alpha, R):
     """Invert R = R1(alpha, alpha2) for alpha2, monotone since S12 < 0; StepFailureError if none."""
+    for name, value in (("alpha", alpha), ("R", R)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {value} is not finite")
     p1, dp1, _ = oval.jet(alpha)
     a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(alpha), alpha, R, p1, dp1)
     if np.isnan(a2):
@@ -170,55 +175,63 @@ def cartesian_step(oval, point):
     """Geometric reflection rule applied to exterior points; returns the images.
 
     A point (2,) gives its image (2,), k points (k, 2) their images (k, 2);
-    every step below works elementwise over the points, on scalars for one.
-    Works in raw Cartesian data: the tangency points, a distance solve for
-    the circle radius, a sign scan for the far common tangent, and a 2x2
-    linear solve for the image vertex, each done for all points at once
-    (one tangency call, one (k, 256) scan, one root solve, one stacked
-    linear solve).  Independent of the generating function apart from the
-    shared tangency primitives.  Raises ContainmentError or
-    StepFailureError naming the first point that fails.
+    every step works elementwise on the x and y components, in plain floats
+    for one point.  Works in raw Cartesian data: the tangency points, a
+    distance solve for the circle radius, a 256-node sign scan and a root
+    solve from the scan's secant for the far common tangent, and a 2x2
+    determinant for the meeting point of the support lines at a2 and beta.
+    Calls neither `step`, `vertex_point` nor `genfun`: independent of the
+    generating function apart from the shared tangency primitives.  Raises
+    ContainmentError or StepFailureError naming the first point that fails.
     """
     M = np.asarray(point, dtype=float)
     a1, a2 = oval.tangent_angles_from(M)
-    Q = oval.point_at(np.array([a1, a2]))  # the tangency points P1, P2
-    D = Q - M
-    # unit normals of the lines M P1 and M P2, each pointing away from the
-    # other tangency point, so away from the oval
-    N = np.stack([-D[..., 1], D[..., 0]], axis=-1) / np.hypot(D[..., 0], D[..., 1])[..., None]
-    N = np.where(np.sum(N * D[::-1], axis=-1, keepdims=True) > 0.0, -N, N)
-    m1, nu2 = N
+    x, y = M.T if M.ndim == 2 else M.tolist()
+    (p1, dp1, _), (p2, dp2, _) = oval.jet(a1), oval.jet(a2)
+    (c1, s1), (c2, s2) = _cos_sin(a1), _cos_sin(a2)
+    # the tangency point P2, and the offsets D1, D2 of P1, P2 from M
+    px, py = p2 * c2 - dp2 * s2, p2 * s2 + dp2 * c2
+    d1x, d1y, d2x, d2y = p1 * c1 - dp1 * s1 - x, p1 * s1 + dp1 * c1 - y, px - x, py - y
+    # unit normals m1, nu2 of the lines M P1, M P2, pointing away from the
+    # other tangency point (so from the oval): the turn D1 -> D2 orients both
+    turn = 1.0 - 2.0 * (d1x * d2y - d1y * d2x > 0.0)
+    n1 = turn / _ufunc("sqrt", d1x * d1x + d1y * d1y)
+    n2 = turn / _ufunc("sqrt", d2x * d2x + d2y * d2y)
+    m1x, m1y, nu2x, nu2y = -d1y * n1, d1x * n1, d2y * n2, -d2x * n2
 
-    # circle tangent to the boundary at P2 (center along nu2) and to line 1
-    r = -np.sum(D[1] * m1, axis=-1) / (1.0 + np.sum(nu2 * m1, axis=-1))
+    # circle tangent to the boundary at P2 (center O along nu2) and to line 1
+    r = -(d2x * m1x + d2y * m1y) / (1.0 + nu2x * m1x + nu2y * m1y)
     if not np.all(r > 0.0):
         raise _first_failure(~(r > 0.0), M, "auxiliary circle collapsed")
-    O = Q[1] + r[..., None] * nu2
-    Ox, Oy = O[..., 0], O[..., 1]
+    ox, oy = px + r * nu2x, py + r * nu2y
 
     # far common tangent of circle and oval: the support line at beta with
-    # the circle on its inner side, at the first sign change of q after a2.
-    # For a strictly convex oval q has exactly two roots, a1 and this one,
-    # so [a2, a2 + pi] brackets it alone; the scan keeps the oracle from
-    # resting on that argument, which it is there to check, for one jet
-    # call on (k, 256) angles
-    def qdq(beta, Ox, Oy, r):
+    # the circle on its inner side, at the first sign change after a2 of
+    # q = (margin of O on that line) + r.  A strictly convex oval gives q
+    # two roots, a1 and this one, so [a2, a2 + pi] brackets it alone; the
+    # scan keeps the oracle from resting on that argument, which it checks.
+    # Its nodes run along the first axis, where O's components broadcast
+    def qdq(beta, ox, oy, r):
         p, dp, _ = oval.jet(beta)
         cb, sb = _cos_sin(beta)
-        return Ox * cb + Oy * sb + r - p, -Ox * sb + Oy * cb - dp
+        return ox * cb + oy * sb - p + r, -ox * sb + oy * cb - dp
 
-    hit = sign_cells(qdq(np.add.outer(a2, _SCAN), Ox[..., None], Oy[..., None], r[..., None])[0])
+    q = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T
+    hit = sign_cells(q)
     if not hit.any(axis=-1).all():
         raise _first_failure(~hit.any(axis=-1), M, "no common tangent found by the Cartesian rule")
     cell = np.argmax(hit, axis=-1)
-    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], Ox, Oy, r)
+    # Newton starts where the line through the cell's end values of q vanishes
+    q0, q1 = np.take_along_axis(q, cell[..., None] + [0, 1], axis=-1).T
+    lo, hi = a2 + _SCAN[cell], a2 + _SCAN[cell + 1]
+    beta = bracketed_root(qdq, lo, hi, ox, oy, r, start=lo + (hi - lo) * (q0 / (q0 - q1)))
     if np.isnan(beta).any():
         raise _first_failure(np.isnan(beta), M, "common tangent lost")
 
     # the image is where the support lines at a2 and beta meet
-    normal = np.stack([a2, beta], axis=-1)
-    A = np.stack([np.cos(normal), np.sin(normal)], axis=-1)
-    return np.linalg.solve(A, oval.p(normal)[..., None])[..., 0]
+    pb, (cb, sb) = oval.p(beta), _cos_sin(beta)
+    det = c2 * sb - s2 * cb
+    return np.array([(p2 * sb - pb * s2) / det, (pb * c2 - p2 * cb) / det]).T
 
 
 # -- Jacobian and twist --------------------------------------------------------
@@ -280,6 +293,9 @@ def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.0
     samples = checked_count(samples, "samples", 1)
     if not omega_lo <= omega_hi:
         raise ConfigError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
+    for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {value} is not finite")
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
     _, s12, s22 = genfun.hess_arr(oval, a1, a2)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChordDomainError
+from .oval import _cos_sin, _ufunc
 
 #: guard band for the tangency-angle gap; cot/tan blow up at the endpoints
 OMEGA_MIN = 1e-4
@@ -119,10 +120,10 @@ def S_arr(oval, a1, a2):
 def grad_from_jets(w, jet1, jet2):
     """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form, from a valid gap w
     and the leading (p, p') of each end's jet."""
-    cw, sw = np.cos(w), np.sin(w)
+    cw, sw = _cos_sin(w)
     # ch * ch, not ch ** 2: on a float ** calls pow(), which can round the
     # other way from the array's np.square
-    ch = np.cos(w / 2.0)
+    ch = _ufunc("cos", w / 2.0)
     den = 2.0 * (ch * ch)
     (p1, dp1), (p2, dp2) = jet1[:2], jet2[:2]
     S1 = (p1 * cw - p2 + dp1 * sw) / den

@@ -60,6 +60,11 @@ def _cos_sin(a):
     return np.cos(a), np.sin(a)
 
 
+def _ufunc(name, a):
+    """numpy's `name` (sin, cos, sqrt) at a, by `math`'s for a float, as `_cos_sin`."""
+    return getattr(math if isinstance(a, float) else np, name)(a)
+
+
 def _ordered_pair(r1, r2, point):
     """Tangency roots as (alpha1, alpha2): reduced to [0, 2*pi) and ordered
     so that 0 < alpha2 - alpha1 < pi, alpha2 lifted past 2*pi if need be."""
@@ -496,12 +501,8 @@ class SupportOval:
     def point_at(self, alpha):
         """Boundary point gamma(alpha); vectorized, returns (..., 2)."""
         a = np.asarray(alpha, dtype=float)
-        p, dp, _ = self._rep.jet(a)
-        pt = np.stack(
-            [p * np.cos(a) - dp * np.sin(a), p * np.sin(a) + dp * np.cos(a)],
-            axis=-1,
-        )
-        return pt
+        (p, dp, _), (c, s) = self._rep.jet(a), _cos_sin(a)
+        return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
     def curvature_radius(self, alpha):
         """p''(alpha) + p(alpha), strictly positive for a valid oval."""
@@ -592,12 +593,12 @@ class SupportOval:
 
         The support margin h is positive exactly on the visible arc, one
         interval.  Where a grid node has h > 0, the two grid cells where the
-        sign of h turns bracket the roots.  Where none does, the point is
-        within about (grid step)^2 of the boundary, and both roots lie in
-        the grid cell of the refined maximum, which splits it into one
-        bracket each (see `_visible`).  All 2k brackets go to one solver
-        call.  Raises ContainmentError, naming the first such point, when a
-        point is not exterior by `is_exterior`.
+        sign of h turns bracket the roots, each solved from the zero of the
+        line through its end margins.  Where none does, the point is within
+        about (grid step)^2 of the boundary, and both roots lie in the grid
+        cell of the refined maximum, split there into two brackets solved
+        from their midpoints (see `_visible`).  All 2k brackets go to one
+        solver call; ContainmentError names the first point `is_exterior` refuses.
         """
         xy, one = _as_points(point)
         h, top, exterior, node, star = self._visible(xy)
@@ -615,18 +616,20 @@ class SupportOval:
         if cell.size != 2 * np.count_nonzero(seen):
             i = int(np.argmax(np.bincount(rows, minlength=len(xy)) > 2))
             raise ContainmentError(f"point {xy[i].tolist()} has no single visible arc on the grid")
-        cell = cell.reshape(-1, 2)
+        rows, cell = rows.reshape(-1, 2), cell.reshape(-1, 2)
+        h0, left = h[rows, cell], nodes[cell]
+        cells = left, nodes[cell + 1], left + _CELL * h0 / (h0 - h[rows, cell + 1])
         if seen.all():
-            lo, hi = nodes[cell], nodes[cell + 1]
+            lo, hi, start = cells
         else:
-            lo, hi = np.empty((len(xy), 2)), np.empty((len(xy), 2))
-            lo[seen], hi[seen] = nodes[cell], nodes[cell + 1]
+            lo, hi, start = np.full((3, len(xy), 2), np.nan)
+            lo[seen], hi[seen], start[seen] = cells
             node, peak = node[~seen], star[~seen]
-            start = np.where(peak < node, node - _CELL, node)
-            lo[~seen] = np.column_stack([start, peak])
-            hi[~seen] = np.column_stack([peak, start + _CELL])
-        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:]).tolist()
-        pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots)]
+            edge = np.where(peak < node, node - _CELL, node)
+            lo[~seen] = np.column_stack([edge, peak])
+            hi[~seen] = np.column_stack([peak, edge + _CELL])
+        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:], start=start)
+        pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots.tolist())]
         return pairs[0] if one else tuple(np.array(pairs).reshape(-1, 2).T)
 
     # -- validation --------------------------------------------------------

@@ -158,6 +158,17 @@ CASES = {
                          r"got shape \(2, 3\)"),
     "twist-nan-window": (lambda: billiard.twist_report(circle(), omega_lo=NAN), ConfigError,
                          "omega_lo must not exceed omega_hi"),
+    "twist-inf-window-end": (lambda: billiard.twist_report(circle(), samples=4, omega_hi=np.inf),
+                             ConfigError, "omega_hi = inf is not finite"),
+    "twist-minus-inf-window-start": (lambda: billiard.twist_report(circle(), samples=4,
+                                                                   omega_lo=-np.inf),
+                                     ConfigError, "omega_lo = -inf is not finite"),
+    "phase-nan-angle": (lambda: billiard.pair_from_phase(circle(), NAN, 1.0), ConfigError,
+                        "alpha = nan is not finite"),
+    "phase-inf-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, np.inf), ConfigError,
+                         "R = inf is not finite"),
+    "phase-nan-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, NAN), ConfigError,
+                         "R = nan is not finite"),
     "scan-minus-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=-np.inf),
                               ConfigError, r"scan window \[-inf, .*must be finite"),
     "scan-empty-window": (lambda: pd.invariant_curve_scan(circle(), 4, samples=8,

@@ -238,6 +238,22 @@ class TestNearBoundaryTangency:
         assert np.array_equal(batch[resolved], single[resolved])
         assert np.all(np.abs(batch - single) <= 4 * np.spacing(np.abs(single)))
 
+    @pytest.mark.parametrize("name", NEAR_TABLES)
+    def test_one_point_gives_the_batch_roots(self, name, request):
+        """One point solves its two roots in plain floats, a batch on
+        arrays; both give the same roots to the last bit, where the grid
+        resolves the arc (Newton from the secant of the bracketing margins)
+        and where the refined cell is split (Newton from its midpoints)."""
+        table = _table(name, request)
+        points = np.concatenate([
+            _offset_points(table, 46, 40, (-11.0, -6.0)),
+            _offset_points(table, 47, 20, (-4.0, 0.0)),
+        ])
+        resolved = _resolved(table, points)
+        assert resolved.any() and not resolved.all()
+        batch = np.column_stack(table.tangent_angles_from(points))
+        assert np.array_equal(batch, [table.tangent_angles_from(p) for p in points])
+
     def test_one_point_gives_floats(self, wobble3_table):
         point = np.array([1.2, 0.7])
         angles = wobble3_table.tangent_angles_from(point)
