@@ -6,8 +6,7 @@ constructors) is a root of a function with a known sign-change bracket.
 `bracketed_root` solves a whole array of them at once by safeguarded Newton
 steps, from a predicted `start` when the caller has one inside the bracket
 (the map step passes its exact image on the circle), else from the
-bracket's midpoint; `sign_cells` marks the grid cells that bracket a root
-of a function sampled on a grid.
+bracket's midpoint.
 
 A call with at most `_SMALL` brackets (a scalar step, the two tangency cells
 of a point) solves them one by one in plain floats, below the fixed cost of
@@ -75,20 +74,6 @@ def _load_lapack():
 
 _LAPACK = _load_lapack()
 dgbtrf, dgbtrs, dgesv = _LAPACK.dgbtrf, _LAPACK.dgbtrs, _LAPACK.dgesv
-
-
-def sign_cells(values):
-    """Mask of the cells between consecutive values along the last axis that
-    hold a root of a function with these values at the grid's nodes.
-
-    A cell holds a root when the values change sign across it or vanish at
-    its left node (at either node for the last cell).
-    """
-    values = np.asarray(values)
-    left, right = values[..., :-1], values[..., 1:]
-    hit = (left == 0.0) | (left * right < 0.0)
-    hit[..., -1] |= right[..., -1] == 0.0
-    return hit
 
 
 def _float_root(fdf, lo, hi, start, *params):

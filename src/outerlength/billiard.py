@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import genfun
-from ._solve import bracketed_root, sign_cells
+from ._solve import bracketed_root
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
 from .oval import _cos_sin, _ufunc
@@ -178,7 +178,7 @@ def cartesian_step(oval, point):
     every step works elementwise on the x and y components, in plain floats
     for one point.  Works in raw Cartesian data: the tangency points, a
     distance solve for the circle radius, a 256-node sign scan and a root
-    solve from the scan's secant for the far common tangent, and a 2x2
+    solve on its first sign change for the far common tangent, and a 2x2
     determinant for the meeting point of the support lines at a2 and beta.
     Calls neither `step`, `vertex_point` nor `genfun`: independent of the
     generating function apart from the shared tangency primitives.  Raises
@@ -216,15 +216,12 @@ def cartesian_step(oval, point):
         cb, sb = _cos_sin(beta)
         return ox * cb + oy * sb - p + r, -ox * sb + oy * cb - dp
 
-    q = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T
-    hit = sign_cells(q)
-    if not hit.any(axis=-1).all():
-        raise _first_failure(~hit.any(axis=-1), M, "no common tangent found by the Cartesian rule")
-    cell = np.argmax(hit, axis=-1)
-    # Newton starts where the line through the cell's end values of q vanishes
-    q0, q1 = np.take_along_axis(q, cell[..., None] + [0, 1], axis=-1).T
-    lo, hi = a2 + _SCAN[cell], a2 + _SCAN[cell + 1]
-    beta = bracketed_root(qdq, lo, hi, ox, oy, r, start=lo + (hi - lo) * (q0 / (q0 - q1)))
+    pos = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T > 0.0
+    flip = pos[..., :-1] != pos[..., 1:]
+    if not flip.any(axis=-1).all():
+        raise _first_failure(~flip.any(axis=-1), M, "no common tangent found by the Cartesian rule")
+    cell = np.argmax(flip, axis=-1)
+    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], ox, oy, r)
     if np.isnan(beta).any():
         raise _first_failure(np.isnan(beta), M, "common tangent lost")
 
@@ -291,11 +288,6 @@ class TwistReport:
 def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):
     """Sample the phase cylinder and survey the twist of the map and its square."""
     samples = checked_count(samples, "samples", 1)
-    if not omega_lo <= omega_hi:
-        raise ConfigError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
-    for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} = {value} is not finite")
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
     _, s12, s22 = genfun.hess_arr(oval, a1, a2)

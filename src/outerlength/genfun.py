@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChordDomainError
+from .errors import ChordDomainError, ConfigError, checked_count
 from .oval import _cos_sin, _ufunc
 
 #: guard band for the tangency-angle gap; cot/tan blow up at the endpoints
@@ -184,7 +184,10 @@ def fd_hess_arr(oval, a1, a2, h=1e-4):
     """Central second differences of S, from S itself, independent of the
     closed forms.  The nine chords (a1 + i h, a2 + j h), i, j in {-1, 0, 1},
     are one 3 x 3 stencil of `S_arr` (three shifted angle arrays per end); the
-    values are those of one `S_arr` call per shifted chord."""
+    values are those of one `S_arr` call per shifted chord.  ConfigError
+    unless h is finite and positive."""
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"h = {h!r} is not finite and positive")
     off = np.array([-h, 0.0, h])
     s = _stencil_S(oval, a1, a2, off[:, None], off)
     s0 = s[..., 1, 1]
@@ -200,7 +203,15 @@ def sample_chords(rng, n, omega_lo=0.2, omega_hi=np.pi - 0.4):
     The default window keeps the finite-difference comparison stencils well
     inside the chord domain, where the 1e-6 / 1e-4 agreement tolerances hold
     with margin; the closed forms themselves are good on all of (0, pi).
+    ConfigError unless n is an integer >= 0 and the window's ends are
+    finite with omega_lo <= omega_hi.
     """
+    n = checked_count(n, "n", 0)
+    if not omega_lo <= omega_hi:
+        raise ConfigError(f"omega_lo must not exceed omega_hi, got {omega_lo} > {omega_hi}")
+    for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {value} is not finite")
     a1 = rng.uniform(0.0, 2.0 * np.pi, n)
     w = rng.uniform(omega_lo, omega_hi, n)
     return a1, a1 + w

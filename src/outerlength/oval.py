@@ -428,14 +428,15 @@ class ValidationReport:
         }
 
 
-def _refined_min(fn, grid_alphas, grid_vals, levels=3, local=32):
-    """Global grid minimum sharpened by `levels` rounds of local resampling."""
+def _refined_min(fn, grid_alphas, grid_vals):
+    """Global grid minimum sharpened by three rounds of resampling on 32
+    nodes around the best point so far, each round 8 times narrower."""
     i = int(np.argmin(grid_vals))
     best = float(grid_vals[i])
     center = grid_alphas[i]
     h = grid_alphas[1] - grid_alphas[0]
-    for _ in range(levels):
-        local_a = np.linspace(center - h, center + h, local)
+    for _ in range(3):
+        local_a = np.linspace(center - h, center + h, 32)
         local_v = fn(local_a)
         j = int(np.argmin(local_v))
         if local_v[j] < best:
@@ -495,7 +496,12 @@ class SupportOval:
         return self._rep.jet(alpha)[0]
 
     def support_integral(self, a, b):
-        """Exact integral of p over [a, b]; accepts scalars or arrays."""
+        """Exact integral of p over [a, b]; accepts scalars or arrays, and
+        raises ConfigError if an end is not finite."""
+        for name, end in (("a", a), ("b", b)):
+            finite = np.isfinite(end)
+            if not finite.all():
+                raise ConfigError(f"{name} = {np.ravel(end)[np.argmin(finite)]} is not finite")
         return self._rep.integral(a, b)
 
     def point_at(self, alpha):
@@ -593,12 +599,11 @@ class SupportOval:
 
         The support margin h is positive exactly on the visible arc, one
         interval.  Where a grid node has h > 0, the two grid cells where the
-        sign of h turns bracket the roots, each solved from the zero of the
-        line through its end margins.  Where none does, the point is within
-        about (grid step)^2 of the boundary, and both roots lie in the grid
-        cell of the refined maximum, split there into two brackets solved
-        from their midpoints (see `_visible`).  All 2k brackets go to one
-        solver call; ContainmentError names the first point `is_exterior` refuses.
+        sign of h turns bracket the roots.  Where none does, the point is
+        within about (grid step)^2 of the boundary, and both roots lie in the
+        grid cell of the refined maximum, split there into two brackets (see
+        `_visible`).  All 2k brackets go to one solver call, each solved from
+        its midpoint; ContainmentError names the first point `is_exterior` refuses.
         """
         xy, one = _as_points(point)
         h, top, exterior, node, star = self._visible(xy)
@@ -616,19 +621,17 @@ class SupportOval:
         if cell.size != 2 * np.count_nonzero(seen):
             i = int(np.argmax(np.bincount(rows, minlength=len(xy)) > 2))
             raise ContainmentError(f"point {xy[i].tolist()} has no single visible arc on the grid")
-        rows, cell = rows.reshape(-1, 2), cell.reshape(-1, 2)
-        h0, left = h[rows, cell], nodes[cell]
-        cells = left, nodes[cell + 1], left + _CELL * h0 / (h0 - h[rows, cell + 1])
+        cell = cell.reshape(-1, 2)
         if seen.all():
-            lo, hi, start = cells
+            lo, hi = nodes[cell], nodes[cell + 1]
         else:
-            lo, hi, start = np.full((3, len(xy), 2), np.nan)
-            lo[seen], hi[seen], start[seen] = cells
+            lo, hi = np.empty((2, len(xy), 2))
+            lo[seen], hi[seen] = nodes[cell], nodes[cell + 1]
             node, peak = node[~seen], star[~seen]
             edge = np.where(peak < node, node - _CELL, node)
             lo[~seen] = np.column_stack([edge, peak])
             hi[~seen] = np.column_stack([peak, edge + _CELL])
-        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:], start=start)
+        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:])
         pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots.tolist())]
         return pairs[0] if one else tuple(np.array(pairs).reshape(-1, 2).T)
 

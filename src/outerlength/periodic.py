@@ -352,9 +352,10 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
     Deliberately avoids the Newton machinery: penalized Nelder-Mead from a
     coarse grid of jittered seeds, best critical point wins.  scipy.optimize
     is imported here, its only user, so that importing the package does not
-    load it.
+    load it.  ConfigError unless grid_density is an integer >= 1.
     """
     n, m = _check_period(n, m)
+    grid_density = checked_count(grid_density, "grid_density", 1)
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)

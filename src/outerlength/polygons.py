@@ -213,8 +213,8 @@ def xi_bracket(poly, i, j):
 # -- flow-commutator verifier ---------------------------------------------------
 
 
-def _rk4_flow(alphas, ps, i, t, substeps=4):
-    """Integrate the xi_i flow for time t with RK4 (raw arrays, no validation).
+def _rk4_flow(alphas, ps, i, t):
+    """Integrate the xi_i flow for time t with four RK4 steps (raw arrays, no validation).
     Only alpha_i, at unit speed, and p_i move along xi_i, so RK4 steps the
     pair alone, with p_i' = Phi_i and the neighbouring sides fixed."""
     near = [i - 1, i, (i + 1) % len(alphas)]
@@ -224,8 +224,8 @@ def _rk4_flow(alphas, ps, i, t, substeps=4):
         return _phi_raw((a - a_prev) % TWO_PI / 2.0, (a_next - a) % TWO_PI / 2.0,
                         p_prev, p, p_next)
 
-    h = t / substeps
-    for _ in range(substeps):
+    h = t / 4
+    for _ in range(4):
         k1 = vel(a, p)
         k2 = vel(a + h / 2, p + h / 2 * k1)
         k3 = vel(a + h / 2, p + h / 2 * k2)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
-from outerlength import oval as oval_module
 from outerlength import verify
 from outerlength._solve import _SMALL, bracketed_root
 from outerlength.errors import ContainmentError, StepFailureError
@@ -95,41 +94,6 @@ class TestCartesianOracle:
             images = bl.cartesian_step(oval, M)
             assert images.shape == (40, 2)
             assert np.array_equal(images, [bl.cartesian_step(oval, m) for m in M])
-
-    def test_interpolated_starts_save_evaluations(
-        self, monkeypatch, round_table, ellipse_table, wobble3_table
-    ):
-        """The tangency roots and the far-tangent root start where the line
-        through their bracketing grid or scan values vanishes.  On chord
-        vertices, whose arc the grid resolves, that takes at least half an
-        fdf call less per root than the midpoint start, for the same image."""
-        def counting(module, midpoint):
-            calls = []
-            solve = module.bracketed_root
-
-            def counted(fdf, lo, hi, *params, start=None):
-                def fdf_counted(*args):
-                    calls.append(1)
-                    return fdf(*args)
-
-                return solve(fdf_counted, lo, hi, *params, start=None if midpoint else start)
-
-            monkeypatch.setattr(module, "bracketed_root", counted)
-            return calls
-
-        rng = np.random.default_rng(14)
-        for oval in (round_table, ellipse_table, wobble3_table):
-            a1, w = rng.uniform((0, 0.25), (TWO_PI, np.pi - 0.35), (40, 2)).T
-            M = bl.vertex_point(oval, ChordConfig(a1, a1 + w)).T
-            per_root, images = {}, {}
-            for midpoint in (False, True):
-                tangency, far = counting(oval_module, midpoint), counting(bl, midpoint)
-                # one point at a time, so that each fdf call is one evaluation
-                images[midpoint] = np.array([bl.cartesian_step(oval, m) for m in M])
-                per_root[midpoint] = np.array([len(tangency) / 2, len(far)]) / len(M)
-                monkeypatch.undo()
-            assert np.all(per_root[False] <= per_root[True] - 0.5)
-            assert np.max(np.abs(images[False] - images[True])) < 1e-12
 
     def test_interior_point_in_a_batch_is_named(self, round_table):
         with pytest.raises(ContainmentError, match="point 1,"):

@@ -20,6 +20,7 @@ from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 NAN = float("nan")
 SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 CHORD = ChordConfig(0.0, 1.0)
+RNG = np.random.default_rng(0)
 SPEC = forge.FourPeriodicSpec.from_harmonics({2: (0.0, 0.1)})
 CASES = {
     "polygon-nan-angle": (lambda: pg.PolygonConfig(np.r_[SQUARE[:3], NAN], np.ones(4)),
@@ -183,6 +184,28 @@ CASES = {
                            r"points must be finite, got \[inf, 0\.0\]"),
     "oracle-nan-point": (lambda: billiard.cartesian_step(circle(), (NAN, 2.0)), ConfigError,
                          r"points must be finite, got \[nan, 2\.0\]"),
+    "chords-inverted-window": (lambda: genfun.sample_chords(RNG, 4, 2.0, 1.0), ConfigError,
+                               "omega_lo must not exceed omega_hi, got 2.0 > 1.0"),
+    "chords-nan-window": (lambda: genfun.sample_chords(RNG, 4, NAN), ConfigError,
+                          "omega_lo must not exceed omega_hi"),
+    "chords-inf-window-end": (lambda: genfun.sample_chords(RNG, 4, 0.1, np.inf), ConfigError,
+                              "omega_hi = inf is not finite"),
+    "chords-minus-inf-window-start": (lambda: genfun.sample_chords(RNG, 4, -np.inf, 1.0),
+                                      ConfigError, "omega_lo = -inf is not finite"),
+    "integral-inf-end": (lambda: circle().support_integral(0.0, np.inf), ConfigError,
+                         "b = inf is not finite"),
+    "spline-integral-nan-start": (lambda: SupportOval.from_samples(np.ones(32))
+                                  .support_integral(np.array([0.0, NAN]), 1.0),
+                                  ConfigError, "a = nan is not finite"),
+    "spline-integral-inf-end": (lambda: SupportOval.from_samples(np.ones(32))
+                                .support_integral(0.0, np.inf), ConfigError,
+                                "b = inf is not finite"),
+    "fd-hess-zero-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=0.0), ConfigError,
+                          "h = 0.0 is not finite and positive"),
+    "fd-hess-nan-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=NAN), ConfigError,
+                         "h = nan is not finite and positive"),
+    "fd-hess-inf-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=np.inf), ConfigError,
+                         "h = inf is not finite and positive"),
 }
 
 
@@ -245,6 +268,8 @@ COUNTS = {
     "find-periodic-m": (lambda k: pd.find_periodic(circle(), 5, m=k), 1, None, 2),
     "closure-m": (lambda k: pd.closure_by_iteration(circle(), [0.0, 2.0, 4.0], m=k), 1, None, 1),
     "oracle-n": (lambda k: pd.brute_oracle(circle(), k, grid_density=1), 3, None, 3),
+    "oracle-grid-density": (lambda k: pd.brute_oracle(circle(), 3, grid_density=k), 1, None, 1),
+    "chords-n": (lambda k: genfun.sample_chords(RNG, k), 0, None, 4),
     "scan-samples": (lambda k: pd.invariant_curve_scan(circle(), 4, samples=k), 1, None, 2),
     "scan-n": (lambda k: pd.invariant_curve_scan(circle(), k, samples=2), 3, None, 3),
     "rotation-iters": (lambda k: pd.rotation_number(circle(), CHORD, iters=k), 1, None, 3),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from outerlength import billiard as bl
-from outerlength._solve import _SMALL, bracketed_root, sign_cells
+from outerlength._solve import _SMALL, bracketed_root
 from outerlength.errors import StepFailureError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import ellipse
@@ -173,17 +173,6 @@ def test_start_off_the_bracket_falls_back_to_the_midpoint():
         assert roots[0] == pytest.approx(1.0, abs=1e-12), size
         assert np.isnan(roots[1]), size
         assert roots[2] == pytest.approx(1.0, abs=1e-12), size
-
-
-def test_sign_cells():
-    grid = np.linspace(0.0, 4.0, 5)
-    values = (grid - 1.0) * (grid - 2.5) * (grid - 4.0)
-    # an exact zero at node 1.0, a sign change in (2, 3), a zero at the last node
-    assert sign_cells(values).tolist() == [False, True, True, True]
-    assert not sign_cells(grid * grid + 1.0).any()
-    # rows of a 2-d array are marked on their own
-    rows = sign_cells(np.stack([values, grid * grid + 1.0, -values]))
-    assert rows.tolist() == [[False, True, True, True], [False] * 4, [False, True, True, True]]
 
 
 def test_step_raises_without_reflection_root():
