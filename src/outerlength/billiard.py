@@ -46,9 +46,7 @@ from . import genfun
 from ._solve import bracketed_root
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
-from .oval import _cos_sin, _ufunc
-
-TWO_PI = 2.0 * np.pi
+from .oval import TWO_PI, _cos_sin, _ufunc
 
 
 def vertex_point(oval, state):
@@ -112,9 +110,13 @@ def iterate(oval, a1, a2, steps):
     the chord (a1, a2), shape (steps + 2,) + shape(a1): chord i is rows i, i + 1.
 
     Arrays of starts advance in lockstep, one `step_angles_arr` call per
-    step; a float start stays in plain floats.  A chord without a reflection
-    root raises StepFailureError naming the step and the first such chord.
+    step; a float start stays in plain floats.  Ends of different shapes
+    raise ConfigError; a chord without a reflection root raises
+    StepFailureError naming the step and the first such chord.
     """
+    # two floats share their shape, and np.shape on a float costs about two fdf calls
+    if not (isinstance(a1, float) and isinstance(a2, float)) and np.shape(a1) != np.shape(a2):
+        raise ConfigError(f"chord ends of shapes {np.shape(a1)} and {np.shape(a2)} differ")
     alphas = [a1, a2]
     for i in range(checked_count(steps, "steps", 0)):
         a3 = step_angles_arr(oval, alphas[-2], alphas[-1])
@@ -212,9 +214,8 @@ def cartesian_step(oval, point):
     # scan keeps the oracle from resting on that argument, which it checks.
     # Its nodes run along the first axis, where O's components broadcast
     def qdq(beta, ox, oy, r):
-        p, dp, _ = oval.jet(beta)
-        cb, sb = _cos_sin(beta)
-        return ox * cb + oy * sb - p + r, -ox * sb + oy * cb - dp
+        h, dh = oval._margin_fdf(beta, ox, oy)
+        return h + r, dh
 
     pos = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T > 0.0
     flip = pos[..., :-1] != pos[..., 1:]

@@ -15,7 +15,7 @@ import numpy as np
 from . import billiard, forge, periodic, render, verify
 from .errors import OuterLengthError, OvalValidationError, TableConstructionError, checked_count
 from .genfun import ChordConfig
-from .oval import SupportOval
+from .oval import TWO_PI, SupportOval
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -135,7 +135,7 @@ def cmd_render(args):
     orbits = []
     rng = np.random.default_rng(args.seed)
     for _ in range(count):
-        a1 = rng.uniform(0, 2 * np.pi)
+        a1 = rng.uniform(0, TWO_PI)
         w = rng.uniform(0.6, 2.4)
         orbits.append(billiard.orbit(oval, ChordConfig(a1, a1 + w), args.steps))
     render.save_svg(args.svg, oval, orbits, show_circles=args.circles)

@@ -48,9 +48,7 @@ from .errors import (
     ReparamError,
     SeamError,
 )
-from .oval import SupportOval, _json_fields, _json_floats, _refined_min
-
-TWO_PI = 2.0 * np.pi
+from .oval import TWO_PI, SupportOval, _FourierRep, _json_fields, _json_floats, _refined_min
 
 #: the uniform grid on [0, 2*pi) that surveys f and inverts alpha(x)
 _GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
@@ -64,8 +62,9 @@ class FourPeriodicSpec:
     through one evaluation `jet(x) -> (f, f', f'')`.
 
     Built either from trigonometric coefficients on the allowed harmonics
-    (2, 6, 10, ...; the ones anti-periodic under a quarter turn) or from
-    callables (f, f', optionally f'').
+    (2, 6, 10, ...; the ones anti-periodic under a quarter turn), read
+    through the series of a Fourier oval, or from callables (f, f',
+    optionally f'').
     """
 
     def __init__(self, jet, harmonics=None):
@@ -75,22 +74,18 @@ class FourPeriodicSpec:
 
     @classmethod
     def from_harmonics(cls, coefficients):
-        """coefficients: mapping harmonic -> (cos_coef, sin_coef), harmonic = 2 mod 4."""
-        ks = np.array(sorted(coefficients), dtype=float)
-        if np.any(np.mod(ks, 4) != 2):
-            raise ArcConstraintError(
-                f"harmonics {sorted(coefficients)} must all be congruent to 2 mod 4"
-            )
-        cs = np.array([coefficients[int(k)][0] for k in ks], dtype=float)
-        ss = np.array([coefficients[int(k)][1] for k in ks], dtype=float)
-
-        def jet(x):
-            kx = np.multiply.outer(np.asarray(x, dtype=float), ks)
-            c, s = np.cos(kx), np.sin(kx)
-            return (c @ cs + s @ ss, -s @ (ks * cs) + c @ (ks * ss),
-                    -c @ (ks * ks * cs) - s @ (ks * ks * ss))
-
-        return cls(jet, harmonics=dict(coefficients))
+        """coefficients: mapping harmonic -> (cos_coef, sin_coef), each harmonic
+        an integer in (0, 2048) congruent to 2 mod 4, evaluated as the series
+        of an oval (`_FourierRep.jet`).  The bound is half the 4096-node grid
+        that surveys f and samples the table, past which a harmonic aliases."""
+        top = len(_GRID) // 2
+        if not all(0 < k < top and k % 4 == 2 for k in coefficients):
+            raise ArcConstraintError(f"harmonics {sorted(coefficients)} must all be integers "
+                                     f"in (0, {top}) congruent to 2 mod 4")
+        cos, sin = np.zeros((2, int(max(coefficients, default=0))))
+        for k, (c, s) in coefficients.items():
+            cos[int(k) - 1], sin[int(k) - 1] = c, s
+        return cls(_FourierRep(0.0, cos, sin).jet, harmonics=dict(coefficients))
 
     @classmethod
     def from_callable(cls, f, fprime, fsecond=None):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChordDomainError, ConfigError, checked_count
-from .oval import _cos_sin, _ufunc
+from .oval import TWO_PI, _cos_sin, _ufunc
 
 #: guard band for the tangency-angle gap; cot/tan blow up at the endpoints
 OMEGA_MIN = 1e-4
@@ -212,6 +212,6 @@ def sample_chords(rng, n, omega_lo=0.2, omega_hi=np.pi - 0.4):
     for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} = {value} is not finite")
-    a1 = rng.uniform(0.0, 2.0 * np.pi, n)
+    a1 = rng.uniform(0.0, TWO_PI, n)
     w = rng.uniform(omega_lo, omega_hi, n)
     return a1, a1 + w

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ TWO_PI = 2.0 * np.pi
 GRID_SIZE = 2048
 #: width of one cell of that grid
 _CELL = TWO_PI / GRID_SIZE
-#: 2*pi as a plain float, for arithmetic on floats
-_TWO_PI = 2.0 * math.pi
 #: a point is exterior when some support margin exceeds this
 _EXTERIOR_MARGIN = 1e-12
 
@@ -70,8 +68,8 @@ def _ordered_pair(r1, r2, point):
     so that 0 < alpha2 - alpha1 < pi, alpha2 lifted past 2*pi if need be."""
     if r1 != r1 or r2 != r2:
         raise ContainmentError(f"lost a tangency root of point {point.tolist()} to rounding")
-    r1, r2 = sorted((r1 % _TWO_PI, r2 % _TWO_PI))
-    return (r1, r2) if r2 - r1 < math.pi else (r2, r1 + _TWO_PI)
+    r1, r2 = sorted((r1 % TWO_PI, r2 % TWO_PI))
+    return (r1, r2) if r2 - r1 < math.pi else (r2, r1 + TWO_PI)
 
 
 def _as_points(point):
@@ -418,14 +416,7 @@ class ValidationReport:
     messages: tuple[str, ...] = ()
 
     def to_dict(self):
-        return {
-            "min_support": self.min_support,
-            "min_curvature_radius": self.min_curvature_radius,
-            "periodicity_defect": self.periodicity_defect,
-            "symmetry_defect": self.symmetry_defect,
-            "passed": self.passed,
-            "messages": list(self.messages),
-        }
+        return asdict(self)
 
 
 def _refined_min(fn, grid_alphas, grid_vals):

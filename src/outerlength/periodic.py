@@ -39,8 +39,7 @@ import numpy as np
 from . import billiard, genfun
 from ._solve import dgbtrf, dgbtrs
 from .errors import ChordDomainError, ConfigError, ConvergenceError, checked_count
-
-TWO_PI = 2.0 * np.pi
+from .oval import TWO_PI
 
 #: gaps must stay inside (GAP_MIN, pi - GAP_MIN) during all searches
 GAP_MIN = 1e-3
@@ -375,27 +374,14 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
         base = TWO_PI * m * np.arange(n) / n
         base += TWO_PI * start / (grid_density * n)
         jitter = rng.uniform(-0.2, 0.2, n) * (TWO_PI * m / n) * (start > 0)
-        x0 = base + jitter
-        if not _gaps_ok(x0, m):
+        x = base + jitter
+        if not _gaps_ok(x, m):
             continue
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-14,
-                "maxiter": 6000,
-                "maxfev": 12000,
-            },
-        )
-        # polish: restart the simplex at the optimum
-        res = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-15, "maxiter": 6000, "maxfev": 12000},
-        )
+        # the second pass polishes: it restarts the simplex at the optimum
+        for xatol, fatol in ((1e-10, 1e-14), (1e-11, 1e-15)):
+            res = minimize(objective, x, method="Nelder-Mead", options={
+                "xatol": xatol, "fatol": fatol, "maxiter": 6000, "maxfev": 12000})
+            x = res.x
         if res.fun >= big:
             continue
         if best is None or res.fun < best.fun:

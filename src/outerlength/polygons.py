@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, checked_count
-
-TWO_PI = 2.0 * np.pi
+from .oval import TWO_PI
 
 _CSTEP = 1e-200
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from . import billiard
 from .genfun import ChordConfig
+from .oval import TWO_PI
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 #: longer side of the drawing in pixels, stroke width, boundary points drawn
@@ -23,7 +24,7 @@ def render_svg(oval, orbits=(), show_circles=False):
     orbit come from one `point_at` and one `auxiliary_circle` call.  The view
     box is fitted to the content with a 10% margin; the y axis points up.
     """
-    alphas = np.linspace(0.0, 2.0 * np.pi, _BOUNDARY_SAMPLES, endpoint=False)
+    alphas = np.linspace(0.0, TWO_PI, _BOUNDARY_SAMPLES, endpoint=False)
     boundary = oval.point_at(alphas)
     cloud = np.vstack([boundary] + [rec.vertices for rec in orbits])
     lo = cloud.min(axis=0)

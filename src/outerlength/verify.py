@@ -16,8 +16,7 @@ import numpy as np
 from . import billiard, genfun, polygons
 from .errors import ConfigError, checked_count
 from .genfun import ChordConfig
-
-TWO_PI = 2.0 * np.pi
+from .oval import TWO_PI
 
 
 def gradient_fd_defect(oval, a1, a2):
@@ -140,8 +139,7 @@ def battery(oval, samples, seed):
     samples = checked_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples)
-    x = rng.uniform(0, TWO_PI, max(8, samples // 20))
-    w = rng.uniform(0.3, np.pi - 0.4, len(x))
+    o1, o2 = genfun.sample_chords(rng, max(8, samples // 20), 0.3, np.pi - 0.4)
     gaps = rng.uniform(0.4, 1.6, 5)
     gaps *= TWO_PI / np.sum(gaps)
     alphas = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
@@ -160,7 +158,7 @@ def battery(oval, samples, seed):
         ("genfun-sign-pattern", sign_violations(oval, a1, a2), 0.5),
         ("genfun-defining-identity", defining_identity_defect(oval, a1, a2), 1e-10),
         ("genfun-dual-forms", dual_forms_defect(oval, a1, a2), 1e-10),
-        ("map-oracle-equivalence", oracle_defect(oval, x, x + w), 1e-8),
+        ("map-oracle-equivalence", oracle_defect(oval, o1, o2), 1e-8),
         ("map-symplectic", symplectic_defect(oval, a1[sub], a2[sub]), 1e-6),
         ("map-twist", twist_violations(twist), 0.5),
         ("polygon-phi-regular", regular, 1e-12),

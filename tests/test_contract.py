@@ -206,6 +206,21 @@ CASES = {
                          "h = nan is not finite and positive"),
     "fd-hess-inf-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=np.inf), ConfigError,
                          "h = inf is not finite and positive"),
+    "iterate-array-and-float-ends": (lambda: billiard.iterate(circle(), np.array([0.1, 0.2, 0.3]),
+                                                              1.5, 2),
+                                     ConfigError, r"chord ends of shapes \(3,\) and \(\) differ"),
+    "iterate-ends-of-two-lengths": (lambda: billiard.iterate(circle(), np.array([0.1, 0.2]),
+                                                             np.array([1.0, 1.1, 1.2]), 1),
+                                    ConfigError, r"chord ends of shapes \(2,\) and \(3,\) differ"),
+    "rotation-number-array-and-float-ends": (lambda: pd.rotation_number(
+                                                 circle(), ChordConfig(np.array([0.1, 0.2]), 1.5)),
+                                             ConfigError, r"shapes \(2,\) and \(\) differ"),
+    "spec-negative-harmonic": (lambda: forge.FourPeriodicSpec.from_harmonics({-2: (0.0, 0.1)}),
+                               ArcConstraintError, "congruent to 2 mod 4"),
+    # 2050 aliases onto harmonic 2 on the 4096-node grid that samples the table
+    "spec-harmonic-past-half-grid": (lambda: forge.FourPeriodicSpec.from_harmonics(
+                                         {2: (0.0, 0.1), 2050: (0.0, 1e-8)}),
+                                     ArcConstraintError, r"in \(0, 2048\) congruent to 2 mod 4"),
 }
 
 

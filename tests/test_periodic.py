@@ -375,6 +375,17 @@ def test_find_periodic_is_rotation_equivariant(table, phi):
             orbit.perimeter, abs=1e-12)
 
 
+# both tables turn perturbed_circle(0.05, 3) (phase 0.7 and atan2(0.03, 0.04)),
+# whose (5, 2) orbit the default seed finds
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="the default seed's search keeps the softest Hessian mode (ROADMAP 14)")
+@pytest.mark.parametrize("table", [perturbed_circle(0.05, 3, 0.7),
+                                   SupportOval.from_fourier(1.0, [0, 0, 0.04], [0, 0, 0.03])],
+                         ids=["phase-0.7", "two-coefficient"])
+def test_find_periodic_five_two_on_turned_wobble3(table):
+    assert pd.find_periodic(table, 5, 2).perimeter == pytest.approx(30.77175988210396, abs=1e-12)
+
+
 class TestBruteOracle:
     def test_circle_triangle_agrees(self, round_table):
         newton = pd.find_periodic(round_table, 3)
