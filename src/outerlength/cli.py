@@ -7,13 +7,15 @@ Exit codes: 0 success, 2 validation/constructor failure, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import billiard, forge, periodic, render, verify
-from .errors import OuterLengthError, OvalValidationError, TableConstructionError, checked_count
+from .errors import (ConfigError, OuterLengthError, OvalValidationError, TableConstructionError,
+                     checked_count)
 from .genfun import ChordConfig
 from .oval import TWO_PI, SupportOval
 
@@ -25,8 +27,8 @@ EXIT_IO = 4
 
 def _parse_pair(text, name):
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"--{name} wants two comma-separated numbers")
+    if len(parts) != 2 or not np.isfinite(parts).all():
+        raise ConfigError(f"--{name} wants two finite comma-separated numbers, got {text!r}")
     return parts
 
 
@@ -146,6 +148,7 @@ def cmd_render(args):
 # -- argument plumbing -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="outerlength",
@@ -158,7 +161,6 @@ def build_parser():
     p = sub.add_parser("forge", help="construct a table from a spec file")
     p.add_argument("--spec", required=True, help="table spec JSON")
     p.add_argument("--out", required=True, help="output table JSON")
-    p.set_defaults(fn=cmd_forge)
 
     p = sub.add_parser("iterate", help="iterate the billiard map")
     p.add_argument("--table", required=True)
@@ -168,7 +170,6 @@ def build_parser():
     p.add_argument("--out", help="orbit CSV path (stdout if omitted)")
     p.add_argument("--svg", help="optional SVG rendering path")
     p.add_argument("--circles", action="store_true", help="draw auxiliary circles")
-    p.set_defaults(fn=cmd_iterate)
 
     p = sub.add_parser("find-periodic", help="variational periodic orbit search")
     p.add_argument("--table", required=True)
@@ -177,7 +178,6 @@ def build_parser():
     p.add_argument("--seed-angles", help="comma-separated seed angles")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--out", help="orbit JSON path")
-    p.set_defaults(fn=cmd_find_periodic)
 
     p = sub.add_parser("scan", help="closure-residual scan over the first angle")
     p.add_argument("--table", required=True)
@@ -186,14 +186,12 @@ def build_parser():
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="scan CSV path (stdout if omitted)")
-    p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify", help="run the structure verification battery")
     p.add_argument("--table", required=True)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON path")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("render", help="render a table with orbit overlays")
     p.add_argument("--table", required=True)
@@ -202,14 +200,14 @@ def build_parser():
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--circles", action="store_true")
-    p.set_defaults(fn=cmd_render)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a `cmd_*` replaced after import is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (TableConstructionError, OvalValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

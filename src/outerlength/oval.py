@@ -248,20 +248,22 @@ def _compensated_cumsum(values):
 
 
 def _knot_bsplines(t, k, n):
-    """The k + 1 B-splines of degree k on knots t that can be nonzero on
-    [t[k + j], t[k + j + 1]), at its left end x_j = t[k + j], j < n: a list
-    of k + 1 arrays, entry a holding B_{j + a}(x_j).  Cox-de Boor recursion
-    in the operation order of scipy's `_deBoor_D`, elementwise over j."""
+    """The B-splines of each degree d <= k on knots t that can be nonzero on
+    [t[k + j], t[k + j + 1]), at its left end x_j = t[k + j], j < n: entry
+    [d][a] of the list holds the degree-d B_{j + a}(x_j).  Cox-de Boor in the
+    operation order of scipy's `_deBoor_D`, elementwise over j; level d reads
+    only t[k - d + 1:k + d + n], as a degree-d pass on t trimmed by k - d does."""
     x = t[k:k + n]
-    b = [1.0]
+    levels = [[1.0]]
     for j in range(1, k + 1):
-        prev, b = b, [0.0]
+        prev, b = levels[-1], [0.0]
         for i in range(1, j + 1):
             right, left = t[k + i:k + i + n], t[k + i - j:k + i - j + n]
             w = prev[i - 1] / (right - left)
             b[i - 1] = b[i - 1] + w * (right - x)
             b.append(w * (x - left))
-    return b
+        levels.append(b)
+    return levels
 
 
 def _periodic_quintic(samples):
@@ -282,7 +284,8 @@ def _periodic_quintic(samples):
       its inverse C-ordered as scipy's `solve` returns it, since the layout
       picks BLAS's summation order in the products below;
     - `splder`'s repeated differences, and each derivative evaluated at its
-      interval's left knot as `BSpline.__call__` does.
+      interval's left knot as `BSpline.__call__` does, from the degree-deg
+      level of the one B-spline recursion (`splder`'s trimmed knots agree).
     The band is strictly diagonally dominant (66 > 26 + 26 + 1 + 1 in units
     of 1/120), so neither solve can meet a zero pivot.
     """
@@ -301,10 +304,10 @@ def _periodic_quintic(samples):
     band = np.zeros((7, n))
     for a in range(5):
         d = a - 2
-        band[4 - d, max(d, 0):n + min(d, 0)] = bspl[a][max(-d, 0):n - max(d, 0)]
+        band[4 - d, max(d, 0):n + min(d, 0)] = bspl[k][a][max(-d, 0):n - max(d, 0)]
     corners = np.zeros((n, 4))
-    corners[:2, :2] = [[bspl[0][0], bspl[1][0]], [0.0, bspl[0][1]]]
-    corners[-2:, -2:] = [[bspl[4][-2], 0.0], [bspl[3][-1], bspl[4][-1]]]
+    corners[:2, :2] = [[bspl[k][0][0], bspl[k][1][0]], [0.0, bspl[k][0][1]]]
+    corners[-2:, -2:] = [[bspl[k][4][-2], 0.0], [bspl[k][3][-1], bspl[k][4][-1]]]
     lu, piv, _ = dgbtrf(band, 2, 2, overwrite_ab=1)
     z = dgbtrs(lu, 2, 2, corners, piv)[0]
     picked = [-2, -1, 0, 1]
@@ -317,11 +320,9 @@ def _periodic_quintic(samples):
     coef = np.empty((k + 1, n))
     for m in range(k + 1):
         deg = k - m
-        if m:
-            bspl = _knot_bsplines(t, deg, n)
         value = 0.0
         for a in range(deg + 1):
-            value = value + c[a:a + n] * bspl[a]
+            value = value + c[a:a + n] * bspl[deg][a]
         coef[k - m] = value / math.factorial(m)
         if deg:
             dt = t[deg + 1:-1] - t[1:-deg - 1]

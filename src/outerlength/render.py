@@ -41,7 +41,7 @@ def render_svg(oval, orbits=(), show_circles=False):
         pts = np.atleast_2d(pts)
         return np.column_stack(
             [(pts[:, 0] - lo[0]) * scale, (hi[1] - pts[:, 1]) * scale]
-        )
+        ).tolist()  # Python floats format faster than NumPy scalars
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * scale:.0f}" '

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from outerlength import cli
 from outerlength.cli import EXIT_IO, EXIT_NUMERIC, EXIT_VALIDATION, main
 from outerlength.oval import SupportOval, ellipse
 
@@ -158,6 +159,22 @@ class TestIterate:
     def test_missing_state(self, circle_table):
         assert main(["iterate", "--table", circle_table, "--steps", "2"]) == 2
 
+    @pytest.mark.parametrize("option, value", [("--state", "nan,1"), ("--state", "0,inf"),
+                                               ("--point", "nan,0")])
+    def test_start_that_is_not_finite_is_rejected(self, circle_table, option, value, capsys):
+        argv = ["iterate", "--table", circle_table, option, value, "--steps", "2"]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"{option} wants two finite comma-separated numbers" in capsys.readouterr().err
+
+    def test_svg_of_one_call_is_not_written_by_the_next(self, circle_table, tmp_path):
+        svg = tmp_path / "orbit.svg"
+        argv = ["iterate", "--table", circle_table, "--state", "0,1.5", "--steps", "2",
+                "--out", str(tmp_path / "orbit.csv")]
+        assert main(argv + ["--svg", str(svg)]) == 0
+        svg.unlink()
+        assert main(argv) == 0
+        assert not svg.exists()
+
 
 class TestFindPeriodic:
     def test_circle_triangle_perimeter(self, circle_table, tmp_path, capsys):
@@ -195,6 +212,14 @@ class TestFindPeriodic:
     def test_tolerance_that_is_not_finite_is_rejected(self, forged_table, command, tol, capsys):
         assert main([command, "--table", forged_table, "--n", "4", "--tol", tol]) == EXIT_VALIDATION
         assert "is not finite and positive" in capsys.readouterr().err
+
+
+def test_main_runs_the_command_function_it_finds_at_call_time(circle_table, monkeypatch):
+    assert main(["scan", "--table", circle_table, "--n", "4", "--samples", "8"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args.samples) or 7)
+    assert main(["scan", "--table", circle_table, "--n", "4", "--samples", "9"]) == 7
+    assert seen == [9]
 
 
 class TestScan:

@@ -552,7 +552,8 @@ class TestSplineKernel:
         lambda: forge.radon_like(forge.balanced_radon_seed(0.03)),
         lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=16),
         lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=17),
-    ], ids=["radon_like", "16-samples", "17-samples"])
+        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=1001),
+    ], ids=["radon_like", "16-samples", "17-samples", "1001-samples"])
     def test_coefficients_are_scipys_to_the_bit_on_other_grids(self, make):
         table = make()
         assert np.array_equal(table._rep._coef, _scipy_taylor(table))
