@@ -8,9 +8,14 @@ steps, from a predicted `start` when the caller has one inside the bracket
 (the map step passes its exact image on the circle), else from the
 bracket's midpoint.
 
-A call with at most `_SMALL` brackets (a scalar step, the two tangency cells
-of a point) solves them one by one in plain floats, below the fixed cost of
-the array loop's numpy calls on one or two entries.  Both branches apply the
+A caller that found its brackets by a sign scan passes f at their ends
+(`ends`), so the solver's first evaluation is its first Newton step; a
+caller without them (the map step's guarded gap bracket) lets the solver
+evaluate both ends, which is also its check that the bracket holds a root.
+
+A call with at most `_SMALL` brackets (a scalar step, the tangency cells of
+a few points) solves them one by one in plain floats, below the fixed cost
+of the array loop's numpy calls on a few entries.  Both branches apply the
 same rules in the same order, so an entry gets the same root either way as
 long as fdf gives the same values on floats as on arrays.
 
@@ -76,10 +81,11 @@ _LAPACK = _load_lapack()
 dgbtrf, dgbtrs, dgesv = _LAPACK.dgbtrf, _LAPACK.dgbtrs, _LAPACK.dgesv
 
 
-def _float_root(fdf, lo, hi, start, *params):
+def _float_root(fdf, lo, hi, start, flo, fhi, params):
     """One bracket of `bracketed_root` in plain floats, step for step the
-    array loop's rules."""
-    flo, fhi = fdf(lo, *params)[0], fdf(hi, *params)[0]
+    array loop's rules; `flo`, `fhi` are f at the ends, or None to evaluate them."""
+    if flo is None:
+        flo, fhi = fdf(lo, *params)[0], fdf(hi, *params)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -109,19 +115,32 @@ def _float_root(fdf, lo, hi, start, *params):
     return math.nan
 
 
-def bracketed_root(fdf, lo, hi, *params, start=None):
+def _solve_floats(fdf, values, given):
+    """The root of one entry (lo, hi, start, *ends, *params) in plain floats;
+    `given` says whether the entry holds the two end values."""
+    lo, hi, start, *rest = map(float, values)
+    if given:
+        return _float_root(fdf, lo, hi, start, rest[0], rest[1], rest[2:])
+    return _float_root(fdf, lo, hi, start, None, None, rest)
+
+
+def bracketed_root(fdf, lo, hi, *params, start=None, ends=None):
     """Roots of f on the brackets [lo, hi], elementwise.
 
     `fdf(x, *params)` returns (f, f') at an array of points; `params` are
     arrays broadcast against lo and hi, handed to fdf cut down to the entries
-    still being solved.  Each entry takes Newton steps from `start` when
+    still being solved.  `ends` = (f(lo), f(hi)), broadcast like lo and hi,
+    are the values of f at the ends when the caller already has them (from
+    the scan that found the brackets); without them fdf is called at both
+    ends first.  Each entry takes Newton steps from `start` when
     inside the bracket, else from the midpoint: `start` (broadcast like the
     params) is used where lo < start < hi, so no start, a NaN one or one on
     or past an edge gives the midpoint.  An entry bisects instead when
     a step would leave the bracket or shrinks by less than half, and leaves
     the working set once its last step is below `_XTOL`.  The result has the
     broadcast shape of the inputs; it is an endpoint where f vanishes there
-    and NaN where f has no sign change on the bracket.
+    and NaN where f has no sign change on the bracket, by the end values
+    given or evaluated alike.
 
     With at most `_SMALL` brackets each is solved on its own in plain
     floats: fdf then receives floats, not arrays, and must return (f, f')
@@ -132,21 +151,23 @@ def bracketed_root(fdf, lo, hi, *params, start=None):
     # no start: the lower edge, which gives the midpoint and, unlike a NaN,
     # needs no broadcast of its own
     start = lo if start is None else start
-    entry = (lo, hi, start, *params)
+    given = ends is not None
+    entry = (lo, hi, start, *ends, *params) if given else (lo, hi, start, *params)
     if all(isinstance(v, float) or (isinstance(v, np.ndarray) and not v.shape) for v in entry):
-        return _float_root(fdf, *map(float, entry))
+        return _solve_floats(fdf, entry, given)
     entry = [np.asarray(v, dtype=float) for v in entry]
     both = np.broadcast(*entry)
     if both.size <= _SMALL:
         # one tuple of numpy scalars per entry, in C order
-        root = [_float_root(fdf, *map(float, values)) for values in both]
+        root = [_solve_floats(fdf, values, given) for values in both]
         return np.array(root, dtype=float).reshape(both.shape)[()]
-    lo, hi, start, *params = np.broadcast_arrays(*entry)
-    shape = lo.shape
-    lo, hi, start = lo.ravel(), hi.ravel(), start.ravel()
-    params = [p.ravel() for p in params]
-    both = [np.concatenate([p, p]) for p in params]
-    flo, fhi = np.split(np.asarray(fdf(np.concatenate([lo, hi]), *both)[0]), 2)
+    lo, hi, start, *params = (v.ravel() for v in np.broadcast_arrays(*entry))
+    shape = both.shape
+    if given:
+        flo, fhi, *params = params
+    else:
+        both = [np.concatenate([p, p]) for p in params]
+        flo, fhi = np.split(np.asarray(fdf(np.concatenate([lo, hi]), *both)[0]), 2)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
 
     act = np.flatnonzero(flo * fhi < 0.0)

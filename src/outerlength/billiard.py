@@ -179,9 +179,11 @@ def cartesian_step(oval, point):
     A point (2,) gives its image (2,), k points (k, 2) their images (k, 2);
     every step works elementwise on the x and y components, in plain floats
     for one point.  Works in raw Cartesian data: the tangency points, a
-    distance solve for the circle radius, a 256-node sign scan and a root
-    solve on its first sign change for the far common tangent, and a 2x2
-    determinant for the meeting point of the support lines at a2 and beta.
+    distance solve for the circle radius, a 256-node sign scan (of p alone)
+    and a root solve on its first sign change for the far common tangent,
+    the scan's values at the cell's nodes being the solve's end values, and
+    a 2x2 determinant for the meeting point of the support lines at a2 and
+    beta.
     Calls neither `step`, `vertex_point` nor `genfun`: independent of the
     generating function apart from the shared tangency primitives.  Raises
     ContainmentError or StepFailureError naming the first point that fails.
@@ -217,12 +219,18 @@ def cartesian_step(oval, point):
         h, dh = oval._margin_fdf(beta, ox, oy)
         return h + r, dh
 
-    pos = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T > 0.0
+    q = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T
+    pos = q > 0.0
     flip = pos[..., :-1] != pos[..., 1:]
     if not flip.any(axis=-1).all():
         raise _first_failure(~flip.any(axis=-1), M, "no common tangent found by the Cartesian rule")
     cell = np.argmax(flip, axis=-1)
-    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], ox, oy, r)
+    # the solve's end values: q at the cell's two nodes, read off the scan
+    if M.ndim == 1:
+        ends = q[cell], q[cell + 1]
+    else:
+        ends = np.take_along_axis(q, np.stack([cell, cell + 1], axis=1), axis=1).T
+    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], ox, oy, r, ends=ends)
     if np.isnan(beta).any():
         raise _first_failure(np.isnan(beta), M, "common tangent lost")
 

@@ -11,10 +11,13 @@ distance from the origin to the tangent line with outward normal
 Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
 orders, and give the exact antiderivative of p, which is all the downstream
-dynamics needs.  Both evaluate a scalar angle in plain floats (the spline
-also arrays of up to `_solve._SMALL` angles), which the float branch of the
-bracketed solver calls once per step of a per-point solve.  The boundary
-point with normal angle alpha is
+dynamics needs.  Where only p is read (`SupportOval.p`, `support_margin`,
+the Cartesian oracle's far-tangent scan) `value(alpha)` computes the jet's
+p alone, to the last bit: two of the Fourier jet's six matvecs, one of the
+spline's three Horner accumulators.  Both evaluate a scalar angle in plain
+floats (the spline also arrays of up to `_solve._SMALL` angles), which the
+float branch of the bracketed solver calls once per step of a per-point
+solve.  The boundary point with normal angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
@@ -25,7 +28,8 @@ and `is_exterior` share one routine for a point or a (k, 2) array of them:
 they read the support margins off that grid, and where no node lies on the
 visible arc (points within about 1e-5 of the boundary) they refine the
 angle of maximum margin, so the test and the tangents cannot miss a point
-the grid cannot resolve.
+the grid cannot resolve.  The margins found there are also the tangency
+solve's values at its bracket ends, which it does not evaluate again.
 """
 
 from __future__ import annotations
@@ -70,6 +74,16 @@ def _ordered_pair(r1, r2, point):
         raise ContainmentError(f"lost a tangency root of point {point.tolist()} to rounding")
     r1, r2 = sorted((r1 % TWO_PI, r2 % TWO_PI))
     return (r1, r2) if r2 - r1 < math.pi else (r2, r1 + TWO_PI)
+
+
+def _check_finite(value, name):
+    """ConfigError naming the first non-finite entry of a float or an array."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return
+    elif np.isfinite(value).all():
+        return
+    raise ConfigError(f"{name} = {np.ravel(value)[np.argmin(np.isfinite(value))]} is not finite")
 
 
 def _as_points(point):
@@ -156,6 +170,7 @@ class _FourierRep:
         self._ak_1, self._bk_1 = self._a / self.k, self._b / self.k
         coef = (self.k, self._a, self._b, self._ak, self._bk, self._ak2, self._bk2)
         self._terms = list(zip(*(v.tolist() for v in coef)))
+        self._value_terms = [term[:3] for term in self._terms]
 
     def _jet_float(self, a):
         """`jet` at one angle by a loop over the harmonics, NaN if it is not
@@ -175,20 +190,41 @@ class _FourierRep:
             dds += -s * bk2
         return pc + ps + self.a0, dc + ds, ddc + dds
 
+    def _value_float(self, a):
+        """`value` at one angle: `_jet_float`'s p and nothing else."""
+        if not math.isfinite(a):
+            return math.nan
+        pc = ps = 0.0
+        for k, ak, bk in self._value_terms:
+            pc += math.cos(k * a) * ak
+            ps += math.sin(k * a) * bk
+        return pc + ps + self.a0
+
+    def _angles(self, alpha):
+        """Angles as an array, and the (cos, sin) of k alpha, one row per angle,
+        so each series is summed as in `_series`."""
+        alpha = np.asarray(alpha, dtype=float)
+        ka = np.multiply.outer(alpha.ravel(), self.k)
+        return alpha, np.cos(ka), np.sin(ka)
+
     def jet(self, alpha):
         """(p, p', p'') at alpha; cos(k alpha) and sin(k alpha) are computed once."""
         if isinstance(alpha, float) or np.ndim(alpha) == 0:
             return self._jet_float(float(alpha))
-        alpha = np.asarray(alpha, dtype=float)
-        # one row per angle, so each series is summed as in `_series`
-        ka = np.multiply.outer(alpha.ravel(), self.k)
-        c, s = np.cos(ka), np.sin(ka)
+        alpha, c, s = self._angles(alpha)
         # each derivative rotates (cos, sin) by a quarter period
         neg_s = -s
         p = c @ self._a + s @ self._b + self.a0
         dp = neg_s @ self._ak + c @ self._bk
         ddp = (-c) @ self._ak2 + neg_s @ self._bk2
         return p.reshape(alpha.shape), dp.reshape(alpha.shape), ddp.reshape(alpha.shape)
+
+    def value(self, alpha):
+        """p at alpha, the first of `jet` to the last bit: its two series only."""
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
+            return self._value_float(float(alpha))
+        alpha, c, s = self._angles(alpha)
+        return (c @ self._a + s @ self._b + self.a0).reshape(alpha.shape)
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -226,6 +262,13 @@ def _quintic_jet(c, t):
         dp = dp * t + p
         p = p * t + ck
     return p, dp, 2.0 * half_ddp
+
+
+def _quintic_value(c, t):
+    """p alone of `_quintic_jet`, by its one-accumulator Horner pass and so
+    to the last bit; floats and arrays alike."""
+    c0, c1, c2, c3, c4, c5 = c
+    return ((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5
 
 
 def _quintic_primitive(c, t):
@@ -360,23 +403,37 @@ class _SplineRep:
         i = np.fmin(a / self._h, self._n - 1).astype(np.intp)
         return i, a - i * self._h
 
-    def _jet_float(self, a):
+    def _float_at(self, a, poly):
+        """poly(c, t) at one float angle a, c the coefficients of a's interval
+        and t the offset in it; a NaN or infinite angle gives NaN, from the
+        last interval as in `_locate`."""
         a %= TWO_PI
-        if a != a:  # NaN or infinite angle
-            return a, a, a
-        i = min(int(a / self._h), self._n - 1)
-        return _quintic_jet(self._coef[:, i].tolist(), a - i * self._h)
+        i = min(int(a / self._h), self._n - 1) if a == a else self._n - 1
+        return poly(self._coef[:, i].tolist(), a - i * self._h)
+
+    def _at(self, alpha, poly):
+        """poly(c, t) at alpha: in plain floats for a scalar and for each of
+        up to `_SMALL` angles, stacked on a leading axis for a tuple poly."""
+        a = np.asarray(alpha, dtype=float)
+        if a.ndim == 0:
+            return self._float_at(float(a), poly)
+        if 0 < a.size <= _SMALL:
+            out = np.array([self._float_at(v, poly) for v in a.ravel().tolist()]).T
+            return out.reshape(out.shape[:-1] + a.shape)
+        i, t = self._locate(np.mod(a, TWO_PI))
+        return poly(self._coef[:, i], t)
 
     def jet(self, alpha):
         """(p, p', p'') at alpha."""
-        if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            return self._jet_float(float(alpha))
-        a = np.asarray(alpha, dtype=float)
-        if 0 < a.size <= _SMALL:
-            out = np.array([self._jet_float(v) for v in a.ravel().tolist()])
-            return tuple(out.T.reshape((3,) + a.shape))
-        i, t = self._locate(np.mod(a, TWO_PI))
-        return _quintic_jet(self._coef[:, i], t)
+        if isinstance(alpha, float):
+            return self._float_at(float(alpha), _quintic_jet)
+        return tuple(self._at(alpha, _quintic_jet))
+
+    def value(self, alpha):
+        """p at alpha, the first of `jet` to the last bit."""
+        if isinstance(alpha, float):
+            return self._float_at(float(alpha), _quintic_value)
+        return self._at(alpha, _quintic_value)
 
     def _primitive(self, a):
         """Integral of p over [0, a] for a in [0, 2*pi]."""
@@ -484,20 +541,22 @@ class SupportOval:
         return self._rep.jet(alpha)
 
     def p(self, alpha):
-        """Support function value at alpha (`jet` gives its derivatives)."""
-        return self._rep.jet(alpha)[0]
+        """Support function value at alpha (`jet` gives its derivatives);
+        ConfigError names a non-finite angle."""
+        _check_finite(alpha, "alpha")
+        return self._rep.value(alpha)
 
     def support_integral(self, a, b):
         """Exact integral of p over [a, b]; accepts scalars or arrays, and
         raises ConfigError if an end is not finite."""
-        for name, end in (("a", a), ("b", b)):
-            finite = np.isfinite(end)
-            if not finite.all():
-                raise ConfigError(f"{name} = {np.ravel(end)[np.argmin(finite)]} is not finite")
+        _check_finite(a, "a")
+        _check_finite(b, "b")
         return self._rep.integral(a, b)
 
     def point_at(self, alpha):
-        """Boundary point gamma(alpha); vectorized, returns (..., 2)."""
+        """Boundary point gamma(alpha); vectorized, returns (..., 2), and
+        ConfigError names a non-finite angle."""
+        _check_finite(alpha, "alpha")
         a = np.asarray(alpha, dtype=float)
         (p, dp, _), (c, s) = self._rep.jet(a), _cos_sin(a)
         return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
@@ -528,7 +587,7 @@ class SupportOval:
         """Signed margin <point, n(alpha)> - p(alpha); positive outside the support line."""
         a = np.asarray(alpha, dtype=float)
         x, y = point
-        return x * np.cos(a) + y * np.sin(a) - self._rep.jet(a)[0]
+        return x * np.cos(a) + y * np.sin(a) - self._rep.value(a)
 
     def _margin_jet(self, a, x, y):
         """(h, h', h'') of the support margin h(a) = x cos a + y sin a - p(a)
@@ -548,14 +607,18 @@ class SupportOval:
         """`support_margin` of points (k, 2) at every node of the closed grid,
         shape (k, GRID_SIZE + 1)."""
         _, cos, sin, p = self._scan
-        return np.multiply.outer(xy[:, 0], cos) + np.multiply.outer(xy[:, 1], sin) - p
+        h = np.multiply.outer(xy[:, 0], cos)
+        h += np.multiply.outer(xy[:, 1], sin)
+        h -= p
+        return h
 
     def _visible(self, xy):
         """Shared core of `is_exterior` and `tangent_angles_from` for points
         (k, 2): their grid margins h, the largest node margin of each, and
         whether each is exterior (see `_EXTERIOR_MARGIN`); where the grid alone
-        cannot tell, also the argmax node and the angle of maximum margin
-        (NaN elsewhere).
+        cannot tell, also the argmax node's index, and the angle of maximum
+        margin and the margin there (index -1 and NaN on the other rows, and
+        None for all three when the grid tells for every row).
 
         A row whose largest node margin exceeds the threshold is exterior.
         For the others the maximum is refined: h is strictly concave near it
@@ -565,14 +628,17 @@ class SupportOval:
         h = self._grid_margin(xy)
         top = h.max(axis=1)
         exterior = top > _EXTERIOR_MARGIN
-        node, star = np.full((2, len(h)), np.nan)
-        fine = np.flatnonzero(~exterior)
-        if fine.size:
-            node[fine] = self._scan[0][np.argmax(h[fine], axis=1)]
-            x, y = xy[fine, 0], xy[fine, 1]
-            star[fine] = bracketed_root(self._slope_fdf, node[fine] - _CELL, node[fine] + _CELL, x, y)
-            exterior[fine] = self._margin_jet(star[fine], x, y)[0] > _EXTERIOR_MARGIN
-        return h, top, exterior, node, star
+        node = star = peak = None
+        if not exterior.all():
+            fine = np.flatnonzero(~exterior)
+            node = np.full(len(h), -1)
+            star, peak = np.full((2, len(h)), np.nan)
+            node[fine] = np.argmax(h[fine], axis=1)
+            at, x, y = self._scan[0][node[fine]], xy[fine, 0], xy[fine, 1]
+            star[fine] = bracketed_root(self._slope_fdf, at - _CELL, at + _CELL, x, y)
+            peak[fine] = self._margin_jet(star[fine], x, y)[0]
+            exterior[fine] = peak[fine] > _EXTERIOR_MARGIN
+        return h, top, exterior, node, star, peak
 
     def is_exterior(self, point):
         """True when some support margin of the point exceeds
@@ -594,11 +660,14 @@ class SupportOval:
         sign of h turns bracket the roots.  Where none does, the point is
         within about (grid step)^2 of the boundary, and both roots lie in the
         grid cell of the refined maximum, split there into two brackets (see
-        `_visible`).  All 2k brackets go to one solver call, each solved from
-        its midpoint; ContainmentError names the first point `is_exterior` refuses.
+        `_visible`).  Each bracket is solved from its midpoint, with the margins
+        at its ends read off the grid and the refined maximum, not evaluated
+        again: one point's two brackets in plain floats, one solver call each,
+        k points' 2k brackets in one call.  ContainmentError names the first
+        point `is_exterior` refuses.
         """
         xy, one = _as_points(point)
-        h, top, exterior, node, star = self._visible(xy)
+        h, top, exterior, node, star, peak = self._visible(xy)
         if not exterior.all():
             i = int(np.argmin(exterior))
             raise ContainmentError(
@@ -609,21 +678,35 @@ class SupportOval:
         # in exactly two cells (each row has an even number of turns)
         seen = top > 0.0
         pos = h > 0.0
-        rows, cell = np.nonzero(pos[:, :-1] != pos[:, 1:])
-        if cell.size != 2 * np.count_nonzero(seen):
-            i = int(np.argmax(np.bincount(rows, minlength=len(xy)) > 2))
+        # the turns' flat indices into the (k, GRID_SIZE) cells: row * GRID_SIZE + cell
+        turns = np.flatnonzero(pos[:, :-1] != pos[:, 1:])
+        if turns.size != 2 * np.count_nonzero(seen):
+            i = int(np.argmax(np.bincount(turns // GRID_SIZE, minlength=len(xy)) > 2))
             raise ContainmentError(f"point {xy[i].tolist()} has no single visible arc on the grid")
-        cell = cell.reshape(-1, 2)
-        if seen.all():
-            lo, hi = nodes[cell], nodes[cell + 1]
-        else:
-            lo, hi = np.empty((2, len(xy), 2))
-            lo[seen], hi[seen] = nodes[cell], nodes[cell + 1]
-            node, peak = node[~seen], star[~seen]
-            edge = np.where(peak < node, node - _CELL, node)
-            lo[~seen] = np.column_stack([edge, peak])
-            hi[~seen] = np.column_stack([peak, edge + _CELL])
-        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:])
+        if one and seen[0]:
+            # one row, whose turns are its two cells: each solved in plain floats
+            x, y = xy[0].tolist()
+            r1, r2 = (bracketed_root(self._margin_fdf, nodes[c], nodes[c + 1], x, y,
+                                     ends=(h[0, c], h[0, c + 1]))
+                      for c in turns.tolist())
+            return _ordered_pair(r1, r2, xy[0])
+        rows, cell = np.divmod(turns, GRID_SIZE)
+        # the brackets (lo, hi) and the margins at their ends, (k, 2) each
+        lo, hi, flo, fhi = np.empty((4, len(xy), 2))
+        grid = (nodes[cell], nodes[cell + 1], h[rows, cell], h[rows, cell + 1])
+        lo[seen], hi[seen], flo[seen], fhi[seen] = (v.reshape(-1, 2) for v in grid)
+        if not seen.all():
+            rows = np.flatnonzero(~seen)
+            j, star, peak = node[rows], star[rows], peak[rows]
+            left = star < nodes[j]
+            edge = np.where(left, nodes[j] - _CELL, nodes[j])
+            # the index of the grid node at `edge`, one period on for the node before 0
+            e = (j - left) % GRID_SIZE
+            lo[rows] = np.column_stack([edge, star])
+            hi[rows] = np.column_stack([star, edge + _CELL])
+            flo[rows] = np.column_stack([h[rows, e], peak])
+            fhi[rows] = np.column_stack([peak, h[rows, e + 1]])
+        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:], ends=(flo, fhi))
         pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots.tolist())]
         return pairs[0] if one else tuple(np.array(pairs).reshape(-1, 2).T)
 
@@ -635,7 +718,7 @@ class SupportOval:
         min_p = _refined_min(self.p, grid, p)
         min_rho = _refined_min(self.curvature_radius, grid, rho)
         defect = self._rep.periodicity_defect()
-        sym = p - self._rep.jet(np.mod(grid + np.pi, TWO_PI))[0]
+        sym = p - self._rep.value(np.mod(grid + np.pi, TWO_PI))
         messages = []
         if not min_p > 1e-12:
             messages.append(f"support function not positive (min p = {min_p:.3e})")

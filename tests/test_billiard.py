@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from outerlength import verify
 from outerlength._solve import _SMALL, bracketed_root
 from outerlength.errors import ContainmentError, StepFailureError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import circle, ellipse
+from outerlength.oval import SupportOval, circle, ellipse
 
 from conftest import (
     fourier_tables, rotated, single_harmonic_tables, spline_tables, symmetric_fourier_tables,
@@ -98,6 +100,33 @@ class TestCartesianOracle:
     def test_interior_point_in_a_batch_is_named(self, round_table):
         with pytest.raises(ContainmentError, match="point 1,"):
             bl.cartesian_step(round_table, [(2.0, 0.0), (0.5, 0.0), (0.0, 3.0)])
+
+    def test_bracket_ends_come_from_the_scans(
+        self, monkeypatch, round_table, ellipse_table, wobble3_table
+    ):
+        """The tangency and the far tangent read their brackets' end margins
+        off the scans that found the brackets: on chord vertices, a one-point
+        tangency evaluates the margin at most 6.5 times on average and a
+        Cartesian step at most 10 times (10.4 and 15.9 when the solver
+        evaluated the ends itself)."""
+        calls = []
+        margin_fdf = SupportOval._margin_fdf
+
+        def counted(self, *args):
+            calls.append(1)
+            return margin_fdf(self, *args)
+
+        monkeypatch.setattr(SupportOval, "_margin_fdf", counted)
+        rng = np.random.default_rng(8)
+        for oval in (round_table, ellipse_table, wobble3_table):
+            a1, w = rng.uniform((0, 0.3), (TWO_PI, np.pi - 0.4), (60, 2)).T
+            M = bl.vertex_point(oval, ChordConfig(a1, a1 + w)).T
+            for solve, most in ((oval.tangent_angles_from, 6.5),
+                                (functools.partial(bl.cartesian_step, oval), 10.0)):
+                del calls[:]
+                for m in M:
+                    solve(m)
+                assert len(calls) <= most * len(M), (oval, solve)
 
     def test_near_points_agree_with_the_map(
         self, round_table, ellipse_table, wobble3_table, forge_table

@@ -200,6 +200,11 @@ CASES = {
     "spline-integral-inf-end": (lambda: SupportOval.from_samples(np.ones(32))
                                 .support_integral(0.0, np.inf), ConfigError,
                                 "b = inf is not finite"),
+    "p-nan-angle": (lambda: circle().p(NAN), ConfigError, "alpha = nan is not finite"),
+    "spline-p-inf-angle": (lambda: SupportOval.from_samples(np.ones(32)).p(np.inf), ConfigError,
+                           "alpha = inf is not finite"),
+    "point-at-nan-in-array": (lambda: circle().point_at(np.array([0.0, NAN, 1.0])), ConfigError,
+                              "alpha = nan is not finite"),
     "fd-hess-zero-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=0.0), ConfigError,
                           "h = 0.0 is not finite and positive"),
     "fd-hess-nan-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=NAN), ConfigError,

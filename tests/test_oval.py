@@ -241,9 +241,10 @@ class TestNearBoundaryTangency:
     @pytest.mark.parametrize("name", NEAR_TABLES)
     def test_one_point_gives_the_batch_roots(self, name, request):
         """One point solves its two roots in plain floats, a batch on
-        arrays; both give the same roots to the last bit, where the grid
-        resolves the arc (Newton from the secant of the bracketing margins)
-        and where the refined cell is split (Newton from its midpoints)."""
+        arrays; both start Newton from the brackets' midpoints, with the
+        margins at the ends read off the grid or the refined maximum, and
+        give the same roots to the last bit, where the grid resolves the arc
+        and where the refined cell is split."""
         table = _table(name, request)
         points = np.concatenate([
             _offset_points(table, 46, 40, (-11.0, -6.0)),
@@ -570,3 +571,16 @@ def test_non_finite_angles_give_nan(table):
             jet = np.array(table.jet(alphas))
             assert np.all(np.isnan(jet[:, 1:3]))
             assert np.all(np.isfinite(np.delete(jet, [1, 2], axis=1)))
+
+
+@pytest.mark.parametrize("table", [
+    SupportOval.from_fourier(1.0, [0.0, 0.03, 0.02], [0.01, 0.0, -0.02]), ellipse(1.0, 0.5),
+], ids=["fourier", "spline"])
+def test_p_is_the_jets_first_entry_to_the_bit(table):
+    """`p` evaluates the value alone, by the jet's own sums: a float, a
+    few angles (plain floats on a spline) and a batch all agree with it."""
+    angles = np.linspace(-7.0, 13.0, 40)
+    for alpha in (1.234, -20.5, angles[:5], angles.reshape(8, 5)):
+        p = table.p(alpha)
+        assert type(p) is type(table.jet(alpha)[0])
+        assert np.array_equal(p, table.jet(alpha)[0])

@@ -23,18 +23,19 @@ def chunked(size):
     the entries are solved in chunks of that size, the last padded by
     repeating its own entries."""
 
-    def solve(fdf, lo, hi, *params, start=np.nan):
-        lo, hi, start, *params = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (lo, hi, start, *params))
+    def solve(fdf, lo, hi, *params, start=np.nan, ends=()):
+        lo, hi, start, *rest = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (lo, hi, start, *ends, *params))
         )
         shape = lo.shape
-        lo, hi, start, *params = (v.ravel() for v in (lo, hi, start, *params))
+        lo, hi, start, *rest = (v.ravel() for v in (lo, hi, start, *rest))
         roots = []
         for first in range(0, lo.size, size):
-            lo_, hi_, start_, *params_ = (
-                np.resize(v[first : first + size], size) for v in (lo, hi, start, *params)
+            lo_, hi_, start_, *rest_ = (
+                np.resize(v[first : first + size], size) for v in (lo, hi, start, *rest)
             )
-            root = bracketed_root(fdf, lo_, hi_, *params_, start=start_)
+            given = {"ends": rest_[:2]} if ends else {}
+            root = bracketed_root(fdf, lo_, hi_, *rest_[len(ends):], start=start_, **given)
             roots.append(root[: min(size, lo.size - first)])
         return np.concatenate(roots).reshape(shape)
 
@@ -66,6 +67,47 @@ def test_exact_root_at_either_endpoint():
     for size in SIZES:
         roots = chunked(size)(cubic, np.array([2.0, -3.0]), np.array([5.0, 2.0]), 8.0)
         assert roots.tolist() == [2.0, 2.0], size
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_given_ends_replace_their_evaluations(size):
+    """Ends that are fdf's own values at lo and hi give the roots of a call
+    without them to the last bit, on either branch and for one float
+    bracket, and fdf evaluates 2 points fewer per entry."""
+    points = []
+
+    def fdf(x, c):
+        points.append(np.size(x))
+        return cubic(x, c)
+
+    def counted(lo, hi, c, ends):
+        """The roots, and the number of points fdf evaluated for them."""
+        del points[:]
+        return bracketed_root(fdf, lo, hi, c, start=0.9 * lo + 0.1 * hi, ends=ends), sum(points)
+
+    c = np.linspace(0.5, 50.0, size)
+    lo, hi = np.linspace(-1.0, 0.5, size), np.linspace(3.7, 5.0, size)
+    for lo, hi, c in [(lo, hi, c)] + list(zip(lo.tolist(), hi.tolist(), c.tolist())):
+        plain, evaluated = counted(lo, hi, c, None)
+        given, saved = counted(lo, hi, c, (cubic(lo, c)[0], cubic(hi, c)[0]))
+        assert type(given) is type(plain) and np.array_equal(given, plain)
+        assert saved == evaluated - 2 * np.size(c)
+
+
+def test_given_zero_end_is_the_root():
+    """An end given as 0 is returned as the root, whatever fdf says there."""
+    for size in SIZES:
+        lo, hi = np.array([2.0, -3.0]), np.array([5.0, 2.5])
+        roots = chunked(size)(cubic, lo, hi, 8.0, ends=([0.0, -35.0], [117.0, 0.0]))
+        assert roots.tolist() == [2.0, 2.5], size
+
+
+def test_given_ends_without_a_sign_change_give_nan():
+    """Ends given without a sign change are NaN, though f changes sign in
+    the bracket: the given values are the check, not fdf's."""
+    for size in SIZES:
+        roots = chunked(size)(cubic, 0.0, 3.0, np.array([1.0, 8.0]), ends=([1.0, -8.0], [2.0, -1.0]))
+        assert np.isnan(roots).all(), size
 
 
 def test_shape_of_a_scalar_call():
