@@ -562,7 +562,9 @@ class SupportOval:
         return np.stack([p * c - dp * s, p * s + dp * c], axis=-1)
 
     def curvature_radius(self, alpha):
-        """p''(alpha) + p(alpha), strictly positive for a valid oval."""
+        """p''(alpha) + p(alpha), strictly positive for a valid oval;
+        ConfigError names a non-finite angle."""
+        _check_finite(alpha, "alpha")
         p, _, ddp = self._rep.jet(alpha)
         return ddp + p
 
@@ -584,7 +586,9 @@ class SupportOval:
     # -- exterior points and tangency -------------------------------------
 
     def support_margin(self, point, alpha):
-        """Signed margin <point, n(alpha)> - p(alpha); positive outside the support line."""
+        """Signed margin <point, n(alpha)> - p(alpha); positive outside the
+        support line.  ConfigError names a non-finite angle."""
+        _check_finite(alpha, "alpha")
         a = np.asarray(alpha, dtype=float)
         x, y = point
         return x * np.cos(a) + y * np.sin(a) - self._rep.value(a)

@@ -11,11 +11,12 @@ chord), so a vanishing gradient is the step equation at every vertex.
 One damped Newton method, `_newton`, solves the critical equations for a
 batch of orbits in lockstep; `_STOPS` lists why it stops a row.  Each iterate
 is one `genfun.path_jets` call, which `_derivatives` turns into gradient and Hessian.
-`find_periodic` runs it on one free orbit, whose every vertex moves.  The
-Hessian of a free orbit is cyclic tridiagonal; `_cyclic_solve` reorders its
-vertices into a band of width 2 and solves it in O(n) by LAPACK's pivoted
-banded LU, dropping a soft mode as a least-squares solve with rcond = 1e-10
-would.
+`find_periodic` runs it on one free orbit, whose every vertex moves; a lone
+row takes its line search on its own arrays, without a batch's index
+bookkeeping, to the same bits.  The Hessian of a free orbit is cyclic
+tridiagonal; `_cyclic_solve` reorders its vertices into a band of width 2
+and solves it in O(n) by LAPACK's pivoted banded LU, dropping a soft mode
+as a least-squares solve with rcond = 1e-10 would.
 `invariant_curve_scan` runs it on one orbit per sample with the first
 vertex pinned at the sample's angle: the interior equations are solved and
 the leftover closure residual g[0] is reported as a function of the first
@@ -124,8 +125,9 @@ def _orbit(oval, m, angles, iterations=None, dropped_modes=None):
 
 def _gaps_ok(angles, m, gap_min=GAP_MIN):
     """True where every gap lies in (gap_min, pi - gap_min); one flag per row."""
-    gaps = np.diff(_extended(angles, m), axis=-1)
-    return np.all((gaps > gap_min) & (gaps < np.pi - gap_min), axis=-1)
+    ext = _extended(angles, m)
+    gaps = ext[..., 1:] - ext[..., :-1]
+    return ((gaps > gap_min) & (gaps < np.pi - gap_min)).all(axis=-1)
 
 
 def _check_period(n, m):
@@ -250,11 +252,14 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     searching, from 1 down to 2**-24; it skips candidates whose gaps leave
     (GAP_MIN, pi - GAP_MIN), and a row takes the first that lowers its
     residual.  Each candidate is one `_derivatives` call, and a row keeps the
-    gradient and Hessian bands of the one it takes for its next step: one
-    support-function evaluation per iterate.  Returns the final angles and
-    gradients and, per row, the key in _STOPS of why it stopped (a "domain"
-    row has a NaN gradient).  When `counts`, a (k, 2) integer array, is given,
-    it receives per row the Newton steps taken and the soft modes dropped.
+    gradient, its residual and the Hessian bands of the one it takes for its
+    next step: one support-function evaluation per iterate.  A lone live row,
+    as in every `find_periodic` call, searches on its own arrays without a
+    batch's index arrays, and ends with the bits it would reach in a batch.
+    Returns the final angles and gradients and, per row, the key in _STOPS
+    of why it stopped (a "domain" row has a NaN gradient).  When `counts`, a
+    (k, 2) integer array, is given, it receives per row the Newton steps
+    taken and the soft modes dropped.
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
@@ -263,30 +268,52 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     x = angles[live]
     g, diag, off = _derivatives(oval, x, m)
     first = int(pinned)
+    gn = np.abs(g[:, first:]).max(axis=1)
     moved = np.ones(len(live), dtype=bool)
-    counts = np.zeros((len(angles), 2), dtype=int) if counts is None else counts
     layout = None if pinned else _band_layout(angles.shape[1])
     for it in range(max_iter + 1):
-        gn = np.max(np.abs(g[:, first:]), axis=1)
         stop = (gn < tol) | ~moved | (it == max_iter)
         if stop.any():
-            rows, r = live[stop], gn[stop]
+            rows = live[stop]
             angles[rows], grads[rows] = x[stop], g[stop]
-            reason[rows] = np.select([r < tol, r < 100.0 * tol, moved[stop]],
-                                     ["converged", "floor", "max_iter"], "no descent")
-            live, x, g, gn, diag, off = (v[~stop] for v in (live, x, g, gn, diag, off))
+            # every live row takes one step per iterate, so a row stopping
+            # now has taken `it`
+            if counts is not None:
+                counts[rows, 0] += it
+            for row, r, went in zip(rows.tolist(), gn[stop].tolist(), moved[stop].tolist()):
+                reason[row] = ("converged" if r < tol else "floor" if r < 100.0 * tol
+                               else "max_iter" if went else "no descent")
+            keep = ~stop
+            live, x, g, gn, diag, off = live[keep], x[keep], g[keep], gn[keep], diag[keep], off[keep]
         if not live.size:
             break
-        counts[live, 0] += 1
         if pinned:
             delta = np.zeros_like(x)
             delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
         else:
-            delta, soft = zip(*[_cyclic_solve(*row, layout) for row in zip(diag, off, -g)])
-            delta = np.array(delta)
-            counts[live, 1] += soft
+            delta = np.empty_like(x)
+            for i, row in enumerate(live.tolist()):
+                delta[i], soft = _cyclic_solve(diag[i], off[i], -g[i], layout)
+                if soft and counts is not None:
+                    counts[row, 1] += 1
         moved = np.zeros(len(live), dtype=bool)
-        pending = np.flatnonzero(np.all(np.isfinite(delta), axis=1))
+        if len(live) == 1:
+            # one row, as in every `find_periodic` call: the batch search
+            # below on the row itself
+            step, scale = delta[0], 1.0
+            for _ in range(25 if np.isfinite(step).all() else 0):
+                cand = x[0] + scale * step
+                if _gaps_ok(cand, m):
+                    gc, dc, oc = _derivatives(oval, cand, m)
+                    r = np.abs(gc[first:]).max()
+                    if r < gn[0]:
+                        x[0], g[0], diag[0], off[0], gn[0], moved[0] = cand, gc, dc, oc, r, True
+                        break
+                    if scale < 1e-3:
+                        break
+                scale *= 0.5
+            continue
+        pending = np.flatnonzero(np.isfinite(delta).all(axis=1))
         scale = 1.0
         for _ in range(25):
             if not pending.size:
@@ -295,13 +322,13 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
             valid = np.flatnonzero(_gaps_ok(cand, m))
             drop = np.zeros(len(pending), dtype=bool)
             if valid.size:
-                rows = pending[valid]
                 gc, dc, oc = _derivatives(oval, cand[valid], m)
-                down = np.max(np.abs(gc[:, first:]), axis=1) < gn[rows]
-                x[rows[down]] = cand[valid[down]]
-                g[rows[down]], diag[rows[down]], off[rows[down]] = gc[down], dc[down], oc[down]
-                moved[rows[down]] = True
-                drop[valid[down] if scale >= 1e-3 else valid] = True
+                gnc = np.abs(gc[:, first:]).max(axis=1)
+                down = gnc < gn[pending[valid]]
+                took, rows = valid[down], pending[valid[down]]
+                x[rows], g[rows], diag[rows], off[rows] = cand[took], gc[down], dc[down], oc[down]
+                gn[rows], moved[rows] = gnc[down], True
+                drop[took if scale >= 1e-3 else valid] = True
             pending = pending[~drop]
             scale *= 0.5
     return angles, grads, reason

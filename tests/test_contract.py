@@ -205,6 +205,16 @@ CASES = {
                            "alpha = inf is not finite"),
     "point-at-nan-in-array": (lambda: circle().point_at(np.array([0.0, NAN, 1.0])), ConfigError,
                               "alpha = nan is not finite"),
+    "support-margin-nan-angle": (lambda: circle().support_margin((2.0, 0.0), NAN), ConfigError,
+                                 "alpha = nan is not finite"),
+    "spline-support-margin-inf-in-array": (
+        lambda: SupportOval.from_samples(np.ones(32)).support_margin((2.0, 0.0), [0.0, np.inf]),
+        ConfigError, "alpha = inf is not finite"),
+    "curvature-radius-inf-angle": (lambda: ellipse(1.0, 0.5).curvature_radius(np.inf),
+                                   ConfigError, "alpha = inf is not finite"),
+    "spline-curvature-radius-nan-in-array": (
+        lambda: SupportOval.from_samples(np.ones(32)).curvature_radius(np.array([1.0, NAN])),
+        ConfigError, "alpha = nan is not finite"),
     "fd-hess-zero-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=0.0), ConfigError,
                           "h = 0.0 is not finite and positive"),
     "fd-hess-nan-step": (lambda: genfun.fd_hess_arr(circle(), 0.0, 1.0, h=NAN), ConfigError,

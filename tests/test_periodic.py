@@ -296,6 +296,46 @@ class TestFindPeriodic:
         assert np.all(np.isnan(grads))
         assert list(reason) == ["domain", "domain"]
 
+    @pytest.mark.parametrize("n, m", [(4, 1), (5, 2), (7, 3)])
+    @pytest.mark.parametrize("name", ["wobble3_table", "forge_table"])
+    def test_one_row_matches_its_row_in_a_batch(self, request, name, n, m):
+        # a lone row takes its own line search; inside a batch the same row
+        # goes through the index bookkeeping, and both must give the same bits
+        oval = request.getfixturevalue(name)
+        oval = oval[0] if name == "forge_table" else oval
+        seeds = TWO_PI * m * np.arange(n) / n + np.array([[0.0], [0.4], [1.1]])
+        batch_counts = np.zeros((3, 2), dtype=int)
+        batch = pd._newton(oval, seeds, m, False, 1e-11, 80, batch_counts)
+        for i in range(3):
+            counts = np.zeros((1, 2), dtype=int)
+            angles, grads, reason = pd._newton(oval, seeds[i:i + 1], m, False, 1e-11, 80, counts)
+            assert angles[0].tobytes() == batch[0][i].tobytes()
+            assert grads[0].tobytes() == batch[1][i].tobytes()
+            assert reason[0] == batch[2][i]
+            assert counts[0].tolist() == batch_counts[i].tolist()
+        # the seeds reach both a converged row and one that runs out of steps
+        if (name, n, m) == ("wobble3_table", 5, 2):
+            assert batch[2].tolist() == ["converged", "max_iter", "max_iter"]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_no_descent_gives_up_below_step_scale_1e_3(self, monkeypatch, rows):
+        # a negated Hessian reverses every step, so no candidate descends; a
+        # row gives up at its first admissible candidate below scale 1e-3,
+        # 2**-10, alone or in a batch: 11 candidates after the seeds
+        calls = []
+        derivatives = pd._derivatives
+
+        def reversed_bands(oval, angles, m):
+            calls.append(angles)
+            g, diag, off = derivatives(oval, angles, m)
+            return g, -diag, -off
+
+        monkeypatch.setattr(pd, "_derivatives", reversed_bands)
+        seeds = TWO_PI * np.arange(3) / 3 + np.array([[0.0], [0.4]])[:rows]
+        _, _, reason = pd._newton(ellipse(1.0, 0.6), seeds, 1, False, 1e-11, 80)
+        assert reason.tolist() == ["no descent"] * rows
+        assert len(calls) == 1 + 11
+
     def test_normalization_deterministic(self, round_table):
         seed = np.array([1.2, 1.2 + TWO_PI / 3, 1.2 + 2 * TWO_PI / 3])
         orb = pd.find_periodic(round_table, 3, seed_angles=seed)
@@ -512,6 +552,13 @@ class TestInvariantCurveScan:
         assert np.all(np.isnan(g[1]))
         _, _, reason = pd._newton(wobble3_table, seeds[:1], 1, False, 1e-12, 1)
         assert reason.tolist() == ["max_iter"]
+
+    def test_stop_at_the_round_off_floor(self, wobble3_table):
+        # below the gradient's round-off no step lowers the residual: a row
+        # within 100 tol stops at the floor, one above it with no descent
+        seeds = np.array([[0.0, 1.5, 3.1, 4.7], [0.3, 1.8, 3.4, 5.0]])
+        _, _, reason = pd._newton(wobble3_table, seeds, 1, True, 1e-17, 40)
+        assert reason.tolist() == ["no descent", "floor"]
 
     def test_solved_samples_are_interior_critical(self, wobble3_table, forge_table):
         for oval, n in ((wobble3_table, 3), (forge_table[0], 4)):
