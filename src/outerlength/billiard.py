@@ -97,8 +97,12 @@ def step_angles_arr(oval, a1, a2):
     from the predictor a2 + (a2 - a1), the image on a circle.
     """
     w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
+    return _step_from_jets(oval, np.asarray(a2, dtype=float), w, jet1, jet2)
+
+
+def _step_from_jets(oval, a2, w, jet1, jet2):
+    """`step_angles_arr` from the array a2, the gap and both end jets."""
     target = genfun.grad_from_jets(w, jet1, jet2)[1]
-    a2 = np.asarray(a2, dtype=float)
     return bracketed_root(
         _base_radius_fdf(oval), *_gap_bracket(a2), a2, target, jet2[0], jet2[1],
         start=a2 + w,
@@ -295,15 +299,20 @@ class TwistReport:
 
 
 def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):
-    """Sample the phase cylinder and survey the twist of the map and its square."""
+    """Sample the phase cylinder and survey the twist of the map and its square.
+    The chords' end jets serve their Hessian, the map step and, at a2, the
+    images' Hessian: one oval evaluation at a1, a2 and the images each."""
     samples = checked_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
-    _, s12, s22 = genfun.hess_arr(oval, a1, a2)
+    w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
+    _, s12, s22 = genfun.hess_from_jets(w, jet1, jet2)
     t = -1.0 / s12
-    a3 = step_angles_arr(oval, a1, a2)
+    a3 = _step_from_jets(oval, a2, w, jet1, jet2)
     ok = np.isfinite(a3)
-    n11, n12, _ = genfun.hess_arr(oval, a2[ok], a3[ok])
+    # a found image lies inside the guarded gap bracket, so its gap is valid
+    b2, b3 = a2[ok], a3[ok]
+    n11, n12, _ = genfun.hess_from_jets(b3 - b2, [j[ok] for j in jet2], oval.jet(b3))
     # lower-left of DT(second chord) @ DT(first chord)
     t2 = (s22[ok] + n11) / (s12[ok] * n12)
     return TwistReport(

@@ -12,12 +12,13 @@ the reflection rule.  Everything here is implemented twice on purpose: a raw
 support-function form and an l*tan(w/2) form, so the tests can pin the two
 routes against each other and against finite differences.
 
-Every closed form reads the support data through `chord_jets`: one call of
-`SupportOval.jet` per chord end gives (p, p', p'') there, which is all that
-S (apart from its integral term), both partials and the Hessian need.  The
-functions take arrays of angles of any shape; a scalar chord is a batch of
-one.  `path_jets` serves chords that share their ends (the sides of a
-periodic orbit) from one call on the vertices, for `grad_from_jets` and
+The partials and the Hessian read the support data through `chord_jets`:
+one call of `SupportOval.jet` per chord end gives (p, p', p'') there, which
+is all they need.  S reads p alone, one `SupportOval.p` call per chord end
+(the jet's p to the last bit), besides its integral term.  The functions
+take arrays of angles of any shape; a scalar chord is a batch of one.
+`path_jets` serves chords that share their ends (the sides of a periodic
+orbit) from one call on the vertices, for `grad_from_jets` and
 `hess_from_jets`.
 """
 
@@ -110,9 +111,12 @@ def lengths_arr(oval, a1, a2):
 
 
 def S_arr(oval, a1, a2):
-    """Generating value S = (p1 + p2) tan(w/2) - integral of p."""
-    w, jet1, jet2 = chord_jets(oval, a1, a2)
-    out = np.asarray((jet2[0] + jet1[0]) * np.tan(w / 2.0))
+    """Generating value S = (p1 + p2) tan(w/2) - integral of p, from the gap
+    (checked) and p alone at each end: `SupportOval.p`, the jet's p to the
+    last bit."""
+    w = np.subtract(a2, a1, dtype=float)
+    _check_omega(w)
+    out = np.asarray((oval.p(a2) + oval.p(a1)) * np.tan(w / 2.0))
     out = out - oval.support_integral(a1, a2)
     return out if out.ndim else float(out)
 
@@ -162,8 +166,8 @@ def hess_arr(oval, a1, a2):
 
 def _stencil_S(oval, a1, a2, d1, d2):
     """S at the chords (a1 + d1, a2 + d2), the offsets d1, d2 broadcast on
-    new trailing axes: one `S_arr` call, so one jet per end and one integral
-    for the whole stencil."""
+    new trailing axes: one `S_arr` call, so one p evaluation per end and one
+    integral for the whole stencil."""
     tail = (...,) + (None,) * max(np.ndim(d1), np.ndim(d2))
     a1 = np.asarray(a1, dtype=float)[tail]
     a2 = np.asarray(a2, dtype=float)[tail]

@@ -421,7 +421,7 @@ class _SplineRep:
             out = np.array([self._float_at(v, poly) for v in a.ravel().tolist()]).T
             return out.reshape(out.shape[:-1] + a.shape)
         i, t = self._locate(np.mod(a, TWO_PI))
-        return poly(self._coef[:, i], t)
+        return poly(np.take(self._coef, i, axis=1), t)
 
     def jet(self, alpha):
         """(p, p', p'') at alpha."""
@@ -438,7 +438,7 @@ class _SplineRep:
     def _primitive(self, a):
         """Integral of p over [0, a] for a in [0, 2*pi]."""
         i, t = self._locate(a)
-        return self._cum[i] + _quintic_primitive(self._coef[:, i], t)
+        return np.take(self._cum, i) + _quintic_primitive(np.take(self._coef, i, axis=1), t)
 
     def integral(self, a, b):
         a = np.asarray(a, dtype=float)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -244,6 +245,72 @@ class TestTwist:
         a3 = bl.step_angles_arr(circle(), a1, a2)
         assert len(calls) <= 2
         assert np.max(np.abs(a3 - (2 * a2 - a1))) < 1e-12
+
+    @pytest.mark.parametrize("table, count", [("ellipse_table", 6), ("wobble3_table", 7)])
+    def test_predicted_start_keeps_its_measured_counts(self, table, count, request, monkeypatch):
+        """Near a circle the predictor is near the image: a 1000-chord batch
+        takes the fdf calls ROADMAP aim 2 measured for the predictor fork."""
+        oval = request.getfixturevalue(table)
+        calls = []
+        factory = bl._base_radius_fdf
+
+        def counted(oval):
+            fdf = factory(oval)
+            return lambda *args: calls.append(1) or fdf(*args)
+
+        monkeypatch.setattr(bl, "_base_radius_fdf", counted)
+        a1, a2 = gf.sample_chords(np.random.default_rng(8), 1000, 0.05, np.pi - 0.05)
+        assert np.isfinite(bl.step_angles_arr(oval, a1, a2)).all()
+        assert len(calls) == count
+
+    # (table, samples, seed, gap window); the last is the window of
+    # test_images_without_a_root_are_counted, where some chords have no image
+    SURVEYS = [
+        ("round_table", 1000, 3, (0.05, np.pi - 0.05)),
+        ("ellipse_table", 1000, 3, (0.05, np.pi - 0.05)),
+        ("wobble3_table", 1000, 3, (0.05, np.pi - 0.05)),
+        ("flat_ellipse", 400, 0, (1.0001e-4, 1.0002e-4)),
+    ]
+
+    @staticmethod
+    def composed_survey(oval, samples, seed, window):
+        """The twist survey as the composition of public calls: `hess_arr` at
+        the chords, `step_angles_arr`, `hess_arr` at the found images."""
+        a1, a2 = gf.sample_chords(np.random.default_rng(seed), samples, *window)
+        _, s12, s22 = gf.hess_arr(oval, a1, a2)
+        a3 = bl.step_angles_arr(oval, a1, a2)
+        ok = np.isfinite(a3)
+        n11, n12, _ = gf.hess_arr(oval, a2[ok], a3[ok])
+        t, t2 = -1.0 / s12, (s22[ok] + n11) / (s12[ok] * n12)
+        fields = (samples, np.min(t), np.min(t2) if t2.size else np.nan,
+                  np.sum(t <= 0.0), np.sum(t2 <= 0.0), np.sum(~ok))
+        return np.array(fields, dtype=float), a1, a2, ok
+
+    @pytest.mark.parametrize("table, samples, seed, window", SURVEYS,
+                             ids=[survey[0] for survey in SURVEYS])
+    def test_survey_shares_its_jets_with_the_step(self, table, samples, seed, window, request,
+                                                  monkeypatch):
+        """`twist_report` evaluates the oval once at a1 and once at a2, for
+        the Hessians and the map step, and its six fields are those of the
+        composition it replaces, bit for bit."""
+        oval = ellipse(1.0, 0.2) if table == "flat_ellipse" else request.getfixturevalue(table)
+        ref, a1, a2, ok = self.composed_survey(oval, samples, seed, window)
+        seen = []
+        inner = oval._rep.jet
+
+        def recorded(alpha):
+            seen.append(np.array(alpha, dtype=float))
+            return inner(alpha)
+
+        monkeypatch.setattr(oval._rep, "jet", recorded)
+        rep = bl.twist_report(oval, samples, seed, *window)
+        fields = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        assert np.array_equal(np.array(fields, dtype=float), ref, equal_nan=True)
+        assert [np.array_equal(a, a1) for a in seen].count(True) == 1
+        assert [np.array_equal(a, a2) for a in seen].count(True) == 1
+        if not ok.all():
+            assert not any(np.array_equal(a, a2[ok]) for a in seen)
+            assert 0 < rep.nonfinite < samples
 
     # on the thin ellipse the root is fixed only to about eps / |S12|, so it
     # is pinned by its defining residual, not by its angle

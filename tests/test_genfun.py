@@ -150,6 +150,22 @@ class TestStencil:
             assert np.array_equal(gf.fd_hess_arr(oval, a1, a2), hess), shape
             assert np.shape(gf.fd_hess_arr(oval, a1, a2)[1]) == shape
 
+    @pytest.mark.parametrize("table", ["wobble2_table", "twelve_harmonic_table", "ellipse_table"])
+    def test_S_is_the_jets_p_to_the_bit(self, table, request):
+        """`S_arr` reads p alone; its values are those of the jets' p, bit for
+        bit.  `per_shift_fd` calls `S_arr` itself, so it cannot catch a
+        change there."""
+        oval = request.getfixturevalue(table)
+        rng = np.random.default_rng(20)
+        for shape in [(), (1000,), (20, 30)]:
+            a1, a2 = gf.sample_chords(rng, int(np.prod(shape)))
+            a1, a2 = a1.reshape(shape)[()], a2.reshape(shape)[()]
+            ref = ((oval.jet(a2)[0] + oval.jet(a1)[0]) * np.tan((a2 - a1) / 2.0)
+                   - oval.support_integral(a1, a2))
+            S = gf.S_arr(oval, a1, a2)
+            assert np.shape(S) == shape
+            assert np.array_equal(S, ref), shape
+
     def test_small_step_on_a_thin_table(self):
         # `hessian_fd_defect` takes h = a twentieth of the least curvature radius
         thin = ellipse(1.0, 0.02)
@@ -161,9 +177,11 @@ class TestStencil:
         assert verify.hessian_fd_defect(thin, a1, a2) < 1e-4
 
     @pytest.mark.parametrize("table", ["wobble3_table", "ellipse_table"])
-    def test_one_stencil_is_two_jets_and_one_integral(self, table, request, monkeypatch):
+    def test_one_stencil_is_two_values_and_one_integral(self, table, request, monkeypatch):
+        """S reads p alone: a stencil evaluates the value at each end once
+        and no jet."""
         oval = request.getfixturevalue(table)
-        calls = {"jet": 0, "integral": 0}
+        calls = {"value": 0, "jet": 0, "integral": 0}
 
         def counted(name):
             inner = getattr(oval._rep, name)
@@ -178,9 +196,10 @@ class TestStencil:
             monkeypatch.setattr(oval._rep, name, counted(name))
         a1, a2 = gf.sample_chords(np.random.default_rng(19), 1000)
         for fd in (gf.fd_grad_arr, gf.fd_hess_arr):
-            calls.update(jet=0, integral=0)
+            calls.update(value=0, jet=0, integral=0)
             fd(oval, a1, a2)
-            assert calls["jet"] <= 2 and calls["integral"] <= 1, fd.__name__
+            assert calls["value"] <= 2 and calls["jet"] == 0, fd.__name__
+            assert calls["integral"] <= 1, fd.__name__
 
 
 def test_gradient_on_floats_matches_one_entry_arrays():

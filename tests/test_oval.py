@@ -8,6 +8,7 @@ from scipy.interpolate import make_interp_spline
 
 from outerlength import forge
 from outerlength import oval as oval_module
+from outerlength._solve import _SMALL
 from outerlength.errors import ContainmentError, OvalValidationError
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
@@ -512,6 +513,29 @@ class TestSplineKernel:
         small = np.concatenate([spline_table.jet(chunk) for chunk in np.split(alphas, 16)], axis=1)
         assert np.array_equal(one_by_one, batch)
         assert np.array_equal(small, batch)
+
+    def test_gather_matches_column_indexing(self, spline_table, monkeypatch):
+        """A batch of more than `_SMALL` angles gathers its intervals'
+        coefficients with `np.take`; `jet`, `value` and `integral` equal, bit
+        for bit, the kernel on `_coef[:, i]` and `_cum[i]`."""
+        rep = spline_table._rep
+
+        def primitive(x):
+            i, t = rep._locate(x)
+            return rep._cum[i] + oval_module._quintic_primitive(rep._coef[:, i], t)
+
+        alphas = self.angles(spline_table)
+        alphas = alphas[:alphas.size // 3 * 3]
+        assert alphas.size > _SMALL
+        for a in (alphas, alphas.reshape(3, -1)):
+            i, t = rep._locate(np.mod(a, TWO_PI))
+            coef = rep._coef[:, i]
+            assert np.array_equal(spline_table.jet(a), oval_module._quintic_jet(coef, t))
+            assert np.array_equal(spline_table.p(a), oval_module._quintic_value(coef, t))
+            gathered = spline_table.support_integral(a, a + 2.5)
+            with monkeypatch.context() as m:
+                m.setattr(rep, "_primitive", primitive)
+                assert np.array_equal(gathered, spline_table.support_integral(a, a + 2.5))
 
     def test_integral_matches_bspline(self, spline_table):
         spl = _bspline(spline_table)
