@@ -100,12 +100,13 @@ def step_angles_arr(oval, a1, a2):
     return _step_from_jets(oval, np.asarray(a2, dtype=float), w, jet1, jet2)
 
 
-def _step_from_jets(oval, a2, w, jet1, jet2):
-    """`step_angles_arr` from the array a2, the gap and both end jets."""
+def _step_from_jets(oval, a2, w, jet1, jet2, start=None):
+    """`step_angles_arr` from the array a2, the gap and both end jets; Newton
+    starts from `start`, by default the predictor a2 + w."""
     target = genfun.grad_from_jets(w, jet1, jet2)[1]
     return bracketed_root(
         _base_radius_fdf(oval), *_gap_bracket(a2), a2, target, jet2[0], jet2[1],
-        start=a2 + w,
+        start=a2 + w if start is None else start,
     )
 
 

@@ -14,7 +14,7 @@ routes against each other and against finite differences.
 
 The partials and the Hessian read the support data through `chord_jets`:
 one call of `SupportOval.jet` per chord end gives (p, p', p'') there, which
-is all they need.  S reads p alone, one `SupportOval.p` call per chord end
+is all they need.  S reads p alone, one representation value per chord end
 (the jet's p to the last bit), besides its integral term.  The functions
 take arrays of angles of any shape; a scalar chord is a batch of one.
 `path_jets` serves chords that share their ends (the sides of a periodic
@@ -112,12 +112,12 @@ def lengths_arr(oval, a1, a2):
 
 def S_arr(oval, a1, a2):
     """Generating value S = (p1 + p2) tan(w/2) - integral of p, from the gap
-    (checked) and p alone at each end: `SupportOval.p`, the jet's p to the
-    last bit."""
+    (checked) and p alone at each end, the jet's p to the last bit; a valid
+    gap has finite ends, so both come from `oval._rep` unchecked."""
     w = np.subtract(a2, a1, dtype=float)
     _check_omega(w)
-    out = np.asarray((oval.p(a2) + oval.p(a1)) * np.tan(w / 2.0))
-    out = out - oval.support_integral(a1, a2)
+    out = np.asarray((oval._rep.value(a2) + oval._rep.value(a1)) * np.tan(w / 2.0))
+    out = out - oval._rep.integral(a1, a2)
     return out if out.ndim else float(out)
 
 

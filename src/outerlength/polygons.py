@@ -37,6 +37,11 @@ from .oval import TWO_PI
 _CSTEP = 1e-200
 
 
+def _roll(a, k):
+    """`np.roll(a, k, axis=0)` for k = +-1, without its overhead."""
+    return np.concatenate((a[-k:], a[:-k]))
+
+
 @dataclass(frozen=True)
 class PolygonConfig:
     """Convex polygon as support coordinates of its sides, counterclockwise."""
@@ -87,8 +92,7 @@ class PolygonConfig:
 def vertices(poly):
     """Vertex i = intersection of sides i-1 and i, counterclockwise order."""
     a, p = poly.alphas, poly.ps
-    a_prev, p_prev = np.roll(a, 1), np.roll(p, 1)
-    a_prev = a_prev.copy()
+    a_prev, p_prev = _roll(a, 1), _roll(p, 1)
     a_prev[0] -= TWO_PI
     s = np.sin(a - a_prev)
     x = (p_prev * np.sin(a) - p * np.sin(a_prev)) / s
@@ -100,8 +104,8 @@ def side_lengths(poly):
     """Side lengths from the support data (no vertex coordinates involved)."""
     a, p = poly.alphas, poly.ps
     g = poly.gaps
-    g_prev = np.roll(g, 1)
-    p_prev, p_next = np.roll(p, 1), np.roll(p, -1)
+    g_prev = _roll(g, 1)
+    p_prev, p_next = _roll(p, 1), _roll(p, -1)
     return (
         p_prev / np.sin(g_prev)
         + p_next / np.sin(g)
@@ -112,21 +116,21 @@ def side_lengths(poly):
 def perimeter(poly):
     """Perimeter as sum of (p_i + p_{i+1}) tan(gap_i / 2)."""
     p = poly.ps
-    return float(np.sum((p + np.roll(p, -1)) * np.tan(poly.gaps / 2.0)))
+    return float(np.sum((p + _roll(p, -1)) * np.tan(poly.gaps / 2.0)))
 
 
 def perimeter_from_vertices(poly):
     """Euclidean perimeter from the vertex polygon (cross-check route)."""
     v = vertices(poly)
-    return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+    return float(np.sum(np.linalg.norm(_roll(v, -1) - v, axis=1)))
 
 
 def tangency_points(poly):
     """(n, 2) points C_i on side i: cotangent-weighted combinations of its endpoints."""
     v = vertices(poly)  # v[i] lies between sides i-1 and i, v[i+1] between i and i+1
-    cm = 1.0 / np.tan(np.roll(poly.gaps, 1) / 2.0)[:, None]
+    cm = 1.0 / np.tan(_roll(poly.gaps, 1) / 2.0)[:, None]
     cp = 1.0 / np.tan(poly.gaps / 2.0)[:, None]
-    return (cm * np.roll(v, -1, axis=0) + cp * v) / (cm + cp)
+    return (cm * _roll(v, -1) + cp * v) / (cm + cp)
 
 
 # -- the fields Phi_i, xi_i ---------------------------------------------------
@@ -143,7 +147,7 @@ def _phi_args(poly):
     """The arguments of `_phi_raw` for every index: half-gaps and neighbor supports."""
     g = poly.gaps
     p = poly.ps
-    return [np.roll(g, 1) / 2.0, g / 2.0, np.roll(p, 1), p, np.roll(p, -1)]
+    return [_roll(g, 1) / 2.0, g / 2.0, _roll(p, 1), p, _roll(p, -1)]
 
 
 def phi(poly):
@@ -182,7 +186,7 @@ def _bracket_coefficients(poly):
     [xi_i, xi_{i+1}] is -U_i."""
     (da_m, _, da_p), (dp_m, _, dp_p) = phi_partials(poly)
     f = phi(poly)
-    return da_m + np.roll(f, 1) * dp_m, da_p + np.roll(f, -1) * dp_p
+    return da_m + _roll(f, 1) * dp_m, da_p + _roll(f, -1) * dp_p
 
 
 def brackets(poly):
@@ -192,7 +196,7 @@ def brackets(poly):
     W, U = _bracket_coefficients(poly)
     i = np.arange(n)
     out = np.zeros((n, 2 * n))
-    out[i, n + (i + 1) % n] = np.roll(W, -1)
+    out[i, n + (i + 1) % n] = _roll(W, -1)
     out[i, n + i] = -U
     return out
 
@@ -292,8 +296,8 @@ def perimeter_derivative_along_xi(poly):
     formula F along every xi_i (vanish identically)."""
     p = poly.ps
     g = poly.gaps
-    g_prev = np.roll(g, 1)
-    p_prev, p_next = np.roll(p, 1), np.roll(p, -1)
+    g_prev = _roll(g, 1)
+    p_prev, p_next = _roll(p, 1), _roll(p, -1)
     dF_da = 0.5 * (
         (p_prev + p) / np.cos(g_prev / 2.0) ** 2 - (p + p_next) / np.cos(g / 2.0) ** 2
     )

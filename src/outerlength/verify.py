@@ -4,7 +4,9 @@ quantity and returns the defect between them.
 `battery` runs every check on one table for `outerlength verify`; the
 acceptance tests call the same checks on their own draws and thresholds.  The
 checks call the package through module attributes (`genfun.grad_arr`, ...),
-so a caller that replaces one of those functions sees every call.
+so a caller that replaces one of those functions sees every call; the area
+check's shifted solves, one batch started at the image, go through the
+private `billiard._step_from_jets`, not `step_angles_arr`.
 """
 
 from __future__ import annotations
@@ -68,14 +70,17 @@ def symplectic_defect(oval, a1, a2):
     """Worst |det DT - 1| in (R, alpha), with d alpha3 / d alpha1 from central
     differences (h = 1e-5) of the batched map.  A chord the map cannot step
     raises StepFailureError naming it; a shifted start it cannot step gives NaN.
+    The a1 +- h chords are one batch of 2N chords, started at the unshifted
+    image a3, within about h |d alpha3 / d alpha1| of their roots.
 
     T = Phi F Phi^-1 with Phi(a, b) = (R1(a, b), a) and F(a1, a2) = (a2, a3),
     so det DT = -S12(a2, a3) (d alpha3 / d alpha1) / S12(a1, a2).
     """
     h = 1e-5
     a3 = billiard.iterate(oval, a1, a2, 1)[2]
-    plus = billiard.step_angles_arr(oval, a1 + h, a2)
-    minus = billiard.step_angles_arr(oval, a1 - h, a2)
+    ends = np.stack([a2, a2])
+    jets = genfun.chord_jets(oval, np.stack([a1 + h, a1 - h]), ends)
+    plus, minus = billiard._step_from_jets(oval, ends, *jets, start=np.stack([a3, a3]))
     da3 = (plus - minus) / (2 * h)
     det = -genfun.hess_arr(oval, a2, a3)[1] * da3 / genfun.hess_arr(oval, a1, a2)[1]
     return float(np.max(np.abs(det - 1.0)))
@@ -147,7 +152,7 @@ def battery(oval, samples, seed):
     while poly is None:  # redraw until the pentagon is convex
         with contextlib.suppress(ConfigError):
             poly = polygons.PolygonConfig(alphas, 1.0 + rng.uniform(-0.2, 0.2, 5))
-    uv = [rng.uniform(0.05, np.pi / 2 - 0.05, 2) for _ in range(200)]
+    uv = rng.uniform(0.05, np.pi / 2 - 0.05, (200, 2))
     triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]
     sub = slice(0, min(samples, 2000))
     regular = np.max([regular_phi_defect(polygons.PolygonConfig.regular(n)) for n in range(3, 9)])

@@ -235,6 +235,17 @@ class TestDomainGuard:
         with pytest.raises(ChordDomainError):
             gf.lengths_arr(round_table, 0.0, np.pi)
 
+    @pytest.mark.parametrize("a1, a2", [
+        (np.nan, 1.0), (0.0, np.inf), (np.inf, -np.inf), (-np.inf, 1.0),
+        ([0.0, np.nan], [1.0, 1.2]), ([0.0, 0.1], [1.0, np.inf]),
+    ])
+    @pytest.mark.parametrize("table", ["wobble3_table", "spline_wobble3"])
+    def test_S_rejects_a_nonfinite_end(self, a1, a2, table, request):
+        """S reads the representation unchecked; the gap check alone refuses
+        a non-finite end, since a gap between finite ends needs both."""
+        with pytest.raises(ChordDomainError):
+            gf.S_arr(request.getfixturevalue(table), a1, a2)
+
     def test_scalar_chord_gives_floats(self, round_table):
         l1, _ = gf.lengths_arr(round_table, 0.0, np.pi / 2)
         S11, S12, _ = gf.hess_arr(round_table, 0.0, np.pi / 2)

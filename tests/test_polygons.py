@@ -38,6 +38,20 @@ def excircle_tangency(poly, i):
     return q1 + np.dot(center - q1, d) * d
 
 
+@pytest.mark.parametrize("k", [1, -1])
+def test_roll_is_numpys_to_the_bit(k):
+    """`_roll` is `np.roll(a, k, axis=0)` on the shapes and dtypes the fields
+    pass: angles and supports (n,), vertices (n, 2), complex-step arguments."""
+    rng = np.random.default_rng(40)
+    for n in range(3, 9):
+        for a in (rng.normal(size=n), rng.normal(size=(n, 2)),
+                  rng.normal(size=n) + 1j * rng.normal(size=n),
+                  rng.normal(size=(n, 2)) + 1e-200j):
+            out = pg._roll(a, k)
+            assert out.dtype == a.dtype and out.shape == a.shape
+            assert np.array_equal(out, np.roll(a, k, axis=0))
+
+
 class TestVerticesAndSides:
     def test_unit_square_vertices(self):
         sq = pg.PolygonConfig(np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2]), np.ones(4))
