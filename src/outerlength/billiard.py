@@ -299,13 +299,14 @@ class TwistReport:
         return self.violations == 0 and self.violations_squared == 0
 
 
-def twist_report(oval, samples=1000, seed=0, omega_lo=0.05, omega_hi=np.pi - 0.05):
-    """Sample the phase cylinder and survey the twist of the map and its square.
+def twist_report(oval, samples=1000, seed=0):
+    """Sample the phase cylinder, gaps in [0.05, pi - 0.05], and survey the
+    twist of the map and its square.
     The chords' end jets serve their Hessian, the map step and, at a2, the
     images' Hessian: one oval evaluation at a1, a2 and the images each."""
     samples = checked_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
-    a1, a2 = genfun.sample_chords(rng, samples, omega_lo, omega_hi)
+    a1, a2 = genfun.sample_chords(rng, samples, 0.05, np.pi - 0.05)
     w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
     _, s12, s22 = genfun.hess_from_jets(w, jet1, jet2)
     t = -1.0 / s12

@@ -71,21 +71,31 @@ class ChordConfig:
 # -- closed forms on arrays of alpha1, alpha2 ---------------------------------
 
 
+def _gap(a1, a2):
+    """The gap a2 - a1 of the chords with ends a1, a2, checked by
+    `_check_omega`.  Two float ends subtract as Python floats, arrays with
+    NumPy's invalid-value warning off, so that two infinite ends of one sign
+    give a NaN gap, refused as any other, without a RuntimeWarning first."""
+    if isinstance(a1, float) and isinstance(a2, float):
+        w = float(a2) - float(a1)
+    else:
+        with np.errstate(invalid="ignore"):
+            w = np.subtract(a2, a1, dtype=float)
+    _check_omega(w)
+    return w
+
+
 def chord_jets(oval, a1, a2):
     """Gap w = a2 - a1 (checked) and the jets (p, p', p'') at both chord ends."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    w = a2 - a1
-    _check_omega(w)
-    return w, oval.jet(a1), oval.jet(a2)
+    w = _gap(a1, a2)
+    return w, oval.jet(np.asarray(a1, dtype=float)), oval.jet(np.asarray(a2, dtype=float))
 
 
 def path_jets(oval, vertices):
     """Gaps and end jets of the chords (v[i], v[i+1]) joining consecutive
     vertices on the last axis, from one `SupportOval.jet` call on all of them."""
     v = np.asarray(vertices, dtype=float)
-    w = v[..., 1:] - v[..., :-1]
-    _check_omega(w)
+    w = _gap(v[..., :-1], v[..., 1:])
     jet = oval.jet(v)
     return w, [j[..., :-1] for j in jet], [j[..., 1:] for j in jet]
 
@@ -114,8 +124,7 @@ def S_arr(oval, a1, a2):
     """Generating value S = (p1 + p2) tan(w/2) - integral of p, from the gap
     (checked) and p alone at each end, the jet's p to the last bit; a valid
     gap has finite ends, so both come from `oval._rep` unchecked."""
-    w = np.subtract(a2, a1, dtype=float)
-    _check_omega(w)
+    w = _gap(a1, a2)
     out = np.asarray((oval._rep.value(a2) + oval._rep.value(a1)) * np.tan(w / 2.0))
     out = out - oval._rep.integral(a1, a2)
     return out if out.ndim else float(out)

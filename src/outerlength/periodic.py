@@ -8,19 +8,18 @@ boundary length.  Critical points of the action are exactly the orbits of the
 billiard map: component i of the gradient is R2(previous chord) - R1(next
 chord), so a vanishing gradient is the step equation at every vertex.
 
-One damped Newton method, `_newton`, solves the critical equations for a
-batch of orbits in lockstep; `_STOPS` lists why it stops a row.  Each iterate
-is one `genfun.path_jets` call, which `_derivatives` turns into gradient and Hessian.
-`find_periodic` runs it on one free orbit, whose every vertex moves; a lone
-row takes its line search on its own arrays, without a batch's index
-bookkeeping, to the same bits.  The Hessian of a free orbit is cyclic
-tridiagonal; `_cyclic_solve` reorders its vertices into a band of width 2
-and solves it in O(n) by LAPACK's pivoted banded LU, dropping a soft mode
-as a least-squares solve with rcond = 1e-10 would.
-`invariant_curve_scan` runs it on one orbit per sample with the first
-vertex pinned at the sample's angle: the interior equations are solved and
-the leftover closure residual g[0] is reported as a function of the first
-angle.  Tables carrying an invariant curve of n-periodic points produce an
+Two damped Newton searches solve the critical equations, each iterate one
+`genfun.path_jets` call, which `_derivatives` turns into gradient and
+Hessian; `_STOPS` lists why a search stops.  `find_periodic` runs a plain
+damped Newton on one free orbit, whose every vertex moves.  The Hessian of a
+free orbit is cyclic tridiagonal; `_cyclic_solve` reorders its vertices into
+a band of width 2 and solves it in O(n) by LAPACK's pivoted banded LU,
+dropping a soft mode as a least-squares solve with rcond = 1e-10 would.
+`_newton` solves `invariant_curve_scan`'s orbits in lockstep, one per
+sample with the first vertex pinned at the sample's angle: the interior
+equations, tridiagonal, are solved by a Thomas sweep, and the leftover
+closure residual g[0] is reported as a function of the first angle.
+Tables carrying an invariant curve of n-periodic points produce an
 identically vanishing residual curve.  Two checks stand apart from the
 Newton machinery: `brute_oracle`, a derivative-free multi-start search, and
 `closure_by_iteration`, which closes orbits by iterating the map itself
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import billiard, genfun
 from ._solve import dgbtrf, dgbtrs
-from .errors import ChordDomainError, ConfigError, ConvergenceError, checked_count
+from .errors import ConfigError, ConvergenceError, checked_count
 from .oval import TWO_PI
 
 #: gaps must stay inside (GAP_MIN, pi - GAP_MIN) during all searches
@@ -227,7 +226,9 @@ def _cyclic_solve(diag, off, rhs, layout):
     return x[pos], soft
 
 
-#: why `_newton` stopped a row; the scan accepts "converged" and "floor"
+#: why a Newton search stopped: a scan row of `_newton`, or the orbit of
+#: `find_periodic`, which raises on all but "converged"; the scan accepts
+#: "converged" and "floor", and only its rows stop at "domain"
 _STOPS = {
     "converged": "residual below tol",
     "floor": "stopped at the round-off floor of the gradient, below 100 tol",
@@ -237,29 +238,29 @@ _STOPS = {
 }
 
 
-def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
-    """Damped Newton on the critical equations of every row of `seeds` (k, n),
-    all rows in lockstep.
+def _stop(residual, tol, moved):
+    """The key in _STOPS of a search that stops at `residual`; `moved` says
+    whether its last line search took a step."""
+    return ("converged" if residual < tol else "floor" if residual < 100.0 * tol
+            else "max_iter" if moved else "no descent")
 
-    A row's residual is max|g| over its action gradient g; a pinned row keeps
-    its first angle and leaves g[0], the closure defect, out.  Pinned rows
-    solve the tridiagonal interior Hessian by a Thomas sweep.  Free rows
-    solve the cyclic Hessian by `_cyclic_solve`, a banded LU in O(n) that
-    drops a mode softer than _SOFT = 1e-10 of the stiffest: such a mode is
-    drift along a (near-)family of orbits, and a Newton step along it leaves
-    the quadratic model and stalls the search.
-    The line search halves one step scale, shared by all rows still
-    searching, from 1 down to 2**-24; it skips candidates whose gaps leave
-    (GAP_MIN, pi - GAP_MIN), and a row takes the first that lowers its
-    residual.  Each candidate is one `_derivatives` call, and a row keeps the
-    gradient, its residual and the Hessian bands of the one it takes for its
-    next step: one support-function evaluation per iterate.  A lone live row,
-    as in every `find_periodic` call, searches on its own arrays without a
-    batch's index arrays, and ends with the bits it would reach in a batch.
-    Returns the final angles and gradients and, per row, the key in _STOPS
-    of why it stopped (a "domain" row has a NaN gradient).  When `counts`, a
-    (k, 2) integer array, is given, it receives per row the Newton steps
-    taken and the soft modes dropped.
+
+def _newton(oval, seeds, m, tol, max_iter):
+    """Damped Newton on the interior critical equations of every row of
+    `seeds` (k, n), all rows in lockstep, each with its first angle pinned.
+
+    A row's residual is max|g[1:]| over its action gradient g; g[0], the
+    closure defect, is left out.  Each step solves the tridiagonal interior
+    Hessian of every row by one Thomas sweep.  The line search halves one
+    step scale, shared by all rows still searching, from 1 down to 2**-24;
+    it skips candidates whose gaps leave (GAP_MIN, pi - GAP_MIN), and a row
+    takes the first that lowers its residual, or gives up at its first
+    admissible candidate below scale 1e-3.  Each candidate is one
+    `_derivatives` call, whose gradient and Hessian bands serve the next
+    step of the row that takes it.  Rows with a seed gap outside the chord
+    domain are not searched.  Returns the final angles and gradients and,
+    per row, the key in _STOPS of why it stopped (a "domain" row has a NaN
+    gradient).
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
@@ -267,52 +268,22 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
     live = np.flatnonzero(_gaps_ok(angles, m, genfun.OMEGA_MIN))
     x = angles[live]
     g, diag, off = _derivatives(oval, x, m)
-    first = int(pinned)
-    gn = np.abs(g[:, first:]).max(axis=1)
+    gn = np.abs(g[:, 1:]).max(axis=1)
     moved = np.ones(len(live), dtype=bool)
-    layout = None if pinned else _band_layout(angles.shape[1])
     for it in range(max_iter + 1):
         stop = (gn < tol) | ~moved | (it == max_iter)
         if stop.any():
             rows = live[stop]
             angles[rows], grads[rows] = x[stop], g[stop]
-            # every live row takes one step per iterate, so a row stopping
-            # now has taken `it`
-            if counts is not None:
-                counts[rows, 0] += it
             for row, r, went in zip(rows.tolist(), gn[stop].tolist(), moved[stop].tolist()):
-                reason[row] = ("converged" if r < tol else "floor" if r < 100.0 * tol
-                               else "max_iter" if went else "no descent")
+                reason[row] = _stop(r, tol, went)
             keep = ~stop
             live, x, g, gn, diag, off = live[keep], x[keep], g[keep], gn[keep], diag[keep], off[keep]
         if not live.size:
             break
-        if pinned:
-            delta = np.zeros_like(x)
-            delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
-        else:
-            delta = np.empty_like(x)
-            for i, row in enumerate(live.tolist()):
-                delta[i], soft = _cyclic_solve(diag[i], off[i], -g[i], layout)
-                if soft and counts is not None:
-                    counts[row, 1] += 1
+        delta = np.zeros_like(x)
+        delta[:, 1:] = _tridiagonal_solve(diag[:, 1:], off[:, 1:-1], -g[:, 1:])
         moved = np.zeros(len(live), dtype=bool)
-        if len(live) == 1:
-            # one row, as in every `find_periodic` call: the batch search
-            # below on the row itself
-            step, scale = delta[0], 1.0
-            for _ in range(25 if np.isfinite(step).all() else 0):
-                cand = x[0] + scale * step
-                if _gaps_ok(cand, m):
-                    gc, dc, oc = _derivatives(oval, cand, m)
-                    r = np.abs(gc[first:]).max()
-                    if r < gn[0]:
-                        x[0], g[0], diag[0], off[0], gn[0], moved[0] = cand, gc, dc, oc, r, True
-                        break
-                    if scale < 1e-3:
-                        break
-                scale *= 0.5
-            continue
         pending = np.flatnonzero(np.isfinite(delta).all(axis=1))
         scale = 1.0
         for _ in range(25):
@@ -323,7 +294,7 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
             drop = np.zeros(len(pending), dtype=bool)
             if valid.size:
                 gc, dc, oc = _derivatives(oval, cand[valid], m)
-                gnc = np.abs(gc[:, first:]).max(axis=1)
+                gnc = np.abs(gc[:, 1:]).max(axis=1)
                 down = gnc < gn[pending[valid]]
                 took, rows = valid[down], pending[valid[down]]
                 x[rows], g[rows], diag[rows], off[rows] = cand[took], gc[down], dc[down], oc[down]
@@ -335,32 +306,48 @@ def _newton(oval, seeds, m, pinned, tol, max_iter, counts=None):
 
 
 def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
-    """Newton search for an (n, m) orbit from a seed (default: equal gaps).
+    """Damped Newton search for an (n, m) orbit from a seed (default: equal gaps).
 
-    The seed is one free row of `_newton`: each step solves the cyclic
-    tridiagonal Hessian in O(n) by a banded LU and drops a soft mode, such
-    as the exact zero mode of a rotationally symmetric table, as
-    `lstsq(rcond=1e-10)` would; a backtracking line search on the gradient
-    norm keeps every gap in (GAP_MIN, pi - GAP_MIN).  The orbit records the
-    Newton steps taken, at most 80, and the soft modes dropped.  A seed that
-    is not n finite angles, or a `tol` that is not finite and positive,
-    raises ConfigError, a seed gap outside the chord domain ChordDomainError.
-    A search that stops above `tol` raises ConvergenceError, which names the
-    stop reason and the residual reached.
+    Every vertex moves.  Each step solves the cyclic tridiagonal Hessian by
+    `_cyclic_solve`, which drops a soft mode, such as the exact zero mode of
+    a rotationally symmetric table, as `lstsq(rcond=1e-10)` would; the line
+    search is `_newton`'s on one row.  The orbit records the Newton steps
+    taken, at most 80, and the soft modes dropped.  A seed that is not n
+    finite angles, or a `tol` that is not finite and positive, raises
+    ConfigError, a seed gap outside the chord domain the domain's own
+    ChordDomainError.  A search that stops above `tol` raises
+    ConvergenceError, which names the stop reason and the residual reached.
     """
     n, m = _check_period(n, m)
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol = {tol!r} is not finite and positive")
-    seed = TWO_PI * m * np.arange(n) / n if seed_angles is None else np.asarray(seed_angles, float)
-    if seed.shape != (n,) or not np.isfinite(seed).all():
-        raise ConfigError(f"seed_angles must be {n} finite angles, got {seed.tolist()}")
-    counts = np.zeros((1, 2), dtype=int)
-    angles, g, reason = _newton(oval, seed[None], m, False, tol, 80, counts)
-    if reason[0] == "domain":
-        raise ChordDomainError(_STOPS["domain"])
-    if reason[0] != "converged":
-        raise ConvergenceError(f"{_STOPS[reason[0]]} (residual {np.max(np.abs(g)):.3e})")
-    return _orbit(oval, m, angles[0], *counts[0].tolist())
+    x = TWO_PI * m * np.arange(n) / n if seed_angles is None else np.asarray(seed_angles, float)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ConfigError(f"seed_angles must be {n} finite angles, got {x.tolist()}")
+    g, diag, off = _derivatives(oval, x, m)
+    r = np.abs(g).max()
+    layout = _band_layout(n)
+    steps = dropped = 0
+    moved = True
+    while r >= tol and moved and steps < 80:
+        step, soft = _cyclic_solve(diag, off, -g, layout)
+        steps, dropped = steps + 1, dropped + int(soft)
+        moved, scale = False, 1.0
+        for _ in range(25 if np.isfinite(step).all() else 0):
+            cand = x + scale * step
+            if _gaps_ok(cand, m):
+                gc, dc, oc = _derivatives(oval, cand, m)
+                rc = np.abs(gc).max()
+                if rc < r:
+                    x, g, diag, off, r, moved = cand, gc, dc, oc, rc, True
+                    break
+                if scale < 1e-3:
+                    break
+            scale *= 0.5
+    reason = _stop(r, tol, moved)
+    if reason != "converged":
+        raise ConvergenceError(f"{_STOPS[reason]} (residual {r:.3e})")
+    return _orbit(oval, m, x, steps, dropped)
 
 
 def closure_by_iteration(oval, angles, m=1):
@@ -513,7 +500,7 @@ def invariant_curve_scan(oval, n, m=1, samples=256, closure_tol=1e-8,
     rel = np.full((samples + 4, n), np.nan)
     todo = np.arange(samples)
     while todo.size:
-        angles, g, reason = _newton(oval, seeds[todo], m, True, 1e-12, 40)
+        angles, g, reason = _newton(oval, seeds[todo], m, 1e-12, 40)
         ok = (reason == "converged") | (reason == "floor")
         new = todo[ok]
         orbit_angles[new], residuals[new] = angles[ok], g[ok, 0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from outerlength import forge
+from outerlength import forge, genfun
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
@@ -109,3 +109,10 @@ def rotated(table, phi):
     k = np.arange(1, len(a) + 1)
     c, s = np.cos(k * phi), np.sin(k * phi)
     return SupportOval.from_fourier(desc["a0"], a * c - b * s, a * s + b * c)
+
+
+def draw_twist_gaps_in(monkeypatch, window):
+    """Make `billiard.twist_report` draw its chords' gaps from `window` in
+    place of its own [0.05, pi - 0.05]."""
+    sample = genfun.sample_chords
+    monkeypatch.setattr(genfun, "sample_chords", lambda rng, n, *_: sample(rng, n, *window))

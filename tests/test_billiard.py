@@ -15,7 +15,8 @@ from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse
 
 from conftest import (
-    fourier_tables, rotated, single_harmonic_tables, spline_tables, symmetric_fourier_tables,
+    draw_twist_gaps_in, fourier_tables, rotated, single_harmonic_tables, spline_tables,
+    symmetric_fourier_tables,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -213,13 +214,14 @@ class TestTwist:
             assert rep.min_twist > 0
             assert rep.min_twist_squared > 0
 
-    def test_images_without_a_root_are_counted(self):
+    def test_images_without_a_root_are_counted(self, monkeypatch):
         # on a flat ellipse, chords this short often have no partner of equal
         # radius (see test_solve::test_step_raises_without_reflection_root)
         table = ellipse(1.0, 0.2)
         window = (1.0001e-4, 1.0002e-4)
-        rep = bl.twist_report(table, 400, 0, *window)
         a1, a2 = gf.sample_chords(np.random.default_rng(0), 400, *window)
+        draw_twist_gaps_in(monkeypatch, window)
+        rep = bl.twist_report(table, 400, 0)
         missing = int(np.sum(np.isnan(bl.step_angles_arr(table, a1, a2))))
         assert rep.samples == 400
         assert 0 < rep.nonfinite == missing < 400
@@ -295,6 +297,8 @@ class TestTwist:
         composition it replaces, bit for bit."""
         oval = ellipse(1.0, 0.2) if table == "flat_ellipse" else request.getfixturevalue(table)
         ref, a1, a2, ok = self.composed_survey(oval, samples, seed, window)
+        if table == "flat_ellipse":
+            draw_twist_gaps_in(monkeypatch, window)
         seen = []
         inner = oval._rep.jet
 
@@ -303,7 +307,7 @@ class TestTwist:
             return inner(alpha)
 
         monkeypatch.setattr(oval._rep, "jet", recorded)
-        rep = bl.twist_report(oval, samples, seed, *window)
+        rep = bl.twist_report(oval, samples, seed)
         fields = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
         assert np.array_equal(np.array(fields, dtype=float), ref, equal_nan=True)
         assert [np.array_equal(a, a1) for a in seen].count(True) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
+from outerlength import periodic as pd
 from outerlength import verify
 from outerlength.errors import ChordDomainError
 from outerlength.genfun import ChordConfig
@@ -238,13 +239,31 @@ class TestDomainGuard:
     @pytest.mark.parametrize("a1, a2", [
         (np.nan, 1.0), (0.0, np.inf), (np.inf, -np.inf), (-np.inf, 1.0),
         ([0.0, np.nan], [1.0, 1.2]), ([0.0, 0.1], [1.0, np.inf]),
+        (np.inf, np.inf), (-np.inf, -np.inf),
     ])
     @pytest.mark.parametrize("table", ["wobble3_table", "spline_wobble3"])
     def test_S_rejects_a_nonfinite_end(self, a1, a2, table, request):
         """S reads the representation unchecked; the gap check alone refuses
-        a non-finite end, since a gap between finite ends needs both."""
+        a non-finite end, since a gap between finite ends needs both.  Two
+        infinite ends of one sign give a NaN gap, refused without NumPy's
+        invalid-value warning, which the suite turns into an error."""
         with pytest.raises(ChordDomainError):
             gf.S_arr(request.getfixturevalue(table), a1, a2)
+
+    @pytest.mark.parametrize("end", [np.inf, -np.inf])
+    @pytest.mark.parametrize("route", [
+        lambda o, a: gf.chord_jets(o, a, a),
+        lambda o, a: gf.chord_jets(o, np.array([a, 0.0]), np.array([a, 1.0])),
+        lambda o, a: gf.grad_arr(o, a, a),
+        lambda o, a: gf.hess_arr(o, np.array([a]), np.array([a])),
+        lambda o, a: gf.path_jets(o, [a, a, 1.0]),
+        lambda o, a: bl.iterate(o, np.array([a, 0.0]), np.array([a, 1.0]), 1),
+        lambda o, a: pd.total_action(o, [a, a, a]),
+    ], ids=["chord-jets", "chord-jets-array", "grad", "hess-array", "path-jets",
+            "iterate-array", "total-action"])
+    def test_same_sign_infinite_ends_give_the_domain_error(self, route, end, wobble3_table):
+        with pytest.raises(ChordDomainError, match="offending value nan"):
+            route(wobble3_table, end)
 
     def test_scalar_chord_gives_floats(self, round_table):
         l1, _ = gf.lengths_arr(round_table, 0.0, np.pi / 2)

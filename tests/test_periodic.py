@@ -119,10 +119,9 @@ class TestDerivatives:
             calls.append(vertices)
             return path_jets(oval, vertices)
 
-        def counted_gaps_ok(angles, m, *gap_min):
-            ok = gaps_ok(angles, m, *gap_min)
-            if not gap_min:  # a line-search test, not the seed's domain check
-                candidates.append(int(np.sum(ok)))
+        def counted_gaps_ok(angles, m):
+            ok = gaps_ok(angles, m)
+            candidates.append(int(np.sum(ok)))
             return ok
 
         monkeypatch.setattr(genfun, "path_jets", counted_path_jets)
@@ -281,17 +280,16 @@ class TestFindPeriodic:
 
     @pytest.mark.parametrize("table", ["round_table", "wobble3_table"])
     def test_seed_outside_the_chord_domain_raises(self, request, table):
-        # the only row fails the entry filter, so the Newton runs on no rows
+        # the seed's own `_derivatives` call refuses it, naming the gap
         oval = request.getfixturevalue(table)
-        with pytest.raises(ChordDomainError):
+        with pytest.raises(ChordDomainError, match="offending value 5e-05"):
             pd.find_periodic(oval, 4, seed_angles=[0.0, 5e-5, 2.1, 4.2])
 
-    @pytest.mark.parametrize("pinned", [True, False])
-    def test_newton_without_a_row_in_the_domain(self, wobble3_table, pinned):
+    def test_newton_without_a_row_in_the_domain(self, wobble3_table):
         # a scan pass whose re-seeded rows all leave the domain leaves them
         # unsolved instead of failing
         seeds = np.array([[0.0, 5e-5, 2.1, 4.2], [1.0, 1.0 + 3e-5, 3.0, 5.0]])
-        angles, grads, reason = pd._newton(wobble3_table, seeds, 1, pinned, 1e-12, 40)
+        angles, grads, reason = pd._newton(wobble3_table, seeds, 1, 1e-12, 40)
         assert np.array_equal(angles, seeds)
         assert np.all(np.isnan(grads))
         assert list(reason) == ["domain", "domain"]
@@ -299,29 +297,35 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("n, m", [(4, 1), (5, 2), (7, 3)])
     @pytest.mark.parametrize("name", ["wobble3_table", "forge_table"])
     def test_one_row_matches_its_row_in_a_batch(self, request, name, n, m):
-        # a lone row takes its own line search; inside a batch the same row
-        # goes through the index bookkeeping, and both must give the same bits
+        # the rows of a scan pass share the step scale and the evaluations,
+        # yet a row alone ends with the bits it reaches in the batch
         oval = request.getfixturevalue(name)
         oval = oval[0] if name == "forge_table" else oval
         seeds = TWO_PI * m * np.arange(n) / n + np.array([[0.0], [0.4], [1.1]])
-        batch_counts = np.zeros((3, 2), dtype=int)
-        batch = pd._newton(oval, seeds, m, False, 1e-11, 80, batch_counts)
+        batch = pd._newton(oval, seeds, m, 1e-12, 40)
         for i in range(3):
-            counts = np.zeros((1, 2), dtype=int)
-            angles, grads, reason = pd._newton(oval, seeds[i:i + 1], m, False, 1e-11, 80, counts)
+            angles, grads, reason = pd._newton(oval, seeds[i:i + 1], m, 1e-12, 40)
             assert angles[0].tobytes() == batch[0][i].tobytes()
             assert grads[0].tobytes() == batch[1][i].tobytes()
             assert reason[0] == batch[2][i]
-            assert counts[0].tolist() == batch_counts[i].tolist()
-        # the seeds reach both a converged row and one that runs out of steps
-        if (name, n, m) == ("wobble3_table", 5, 2):
-            assert batch[2].tolist() == ["converged", "max_iter", "max_iter"]
+
+    @pytest.mark.parametrize("offset", [0.0, 0.4, 1.1])
+    def test_turned_seeds_run_out_of_steps(self, wobble3_table, offset):
+        # from equal gaps the (5, 2) search converges; turned by 0.4 or 1.1
+        # it still descends after 80 steps
+        seed = TWO_PI * 2 * np.arange(5) / 5 + offset
+        if offset == 0.0:
+            assert pd.find_periodic(wobble3_table, 5, 2, seed_angles=seed).residual < 1e-11
+        else:
+            with pytest.raises(ConvergenceError, match="no critical orbit after max_iter steps"):
+                pd.find_periodic(wobble3_table, 5, 2, seed_angles=seed)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_no_descent_gives_up_below_step_scale_1e_3(self, monkeypatch, rows):
         # a negated Hessian reverses every step, so no candidate descends; a
-        # row gives up at its first admissible candidate below scale 1e-3,
-        # 2**-10, alone or in a batch: 11 candidates after the seeds
+        # search gives up at its first admissible candidate below scale
+        # 1e-3, 2**-10: 11 candidates after the seeds.  One row is a free
+        # orbit of `find_periodic`, two are pinned rows of `_newton`.
         calls = []
         derivatives = pd._derivatives
 
@@ -331,9 +335,13 @@ class TestFindPeriodic:
             return g, -diag, -off
 
         monkeypatch.setattr(pd, "_derivatives", reversed_bands)
-        seeds = TWO_PI * np.arange(3) / 3 + np.array([[0.0], [0.4]])[:rows]
-        _, _, reason = pd._newton(ellipse(1.0, 0.6), seeds, 1, False, 1e-11, 80)
-        assert reason.tolist() == ["no descent"] * rows
+        if rows == 1:
+            with pytest.raises(ConvergenceError, match="line search found no descent"):
+                pd.find_periodic(ellipse(1.0, 0.6), 3)
+        else:
+            seeds = TWO_PI * np.arange(3) / 3 + np.array([[0.0], [0.4]])
+            _, _, reason = pd._newton(ellipse(1.0, 0.6), seeds, 1, 1e-11, 80)
+            assert reason.tolist() == ["no descent"] * 2
         assert len(calls) == 1 + 11
 
     def test_normalization_deterministic(self, round_table):
@@ -546,18 +554,18 @@ class TestInvariantCurveScan:
     def test_stop_reasons(self, wobble3_table):
         # the second seed's first gap, 5e-5, is below OMEGA_MIN
         seeds = np.array([[0.0, 1.5, 3.1, 4.7], [0.0, 5e-5, 2.1, 4.2]])
-        angles, g, reason = pd._newton(wobble3_table, seeds, 1, True, 1e-12, 40)
+        angles, g, reason = pd._newton(wobble3_table, seeds, 1, 1e-12, 40)
         assert reason.tolist() == ["converged", "domain"]
         assert np.max(np.abs(g[0, 1:])) < 1e-12 and angles[0, 0] == 0.0
         assert np.all(np.isnan(g[1]))
-        _, _, reason = pd._newton(wobble3_table, seeds[:1], 1, False, 1e-12, 1)
+        _, _, reason = pd._newton(wobble3_table, seeds[:1], 1, 1e-12, 1)
         assert reason.tolist() == ["max_iter"]
 
     def test_stop_at_the_round_off_floor(self, wobble3_table):
         # below the gradient's round-off no step lowers the residual: a row
         # within 100 tol stops at the floor, one above it with no descent
         seeds = np.array([[0.0, 1.5, 3.1, 4.7], [0.3, 1.8, 3.4, 5.0]])
-        _, _, reason = pd._newton(wobble3_table, seeds, 1, True, 1e-17, 40)
+        _, _, reason = pd._newton(wobble3_table, seeds, 1, 1e-17, 40)
         assert reason.tolist() == ["no descent", "floor"]
 
     def test_solved_samples_are_interior_critical(self, wobble3_table, forge_table):

@@ -11,6 +11,8 @@ from outerlength import billiard, genfun, polygons, verify
 from outerlength.errors import ConfigError, StepFailureError
 from outerlength.oval import TWO_PI, circle, ellipse
 
+from conftest import draw_twist_gaps_in
+
 
 def failed_checks(oval):
     return {c["name"] for c in verify.battery(oval, 200, 0) if not c["passed"]}
@@ -26,9 +28,10 @@ def test_twist_record_counts_chords_without_image(wobble3_table):
     assert all("nonfinite" not in c for name, c in records.items() if name != "map-twist")
 
 
-def test_twist_check_counts_chords_without_image():
-    # the window of test_billiard's test_images_without_a_root_are_counted
-    report = billiard.twist_report(ellipse(1.0, 0.2), 400, 0, 1.0001e-4, 1.0002e-4)
+def test_twist_check_counts_chords_without_image(monkeypatch):
+    # the gaps of test_billiard's test_images_without_a_root_are_counted
+    draw_twist_gaps_in(monkeypatch, (1.0001e-4, 1.0002e-4))
+    report = billiard.twist_report(ellipse(1.0, 0.2), 400, 0)
     assert verify.twist_violations(report) >= report.nonfinite > 0
 
 
