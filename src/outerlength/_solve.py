@@ -19,11 +19,11 @@ of the array loop's numpy calls on a few entries.  Both branches apply the
 same rules in the same order, so an entry gets the same root either way as
 long as fdf gives the same values on floats as on arrays.
 
-The banded solves of the spline (`oval`) and of the Newton steps
-(`periodic`) take LAPACK's `dgbtrf`, `dgbtrs` and `dgesv` from here: scipy's
-`_flapack` extension, loaded once by its file path so that importing the
-package does not run `scipy.linalg`'s package `__init__`.  They are the
-objects `scipy.linalg.lapack` exports, so they round the same.
+The banded solve of the periodic-orbit Newton steps (`periodic`) takes
+LAPACK's `dgbtrf` and `dgbtrs` from here: scipy's `_flapack` extension,
+loaded once by its file path so that importing the package does not run
+`scipy.linalg`'s package `__init__`.  They are the objects
+`scipy.linalg.lapack` exports, so they round the same.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _load_lapack():
 
 
 _LAPACK = _load_lapack()
-dgbtrf, dgbtrs, dgesv = _LAPACK.dgbtrf, _LAPACK.dgbtrs, _LAPACK.dgesv
+dgbtrf, dgbtrs = _LAPACK.dgbtrf, _LAPACK.dgbtrs
 
 
 def _float_root(fdf, lo, hi, start, flo, fhi, params):

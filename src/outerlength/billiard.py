@@ -72,8 +72,8 @@ def auxiliary_circle(oval, state):
 
 def _gap_bracket(a):
     """Bracket [a + OMEGA_MIN, a + pi - OMEGA_MIN] for the angle after a,
-    pulled in by a few rounding units so that the gaps recomputed from its
-    endpoints stay inside the chord domain."""
+    pulled in by a few rounding units, a search margin, so that the gaps
+    recomputed from its endpoints stay inside the chord domain."""
     pad = 4.0 * np.spacing(np.abs(a) + np.pi)
     return a + (OMEGA_MIN + pad), a + (np.pi - OMEGA_MIN - pad)
 
@@ -136,13 +136,6 @@ def iterate(oval, a1, a2, steps):
 def step(oval, state):
     """One billiard step: (alpha1, alpha2) -> (alpha2, alpha3), by `iterate`."""
     return ChordConfig(*iterate(oval, state.alpha1, state.alpha2, 1)[1:])
-
-
-def step_residual(oval, state, new_state):
-    """|R2(old chord) - R1(new chord)|, the defining equation's defect."""
-    _, R2 = genfun.grad_arr(oval, state.alpha1, state.alpha2)
-    S1, _ = genfun.grad_arr(oval, new_state.alpha1, new_state.alpha2)
-    return np.abs(R2 + S1)
 
 
 # -- phase-cylinder coordinates ----------------------------------------------

@@ -34,28 +34,30 @@ from .oval import TWO_PI, _cos_sin, _ufunc
 
 #: guard band for the tangency-angle gap; cot/tan blow up at the endpoints
 OMEGA_MIN = 1e-4
+#: the chord domain, the closed interval of gaps every chord check accepts
+CHORD_DOMAIN = f"[{OMEGA_MIN}, pi - {OMEGA_MIN}]"
+
+
+def in_chord_domain(omega):
+    """True where a gap lies in `CHORD_DOMAIN`, elementwise; a NaN gap fails."""
+    return (omega >= OMEGA_MIN) & (omega <= np.pi - OMEGA_MIN)
 
 
 def _check_omega(omega):
-    """Raise ChordDomainError unless every gap lies in [OMEGA_MIN, pi - OMEGA_MIN];
-    both tests are written so that a NaN gap fails them."""
+    """Raise ChordDomainError unless every gap lies in `CHORD_DOMAIN`."""
     if isinstance(omega, float):
         if not OMEGA_MIN <= omega <= math.pi - OMEGA_MIN:
-            raise ChordDomainError(
-                f"gap outside ({OMEGA_MIN}, pi - {OMEGA_MIN}): offending value {omega}"
-            )
+            raise ChordDomainError(f"gap outside {CHORD_DOMAIN}: offending value {omega}")
         return
-    bad = np.logical_not((omega >= OMEGA_MIN) & (omega <= np.pi - OMEGA_MIN))
-    if np.any(bad):
-        raise ChordDomainError(
-            f"gap outside ({OMEGA_MIN}, pi - {OMEGA_MIN}): "
-            f"offending value {np.atleast_1d(omega)[np.argmax(np.atleast_1d(bad))]}"
-        )
+    bad = np.atleast_1d(~in_chord_domain(omega))
+    if bad.any():
+        raise ChordDomainError(f"gap outside {CHORD_DOMAIN}: "
+                               f"offending value {np.atleast_1d(omega)[np.argmax(bad)]}")
 
 
 @dataclass(frozen=True)
 class ChordConfig:
-    """Tangency angle pair of one billiard chord, gap strictly inside (0, pi)."""
+    """Tangency angle pair of one billiard chord, its gap in `CHORD_DOMAIN`."""
 
     alpha1: float
     alpha2: float

@@ -6,7 +6,8 @@ distance from the origin to the tangent line with outward normal
 
 * a finite trigonometric series  p = a0 + sum(a_k cos k a + b_k sin k a), and
 * a dense uniform sample of p over [0, 2*pi) interpolated by a periodic
-  quintic spline, held in power form: six coefficients per grid interval.
+  quintic spline, fitted by one FFT and held in power form: six
+  coefficients per grid interval.
 
 Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._solve import _SMALL, bracketed_root, dgbtrf, dgbtrs, dgesv
+from ._solve import _SMALL, bracketed_root
 from .errors import ConfigError, ContainmentError, OvalValidationError, checked_count
 
 TWO_PI = 2.0 * np.pi
@@ -290,23 +291,9 @@ def _compensated_cumsum(values):
     return total
 
 
-def _knot_bsplines(t, k, n):
-    """The B-splines of each degree d <= k on knots t that can be nonzero on
-    [t[k + j], t[k + j + 1]), at its left end x_j = t[k + j], j < n: entry
-    [d][a] of the list holds the degree-d B_{j + a}(x_j).  Cox-de Boor in the
-    operation order of scipy's `_deBoor_D`, elementwise over j; level d reads
-    only t[k - d + 1:k + d + n], as a degree-d pass on t trimmed by k - d does."""
-    x = t[k:k + n]
-    levels = [[1.0]]
-    for j in range(1, k + 1):
-        prev, b = levels[-1], [0.0]
-        for i in range(1, j + 1):
-            right, left = t[k + i:k + i + n], t[k + i - j:k + i - j + n]
-            w = prev[i - 1] / (right - left)
-            b[i - 1] = b[i - 1] + w * (right - x)
-            b.append(w * (x - left))
-        levels.append(b)
-    return levels
+#: d! times the degree-d cardinal B-spline at the knots where it is read,
+#: d = 0 ... 5: inside its support, at its left end for d = 0
+_KNOT_VALUES = ((1,), (1,), (1, 1), (1, 4, 1), (1, 11, 11, 1), (1, 26, 66, 26, 1))
 
 
 def _periodic_quintic(samples):
@@ -314,63 +301,33 @@ def _periodic_quintic(samples):
     spline through n samples at the nodes i h, h = 2*pi / n, taken at each
     interval's start: a (6, n) array.
 
-    The arithmetic is that of scipy 1.17's `make_interp_spline(x, y, k=5,
-    bc_type="periodic")` followed by `.derivative(m)(x[:-1]) / m!`, step for
-    step, so the coefficients agree with it to the last bit:
-    - knots: the closed grid x, extended by five steps on each side with the
-      spacings of the other end (`_periodic_knots`);
-    - the collocation matrix is cyclic with bands (2, 2): the B-splines at
-      the knots, one row per node, the rows' wrapped entries in two 2 x 2
-      corner blocks;
-    - the Woodbury solve of `_woodbury_algorithm`: banded LU of the band
-      (dgbtrf, dgbtrs as in dgbsv), then a 4 x 4 capacitance solve (dgesv),
-      its inverse C-ordered as scipy's `solve` returns it, since the layout
-      picks BLAS's summation order in the products below;
-    - `splder`'s repeated differences, and each derivative evaluated at its
-      interval's left knot as `BSpline.__call__` does, from the degree-deg
-      level of the one B-spline recursion (`splder`'s trimmed knots agree).
-    The band is strictly diagonally dominant (66 > 26 + 26 + 1 + 1 in units
-    of 1/120), so neither solve can meet a zero pivot.
+    The spline is sum_j c_j B(alpha / h - j + 3), B the cardinal quintic
+    B-spline on [0, 6], so sample i is (c[i-2] + 26 c[i-1] + 66 c[i] +
+    26 c[i+1] + c[i+2]) / 120: a circulant system with eigenvalues in
+    [2/15, 1], solved by one real FFT and one residual correction (Unser,
+    Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993).  The m-th
+    derivative at node i is h^-m times the degree 5 - m knot values times
+    the m-th backward differences of c ending at c[i+2], c[i+1], ... (c[i+3]
+    for m = 5): differences first, so the pieces join at round-off.
     """
-    n, k = len(samples), 5
-    x = np.linspace(0.0, TWO_PI, n + 1)
-    dx = np.diff(x)
-    t = np.zeros(n + 1 + 2 * k)
-    t[k:-k] = x
-    for i in range(k):
-        t[k - i - 1] = t[k - i] - dx[-i - 1]
-        t[-k + i] = t[-k + i - 1] + dx[i]
-    # row j of the matrix holds B_{j + a}(x_j), a < 5, in column j + a - 2
-    # (mod n); in LAPACK's band layout with two rows for the fill-in, the
-    # entry (j, j + d) goes to row 4 - d
-    bspl = _knot_bsplines(t, k, n)
-    band = np.zeros((7, n))
-    for a in range(5):
-        d = a - 2
-        band[4 - d, max(d, 0):n + min(d, 0)] = bspl[k][a][max(-d, 0):n - max(d, 0)]
-    corners = np.zeros((n, 4))
-    corners[:2, :2] = [[bspl[k][0][0], bspl[k][1][0]], [0.0, bspl[k][0][1]]]
-    corners[-2:, -2:] = [[bspl[k][4][-2], 0.0], [bspl[k][3][-1], bspl[k][4][-1]]]
-    lu, piv, _ = dgbtrf(band, 2, 2, overwrite_ab=1)
-    z = dgbtrs(lu, 2, 2, corners, piv)[0]
-    picked = [-2, -1, 0, 1]
-    inv = np.ascontiguousarray(dgesv(np.identity(4) + z[picked], np.identity(4))[2])
-    y = dgbtrs(lu, 2, 2, samples, piv)[0]
-    c = y - z @ (inv @ y[picked])
-    # the B-spline coefficients: the solution with its first and last
-    # coefficients repeated around the seam, then zeros to the knots' length
-    c = np.concatenate((c[-2:], c, c[:3], np.zeros(k + 1)))
-    coef = np.empty((k + 1, n))
-    for m in range(k + 1):
-        deg = k - m
-        value = 0.0
-        for a in range(deg + 1):
-            value = value + c[a:a + n] * bspl[deg][a]
-        coef[k - m] = value / math.factorial(m)
-        if deg:
-            dt = t[deg + 1:-1] - t[1:-deg - 1]
-            c = np.concatenate(((c[1:-1 - deg] - c[:-2 - deg]) * deg / dt, np.zeros(deg)))
-            t = t[1:-1]
+    n, h = len(samples), TWO_PI / len(samples)
+    t = np.arange(n // 2 + 1) * h
+    inverse = 120.0 / (66.0 + 52.0 * np.cos(t) + 2.0 * np.cos(2.0 * t))
+    wrap = np.arange(-2, n + 3)  # c at the indices -2 ... n + 2, mod n
+
+    def solve(r):
+        return np.fft.irfft(np.fft.rfft(r) * inverse, n)
+
+    def knot_sum(diff, d):
+        return sum(w * diff[a:a + n] for a, w in enumerate(_KNOT_VALUES[d]))
+
+    c = solve(samples)
+    c += solve(samples - knot_sum(c.take(wrap, mode="wrap"), 5) / 120.0)
+    # entry q of diff: the m-th backward difference ending at c[q + m - 2]
+    diff, coef = c.take(wrap, mode="wrap"), np.empty((6, n))
+    for m in range(6):
+        coef[5 - m] = knot_sum(diff, 5 - m) / (math.factorial(5 - m) * math.factorial(m) * h**m)
+        diff = diff[1:] - diff[:-1]
     return coef
 
 

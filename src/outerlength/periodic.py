@@ -41,7 +41,8 @@ from ._solve import dgbtrf, dgbtrs
 from .errors import ConfigError, ConvergenceError, checked_count
 from .oval import TWO_PI
 
-#: gaps must stay inside (GAP_MIN, pi - GAP_MIN) during all searches
+#: a search margin inside the chord domain, not a domain rule: the Newton
+#: candidates and `brute_oracle`'s penalty keep gaps in (GAP_MIN, pi - GAP_MIN)
 GAP_MIN = 1e-3
 
 
@@ -122,11 +123,11 @@ def _orbit(oval, m, angles, iterations=None, dropped_modes=None):
                          iterations=iterations, dropped_modes=dropped_modes)
 
 
-def _gaps_ok(angles, m, gap_min=GAP_MIN):
-    """True where every gap lies in (gap_min, pi - gap_min); one flag per row."""
+def _gaps_ok(angles, m):
+    """True where every gap lies in (GAP_MIN, pi - GAP_MIN); one flag per row."""
     ext = _extended(angles, m)
     gaps = ext[..., 1:] - ext[..., :-1]
-    return ((gaps > gap_min) & (gaps < np.pi - gap_min)).all(axis=-1)
+    return ((gaps > GAP_MIN) & (gaps < np.pi - GAP_MIN)).all(axis=-1)
 
 
 def _check_period(n, m):
@@ -234,7 +235,7 @@ _STOPS = {
     "floor": "stopped at the round-off floor of the gradient, below 100 tol",
     "no descent": "line search found no descent down to step scale 1e-3 or no admissible step",
     "max_iter": "no critical orbit after max_iter steps",
-    "domain": f"seed gaps leave the chord domain ({genfun.OMEGA_MIN}, pi - {genfun.OMEGA_MIN})",
+    "domain": f"seed gaps leave the chord domain {genfun.CHORD_DOMAIN}",
 }
 
 
@@ -258,14 +259,14 @@ def _newton(oval, seeds, m, tol, max_iter):
     admissible candidate below scale 1e-3.  Each candidate is one
     `_derivatives` call, whose gradient and Hessian bands serve the next
     step of the row that takes it.  Rows with a seed gap outside the chord
-    domain are not searched.  Returns the final angles and gradients and,
-    per row, the key in _STOPS of why it stopped (a "domain" row has a NaN
-    gradient).
+    domain (`genfun.in_chord_domain`) are not searched.  Returns the final
+    angles and gradients and, per row, the key in _STOPS of why it stopped
+    (a "domain" row has a NaN gradient).
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
     reason = np.full(len(angles), "domain", dtype=object)
-    live = np.flatnonzero(_gaps_ok(angles, m, genfun.OMEGA_MIN))
+    live = np.flatnonzero(genfun.in_chord_domain(np.diff(_extended(angles, m))).all(axis=-1))
     x = angles[live]
     g, diag, off = _derivatives(oval, x, m)
     gn = np.abs(g[:, 1:]).max(axis=1)

@@ -362,13 +362,3 @@ def triangle_WU(u, v, w):
     if trip.ndim == 1:
         a, b, expression = float(a), float(b), float(expression)
     return TriangleWU(W=W, U=U, a=a, b=b, expression=expression)
-
-
-def triangle_from_half_angles(u, v, w):
-    """Triangle with exterior half-angles (u, v, w), unit incircle at the origin."""
-    return PolygonConfig(np.array([0.0, 2.0 * u, 2.0 * u + 2.0 * v]), np.ones(3))
-
-
-def wu_from_fields(u, v, w):
-    """(W, U) via the Phi partials on the unit-incircle triangle (independent route)."""
-    return _bracket_coefficients(triangle_from_half_angles(u, v, w))

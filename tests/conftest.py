@@ -57,6 +57,14 @@ def spline_wobble3():
     return SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a))
 
 
+@pytest.fixture(scope="session", params=["acceptance-ellipse", "thin-ellipse", "from_f"])
+def spline_table(request, ellipse_table, forge_table):
+    """The spline tables whose fit is checked against the exact spline."""
+    if request.param == "thin-ellipse":
+        return ellipse(1.0, 0.05)
+    return ellipse_table if request.param == "acceptance-ellipse" else forge_table[0]
+
+
 @st.composite
 def fourier_tables(draw):
     """p = 1 + sum over 1-4 harmonics, scaled so that p''+ p >= 0.4 and p >= 0.4."""

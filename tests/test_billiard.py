@@ -22,6 +22,13 @@ from conftest import (
 TWO_PI = 2.0 * np.pi
 
 
+def step_residual(oval, state, new_state):
+    """|R2(old chord) - R1(new chord)|, the defect of the map's defining equation."""
+    _, R2 = gf.grad_arr(oval, state.alpha1, state.alpha2)
+    S1, _ = gf.grad_arr(oval, new_state.alpha1, new_state.alpha2)
+    return np.abs(R2 + S1)
+
+
 class TestCircleSteps:
     def test_quarter_turn(self, round_table):
         new = bl.step(round_table, ChordConfig(0.0, np.pi / 2))
@@ -31,7 +38,7 @@ class TestCircleSteps:
     def test_two_thirds_turn(self, round_table):
         new = bl.step(round_table, ChordConfig(0.0, 2 * np.pi / 3))
         assert new.alpha2 == pytest.approx(4 * np.pi / 3, abs=1e-12)
-        assert bl.step_residual(round_table, ChordConfig(0.0, 2 * np.pi / 3), new) < 1e-12
+        assert step_residual(round_table, ChordConfig(0.0, 2 * np.pi / 3), new) < 1e-12
 
     def test_residual_bound_on_dynamic_window(self, wobble3_table):
         rng = np.random.default_rng(3)
@@ -40,7 +47,7 @@ class TestCircleSteps:
             w = rng.uniform(0.1, np.pi - 0.3)
             state = ChordConfig(a1, a1 + w)
             new = bl.step(wobble3_table, state)
-            assert bl.step_residual(wobble3_table, state, new) < 1e-11
+            assert step_residual(wobble3_table, state, new) < 1e-11
 
     def test_equivariance_under_rotation(self, round_table):
         state = ChordConfig(0.3, 1.5)
@@ -327,7 +334,7 @@ class TestTwist:
         a3 = bl.step_angles_arr(table, a1, a2)
         assert a3.shape == a1.shape
         for x, y, z in zip(a1, a2, a3):
-            assert bl.step_residual(table, ChordConfig(x, y), ChordConfig(y, z)) < 1e-11
+            assert step_residual(table, ChordConfig(x, y), ChordConfig(y, z)) < 1e-11
 
 
 class TestPhaseCoordinates:
@@ -395,7 +402,7 @@ def test_map_is_area_preserving_on_random_tables(table, seed):
     a1, a2 = gf.sample_chords(np.random.default_rng(seed), 200)
     a3 = bl.step_angles_arr(table, a1, a2)
     assert np.all(np.isfinite(a3))
-    assert np.max(bl.step_residual(table, ChordConfig(a1, a2), ChordConfig(a2, a3))) < 1e-11
+    assert np.max(step_residual(table, ChordConfig(a1, a2), ChordConfig(a2, a3))) < 1e-11
     assert verify.symplectic_defect(table, a1, a2) < 1e-9
 
 

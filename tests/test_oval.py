@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
-from outerlength import forge
 from outerlength import oval as oval_module
 from outerlength._solve import _SMALL
 from outerlength.errors import ContainmentError, OvalValidationError
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
+
+from test_reference import SPLINE_BOUNDS, ExactSpline, spline_errors
 
 TWO_PI = 2.0 * np.pi
 
@@ -382,7 +383,7 @@ class TestRepresentations:
             SupportOval.from_json({"type": "mystery"})
 
 
-# -- the spline kernel against scipy's B-spline ----------------------------------
+# -- the spline kernel against the exact spline and scipy's B-spline --------------
 
 
 def _bspline(table):
@@ -390,14 +391,6 @@ def _bspline(table):
     samples = np.asarray(table.to_json()["p"])
     x = np.linspace(0.0, TWO_PI, len(samples) + 1)
     return make_interp_spline(x, np.append(samples, samples[0]), k=5, bc_type="periodic")
-
-
-def _scipy_taylor(table):
-    """Taylor coefficients of `_bspline(table)` at each interval's start,
-    highest power first: the layout of the spline table's own `_coef`."""
-    spl = _bspline(table)
-    x = np.linspace(0.0, TWO_PI, len(table.to_json()["p"]) + 1)[:-1]
-    return np.array([spl.derivative(m)(x) / math.factorial(m) for m in range(5, -1, -1)])
 
 
 def _gauss_integral(spl, a, b):
@@ -410,15 +403,6 @@ def _gauss_integral(spl, a, b):
     mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
     vals = spl(np.mod(mid[:, None] + half[:, None] * nodes, TWO_PI)) * weights * half[:, None]
     return math.fsum(vals.ravel())
-
-
-@pytest.fixture(scope="module", params=["acceptance-ellipse", "thin-ellipse", "from_f"])
-def spline_table(request, ellipse_table, forge_table):
-    return {
-        "acceptance-ellipse": ellipse_table,
-        "thin-ellipse": ellipse(1.0, 0.05),
-        "from_f": forge_table[0],
-    }[request.param]
 
 
 class TestSparseHarmonics:
@@ -495,15 +479,13 @@ class TestSplineKernel:
         )
 
     def test_jet_matches_bspline(self, spline_table):
-        spl = _bspline(spline_table)
+        """The jet against the exact spline through the table's samples,
+        within `SPLINE_BOUNDS` of each order's scale."""
         alphas = self.angles(spline_table)
-        reduced = np.mod(alphas, TWO_PI)
-        for order, got in enumerate(spline_table.jet(alphas)):
-            ref = spl.derivative(order)(reduced) if order else spl(reduced)
-            # 1e-15 of the order's scale: p'' reaches 20 on the thin ellipse,
-            # where one rounding unit is 3.6e-15
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+        exact = ExactSpline(spline_table)
+        with mpmath.workdps(40):
+            errors = spline_errors(spline_table.jet(alphas), exact.jet(alphas))
+        assert np.all(np.array(errors) <= SPLINE_BOUNDS)
 
     def test_scalar_and_small_batches_match_the_vector_kernel(self, spline_table):
         alphas = self.angles(spline_table)
@@ -558,6 +540,16 @@ class TestSplineKernel:
     def test_periodicity_defect(self, spline_table):
         assert spline_table.validate().periodicity_defect < 1e-12
 
+    def test_pieces_join_at_every_knot(self, spline_table):
+        """p, p', p'' of interval i - 1 at its end equal interval i's at its
+        start, at every knot, within 1e-13 of each order's scale; the seam at
+        2*pi is `periodicity_defect`'s."""
+        rep = spline_table._rep
+        start = np.array(oval_module._quintic_jet(rep._coef, 0.0))
+        end = np.array(oval_module._quintic_jet(rep._coef[:, :-1], rep._h))
+        scale = np.maximum(1.0, np.max(np.abs(start), axis=1))
+        assert np.all(np.max(np.abs(end - start[:, 1:]), axis=1) <= 1e-13 * scale)
+
     def test_one_interpolation_per_table(self, monkeypatch):
         calls = []
         build = oval_module._periodic_quintic
@@ -569,19 +561,6 @@ class TestSplineKernel:
         monkeypatch.setattr(oval_module, "_periodic_quintic", counting)
         ellipse(1.0, 0.5)
         assert len(calls) == 1
-
-    def test_coefficients_are_scipys_to_the_bit(self, spline_table):
-        assert np.array_equal(spline_table._rep._coef, _scipy_taylor(spline_table))
-
-    @pytest.mark.parametrize("make", [
-        lambda: forge.radon_like(forge.balanced_radon_seed(0.03)),
-        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=16),
-        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=17),
-        lambda: SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=1001),
-    ], ids=["radon_like", "16-samples", "17-samples", "1001-samples"])
-    def test_coefficients_are_scipys_to_the_bit_on_other_grids(self, make):
-        table = make()
-        assert np.array_equal(table._rep._coef, _scipy_taylor(table))
 
 
 @pytest.mark.parametrize("table", [perturbed_circle(0.05, 3), ellipse(1.0, 0.5)], ids=["fourier", "spline"])

@@ -285,6 +285,40 @@ class TestFindPeriodic:
         with pytest.raises(ChordDomainError, match="offending value 5e-05"):
             pd.find_periodic(oval, 4, seed_angles=[0.0, 5e-5, 2.1, 4.2])
 
+    @settings(max_examples=40, deadline=None)
+    @given(edge=st.sampled_from([genfun.OMEGA_MIN, np.pi - genfun.OMEGA_MIN]),
+           ulps=st.integers(-4, 4))
+    def test_every_chord_check_takes_one_domain(self, wobble3_table, edge, ulps):
+        """A gap a few ulps either side of an edge of the closed chord domain
+        is accepted or refused alike by `ChordConfig`, `S_arr` on a float
+        and on an array chord, `path_jets`, `find_periodic`'s seed and a scan
+        row of `_newton`."""
+        w = edge + ulps * np.spacing(edge)
+        inside = genfun.OMEGA_MIN <= w <= np.pi - genfun.OMEGA_MIN
+        rest = (TWO_PI - w) / 3
+        seed = np.array([0.0, w, w + rest, w + 2 * rest])
+
+        def accepts(call):
+            try:
+                call()
+            except ChordDomainError as err:
+                assert genfun.CHORD_DOMAIN in str(err)
+                return False
+            except ConvergenceError:
+                pass
+            return True
+
+        checks = [
+            lambda: ChordConfig(0.0, w),
+            lambda: genfun.S_arr(wobble3_table, 0.0, w),
+            lambda: genfun.S_arr(wobble3_table, np.zeros(3), np.full(3, w)),
+            lambda: genfun.path_jets(wobble3_table, seed),
+            lambda: pd.find_periodic(wobble3_table, 4, seed_angles=seed),
+        ]
+        assert [accepts(check) for check in checks] == [inside] * len(checks)
+        reason = pd._newton(wobble3_table, seed[None], 1, 1e-12, 40)[2]
+        assert (reason[0] != "domain") == inside
+
     def test_newton_without_a_row_in_the_domain(self, wobble3_table):
         # a scan pass whose re-seeded rows all leave the domain leaves them
         # unsolved instead of failing
