@@ -83,8 +83,10 @@ def _base_radius_fdf(oval):
     end's p(a), p'(a) are parameters, so a step evaluates the oval at b only."""
 
     def fdf(b, a, target, pa, dpa):
-        S1, S2 = genfun.grad_from_jets(b - a, (pa, dpa), oval.jet(b))
-        return -S1 - target, (S2 - S1) / _ufunc("sin", b - a)
+        w = b - a
+        cs = _cos_sin(w)
+        S1, S2 = genfun.grad_from_jets(w, (pa, dpa), oval.jet(b), cs)
+        return -S1 - target, (S2 - S1) / cs[1]
 
     return fdf
 

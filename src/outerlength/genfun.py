@@ -102,24 +102,23 @@ def path_jets(oval, vertices):
     return w, [j[..., :-1] for j in jet], [j[..., 1:] for j in jet]
 
 
-def _lengths(w, jet1, jet2):
+def _lengths(w, jet1, jet2, sw):
     (p1, dp1, _), (p2, dp2, _) = jet1, jet2
-    sw = np.sin(w)
     cotw = np.cos(w) / sw
     l1 = -dp1 + p2 / sw - p1 * cotw
     l2 = dp2 + p1 / sw - p2 * cotw
     return l1, l2
 
 
-def _radii(w, jet1, jet2):
-    l1, l2 = _lengths(w, jet1, jet2)
-    t = np.tan(w / 2.0)
+def _radii(w, jet1, jet2, sw, t):
+    l1, l2 = _lengths(w, jet1, jet2, sw)
     return l1 * t, l2 * t
 
 
 def lengths_arr(oval, a1, a2):
     """Tangent segment lengths (l1, l2); raw support-function form."""
-    return _lengths(*chord_jets(oval, a1, a2))
+    w, jet1, jet2 = chord_jets(oval, a1, a2)
+    return _lengths(w, jet1, jet2, np.sin(w))
 
 
 def S_arr(oval, a1, a2):
@@ -132,10 +131,10 @@ def S_arr(oval, a1, a2):
     return out if out.ndim else float(out)
 
 
-def grad_from_jets(w, jet1, jet2):
+def grad_from_jets(w, jet1, jet2, cs=None):
     """(S1, S2) in the raw 1/(2 cos^2(w/2)) support form, from a valid gap w
-    and the leading (p, p') of each end's jet."""
-    cw, sw = _cos_sin(w)
+    and the leading (p, p') of each end's jet; cs is _cos_sin(w), if given."""
+    cw, sw = _cos_sin(w) if cs is None else cs
     # ch * ch, not ch ** 2: on a float ** calls pow(), which can round the
     # other way from the array's np.square
     ch = _ufunc("cos", w / 2.0)
@@ -153,17 +152,18 @@ def grad_arr(oval, a1, a2):
 
 def radii_arr(oval, a1, a2):
     """Auxiliary circle radii (R1, R2) = (l1, l2) * tan(w/2)."""
-    return _radii(*chord_jets(oval, a1, a2))
+    w, jet1, jet2 = chord_jets(oval, a1, a2)
+    return _radii(w, jet1, jet2, np.sin(w), np.tan(w / 2.0))
 
 
 def hess_from_jets(w, jet1, jet2):
     """(S11, S12, S22) from a valid gap w and the jets (p, p', p'') of both ends."""
-    R1, R2 = _radii(w, jet1, jet2)
-    t = np.tan(w / 2.0)
+    sw, t = np.sin(w), np.tan(w / 2.0)
+    R1, R2 = _radii(w, jet1, jet2, sw, t)
     # p'' + p is the curvature radius at each end
     S11 = t * (R1 + (jet1[2] + jet1[0]))
     S22 = t * (R2 + (jet2[2] + jet2[0]))
-    S12 = -(R1 + R2) / np.sin(w)
+    S12 = -(R1 + R2) / sw
     return S11, S12, S22
 
 
@@ -177,8 +177,8 @@ def hess_arr(oval, a1, a2):
 
 def _stencil_S(oval, a1, a2, d1, d2):
     """S at the chords (a1 + d1, a2 + d2), the offsets d1, d2 broadcast on
-    new trailing axes: one `S_arr` call, so one p evaluation per end and one
-    integral for the whole stencil."""
+    new trailing axes: one `S_arr` call, so one p evaluation and one
+    antiderivative evaluation per distinct end of the stencil."""
     tail = (...,) + (None,) * max(np.ndim(d1), np.ndim(d2))
     a1 = np.asarray(a1, dtype=float)[tail]
     a2 = np.asarray(a2, dtype=float)[tail]
@@ -188,8 +188,8 @@ def _stencil_S(oval, a1, a2, d1, d2):
 def fd_grad_arr(oval, a1, a2):
     """Central-difference gradient of S, from S itself (p and its integral),
     independent of the closed forms.  The four shifted chords (a1 +- h, a2),
-    (a1, a2 +- h), h = 1e-5, are one stencil of `S_arr`; the values are those
-    of one `S_arr` call per shifted chord."""
+    (a1, a2 +- h), h = 1e-5, are one stencil of `S_arr`, 4N angles at each end
+    for N chords; the values are those of one `S_arr` call per shifted chord."""
     h = 1e-5
     s = _stencil_S(oval, a1, a2, np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))
     return (s[..., 0] - s[..., 1]) / (2 * h), (s[..., 2] - s[..., 3]) / (2 * h)
@@ -198,9 +198,9 @@ def fd_grad_arr(oval, a1, a2):
 def fd_hess_arr(oval, a1, a2, h=1e-4):
     """Central second differences of S, from S itself, independent of the
     closed forms.  The nine chords (a1 + i h, a2 + j h), i, j in {-1, 0, 1},
-    are one 3 x 3 stencil of `S_arr` (three shifted angle arrays per end); the
-    values are those of one `S_arr` call per shifted chord.  ConfigError
-    unless h is finite and positive."""
+    are one 3 x 3 stencil of `S_arr` (three shifted angle arrays per end, each
+    read once); the values are those of one `S_arr` call per shifted chord.
+    ConfigError unless h is finite and positive."""
     if not 0.0 < h < math.inf:
         raise ConfigError(f"h = {h!r} is not finite and positive")
     off = np.array([-h, 0.0, h])

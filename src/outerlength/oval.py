@@ -11,7 +11,8 @@ distance from the origin to the tangent line with outward normal
 
 Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
-orders, and give the exact antiderivative of p, which is all the downstream
+orders, and integrate p exactly as the difference of an antiderivative
+taken at each end on that end's own shape, which is all the downstream
 dynamics needs.  Where only p is read (`SupportOval.p`, `support_margin`,
 the Cartesian oracle's far-tangent scan) `value(alpha)` computes the jet's
 p alone, to the last bit: two of the Fourier jet's six matvecs, one of the
@@ -227,15 +228,18 @@ class _FourierRep:
         alpha, c, s = self._angles(alpha)
         return (c @ self._a + s @ self._b + self.a0).reshape(alpha.shape)
 
+    def _wave(self, x):
+        """sum of (a_k sin kx - b_k cos kx) / k: p's antiderivative less a0 x."""
+        kx = np.multiply.outer(x, self.k)
+        return _series(np.sin(kx), self._ak_1) - _series(np.cos(kx), self._bk_1)
+
     def integral(self, a, b):
+        """a0 (b - a) + (W(b) - W(a)), W the `_wave` on each end's own shape."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         out = self.a0 * (b - a)
         if len(self.k):
-            ka = np.multiply.outer(a, self.k)
-            kb = np.multiply.outer(b, self.k)
-            out = out + _series(np.sin(kb) - np.sin(ka), self._ak_1)
-            out = out - _series(np.cos(kb) - np.cos(ka), self._bk_1)
+            out = out + (self._wave(b) - self._wave(a))
         return out if np.ndim(out) else float(out)
 
     def periodicity_defect(self):
@@ -336,7 +340,8 @@ class _SplineRep:
 
     Column i of `_coef` holds p on [i h, (i + 1) h] as a quintic in
     t = alpha - i h, highest power first; the integral constants in `_cum`
-    are compensated prefix sums of the exact interval integrals.
+    are compensated prefix sums of the exact interval integrals, read at each
+    integral end's remainder mod 2*pi, its whole turns counted apart.
     """
 
     kind = "samples"
@@ -392,21 +397,17 @@ class _SplineRep:
             return self._float_at(float(alpha), _quintic_value)
         return self._at(alpha, _quintic_value)
 
-    def _primitive(self, a):
-        """Integral of p over [0, a] for a in [0, 2*pi]."""
-        i, t = self._locate(a)
+    def _primitive(self, r):
+        """Integral of p over [0, r] for r in [0, 2*pi]."""
+        i, t = self._locate(r)
         return np.take(self._cum, i) + _quintic_primitive(np.take(self._coef, i, axis=1), t)
 
     def integral(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        wraps = np.floor((b - a) / TWO_PI)
-        a_red = np.mod(a, TWO_PI)
-        rem = (b - a) - wraps * TWO_PI
-        b_red = np.mod(a_red + rem, TWO_PI)
-        seg = self._primitive(b_red) - self._primitive(a_red)
-        seg = seg + np.where(b_red < a_red - 1e-15, self._full, 0.0)
-        out = seg + wraps * self._full
+        """(P(rb) - P(ra)) + (tb - ta) full, (t, r) = divmod(x, 2*pi) on each
+        end's own shape and P the `_primitive`; no whole turn enters P."""
+        ta, ra = np.divmod(np.asarray(a, dtype=float), TWO_PI)
+        tb, rb = np.divmod(np.asarray(b, dtype=float), TWO_PI)
+        out = (self._primitive(rb) - self._primitive(ra)) + (tb - ta) * self._full
         return out if np.ndim(out) else float(out)
 
     def periodicity_defect(self):

@@ -457,7 +457,8 @@ class ScanReport:
     def to_csv(self):
         buf = io.StringIO()
         buf.write("alpha1,residual,closed\n")
-        for a, r, c in zip(self.alpha1, self.residual, self.closed_mask):
+        rows = zip(self.alpha1.tolist(), self.residual.tolist(), self.closed_mask.tolist())
+        for a, r, c in rows:
             buf.write(f"{a:.16g},{r:.16g},{int(c)}\n")
         buf.write(f"# closure_tol={self.closure_tol:.3g}\n")
         buf.write(f"# max_closure_run={self.max_closure_run}\n")

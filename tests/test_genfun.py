@@ -4,6 +4,7 @@ import pytest
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
+from outerlength import oval as oval_module
 from outerlength import periodic as pd
 from outerlength import verify
 from outerlength.errors import ChordDomainError
@@ -201,6 +202,32 @@ class TestStencil:
             fd(oval, a1, a2)
             assert calls["value"] <= 2 and calls["jet"] == 0, fd.__name__
             assert calls["integral"] <= 1, fd.__name__
+
+    def test_stencil_integrates_per_end(self, ellipse_table, wobble3_table, monkeypatch):
+        """`fd_hess_arr` on N chords evaluates the antiderivative on the 3N
+        shifted angles of each end, not on the 9N chords: at most 6N angles
+        reach the spline's `_primitive`, and at most 12N rows the Fourier
+        integral's two series."""
+        n = 500
+        a1, a2 = gf.sample_chords(np.random.default_rng(23), n)
+        seen = {"angles": 0, "rows": 0}
+        rep = ellipse_table._rep
+        primitive, series = rep._primitive, oval_module._series
+
+        def counted_primitive(r):
+            seen["angles"] += np.size(r)
+            return primitive(r)
+
+        def counted_series(terms, coef):
+            seen["rows"] += terms.size // terms.shape[-1]
+            return series(terms, coef)
+
+        monkeypatch.setattr(rep, "_primitive", counted_primitive)
+        monkeypatch.setattr(oval_module, "_series", counted_series)
+        gf.fd_hess_arr(ellipse_table, a1, a2)
+        gf.fd_hess_arr(wobble3_table, a1, a2)
+        assert 0 < seen["angles"] <= 6 * n
+        assert 0 < seen["rows"] <= 12 * n
 
 
 def test_gradient_on_floats_matches_one_entry_arrays():

@@ -337,6 +337,28 @@ class TestRepresentations:
             spline_wobble3.support_integral(0.5, 0.5 + 3 * TWO_PI) - 3 * full
         ) < 1e-10
 
+    def test_fourier_integral_on_lifted_spans(self):
+        """Spans with ends in [-20, 20] and b - a in [-15, 15], reversed and
+        multi-turn ones among them, against the antiderivative at 40 digits."""
+        table = perturbed_circle(0.05, 3, 0.7)
+        desc = table.to_json()
+        rng = np.random.default_rng(29)
+        a = rng.uniform(-20.0, 20.0, 4000)
+        b = a + rng.uniform(-15.0, 15.0, 4000)
+        got = table.support_integral(a, b)
+        with mpmath.workdps(40):
+            a0 = mpmath.mpf(desc["a0"])
+            terms = [(k, mpmath.mpf(c), mpmath.mpf(s))
+                     for k, (c, s) in enumerate(zip(desc["cos"], desc["sin"]), 1)]
+
+            def anti(x):
+                return a0 * x + mpmath.fsum((c * mpmath.sin(k * x) - s * mpmath.cos(k * x)) / k
+                                            for k, c, s in terms)
+
+            err = max(abs(anti(mpmath.mpf(y)) - anti(mpmath.mpf(x)) - g)
+                      for x, y, g in zip(a.tolist(), b.tolist(), got.tolist()))
+        assert err < 4e-15
+
     def test_json_round_trip_fourier(self, wobble3_table, tmp_path):
         path = tmp_path / "t.json"
         wobble3_table.save(path)
@@ -535,6 +557,20 @@ class TestSplineKernel:
         ends = starts + np.array([0.7, 0.5, 1.1, 3 * TWO_PI + 0.4, 2 * TWO_PI, 4 * TWO_PI - 0.3])
         got = spline_table.support_integral(starts, ends)
         ref = [_gauss_integral(spl, x, y) for x, y in zip(starts, ends)]
+        assert np.max(np.abs(got - ref)) < 5e-14
+
+    def test_integral_next_to_whole_turns(self, spline_table):
+        """Ends within an ulp of a whole turn: each end's turn count must
+        agree with its remainder, else the integral is off by a whole
+        circumference."""
+        full = spline_table.circumference
+        assert abs(spline_table.support_integral(0.0, np.nextafter(TWO_PI, 0.0)) - full) < 4e-15
+        spl = _bspline(spline_table)
+        ends = [np.nextafter(k * TWO_PI, toward) for k in (-2, -1, 1, 2) for toward in (-9, 9)]
+        ends += [0.0, -1e-20, np.nextafter(0.0, -1.0), 1e-20]
+        got = spline_table.support_integral(np.array(ends), 1.0)
+        ref = [_gauss_integral(spl, x, 1.0) if x < 1.0 else -_gauss_integral(spl, 1.0, x)
+               for x in ends]
         assert np.max(np.abs(got - ref)) < 5e-14
 
     def test_periodicity_defect(self, spline_table):

@@ -617,6 +617,16 @@ class TestInvariantCurveScan:
         assert lines[0] == "alpha1,residual,closed"
         assert len(lines) == 1 + 8 + 2
 
+    def test_csv_text_with_a_nan_residual(self):
+        """Rows print Python floats at 16 significant digits; a row without a
+        solution prints nan and counts as open."""
+        alpha1 = np.linspace(0.0, 1.0, 4, endpoint=False) + 0.1
+        report = pd.ScanReport(3, 1, alpha1, np.array([3e-9, np.nan, -1 / 3, 2e-8]), 1e-8)
+        assert report.to_csv() == (
+            "alpha1,residual,closed\n0.1,3e-09,1\n0.35,nan,0\n0.6,-0.3333333333333333,0\n"
+            "0.85,2e-08,0\n# closure_tol=1e-08\n# max_closure_run=1\n"
+        )
+
 
 class TestRotationNumber:
     def test_circle_rotation_number(self, round_table):
