@@ -31,7 +31,8 @@ circle tangent to the boundary at the far tangency point and to the near
 tangent line, then cut the far common tangent.  It takes one point or an
 array of them, elementwise on the x and y components: one point in plain
 floats, an array solved together.  It shares only the pointwise oval
-primitives with the generating-function route and serves as its oracle.
+primitives and the oval's stored grid with the generating-function route and
+serves as its oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import genfun
 from ._solve import bracketed_root
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
-from .oval import TWO_PI, _cos_sin, _ufunc
+from .oval import _CELL, TWO_PI, _cos_sin, _ufunc
 
 
 def vertex_point(oval, state):
@@ -73,8 +74,10 @@ def auxiliary_circle(oval, state):
 def _gap_bracket(a):
     """Bracket [a + OMEGA_MIN, a + pi - OMEGA_MIN] for the angle after a,
     pulled in by a few rounding units, a search margin, so that the gaps
-    recomputed from its endpoints stay inside the chord domain."""
-    pad = 4.0 * np.spacing(np.abs(a) + np.pi)
+    recomputed from its endpoints stay inside the chord domain; a float's
+    bracket in plain floats, equal to numpy's."""
+    pad = 4.0 * (math.ulp(abs(a) + math.pi) if isinstance(a, float)
+                 else np.spacing(np.abs(a) + np.pi))
     return a + (OMEGA_MIN + pad), a + (np.pi - OMEGA_MIN - pad)
 
 
@@ -99,7 +102,8 @@ def step_angles_arr(oval, a1, a2):
     from the predictor a2 + (a2 - a1), the image on a circle.
     """
     w, jet1, jet2 = genfun.chord_jets(oval, a1, a2)
-    return _step_from_jets(oval, np.asarray(a2, dtype=float), w, jet1, jet2)
+    a2 = a2 if isinstance(a2, float) else np.asarray(a2, dtype=float)
+    return _step_from_jets(oval, a2, w, jet1, jet2)
 
 
 def _step_from_jets(oval, a2, w, jet1, jet2, start=None):
@@ -127,7 +131,7 @@ def iterate(oval, a1, a2, steps):
     alphas = [a1, a2]
     for i in range(checked_count(steps, "steps", 0)):
         a3 = step_angles_arr(oval, alphas[-2], alphas[-1])
-        if np.isnan(a3).any():
+        if (a3 != a3) if isinstance(a3, float) else np.isnan(a3).any():
             c1, c2 = (np.ravel(a)[np.argmax(np.isnan(a3))] for a in alphas[-2:])
             raise StepFailureError(f"step {i + 1} failed: no reflection root for chord "
                                    f"({c1:.6f}, {c2:.6f}); degenerate geometry")
@@ -164,10 +168,6 @@ def pair_from_phase(oval, alpha, R):
 # -- Cartesian oracle ----------------------------------------------------------
 
 
-#: offsets from alpha2 of the far-tangent scan's nodes
-_SCAN = np.linspace(1e-6, np.pi - 1e-6, 256)
-
-
 def _first_failure(bad, M, what):
     i = int(np.argmax(bad))
     return StepFailureError(f"{what} for point {i}, {M.reshape(-1, 2)[i].tolist()}")
@@ -179,11 +179,11 @@ def cartesian_step(oval, point):
     A point (2,) gives its image (2,), k points (k, 2) their images (k, 2);
     every step works elementwise on the x and y components, in plain floats
     for one point.  Works in raw Cartesian data: the tangency points, a
-    distance solve for the circle radius, a 256-node sign scan (of p alone)
-    and a root solve on its first sign change for the far common tangent,
-    the scan's values at the cell's nodes being the solve's end values, and
-    a 2x2 determinant for the meeting point of the support lines at a2 and
-    beta.
+    distance solve for the circle radius, a sign scan of q at a2 and at the
+    oval's grid nodes of the half turn after it (in floats, point by point)
+    and a root solve from the scan's values on its first cell where q turns
+    non-positive for the far common tangent, and a 2x2 determinant for the
+    meeting point of the support lines at a2 and beta.
     Calls neither `step`, `vertex_point` nor `genfun`: independent of the
     generating function apart from the shared tangency primitives.  Raises
     ContainmentError or StepFailureError naming the first point that fails.
@@ -210,27 +210,33 @@ def cartesian_step(oval, point):
     ox, oy = px + r * nu2x, py + r * nu2y
 
     # far common tangent of circle and oval: the support line at beta with
-    # the circle on its inner side, at the first sign change after a2 of
-    # q = (margin of O on that line) + r.  A strictly convex oval gives q
-    # two roots, a1 and this one, so [a2, a2 + pi] brackets it alone; the
-    # scan keeps the oracle from resting on that argument, which it checks.
-    # Its nodes run along the first axis, where O's components broadcast
+    # the circle on its inner side, where q = (margin of O) + r turns from
+    # > 0 to <= 0 after a2.  A strictly convex oval gives q two roots, a1 and
+    # this one, so the half turn after a2 brackets it alone; a scan of q at
+    # a2 (2r exactly) and at the grid nodes of that half turn checks that
     def qdq(beta, ox, oy, r):
         h, dh = oval._margin_fdf(beta, ox, oy)
         return h + r, dh
 
-    q = (oval.support_margin((ox, oy), np.add.outer(_SCAN, a2)) + r).T
-    pos = q > 0.0
-    flip = pos[..., :-1] != pos[..., 1:]
-    if not flip.any(axis=-1).all():
-        raise _first_failure(~flip.any(axis=-1), M, "no common tangent found by the Cartesian rule")
-    cell = np.argmax(flip, axis=-1)
-    # the solve's end values: q at the cell's two nodes, read off the scan
+    def cell(ox, oy, r, a2, q0):
+        # (lo, hi, q(lo), q(hi)) of the cell ending at the scan's first node
+        # with q <= 0 (or NaN), from a2 if that is the first node after a2
+        j, q = oval._margins_after(ox, oy, a2)
+        q += r
+        k = int(np.argmax(~(q > 0.0)))
+        lo, flo = (a2, q0) if k == 0 else ((j + k - 1) * _CELL, float(q[k - 1]))
+        return lo, (j + k) * _CELL, flo, float(q[k])
+
+    q0 = ox * c2 + oy * s2 - p2 + r
     if M.ndim == 1:
-        ends = q[cell], q[cell + 1]
-    else:
-        ends = np.take_along_axis(q, np.stack([cell, cell + 1], axis=1), axis=1).T
-    beta = bracketed_root(qdq, a2 + _SCAN[cell], a2 + _SCAN[cell + 1], ox, oy, r, ends=ends)
+        lo, hi, flo, fhi = cell(ox, oy, r, a2, q0)
+    else:  # each point's cell as one point's, in floats
+        rows = zip(*(v.tolist() for v in (ox, oy, r, a2, q0)))
+        lo, hi, flo, fhi = np.array([cell(*v) for v in rows]).reshape(-1, 4).T
+    missing = np.logical_not((q0 > 0.0) & (fhi <= 0.0))
+    if missing.any():
+        raise _first_failure(missing, M, "no common tangent found by the Cartesian rule")
+    beta = bracketed_root(qdq, lo, hi, ox, oy, r, ends=(flo, fhi))
     if np.isnan(beta).any():
         raise _first_failure(np.isnan(beta), M, "common tangent lost")
 

@@ -88,9 +88,10 @@ def _gap(a1, a2):
 
 
 def chord_jets(oval, a1, a2):
-    """Gap w = a2 - a1 (checked) and the jets (p, p', p'') at both chord ends."""
+    """Gap w = a2 - a1 (checked) and the jets (p, p', p'') at both chord ends;
+    float ends reach `SupportOval.jet` as floats."""
     w = _gap(a1, a2)
-    return w, oval.jet(np.asarray(a1, dtype=float)), oval.jet(np.asarray(a2, dtype=float))
+    return w, oval.jet(a1), oval.jet(a2)
 
 
 def path_jets(oval, vertices):

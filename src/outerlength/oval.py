@@ -13,13 +13,13 @@ Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
 orders, and integrate p exactly as the difference of an antiderivative
 taken at each end on that end's own shape, which is all the downstream
-dynamics needs.  Where only p is read (`SupportOval.p`, `support_margin`,
-the Cartesian oracle's far-tangent scan) `value(alpha)` computes the jet's
-p alone, to the last bit: two of the Fourier jet's six matvecs, one of the
-spline's three Horner accumulators.  Both evaluate a scalar angle in plain
-floats (the spline also arrays of up to `_solve._SMALL` angles), which the
-float branch of the bracketed solver calls once per step of a per-point
-solve.  The boundary point with normal angle alpha is
+dynamics needs.  Where only p is read (`SupportOval.p`, `support_margin`)
+`value(alpha)` computes the jet's p alone, to the last bit: two of the
+Fourier jet's six matvecs, one of the spline's three Horner accumulators.
+Both evaluate a scalar angle in plain floats (the spline also arrays of up
+to `_solve._SMALL` angles), which the float branch of the bracketed solver
+calls once per step of a per-point solve.  The boundary point with normal
+angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
@@ -31,7 +31,8 @@ they read the support margins off that grid, and where no node lies on the
 visible arc (points within about 1e-5 of the boundary) they refine the
 angle of maximum margin, so the test and the tangents cannot miss a point
 the grid cannot resolve.  The margins found there are also the tangency
-solve's values at its bracket ends, which it does not evaluate again.
+solve's values at its bracket ends, which it does not evaluate again.  The
+Cartesian oracle's far-tangent scan reads the grid too (`_margins_after`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ TWO_PI = 2.0 * np.pi
 GRID_SIZE = 2048
 #: width of one cell of that grid
 _CELL = TWO_PI / GRID_SIZE
+#: cells in half a turn of that grid
+_HALF = GRID_SIZE // 2
 #: a point is exterior when some support margin exceeds this
 _EXTERIOR_MARGIN = 1e-12
 
@@ -573,6 +576,15 @@ class SupportOval:
         h += np.multiply.outer(xy[:, 1], sin)
         h -= p
         return h
+
+    def _margins_after(self, x, y, a):
+        """(j, margins): `support_margin` of the point (x, y) at the `_HALF` + 1
+        grid nodes after the angle a, node i at (j + i) * `_CELL`; floats, read
+        off the closed grid cyclically in one pass over it."""
+        _, cos, sin, p = self._scan
+        j = math.floor(a / _CELL) + 1
+        s, h = j % GRID_SIZE, x * cos + y * sin - p
+        return j, h[s:s + _HALF + 1] if s <= _HALF else np.append(h[s:], h[1:s - _HALF + 1])
 
     def _visible(self, xy):
         """Shared core of `is_exterior` and `tangent_angles_from` for points

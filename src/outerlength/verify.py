@@ -152,8 +152,10 @@ def battery(oval, samples, seed):
     while poly is None:  # redraw until the pentagon is convex
         with contextlib.suppress(ConfigError):
             poly = polygons.PolygonConfig(alphas, 1.0 + rng.uniform(-0.2, 0.2, 5))
-    uv = rng.uniform(0.05, np.pi / 2 - 0.05, (200, 2))
-    triples = [(u, v, np.pi - u - v) for u, v in uv if 0.05 < np.pi - u - v < np.pi / 2 - 0.05]
+    u, v = rng.uniform(0.05, np.pi / 2 - 0.05, (200, 2)).T
+    w = np.pi - u - v
+    keep = (0.05 < w) & (w < np.pi / 2 - 0.05)
+    triples = np.column_stack([u[keep], v[keep], w[keep]])
     sub = slice(0, min(samples, 2000))
     regular = np.max([regular_phi_defect(polygons.PolygonConfig.regular(n)) for n in range(3, 9)])
     twist = billiard.twist_report(oval, samples=min(samples, 2000), seed=seed)

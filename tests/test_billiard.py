@@ -116,8 +116,9 @@ class TestCartesianOracle:
         """The tangency and the far tangent read their brackets' end margins
         off the scans that found the brackets: on chord vertices, a one-point
         tangency evaluates the margin at most 6.5 times on average and a
-        Cartesian step at most 10 times (10.4 and 15.9 when the solver
-        evaluated the ends itself)."""
+        Cartesian step at most 9.5 times (10.4 and 15.9 when the solver
+        evaluated the ends itself, 9.9 when the far tangent scanned 256
+        nodes of its own, cells 4 times as wide as the grid's)."""
         calls = []
         margin_fdf = SupportOval._margin_fdf
 
@@ -131,7 +132,7 @@ class TestCartesianOracle:
             a1, w = rng.uniform((0, 0.3), (TWO_PI, np.pi - 0.4), (60, 2)).T
             M = bl.vertex_point(oval, ChordConfig(a1, a1 + w)).T
             for solve, most in ((oval.tangent_angles_from, 6.5),
-                                (functools.partial(bl.cartesian_step, oval), 10.0)):
+                                (functools.partial(bl.cartesian_step, oval), 9.5)):
                 del calls[:]
                 for m in M:
                     solve(m)
@@ -151,6 +152,32 @@ class TestCartesianOracle:
             a1, a2 = oval.tangent_angles_from(M)
             image = bl.vertex_point(oval, ChordConfig(a2, bl.step_angles_arr(oval, a1, a2))).T
             assert np.max(np.linalg.norm(bl.cartesian_step(oval, M) - image, axis=1)) < 1e-8
+
+    def test_near_points_batch_equals_point_by_point(
+        self, monkeypatch, round_table, wobble3_table, forge_table
+    ):
+        """Points 1e-7..1e-6 outside: each one-point image equals its batch
+        row to the last bit, and on every table some of the one-point far
+        tangents lie in the cell from alpha2 to the first grid node after
+        it, which the scan starts at alpha2 itself."""
+        lows = []
+        solve = bl.bracketed_root
+
+        def recorded(fdf, lo, *args, **kwargs):
+            lows.append(lo)
+            return solve(fdf, lo, *args, **kwargs)
+
+        monkeypatch.setattr(bl, "bracketed_root", recorded)
+        rng = np.random.default_rng(14)
+        for oval in (round_table, ellipse(1.0, 0.5), wobble3_table, forge_table[0]):
+            ang = rng.uniform(0.0, TWO_PI, 50)
+            normals = np.column_stack([np.cos(ang), np.sin(ang)])
+            M = oval.point_at(ang) + 10.0 ** rng.uniform(-7.0, -6.0, (50, 1)) * normals
+            images = bl.cartesian_step(oval, M)
+            del lows[:]
+            assert np.array_equal(images, [bl.cartesian_step(oval, m) for m in M])
+            a2 = [oval.tangent_angles_from(m)[1] for m in M]
+            assert np.count_nonzero(np.equal(lows, a2)) > 0, oval
 
     def test_auxiliary_circle_tangencies(self, wobble3_table):
         state = ChordConfig(0.2, 1.4)
@@ -485,6 +512,18 @@ def test_scalar_path_matches_the_batch_bit_for_bit(table, seed):
     results to the last bit."""
     scalar, batched = _scalar_and_batched(table, seed)
     assert np.array_equal(scalar, batched)
+
+
+def test_gap_bracket_of_a_float_is_its_array_value():
+    """The scalar step's bracket pads by `math.ulp`, in floats, and gives
+    `np.spacing`'s array bracket to the last bit: on angles in [-50, 50]
+    and next to those where |a| + pi crosses a power of two."""
+    edges = np.array([s * (2.0**k - np.pi) for k in range(2, 6) for s in (1.0, -1.0)])
+    a = np.concatenate([np.random.default_rng(15).uniform(-50.0, 50.0, 400), [0.0, -0.0],
+                        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    floats = [bl._gap_bracket(x) for x in a.tolist()]
+    assert all(type(lo) is float and type(hi) is float for lo, hi in floats)
+    assert np.array_equal(np.transpose(floats), bl._gap_bracket(a))
 
 
 @settings(max_examples=20, deadline=None)
