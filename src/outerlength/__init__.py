@@ -45,7 +45,6 @@ from .forge import (
     ParallelogramState,
     balanced_radon_seed,
     boundary_from_family,
-    contact_coordinates,
     from_f,
     parallelogram_fields,
     parallelogram_orbit,

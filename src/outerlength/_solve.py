@@ -13,11 +13,12 @@ A caller that found its brackets by a sign scan passes f at their ends
 caller without them (the map step's guarded gap bracket) lets the solver
 evaluate both ends, which is also its check that the bracket holds a root.
 
-A call with at most `_SMALL` brackets (a scalar step, the tangency cells of
-a few points) solves them one by one in plain floats, below the fixed cost
-of the array loop's numpy calls on a few entries.  Both branches apply the
-same rules in the same order, so an entry gets the same root either way as
-long as fdf gives the same values on floats as on arrays.
+A call whose inputs are all floats or 0-d arrays (a scalar step, one
+point's tangency cell) solves its bracket in plain floats, below the fixed
+cost of the array loop's numpy calls; every other call, an array of one
+bracket included, runs the array loop.  Both branches apply the same rules
+in the same order, so an entry gets the same root either way as long as fdf
+gives the same values on floats as on arrays.
 
 The banded solve of the periodic-orbit Newton steps (`periodic`) takes
 LAPACK's `dgbtrf` and `dgbtrs` from here: scipy's `_flapack` extension,
@@ -42,9 +43,6 @@ _XTOL = 1e-12
 #: an entry still unsolved after this many steps comes back as NaN; a
 #: bracket of width pi needs about 42 halvings to reach _XTOL
 _MAX_ITER = 100
-#: working sets up to this size go entry by entry in plain floats, here and
-#: in the spline support function's jet
-_SMALL = 8
 #: the module name scipy gives its LAPACK wrappers
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -81,11 +79,10 @@ _LAPACK = _load_lapack()
 dgbtrf, dgbtrs = _LAPACK.dgbtrf, _LAPACK.dgbtrs
 
 
-def _float_root(fdf, lo, hi, start, flo, fhi, params):
+def _float_root(fdf, lo, hi, start, ends, params):
     """One bracket of `bracketed_root` in plain floats, step for step the
-    array loop's rules; `flo`, `fhi` are f at the ends, or None to evaluate them."""
-    if flo is None:
-        flo, fhi = fdf(lo, *params)[0], fdf(hi, *params)[0]
+    array loop's rules; `ends` is f at the ends, or None to evaluate them."""
+    flo, fhi = ends if ends is not None else (fdf(lo, *params)[0], fdf(hi, *params)[0])
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -115,15 +112,6 @@ def _float_root(fdf, lo, hi, start, flo, fhi, params):
     return math.nan
 
 
-def _solve_floats(fdf, values, given):
-    """The root of one entry (lo, hi, start, *ends, *params) in plain floats;
-    `given` says whether the entry holds the two end values."""
-    lo, hi, start, *rest = map(float, values)
-    if given:
-        return _float_root(fdf, lo, hi, start, rest[0], rest[1], rest[2:])
-    return _float_root(fdf, lo, hi, start, None, None, rest)
-
-
 def bracketed_root(fdf, lo, hi, *params, start=None, ends=None):
     """Roots of f on the brackets [lo, hi], elementwise.
 
@@ -142,11 +130,11 @@ def bracketed_root(fdf, lo, hi, *params, start=None, ends=None):
     and NaN where f has no sign change on the bracket, by the end values
     given or evaluated alike.
 
-    With at most `_SMALL` brackets each is solved on its own in plain
-    floats: fdf then receives floats, not arrays, and must return (f, f')
-    equal to its array values.  The rules above, `_XTOL` and `_MAX_ITER`
-    are the same on both branches.  A call whose inputs are all floats or
-    0-d arrays goes straight to that loop and returns a float.
+    A call whose inputs are all floats or 0-d arrays is solved in plain
+    floats and returns a float: fdf then receives floats, not arrays, and
+    must return (f, f') equal to its array values.  Every other call runs
+    the array loop.  The rules above, `_XTOL` and `_MAX_ITER` are the same
+    on both branches.
     """
     # no start: the lower edge, which gives the midpoint and, unlike a NaN,
     # needs no broadcast of its own
@@ -154,15 +142,12 @@ def bracketed_root(fdf, lo, hi, *params, start=None, ends=None):
     given = ends is not None
     entry = (lo, hi, start, *ends, *params) if given else (lo, hi, start, *params)
     if all(isinstance(v, float) or (isinstance(v, np.ndarray) and not v.shape) for v in entry):
-        return _solve_floats(fdf, entry, given)
-    entry = [np.asarray(v, dtype=float) for v in entry]
-    both = np.broadcast(*entry)
-    if both.size <= _SMALL:
-        # one tuple of numpy scalars per entry, in C order
-        root = [_solve_floats(fdf, values, given) for values in both]
-        return np.array(root, dtype=float).reshape(both.shape)[()]
-    lo, hi, start, *params = (v.ravel() for v in np.broadcast_arrays(*entry))
-    shape = both.shape
+        lo, hi, start, *rest = map(float, entry)
+        ends, params = (rest[:2], rest[2:]) if given else (None, rest)
+        return _float_root(fdf, lo, hi, start, ends, params)
+    entry = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in entry))
+    shape = entry[0].shape
+    lo, hi, start, *params = (v.ravel() for v in entry)
     if given:
         flo, fhi, *params = params
     else:

@@ -39,7 +39,8 @@ class ContainmentError(OuterLengthError):
 
 
 class ChordDomainError(OuterLengthError):
-    """Tangency-angle gap outside the admissible open interval (0, pi)."""
+    """Tangency-angle gap outside the closed chord domain
+    `genfun.CHORD_DOMAIN`, [1e-4, pi - 1e-4]."""
 
 
 class StepFailureError(OuterLengthError):

@@ -257,12 +257,7 @@ def boundary_from_family(spec, x):
     )
 
 
-# -- contact coordinates and the rotation fields --------------------------------
-
-
-def contact_coordinates(state):
-    """(x, y, z) of a perimeter-4 parallelogram: mean angle, 2 cos(gap), p2 - p1."""
-    return (state.alpha1 + state.alpha2) / 2.0, 2.0 * np.cos(state.omega), state.p2 - state.p1
+# -- the rotation fields --------------------------------------------------------
 
 
 @dataclass

@@ -13,13 +13,13 @@ Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
 cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
 orders, and integrate p exactly as the difference of an antiderivative
 taken at each end on that end's own shape, which is all the downstream
-dynamics needs.  Where only p is read (`SupportOval.p`, `support_margin`)
-`value(alpha)` computes the jet's p alone, to the last bit: two of the
-Fourier jet's six matvecs, one of the spline's three Horner accumulators.
-Both evaluate a scalar angle in plain floats (the spline also arrays of up
-to `_solve._SMALL` angles), which the float branch of the bracketed solver
-calls once per step of a per-point solve.  The boundary point with normal
-angle alpha is
+dynamics needs.  Where only p is read (`SupportOval.p`, `genfun.S_arr`,
+the survey) `value(alpha)` computes the jet's p alone, to the last bit: two
+of the Fourier jet's six matvecs on an array of angles, one of the spline's
+three Horner accumulators.  Both evaluate a float or 0-d angle in plain
+floats, which the float branch of the bracketed solver calls once per step
+of a per-point solve, and any array of angles by numpy.  The boundary point
+with normal angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
@@ -37,14 +37,13 @@ Cartesian oracle's far-tangent scan reads the grid too (`_margins_after`).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._solve import _SMALL, bracketed_root
+from ._solve import bracketed_root
 from .errors import ConfigError, ContainmentError, OvalValidationError, checked_count
 
 TWO_PI = 2.0 * np.pi
@@ -175,7 +174,6 @@ class _FourierRep:
         self._ak_1, self._bk_1 = self._a / self.k, self._b / self.k
         coef = (self.k, self._a, self._b, self._ak, self._bk, self._ak2, self._bk2)
         self._terms = list(zip(*(v.tolist() for v in coef)))
-        self._value_terms = [term[:3] for term in self._terms]
 
     def _jet_float(self, a):
         """`jet` at one angle by a loop over the harmonics, NaN if it is not
@@ -194,16 +192,6 @@ class _FourierRep:
             ddc += -c * ak2
             dds += -s * bk2
         return pc + ps + self.a0, dc + ds, ddc + dds
-
-    def _value_float(self, a):
-        """`value` at one angle: `_jet_float`'s p and nothing else."""
-        if not math.isfinite(a):
-            return math.nan
-        pc = ps = 0.0
-        for k, ak, bk in self._value_terms:
-            pc += math.cos(k * a) * ak
-            ps += math.sin(k * a) * bk
-        return pc + ps + self.a0
 
     def _angles(self, alpha):
         """Angles as an array, and the (cos, sin) of k alpha, one row per angle,
@@ -225,9 +213,10 @@ class _FourierRep:
         return p.reshape(alpha.shape), dp.reshape(alpha.shape), ddp.reshape(alpha.shape)
 
     def value(self, alpha):
-        """p at alpha, the first of `jet` to the last bit: its two series only."""
+        """p at alpha, the first of `jet` to the last bit: on an array its two
+        series only, at one angle the float jet's p."""
         if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            return self._value_float(float(alpha))
+            return self._jet_float(float(alpha))[0]
         alpha, c, s = self._angles(alpha)
         return (c @ self._a + s @ self._b + self.a0).reshape(alpha.shape)
 
@@ -377,27 +366,19 @@ class _SplineRep:
         return poly(self._coef[:, i].tolist(), a - i * self._h)
 
     def _at(self, alpha, poly):
-        """poly(c, t) at alpha: in plain floats for a scalar and for each of
-        up to `_SMALL` angles, stacked on a leading axis for a tuple poly."""
-        a = np.asarray(alpha, dtype=float)
-        if a.ndim == 0:
-            return self._float_at(float(a), poly)
-        if 0 < a.size <= _SMALL:
-            out = np.array([self._float_at(v, poly) for v in a.ravel().tolist()]).T
-            return out.reshape(out.shape[:-1] + a.shape)
-        i, t = self._locate(np.mod(a, TWO_PI))
+        """poly(c, t) at alpha: in plain floats for a float or a 0-d array,
+        else on the gathered columns of every angle's interval."""
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
+            return self._float_at(float(alpha), poly)
+        i, t = self._locate(np.mod(np.asarray(alpha, dtype=float), TWO_PI))
         return poly(np.take(self._coef, i, axis=1), t)
 
     def jet(self, alpha):
         """(p, p', p'') at alpha."""
-        if isinstance(alpha, float):
-            return self._float_at(float(alpha), _quintic_jet)
-        return tuple(self._at(alpha, _quintic_jet))
+        return self._at(alpha, _quintic_jet)
 
     def value(self, alpha):
         """p at alpha, the first of `jet` to the last bit."""
-        if isinstance(alpha, float):
-            return self._float_at(float(alpha), _quintic_value)
         return self._at(alpha, _quintic_value)
 
     def _primitive(self, r):
@@ -472,6 +453,8 @@ class SupportOval:
         self.symmetry_flag = self._report.symmetry_defect < 1e-8
         if not self._report.passed:
             raise OvalValidationError("; ".join(self._report.messages), self._report)
+        #: boundary length, the integral of p over one period
+        self.circumference = rep.integral(0.0, TWO_PI)
 
     # -- constructors ------------------------------------------------------
 
@@ -507,13 +490,6 @@ class SupportOval:
         _check_finite(alpha, "alpha")
         return self._rep.value(alpha)
 
-    def support_integral(self, a, b):
-        """Exact integral of p over [a, b]; accepts scalars or arrays, and
-        raises ConfigError if an end is not finite."""
-        _check_finite(a, "a")
-        _check_finite(b, "b")
-        return self._rep.integral(a, b)
-
     def point_at(self, alpha):
         """Boundary point gamma(alpha); vectorized, returns (..., 2), and
         ConfigError names a non-finite angle."""
@@ -539,20 +515,7 @@ class SupportOval:
         out = self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.integral(a1, a2)
         return out if np.ndim(out) else float(out)
 
-    @functools.cached_property
-    def circumference(self):
-        """Boundary length, the integral of p over one period; computed once."""
-        return self._rep.integral(0.0, TWO_PI)
-
     # -- exterior points and tangency -------------------------------------
-
-    def support_margin(self, point, alpha):
-        """Signed margin <point, n(alpha)> - p(alpha); positive outside the
-        support line.  ConfigError names a non-finite angle."""
-        _check_finite(alpha, "alpha")
-        a = np.asarray(alpha, dtype=float)
-        x, y = point
-        return x * np.cos(a) + y * np.sin(a) - self._rep.value(a)
 
     def _margin_jet(self, a, x, y):
         """(h, h', h'') of the support margin h(a) = x cos a + y sin a - p(a)
@@ -569,7 +532,8 @@ class SupportOval:
         return self._margin_jet(a, x, y)[1:]
 
     def _grid_margin(self, xy):
-        """`support_margin` of points (k, 2) at every node of the closed grid,
+        """Support margins <point, n(alpha)> - p(alpha), positive outside the
+        support line, of points (k, 2) at every node of the closed grid,
         shape (k, GRID_SIZE + 1)."""
         _, cos, sin, p = self._scan
         h = np.multiply.outer(xy[:, 0], cos)
@@ -578,7 +542,7 @@ class SupportOval:
         return h
 
     def _margins_after(self, x, y, a):
-        """(j, margins): `support_margin` of the point (x, y) at the `_HALF` + 1
+        """(j, margins): the support margin of the point (x, y) at the `_HALF` + 1
         grid nodes after the angle a, node i at (j + i) * `_CELL`; floats, read
         off the closed grid cyclically in one pass over it."""
         _, cos, sin, p = self._scan

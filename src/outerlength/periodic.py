@@ -311,9 +311,12 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
 
     Every vertex moves.  Each step solves the cyclic tridiagonal Hessian by
     `_cyclic_solve`, which drops a soft mode, such as the exact zero mode of
-    a rotationally symmetric table, as `lstsq(rcond=1e-10)` would; the line
-    search is `_newton`'s on one row.  The orbit records the Newton steps
-    taken, at most 80, and the soft modes dropped.  A seed that is not n
+    a rotationally symmetric table, as `lstsq(rcond=1e-10)` would.  The line
+    search halves the step until a candidate whose gaps all lie in the chord
+    domain lowers the largest gradient entry; it gives up when such a
+    candidate at step scale below 1e-3 does not, or after 25 halvings.  The
+    orbit records the Newton steps taken, at most 80, and the soft modes
+    dropped.  A seed that is not n
     finite angles, or a `tol` that is not finite and positive, raises
     ConfigError, a seed gap outside the chord domain the domain's own
     ChordDomainError.  A search that stops above `tol` raises

@@ -119,6 +119,14 @@ def rotated(table, phi):
     return SupportOval.from_fourier(desc["a0"], a * c - b * s, a * s + b * c)
 
 
+def support_margin(table, point, alpha):
+    """Signed margin <point, n(alpha)> - p(alpha) of a point against the
+    support line at alpha; positive outside it."""
+    a = np.asarray(alpha, dtype=float)
+    x, y = point
+    return x * np.cos(a) + y * np.sin(a) - table.p(a)
+
+
 def draw_twist_gaps_in(monkeypatch, window):
     """Make `billiard.twist_report` draw its chords' gaps from `window` in
     place of its own [0.05, pi - 0.05]."""

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from outerlength import billiard as bl
 from outerlength import genfun as gf
 from outerlength import verify
-from outerlength._solve import _SMALL, bracketed_root
+from outerlength._solve import bracketed_root
 from outerlength.errors import ContainmentError, StepFailureError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse
 
 from conftest import (
     draw_twist_gaps_in, fourier_tables, rotated, single_harmonic_tables, spline_tables,
-    symmetric_fourier_tables,
+    support_margin, symmetric_fourier_tables,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -184,13 +184,13 @@ class TestCartesianOracle:
         center, r = bl.auxiliary_circle(wobble3_table, state)
         # tangent to the boundary at alpha2: the center-to-oval distance
         # max_a margin(a) equals r and is attained at alpha2
-        assert wobble3_table.support_margin(center, state.alpha2) == pytest.approx(
+        assert support_margin(wobble3_table, center, state.alpha2) == pytest.approx(
             r, abs=1e-12
         )
-        margins = wobble3_table.support_margin(center, np.linspace(0, TWO_PI, 720))
+        margins = support_margin(wobble3_table, center, np.linspace(0, TWO_PI, 720))
         assert np.max(margins) <= r + 1e-12
         # tangent to the incoming line at alpha1 (circle on the oval's side)
-        m1 = wobble3_table.support_margin(center, state.alpha1)
+        m1 = support_margin(wobble3_table, center, state.alpha1)
         assert abs(m1 + r) < 1e-9
 
 
@@ -489,8 +489,8 @@ def test_map_commutes_with_central_symmetry(table, seed):
 def _scalar_and_batched(table, seed):
     """Rows (alpha3 of `step`, alpha2 of `pair_from_phase`, p, p', p'') for
     24 chords, once chord by chord through the float paths and once as
-    batches above the float cutoff."""
-    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 3 * _SMALL)
+    batches through the array paths."""
+    a1, a2 = gf.sample_chords(np.random.default_rng(seed), 24)
     R = -gf.grad_arr(table, a1, a2)[0]
     p1, dp1, _ = table.jet(a1)
     pair = bracketed_root(bl._base_radius_fdf(table), *bl._gap_bracket(a1), a1, R, p1, dp1)

@@ -183,24 +183,11 @@ CASES = {
                               "omega_hi = inf is not finite"),
     "chords-minus-inf-window-start": (lambda: genfun.sample_chords(RNG, 4, -np.inf, 1.0),
                                       ConfigError, "omega_lo = -inf is not finite"),
-    "integral-inf-end": (lambda: circle().support_integral(0.0, np.inf), ConfigError,
-                         "b = inf is not finite"),
-    "spline-integral-nan-start": (lambda: SupportOval.from_samples(np.ones(32))
-                                  .support_integral(np.array([0.0, NAN]), 1.0),
-                                  ConfigError, "a = nan is not finite"),
-    "spline-integral-inf-end": (lambda: SupportOval.from_samples(np.ones(32))
-                                .support_integral(0.0, np.inf), ConfigError,
-                                "b = inf is not finite"),
     "p-nan-angle": (lambda: circle().p(NAN), ConfigError, "alpha = nan is not finite"),
     "spline-p-inf-angle": (lambda: SupportOval.from_samples(np.ones(32)).p(np.inf), ConfigError,
                            "alpha = inf is not finite"),
     "point-at-nan-in-array": (lambda: circle().point_at(np.array([0.0, NAN, 1.0])), ConfigError,
                               "alpha = nan is not finite"),
-    "support-margin-nan-angle": (lambda: circle().support_margin((2.0, 0.0), NAN), ConfigError,
-                                 "alpha = nan is not finite"),
-    "spline-support-margin-inf-in-array": (
-        lambda: SupportOval.from_samples(np.ones(32)).support_margin((2.0, 0.0), [0.0, np.inf]),
-        ConfigError, "alpha = inf is not finite"),
     "curvature-radius-inf-angle": (lambda: ellipse(1.0, 0.5).curvature_radius(np.inf),
                                    ConfigError, "alpha = inf is not finite"),
     "spline-curvature-radius-nan-in-array": (

