@@ -14,8 +14,9 @@ routes against each other and against finite differences.
 
 The partials and the Hessian read the support data through `chord_jets`:
 one call of `SupportOval.jet` per chord end gives (p, p', p'') there, which
-is all they need.  S reads p alone, one representation value per chord end
-(the jet's p to the last bit), besides its integral term.  The functions
+is all they need.  S reads p (the jet's p to the last bit) and its
+antiderivative's end term from one representation evaluation per chord
+end, which gives the integral term as well.  The functions
 take arrays of angles of any shape; a scalar chord is a batch of one.
 `path_jets` serves chords that share their ends (the sides of a periodic
 orbit) from one call on the vertices, for `grad_from_jets` and
@@ -124,11 +125,13 @@ def lengths_arr(oval, a1, a2):
 
 def S_arr(oval, a1, a2):
     """Generating value S = (p1 + p2) tan(w/2) - integral of p, from the gap
-    (checked) and p alone at each end, the jet's p to the last bit; a valid
-    gap has finite ends, so both come from `oval._rep` unchecked."""
+    (checked) and one representation evaluation per chord end, which gives
+    p there (the jet's p to the last bit) and the end's antiderivative term;
+    a valid gap has finite ends, so both come from `oval._rep` unchecked."""
     w = _gap(a1, a2)
-    out = np.asarray((oval._rep.value(a2) + oval._rep.value(a1)) * np.tan(w / 2.0))
-    out = out - oval._rep.integral(a1, a2)
+    p1, p2, integral = oval._rep.p_and_integral(a1, a2)
+    out = np.asarray((p2 + p1) * np.tan(w / 2.0))
+    out = out - integral
     return out if out.ndim else float(out)
 
 
@@ -178,8 +181,8 @@ def hess_arr(oval, a1, a2):
 
 def _stencil_S(oval, a1, a2, d1, d2):
     """S at the chords (a1 + d1, a2 + d2), the offsets d1, d2 broadcast on
-    new trailing axes: one `S_arr` call, so one p evaluation and one
-    antiderivative evaluation per distinct end of the stencil."""
+    new trailing axes: one `S_arr` call, so one representation evaluation
+    (p and the antiderivative term) per distinct end of the stencil."""
     tail = (...,) + (None,) * max(np.ndim(d1), np.ndim(d2))
     a1 = np.asarray(a1, dtype=float)[tail]
     a2 = np.asarray(a2, dtype=float)[tail]
@@ -199,8 +202,9 @@ def fd_grad_arr(oval, a1, a2):
 def fd_hess_arr(oval, a1, a2, h=1e-4):
     """Central second differences of S, from S itself, independent of the
     closed forms.  The nine chords (a1 + i h, a2 + j h), i, j in {-1, 0, 1},
-    are one 3 x 3 stencil of `S_arr` (three shifted angle arrays per end, each
-    read once); the values are those of one `S_arr` call per shifted chord.
+    are one 3 x 3 stencil of `S_arr`: the 3N shifted angles of each end, for
+    N chords, are evaluated once each, not the 9N chords' ends; the values
+    are those of one `S_arr` call per shifted chord.
     ConfigError unless h is finite and positive."""
     if not 0.0 < h < math.inf:
         raise ConfigError(f"h = {h!r} is not finite and positive")

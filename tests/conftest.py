@@ -42,6 +42,12 @@ def wobble2_table():
 
 
 @pytest.fixture(scope="session")
+def twelve_harmonic_table():
+    k = np.arange(1, 13)
+    return SupportOval.from_fourier(1.0, 0.02 / k**2, (-1.0) ** k * 0.01 / k**2)
+
+
+@pytest.fixture(scope="session")
 def forge_spec():
     return forge.FourPeriodicSpec.from_harmonics({2: (0.0, 0.1)})
 

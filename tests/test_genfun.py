@@ -4,12 +4,11 @@ import pytest
 
 from outerlength import billiard as bl
 from outerlength import genfun as gf
-from outerlength import oval as oval_module
 from outerlength import periodic as pd
 from outerlength import verify
 from outerlength.errors import ChordDomainError
 from outerlength.genfun import ChordConfig
-from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
+from outerlength.oval import circle, ellipse, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,12 +127,6 @@ def per_shift_fd(oval, a1, a2, h_grad=1e-5, h_hess=1e-4):
     return grad, hess
 
 
-@pytest.fixture(scope="module")
-def twelve_harmonic_table():
-    k = np.arange(1, 13)
-    return SupportOval.from_fourier(1.0, 0.02 / k**2, (-1.0) ** k * 0.01 / k**2)
-
-
 class TestStencil:
     """`fd_grad_arr` and `fd_hess_arr` evaluate S on their whole stencil in
     one call; the values are those of one call per shifted chord, bit for bit.
@@ -179,11 +172,14 @@ class TestStencil:
         assert verify.hessian_fd_defect(thin, a1, a2) < 1e-4
 
     @pytest.mark.parametrize("table", ["wobble3_table", "ellipse_table"])
-    def test_one_stencil_is_two_values_and_one_integral(self, table, request, monkeypatch):
-        """S reads p alone: a stencil evaluates the value at each end once
-        and no jet."""
+    def test_S_evaluates_each_chord_end_once(self, table, request, monkeypatch):
+        """S reads p and its antiderivative's end term from one evaluation
+        per chord end: an `S_arr` call, and so each stencil, makes two
+        (`_angles` on a Fourier table, `_locate` with its coefficient gather
+        on a spline table), and calls neither `jet` nor `value`."""
         oval = request.getfixturevalue(table)
-        calls = {"value": 0, "jet": 0, "integral": 0}
+        per_end = "_angles" if oval.kind == "fourier" else "_locate"
+        calls = dict.fromkeys((per_end, "jet", "value"), 0)
 
         def counted(name):
             inner = getattr(oval._rep, name)
@@ -197,37 +193,27 @@ class TestStencil:
         for name in calls:
             monkeypatch.setattr(oval._rep, name, counted(name))
         a1, a2 = gf.sample_chords(np.random.default_rng(19), 1000)
-        for fd in (gf.fd_grad_arr, gf.fd_hess_arr):
-            calls.update(value=0, jet=0, integral=0)
-            fd(oval, a1, a2)
-            assert calls["value"] <= 2 and calls["jet"] == 0, fd.__name__
-            assert calls["integral"] <= 1, fd.__name__
+        for fn in (gf.S_arr, gf.fd_grad_arr, gf.fd_hess_arr):
+            calls.update(dict.fromkeys(calls, 0))
+            fn(oval, a1, a2)
+            assert calls == {per_end: 2, "jet": 0, "value": 0}, fn.__name__
 
-    def test_stencil_integrates_per_end(self, ellipse_table, wobble3_table, monkeypatch):
-        """`fd_hess_arr` on N chords evaluates the antiderivative on the 3N
-        shifted angles of each end, not on the 9N chords: at most 6N angles
-        reach the spline's `_primitive`, and at most 12N rows the Fourier
-        integral's two series."""
+    def test_stencil_evaluates_per_end(self, ellipse_table, wobble3_table, monkeypatch):
+        """`fd_hess_arr` on N chords evaluates each end on its 3N shifted
+        angles, not on the 9N chords: at most 6N angles reach the
+        representation's per-end evaluation."""
         n = 500
         a1, a2 = gf.sample_chords(np.random.default_rng(23), n)
-        seen = {"angles": 0, "rows": 0}
-        rep = ellipse_table._rep
-        primitive, series = rep._primitive, oval_module._series
+        for oval in (ellipse_table, wobble3_table):
+            seen = []
 
-        def counted_primitive(r):
-            seen["angles"] += np.size(r)
-            return primitive(r)
+            def counted_end(alpha, end=oval._rep._end):
+                seen.append(np.size(alpha))
+                return end(alpha)
 
-        def counted_series(terms, coef):
-            seen["rows"] += terms.size // terms.shape[-1]
-            return series(terms, coef)
-
-        monkeypatch.setattr(rep, "_primitive", counted_primitive)
-        monkeypatch.setattr(oval_module, "_series", counted_series)
-        gf.fd_hess_arr(ellipse_table, a1, a2)
-        gf.fd_hess_arr(wobble3_table, a1, a2)
-        assert 0 < seen["angles"] <= 6 * n
-        assert 0 < seen["rows"] <= 12 * n
+            monkeypatch.setattr(oval._rep, "_end", counted_end)
+            gf.fd_hess_arr(oval, a1, a2)
+            assert len(seen) == 2 and 0 < sum(seen) <= 6 * n, oval.kind
 
 
 def test_gradient_on_floats_matches_one_entry_arrays():

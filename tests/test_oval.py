@@ -151,6 +151,24 @@ class TestTangentAngles:
                     tangent = False
                 assert table.is_exterior(point) == tangent == (sign > 0)
 
+    #: angles whose far-tangent window starts at grid node 3, 1024 (the last
+    #: start inside the closed grid), 1025 (the first that wraps) and 2020
+    WINDOW_STARTS = [3, oval_module._HALF, oval_module._HALF + 1, 2020]
+
+    @pytest.mark.parametrize("start", WINDOW_STARTS)
+    @pytest.mark.parametrize("turns", [0, 1, -1])
+    def test_far_tangent_window_is_the_full_grid_pass(self, wobble3_table, start, turns):
+        """`_margins_after` evaluates its window alone; the margins equal, bit
+        for bit, the same nodes of one pass over the whole closed grid."""
+        x, y = 1.7, -0.4
+        _, cos, sin, p = wobble3_table._scan
+        full = x * cos + y * sin - p
+        a = (start - 0.5 + turns * oval_module.GRID_SIZE) * oval_module._CELL
+        j, window = wobble3_table._margins_after(x, y, a)
+        assert j % oval_module.GRID_SIZE == start
+        nodes = (j + np.arange(oval_module._HALF + 1)) % oval_module.GRID_SIZE
+        assert np.array_equal(window, full[nodes])
+
 
 #: the tables of the near-boundary regression: round, a moderate and a thin
 #: ellipse (least curvature radius 0.0025), one harmonic, a forged table
@@ -486,6 +504,51 @@ class TestSparseHarmonics:
         assert table._rep.integral(empty[..., None], np.ones(3)).shape == shape + (3,)
 
 
+class TestFourierSums:
+    """Every Fourier series is summed by `np.dot`, with the derivatives'
+    signs in their stored coefficients; the sums keep the bits, signed zeros
+    included, of `@` on the negated copies of cos and sin they replace."""
+
+    @staticmethod
+    def by_matmul(rep, alpha):
+        """(p, p', p'', W) at the angles alpha by `@` on negated copies, W
+        the antiderivative's series less a0 alpha."""
+        ka = np.multiply.outer(alpha.ravel(), rep.k)
+        c, s = np.cos(ka), np.sin(ka)
+        a, b, k = rep._a, rep._b, rep.k
+        sums = (
+            c @ a + s @ b + rep.a0,
+            (-s) @ (a * k) + c @ (b * k),
+            (-c) @ (a * k**2) + (-s) @ (b * k**2),
+            s @ (a / k) - c @ (b / k),
+        )
+        return [v.reshape(alpha.shape) for v in sums]
+
+    @pytest.mark.parametrize("table, harmonics", [
+        (circle(), 0),
+        (perturbed_circle(0.05, 3), 1),
+        (SupportOval.from_fourier(1.0, [0.03, 0.0, 0.01], [0.0, 0.0, -0.02]), 2),
+        (SupportOval.from_fourier(1.0, [0.02, 0.01, 0.0, 0.004], [0.01, -0.01, 0.003, 0.0]), 4),
+        ("twelve_harmonic_table", 12),
+    ], ids=["K0", "K1", "K2", "K4", "K12"])
+    def test_sums_equal_matmul(self, table, harmonics, request):
+        if isinstance(table, str):
+            table = request.getfixturevalue(table)
+        rep = table._rep
+        assert len(rep.k) == harmonics
+        rng = np.random.default_rng(24)
+        for shape in [(0,), (1,), (7,), (1000,), (20, 50)]:
+            alpha = rng.uniform(-10.0, 20.0, shape)
+            p, dp, ddp, w = self.by_matmul(rep, alpha)
+            b = alpha + rng.uniform(0.0, 7.0, shape)
+            ref = rep.a0 * (b - alpha)
+            if len(rep.k):
+                ref = ref + (self.by_matmul(rep, b)[3] - w)
+            got = (*rep.jet(alpha), rep.value(alpha), rep.integral(alpha, b))
+            for u, v in zip(got, (p, dp, ddp, p, ref)):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes(), shape
+
+
 class TestSplineKernel:
     @staticmethod
     def angles(table):
@@ -518,15 +581,16 @@ class TestSplineKernel:
         assert np.array_equal(one_by_one, batch)
         assert np.array_equal(small, batch)
 
-    def test_gather_matches_column_indexing(self, spline_table, monkeypatch):
+    def test_gather_matches_column_indexing(self, spline_table):
         """Any array of angles, one or eight of them too, gathers its
         intervals' coefficients with `np.take`; `jet`, `value` and `integral`
         equal, bit for bit, the kernel on `_coef[:, i]` and `_cum[i]`."""
         rep = spline_table._rep
 
         def primitive(x):
-            i, t = rep._locate(x)
-            return rep._cum[i] + oval_module._quintic_primitive(rep._coef[:, i], t)
+            turns, r = np.divmod(x, TWO_PI)
+            i, t = rep._locate(r)
+            return rep._cum[i] + oval_module._quintic_primitive(rep._coef[:, i], t), turns
 
         alphas = self.angles(spline_table)
         alphas = alphas[:alphas.size // 3 * 3]
@@ -535,10 +599,9 @@ class TestSplineKernel:
             coef = rep._coef[:, i]
             assert np.array_equal(spline_table.jet(a), oval_module._quintic_jet(coef, t))
             assert np.array_equal(spline_table.p(a), oval_module._quintic_value(coef, t))
-            gathered = spline_table._rep.integral(a, a + 2.5)
-            with monkeypatch.context() as m:
-                m.setattr(rep, "_primitive", primitive)
-                assert np.array_equal(gathered, spline_table._rep.integral(a, a + 2.5))
+            (pa, ta), (pb, tb) = primitive(a), primitive(a + 2.5)
+            indexed = (pb - pa) + (tb - ta) * rep._full
+            assert np.array_equal(spline_table._rep.integral(a, a + 2.5), indexed)
 
     def test_integral_matches_bspline(self, spline_table):
         spl = _bspline(spline_table)

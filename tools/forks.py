@@ -78,12 +78,12 @@ FORKS = {
     "tangency-one-point": (("map-oracle",), [
         (oval.SupportOval, "tangent_angles_from", [("if one and seen[0]:", "if False:")]),
     ]),
-    "value-beside-jet": (("map-oracle", "bulk-verify"), [
+    "value-beside-jet": (("map-oracle", "cli-session"), [
         (oval._FourierRep, "value", [
             ("""    if isinstance(alpha, float) or np.ndim(alpha) == 0:
         return self._jet_float(float(alpha))[0]
     alpha, c, s = self._angles(alpha)
-    return (c @ self._a + s @ self._b + self.a0).reshape(alpha.shape)""",
+    return self._p(c, s).reshape(alpha.shape)""",
              "    return self.jet(alpha)[0]"),
         ]),
         (oval._SplineRep, "value", [
