@@ -41,12 +41,9 @@ from .errors import (
 from .forge import (
     FourPeriodicSpec,
     ParallelogramFamily,
-    ParallelogramFields,
     ParallelogramState,
     balanced_radon_seed,
-    boundary_from_family,
     from_f,
-    parallelogram_fields,
     parallelogram_orbit,
     radon_like,
 )

@@ -16,13 +16,11 @@ Undoing the change of variables gives the closed-form family
 
 and the table is the envelope of the side lines, i.e. the support function
 p(alpha1(x)) = p1(x) resampled onto a uniform angle grid (`_lift` undoes the
-change of variables).  `parallelogram_fields` reduces the rotation fields of
-`polygons` to these parallelograms, with the contact and perimeter forms.
-The same family satisfies p'(alpha1) = -cos(w), p'(alpha2) = cos(w),
-p(alpha1) + p(alpha2) = sin(w) with w = alpha2 - alpha1, which drives the
-quadrant-arc extension constructor `radon_like`: prescribe a convex support
-arc on [0, pi/2] with flat ends and p(0) + p(pi/2) = 1, extend it to the
-second quadrant by
+change of variables).  The same family satisfies p'(alpha1) = -cos(w),
+p'(alpha2) = cos(w), p(alpha1) + p(alpha2) = sin(w) with w = alpha2 - alpha1,
+which drives the quadrant-arc extension constructor `radon_like`: prescribe
+a convex support arc on [0, pi/2] with flat ends and p(0) + p(pi/2) = 1,
+extend it to the second quadrant by
 
     beta = alpha + arccos(-p'(alpha)),   p(beta) = -p(alpha) + sin(beta - alpha),
 
@@ -239,58 +237,6 @@ def from_f(spec):
     except OvalValidationError as exc:
         raise ConvexityError(f"constructed envelope is not convex: {exc}") from exc
     return oval, ParallelogramFamily(spec)
-
-
-def boundary_from_family(spec, x):
-    """Boundary point of the table at parameter x via the parametric envelope
-    formula gamma = p (cos a, sin a) + (dp/dx / da/dx) (-sin a, cos a), with
-    dp1/dx = -f' (f'' / sqrt(4 - f'^2) + 2) / 4 from the jet of f; ConfigError
-    unless every x is finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ConfigError(f"family parameter x = {x.tolist()} is not finite")
-    a1, _, p1, _, da_dx = _family_raw(spec, x)
-    _, fp, fpp = spec.jet(x)
-    t = -fp * (fpp / np.sqrt(4.0 - fp * fp) + 2.0) / 4.0 / da_dx
-    return np.array(
-        [p1 * np.cos(a1) - t * np.sin(a1), p1 * np.sin(a1) + t * np.cos(a1)]
-    )
-
-
-# -- the rotation fields --------------------------------------------------------
-
-
-@dataclass
-class ParallelogramFields:
-    """Rotation fields, their bracket, and the two 1-forms on parallelogram space,
-    in the coordinate order (alpha1, alpha2, p1, p2)."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    bracket: np.ndarray
-    contact_form: np.ndarray
-    perimeter_form: np.ndarray
-
-
-def parallelogram_fields(state):
-    """The distribution of `polygons` on origin-centered perimeter-4 parallelograms.
-
-    xi1 = d/d alpha1 - cos(w) d/d p1, xi2 = d/d alpha2 + cos(w) d/d p2, and
-    [xi1, xi2] = sin(w) (d/d p1 - d/d p2); the contact form
-    cos(w)(d alpha1 + d alpha2) + d p1 - d p2 and the perimeter differential
-    cos(w)(d alpha1 - d alpha2) + d p1 + d p2 both annihilate xi1, xi2.
-    """
-    w = state.omega
-    if not 0.0 < w < np.pi:
-        raise ConfigError("parallelogram gap must lie in (0, pi)")
-    cw, sw = np.cos(w), np.sin(w)
-    return ParallelogramFields(
-        xi1=np.array([1.0, 0.0, -cw, 0.0]),
-        xi2=np.array([0.0, 1.0, 0.0, cw]),
-        bracket=np.array([0.0, 0.0, sw, -sw]),
-        contact_form=np.array([cw, cw, 1.0, -1.0]),
-        perimeter_form=np.array([cw, -cw, 1.0, 1.0]),
-    )
 
 
 # -- quadrant-arc extension ------------------------------------------------------

@@ -50,7 +50,7 @@ def _check_omega(omega):
         if not OMEGA_MIN <= omega <= math.pi - OMEGA_MIN:
             raise ChordDomainError(f"gap outside {CHORD_DOMAIN}: offending value {omega}")
         return
-    bad = np.atleast_1d(~in_chord_domain(omega))
+    bad = np.atleast_1d(np.logical_not(in_chord_domain(omega)))
     if bad.any():
         raise ChordDomainError(f"gap outside {CHORD_DOMAIN}: "
                                f"offending value {np.atleast_1d(omega)[np.argmax(bad)]}")

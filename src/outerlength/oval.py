@@ -481,7 +481,17 @@ class SupportOval:
 
     @classmethod
     def from_fourier(cls, a0, cos_coef=(), sin_coef=()):
-        return cls(_FourierRep(a0, cos_coef, sin_coef))
+        """The series a0 + sum cos_coef[k-1] cos(k a) + sin_coef[k-1] sin(k a);
+        OvalValidationError names a coefficient that is not finite, before
+        any survey."""
+        rep = _FourierRep(a0, cos_coef, sin_coef)
+        for name, coef in (("a0", [rep.a0]), ("cos", rep.a), ("sin", rep.b)):
+            bad = np.flatnonzero(~np.isfinite(coef))
+            if bad.size:
+                where = "" if name == "a0" else f"[{bad[0]}]"
+                raise OvalValidationError(f"Fourier coefficient {name}{where} = "
+                                          f"{coef[bad[0]]} is not finite")
+        return cls(rep)
 
     @classmethod
     def from_samples(cls, samples):

@@ -21,8 +21,7 @@ machine-precision complex-step partials, and `brackets` the n rows
 verifier checks by integrating the fields with RK4.
 
 The module also carries the triangle quantities W_i, U_i whose signs forbid
-two-parameter families of 3-periodic orbits.  `forge` specializes the
-fields to the n = 4 family of its tables.
+two-parameter families of 3-periodic orbits.
 """
 
 from __future__ import annotations

@@ -98,6 +98,11 @@ def regular_phi_defect(poly):
     return float(np.max(np.abs(polygons.phi(poly))))
 
 
+def phi_tangency_defect(poly):
+    """Phi_i in closed form against the determinant with the tangency points C_i."""
+    return float(np.max(np.abs(polygons.phi(poly) - polygons.phi_via_tangency(poly))))
+
+
 def unit_support_defect(poly):
     """Phi_i against tan(g_i / 2) - tan(g_{i-1} / 2), for unit support numbers."""
     g = poly.gaps
@@ -169,6 +174,7 @@ def battery(oval, samples, seed):
         ("map-symplectic", symplectic_defect(oval, a1[sub], a2[sub]), 1e-6),
         ("map-twist", twist_violations(twist), 0.5),
         ("polygon-phi-regular", regular, 1e-12),
+        ("polygon-phi-tangency", phi_tangency_defect(poly), 1e-12),
         ("polygon-unit-support-identity",
          unit_support_defect(polygons.PolygonConfig(alphas, np.ones(5))), 1e-11),
         ("polygon-perimeter-euclid", perimeter_euclid_defect(poly), 1e-10),

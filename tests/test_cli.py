@@ -340,13 +340,16 @@ class TestRender:
 
 @pytest.mark.parametrize("table, reason, verify_code", [
     ({"type": "fourier"}, "lacks the key 'a0'", EXIT_IO),
-    ({"type": "fourier", "a0": float("nan")}, "not positive", EXIT_VALIDATION),
     ([1, 2], "must be a JSON object", EXIT_IO),
     ({"type": "fourier", "a0": None}, "'a0' must be a number", EXIT_IO),
     ({"type": "fourier", "a0": 1.0, "cos": 5}, "'cos' must be a list of numbers", EXIT_IO),
-    # no survey is made of these samples, so verify has no report to print
+    # no survey is made of these tables, so verify has no report to print
+    ({"type": "fourier", "a0": float("nan")}, "a0 = nan is not finite", EXIT_VALIDATION),
+    ({"type": "fourier", "a0": 1.0, "cos": [float("inf")]}, "cos[0] = inf is not finite",
+     EXIT_VALIDATION),
     ({"type": "samples", "p": [1.0] * 31 + [float("nan")]}, "finite samples", EXIT_VALIDATION),
-], ids=["missing-key", "nan-support", "not-object", "null-a0", "int-cos", "nan-sample"])
+], ids=["missing-key", "not-object", "null-a0", "int-cos", "nan-support", "inf-cos",
+        "nan-sample"])
 @pytest.mark.parametrize("command", [
     ["scan", "--n", "4", "--samples", "8"],
     ["iterate", "--state", "0,1"],
@@ -366,3 +369,5 @@ def test_malformed_table_exits_with_its_reason(tmp_path, capsys, table, reason, 
     assert main(args) == (verify_code if command[0] == "verify" else EXIT_VALIDATION)
     captured = capsys.readouterr()  # verify reports a failed validation on stdout
     assert reason in captured.out + captured.err
+    # json.dumps writes a non-finite survey value as NaN or Infinity, not JSON
+    assert "NaN" not in captured.out and "Infinity" not in captured.out

@@ -37,9 +37,19 @@ CASES = {
                            ArcConstraintError, "finite"),
     "radon-2d-samples": (lambda: forge.radon_like(np.full((65, 2), 0.5)),
                          ArcConstraintError, "1-d array"),
-    "circle-nan-radius": (lambda: circle(NAN), OvalValidationError, "not positive"),
+    "circle-nan-radius": (lambda: circle(NAN), OvalValidationError,
+                          "Fourier coefficient a0 = nan is not finite"),
     "fourier-nan-coefficient": (lambda: SupportOval.from_fourier(1.0, [NAN]),
-                                OvalValidationError, "not positive"),
+                                OvalValidationError, r"Fourier coefficient cos\[0\] = nan"),
+    "fourier-inf-a0": (lambda: SupportOval.from_fourier(np.inf), OvalValidationError,
+                       "Fourier coefficient a0 = inf is not finite"),
+    "fourier-inf-cos": (lambda: SupportOval.from_fourier(1.0, [np.inf]), OvalValidationError,
+                        r"Fourier coefficient cos\[0\] = inf is not finite"),
+    "fourier-minus-inf-sin": (lambda: SupportOval.from_fourier(1.0, [0.1], [0.0, -np.inf]),
+                              OvalValidationError, r"Fourier coefficient sin\[1\] = -inf"),
+    "oval-json-infinity-cos": (lambda: SupportOval.from_json(
+                                   {"type": "fourier", "a0": 1.0, "cos": [np.inf]}),
+                               OvalValidationError, r"cos\[0\] = inf is not finite"),
     "samples-nan": (lambda: SupportOval.from_samples(np.r_[np.ones(31), NAN]),
                     OvalValidationError, "finite"),
     "ellipse-nan-axis": (lambda: ellipse(1.0, NAN), OvalValidationError, "finite"),
@@ -139,17 +149,12 @@ CASES = {
                            FPrimeBoundError, r"max \|f'\| = 2\.000000 >= 2"),
     "family-inf-x": (lambda: forge.ParallelogramFamily(SPEC).state(np.inf), ConfigError,
                      "family parameter x = inf is not finite"),
-    "boundary-nan-x": (lambda: forge.boundary_from_family(SPEC, [0.5, NAN]), ConfigError,
-                       r"family parameter x = \[0\.5, nan\] is not finite"),
     "fourier-2d-coefficients": (lambda: SupportOval.from_fourier(1.0, [[0.1]]),
                                 OvalValidationError, r"1-d coefficient lists, got shapes \(1, 1\)"),
     "triangle-degenerate": (lambda: pg.triangle_WU(0.0, 0.0, np.pi), ConfigError,
                             r"must lie in \(0, pi/2\)"),
     "polygon-wrap-gap": (lambda: pg.PolygonConfig(SQUARE[:3], np.ones(3)), ConfigError,
                          "must lie in"),
-    "parallelogram-zero-gap": (lambda: forge.parallelogram_fields(
-                                   forge.ParallelogramState(1.0, 1.0, 1.0, 1.0)),
-                               ConfigError, r"gap must lie in \(0, pi\)"),
     "phase-negative-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, -1.0),
                               StepFailureError, "radius -1.0 outside the admissible range"),
     "arc-reversed": (lambda: circle().arc_length(1.0, 0.5), ConfigError, "need alpha1 < alpha2"),

@@ -245,6 +245,11 @@ class TestDomainGuard:
         with pytest.raises(ChordDomainError):
             ChordConfig(0.0, w)
 
+    def test_int_ends_give_the_float_chord(self, wobble3_table):
+        # an int gap skips the float check; the array check must pass it
+        assert bl.step(wobble3_table, ChordConfig(0, 1)) == bl.step(
+            wobble3_table, ChordConfig(0.0, 1.0))
+
     def test_functions_reject_bad_gap(self, round_table):
         with pytest.raises(ChordDomainError):
             gf.lengths_arr(round_table, 0.0, np.pi)

@@ -1,6 +1,8 @@
 """Importing the package, and the CLI's help, load only what they run; the
-LAPACK routines it takes are scipy's own objects in either import order."""
+LAPACK routines it takes are scipy's own objects in either import order; and
+every callable the package exports has a caller outside the tests."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import outerlength
 from outerlength.oval import SupportOval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +109,23 @@ def test_lapack_routines_are_scipys_own(order, source):
     assert loads == "1"
     table = SupportOval.from_callable(lambda a: 1.0 + 0.05 * np.cos(3 * a), n=64)
     assert digest == hashlib.sha256(table._rep._coef.tobytes()).hexdigest()
+
+
+#: the code that calls the package: its own modules, the demos and the tools
+CALLERS = ("src", "demos", "perfbench", "tools")
+
+
+def test_every_exported_callable_has_a_caller_outside_the_tests():
+    """A name that only the tests reach belongs in the tests, as a helper."""
+    used = set()
+    for path in (p for d in CALLERS for p in (ROOT / d).rglob("*.py")):
+        if path == ROOT / "src" / "outerlength" / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = {name for name, obj in vars(outerlength).items()
+                if callable(obj) and not name.startswith("_")}
+    assert sorted(exported - used) == []

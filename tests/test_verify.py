@@ -129,6 +129,13 @@ def test_triangle_record_is_that_of_the_separate_draws(seed):
         triples)
 
 
+def test_shifted_tangency_points_fail_only_the_tangency_record(wobble3_table, monkeypatch):
+    # the tangency points C_i enter no other check
+    points = polygons.tangency_points
+    monkeypatch.setattr(polygons, "tangency_points", lambda poly: points(poly) + 1e-6)
+    assert failed_checks(wobble3_table) == {"polygon-phi-tangency"}
+
+
 def test_scaled_mixed_partial_fails_hessian_check(wobble3_table, monkeypatch):
     hess = genfun.hess_arr
 

@@ -52,8 +52,6 @@ FORKS = {
             raise ChordDomainError(f"gap outside {CHORD_DOMAIN}: offending value {omega}")
         return
 """, ""),
-            # a float gap gives a Python bool, and ~True is -2
-            ("~in_chord_domain(omega)", "~np.asarray(in_chord_domain(omega))"),
         ]),
     ]),
     "solver-float-branch": (("map-oracle",), [
