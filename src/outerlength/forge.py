@@ -75,14 +75,19 @@ class FourPeriodicSpec:
         """coefficients: mapping harmonic -> (cos_coef, sin_coef), each harmonic
         an integer in (0, 2048) congruent to 2 mod 4, evaluated as the series
         of an oval (`_FourierRep.jet`).  The bound is half the 4096-node grid
-        that surveys f and samples the table, past which a harmonic aliases."""
+        that surveys f and samples the table, past which a harmonic aliases.
+        A coefficient that is not finite is refused by name before any evaluation."""
         top = len(_GRID) // 2
         if not all(0 < k < top and k % 4 == 2 for k in coefficients):
             raise ArcConstraintError(f"harmonics {sorted(coefficients)} must all be integers "
                                      f"in (0, {top}) congruent to 2 mod 4")
         cos, sin = np.zeros((2, int(max(coefficients, default=0))))
         for k, (c, s) in coefficients.items():
-            cos[int(k) - 1], sin[int(k) - 1] = c, s
+            i = int(k) - 1
+            cos[i], sin[i] = c, s
+            for name, value in (("cos", cos[i]), ("sin", sin[i])):
+                if not np.isfinite(value):
+                    raise ArcConstraintError(f"harmonic {i + 1} {name} = {value} is not finite")
         return cls(_FourierRep(0.0, cos, sin).jet, harmonics=dict(coefficients))
 
     @classmethod

@@ -19,8 +19,8 @@ antiderivative's end term from one representation evaluation per chord
 end, which gives the integral term as well.  The functions
 take arrays of angles of any shape; a scalar chord is a batch of one.
 `path_jets` serves chords that share their ends (the sides of a periodic
-orbit) from one call on the vertices, for `grad_from_jets` and
-`hess_from_jets`.
+orbit) from one call on the vertices: `periodic` calls it on a Newton seed,
+and on each line-search candidate with the gaps it checked itself.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ def chord_jets(oval, a1, a2):
     return w, oval.jet(a1), oval.jet(a2)
 
 
-def path_jets(oval, vertices):
+def path_jets(oval, vertices, gaps=None):
     """Gaps and end jets of the chords (v[i], v[i+1]) joining consecutive
-    vertices on the last axis, from one `SupportOval.jet` call on all of them."""
+    vertices on the last axis, from one `SupportOval.jet` call on all of them;
+    the gaps are checked by `_gap` unless the caller passes its own, checked."""
     v = np.asarray(vertices, dtype=float)
-    w = _gap(v[..., :-1], v[..., 1:])
+    w = _gap(v[..., :-1], v[..., 1:]) if gaps is None else gaps
     jet = oval.jet(v)
     return w, [j[..., :-1] for j in jet], [j[..., 1:] for j in jet]
 

@@ -9,12 +9,15 @@ billiard map: component i of the gradient is R2(previous chord) - R1(next
 chord), so a vanishing gradient is the step equation at every vertex.
 
 Two damped Newton searches solve the critical equations, each iterate one
-`genfun.path_jets` call, which `_derivatives` turns into gradient and
-Hessian; `_STOPS` lists why a search stops.  `find_periodic` runs a plain
-damped Newton on one free orbit, whose every vertex moves.  The Hessian of a
-free orbit is cyclic tridiagonal; `_cyclic_solve` reorders its vertices into
-a band of width 2 and solves it in O(n) by LAPACK's pivoted banded LU,
-dropping a soft mode as a least-squares solve with rcond = 1e-10 would.
+`genfun.path_jets` call, which `_gradient` and `_bands` turn into gradient
+and Hessian; `_candidate` checks a line-search candidate's gaps once, and
+`_STOPS` lists why a search stops.  `find_periodic` runs a plain damped
+Newton on one free orbit, whose every vertex moves; it builds the Hessian
+only of the iterates it steps from and reads the orbit off its last jets.
+The Hessian of a free orbit is cyclic tridiagonal; `_cyclic_solve`
+reorders its vertices into a band of width 2 and solves it in O(n) by
+LAPACK's pivoted banded LU, dropping a soft mode as a least-squares solve
+with rcond = 1e-10 would.
 `_newton` solves `invariant_curve_scan`'s orbits in lockstep, one per
 sample with the first vertex pinned at the sample's angle: the interior
 equations, tridiagonal, are solved by a Thomas sweep, and the leftover
@@ -64,15 +67,26 @@ def total_action(oval, angles, m=1):
     return float(np.sum(genfun.S_arr(oval, ext[..., :-1], ext[..., 1:])))
 
 
-def _derivatives(oval, angles, m):
-    """Action gradient g and Hessian bands (diag, off) on the last axis, from one
-    `genfun.path_jets` call: g[i] = S2(chord i-1) + S1(chord i);
-    diag[i] = S11(chord i) + S22(chord i-1); off[i] = S12(chord i) couples
-    vertex i to vertex i+1 (n-1 to 0 for the last)."""
-    jets = genfun.path_jets(oval, _extended(angles, m))
+def _candidate(angles, m):
+    """Extended angles, gaps and, per row, whether all gaps lie in (GAP_MIN,
+    pi - GAP_MIN): inside the chord domain, and false on NaN, so no other
+    check of the gaps is needed."""
+    ext = _extended(angles, m)
+    w = ext[..., 1:] - ext[..., :-1]
+    return ext, w, ((w > GAP_MIN) & (w < np.pi - GAP_MIN)).all(axis=-1)
+
+
+def _gradient(jets):
+    """Action gradient g[i] = S2(chord i-1) + S1(chord i) from path jets."""
     S1, S2 = genfun.grad_from_jets(*jets)
+    return _prev(S2) + S1
+
+
+def _bands(jets):
+    """Hessian bands diag[i] = S11(chord i) + S22(chord i-1) and off[i] =
+    S12(chord i), coupling vertex i to i+1 (n-1 to 0), from path jets."""
     S11, S12, S22 = genfun.hess_from_jets(*jets)
-    return _prev(S2) + S1, S11 + _prev(S22), S12
+    return S11 + _prev(S22), S12
 
 
 @dataclass
@@ -82,6 +96,7 @@ class PeriodicOrbit:
     n: int
     m: int
     angles: np.ndarray
+    #: the largest |action gradient entry|, as the search's stop test read it
     residual: float
     perimeter: float
     action: float
@@ -110,24 +125,15 @@ def normalize_angles(angles, m=1):
     return rot - TWO_PI * np.floor(rot[0] / TWO_PI)
 
 
-def _orbit(oval, m, angles, iterations=None, dropped_modes=None):
-    """The PeriodicOrbit through `angles`, normalized, from one `path_jets` call; its
+def _orbit(oval, m, angles, jets, residual, iterations=None, dropped_modes=None):
+    """The PeriodicOrbit through `angles`, normalized, from their path jets; its
     perimeter is sum (p_i + p_{i+1}) tan(w_i / 2), its action that minus m * circumference."""
-    angles = normalize_angles(angles, m)
-    w, jet1, jet2 = genfun.path_jets(oval, _extended(angles, m))
-    S1, S2 = genfun.grad_from_jets(w, jet1, jet2)
+    w, jet1, jet2 = jets
     perimeter = float(np.sum((jet2[0] + jet1[0]) * np.tan(w / 2.0)))
-    return PeriodicOrbit(n=len(angles), m=m, angles=angles,
-                         residual=float(np.max(np.abs(_prev(S2) + S1))), perimeter=perimeter,
+    return PeriodicOrbit(n=len(angles), m=m, angles=normalize_angles(angles, m),
+                         residual=float(residual), perimeter=perimeter,
                          action=perimeter - m * oval.circumference,
                          iterations=iterations, dropped_modes=dropped_modes)
-
-
-def _gaps_ok(angles, m):
-    """True where every gap lies in (GAP_MIN, pi - GAP_MIN); one flag per row."""
-    ext = _extended(angles, m)
-    gaps = ext[..., 1:] - ext[..., :-1]
-    return ((gaps > GAP_MIN) & (gaps < np.pi - GAP_MIN)).all(axis=-1)
 
 
 def _check_period(n, m):
@@ -193,7 +199,7 @@ def _band_layout(n):
 
 
 def _cyclic_solve(diag, off, rhs, layout):
-    """Solve H x = rhs for one cyclic tridiagonal H (see `_derivatives`)
+    """Solve H x = rhs for one cyclic tridiagonal H (see `_bands`)
     in O(n); returns x and whether a soft mode was dropped.
 
     H is factored once by LAPACK's banded LU with partial pivoting
@@ -256,19 +262,21 @@ def _newton(oval, seeds, m, tol, max_iter):
     step scale, shared by all rows still searching, from 1 down to 2**-24;
     it skips candidates whose gaps leave (GAP_MIN, pi - GAP_MIN), and a row
     takes the first that lowers its residual, or gives up at its first
-    admissible candidate below scale 1e-3.  Each candidate is one
-    `_derivatives` call, whose gradient and Hessian bands serve the next
-    step of the row that takes it.  Rows with a seed gap outside the chord
-    domain (`genfun.in_chord_domain`) are not searched.  Returns the final
-    angles and gradients and, per row, the key in _STOPS of why it stopped
-    (a "domain" row has a NaN gradient).
+    admissible candidate below scale 1e-3.  Each candidate is one `path_jets`
+    call on the gaps `_candidate` checked, whose gradient and Hessian bands
+    serve the next step of the row that takes it.  Rows with a seed gap
+    outside the chord domain (`genfun.in_chord_domain`) are not searched.
+    Returns the final angles and gradients and, per row, the key in _STOPS
+    of why it stopped (a "domain" row has a NaN gradient).
     """
     angles = np.array(seeds, dtype=float)
     grads = np.full(angles.shape, np.nan)
     reason = np.full(len(angles), "domain", dtype=object)
-    live = np.flatnonzero(genfun.in_chord_domain(np.diff(_extended(angles, m))).all(axis=-1))
-    x = angles[live]
-    g, diag, off = _derivatives(oval, x, m)
+    ext = _extended(angles, m)
+    w = np.diff(ext)
+    live = np.flatnonzero(genfun.in_chord_domain(w).all(axis=-1))
+    x, jets = angles[live], genfun.path_jets(oval, ext[live], w[live])
+    g, (diag, off) = _gradient(jets), _bands(jets)
     gn = np.abs(g[:, 1:]).max(axis=1)
     moved = np.ones(len(live), dtype=bool)
     for it in range(max_iter + 1):
@@ -291,10 +299,12 @@ def _newton(oval, seeds, m, tol, max_iter):
             if not pending.size:
                 break
             cand = x[pending] + scale * delta[pending]
-            valid = np.flatnonzero(_gaps_ok(cand, m))
+            ext, w, ok = _candidate(cand, m)
+            valid = np.flatnonzero(ok)
             drop = np.zeros(len(pending), dtype=bool)
             if valid.size:
-                gc, dc, oc = _derivatives(oval, cand[valid], m)
+                jets = genfun.path_jets(oval, ext[valid], w[valid])
+                gc, (dc, oc) = _gradient(jets), _bands(jets)
                 gnc = np.abs(gc[:, 1:]).max(axis=1)
                 down = gnc < gn[pending[valid]]
                 took, rows = valid[down], pending[valid[down]]
@@ -309,18 +319,19 @@ def _newton(oval, seeds, m, tol, max_iter):
 def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     """Damped Newton search for an (n, m) orbit from a seed (default: equal gaps).
 
-    Every vertex moves.  Each step solves the cyclic tridiagonal Hessian by
-    `_cyclic_solve`, which drops a soft mode, such as the exact zero mode of
-    a rotationally symmetric table, as `lstsq(rcond=1e-10)` would.  The line
-    search halves the step until a candidate whose gaps all lie in the chord
-    domain lowers the largest gradient entry; it gives up when such a
-    candidate at step scale below 1e-3 does not, or after 25 halvings.  The
-    orbit records the Newton steps taken, at most 80, and the soft modes
-    dropped.  A seed that is not n
-    finite angles, or a `tol` that is not finite and positive, raises
-    ConfigError, a seed gap outside the chord domain the domain's own
-    ChordDomainError.  A search that stops above `tol` raises
-    ConvergenceError, which names the stop reason and the residual reached.
+    Every vertex moves.  Each step solves the Hessian of the iterate it
+    leaves by `_cyclic_solve`, which drops a soft mode, such as the exact
+    zero mode of a rotationally symmetric table, as `lstsq(rcond=1e-10)`
+    would.  The line search halves the step until a candidate with gaps in
+    (GAP_MIN, pi - GAP_MIN) lowers the largest gradient entry, the only
+    thing evaluated there; it gives up when such a candidate at step scale
+    below 1e-3 does not, or after 25 halvings.  The orbit comes from the
+    last jets taken and records the Newton steps, at most 80, and the soft
+    modes dropped.  A seed that is not n finite angles, or a `tol` that is
+    not finite and positive, raises ConfigError, a seed gap outside the
+    chord domain the domain's own ChordDomainError.  A search that stops
+    above `tol` raises ConvergenceError, which names the stop reason and
+    the residual reached.
     """
     n, m = _check_period(n, m)
     if not 0.0 < tol < math.inf:
@@ -328,22 +339,25 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     x = TWO_PI * m * np.arange(n) / n if seed_angles is None else np.asarray(seed_angles, float)
     if x.shape != (n,) or not np.isfinite(x).all():
         raise ConfigError(f"seed_angles must be {n} finite angles, got {x.tolist()}")
-    g, diag, off = _derivatives(oval, x, m)
+    jets = genfun.path_jets(oval, _extended(x, m))
+    g = _gradient(jets)
     r = np.abs(g).max()
     layout = _band_layout(n)
     steps = dropped = 0
     moved = True
     while r >= tol and moved and steps < 80:
-        step, soft = _cyclic_solve(diag, off, -g, layout)
+        step, soft = _cyclic_solve(*_bands(jets), -g, layout)
         steps, dropped = steps + 1, dropped + int(soft)
         moved, scale = False, 1.0
         for _ in range(25 if np.isfinite(step).all() else 0):
             cand = x + scale * step
-            if _gaps_ok(cand, m):
-                gc, dc, oc = _derivatives(oval, cand, m)
+            ext, w, ok = _candidate(cand, m)
+            if ok:
+                jc = genfun.path_jets(oval, ext, w)
+                gc = _gradient(jc)
                 rc = np.abs(gc).max()
                 if rc < r:
-                    x, g, diag, off, r, moved = cand, gc, dc, oc, rc, True
+                    x, jets, g, r, moved = cand, jc, gc, rc, True
                     break
                 if scale < 1e-3:
                     break
@@ -351,7 +365,7 @@ def find_periodic(oval, n, m=1, seed_angles=None, tol=1e-11):
     reason = _stop(r, tol, moved)
     if reason != "converged":
         raise ConvergenceError(f"{_STOPS[reason]} (residual {r:.3e})")
-    return _orbit(oval, m, x, steps, dropped)
+    return _orbit(oval, m, x, jets, r, steps, dropped)
 
 
 def closure_by_iteration(oval, angles, m=1):
@@ -393,7 +407,7 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
         base += TWO_PI * start / (grid_density * n)
         jitter = rng.uniform(-0.2, 0.2, n) * (TWO_PI * m / n) * (start > 0)
         x = base + jitter
-        if not _gaps_ok(x, m):
+        if not _candidate(x, m)[2]:
             continue
         # the second pass polishes: it restarts the simplex at the optimum
         for xatol, fatol in ((1e-10, 1e-14), (1e-11, 1e-15)):
@@ -406,7 +420,8 @@ def brute_oracle(oval, n, m=1, grid_density=8, seed=0):
             best = res
     if best is None:
         raise ConvergenceError("oracle search found no admissible configuration")
-    return _orbit(oval, m, best.x)
+    jets = genfun.path_jets(oval, _extended(best.x, m))
+    return _orbit(oval, m, best.x, jets, np.abs(_gradient(jets)).max())
 
 
 # -- invariant-curve scans ----------------------------------------------------

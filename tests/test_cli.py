@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,16 +89,22 @@ class TestForge:
          "harmonic 'sin' must be a number"),
         ({"type": "radon-arc", "p": {"a": 1}}, "'p' must be a list of numbers"),
         ({"type": "four-periodic", "harmonics": [{"k": 2, "cos": float("nan")}]},
-         "f(x + pi/2) = -f(x) violated"),
+         "harmonic 2 cos = nan is not finite"),
+        ({"type": "four-periodic", "harmonics": [{"k": 2, "sin": float("inf")}]},
+         "harmonic 2 sin = inf is not finite"),
     ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p", "not-object", "harmonics-int",
-            "null-sin", "object-p", "nan-cos"])
+            "null-sin", "object-p", "nan-cos", "inf-sin"])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec_obj, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_obj))
         out = tmp_path / "table.json"
-        assert main(["forge", "--spec", str(spec), "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["forge", "--spec", str(spec), "--out", str(out)]) == 2
         assert reason in capsys.readouterr().err
         assert not out.exists()
+        # the spec is refused before any arithmetic can warn
+        assert [str(w.message) for w in caught] == []
 
     def test_missing_spec_file(self, tmp_path):
         assert main(

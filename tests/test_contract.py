@@ -102,7 +102,16 @@ CASES = {
     "spec-json-object-p": (lambda: forge.table_from_spec({"type": "radon-arc", "p": {"a": 1}}),
                            ValueError, "'p' must be a list of numbers, not dict"),
     "spec-nan-coefficient": (lambda: forge.FourPeriodicSpec.from_harmonics({2: (NAN, 0.0)}),
-                             ArcConstraintError, r"f\(x \+ pi/2\) = -f\(x\) violated"),
+                             ArcConstraintError, "harmonic 2 cos = nan is not finite"),
+    "spec-inf-coefficient-cos": (lambda: forge.FourPeriodicSpec.from_harmonics({2: (np.inf, 0.0)}),
+                                 ArcConstraintError, "harmonic 2 cos = inf is not finite"),
+    "spec-inf-coefficient-sin": (lambda: forge.FourPeriodicSpec.from_harmonics(
+                                     {2: (0.0, 0.1), 6: (0.0, -np.inf)}),
+                                 ArcConstraintError, "harmonic 6 sin = -inf is not finite"),
+    "spec-json-inf-coefficient": (lambda: forge.table_from_spec(
+                                      {"type": "four-periodic",
+                                       "harmonics": [{"k": 2, "sin": np.inf}]}),
+                                  ArcConstraintError, "harmonic 2 sin = inf is not finite"),
     "spec-json-harmonics-not-list": (lambda: forge.FourPeriodicSpec.from_json(
                                          {"type": "four-periodic", "harmonics": 5}),
                                      ValueError, "must be a list of objects"),

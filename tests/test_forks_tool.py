@@ -33,3 +33,24 @@ def test_every_removal_edit_applies():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == repr(FORKS)
+
+
+BROKEN = """
+import sys
+sys.path.insert(0, {tools!r})
+import forks
+# an edit that leaves every scan sample unsolved, so each survey fails its check
+forks.FORKS["broken"] = (("scan-periodic",), [
+    (forks.periodic, "_newton", [("reason[row] = _stop(r, tol, went)", "reason[row] = 'max_iter'")]),
+])
+sys.exit(forks.main(["broken", "--rounds", "1"]))
+"""
+
+
+def test_a_failed_op_fails_the_run():
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN.format(tools=str(ROOT / "tools"))],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "failed ops unedited 0, edited 12" in proc.stdout, proc.stdout

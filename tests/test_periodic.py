@@ -47,8 +47,15 @@ class TestTotalAction:
             pd.total_action(round_table, [0.0, 0.5, 1.0])  # wrap gap > pi
 
 
+def derivatives(oval, angles, m):
+    """Action gradient and Hessian bands (diag, off) at `angles`, from one
+    `genfun.path_jets` call through `_gradient` and `_bands`."""
+    jets = genfun.path_jets(oval, pd._extended(angles, m))
+    return (pd._gradient(jets), *pd._bands(jets))
+
+
 def dense_hessian(diag, off):
-    """The dense cyclic tridiagonal matrix of the Hessian bands of `_derivatives`."""
+    """The dense cyclic tridiagonal matrix of the Hessian bands of `_bands`."""
     H = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
     H[0, -1] = H[-1, 0] = off[-1]
     return H
@@ -62,12 +69,12 @@ def test_action_hessian_matches_gradient_differences(n):
     h = 1e-6
 
     def gradient(a):
-        return pd._derivatives(oval, a, 1)[0]
+        return derivatives(oval, a, 1)[0]
 
     fd = np.column_stack([
         (gradient(angles + h * e) - gradient(angles - h * e)) / (2 * h) for e in np.eye(n)
     ])
-    assert np.max(np.abs(dense_hessian(*pd._derivatives(oval, angles, 1)[1:]) - fd)) < 1e-5
+    assert np.max(np.abs(dense_hessian(*derivatives(oval, angles, 1)[1:]) - fd)) < 1e-5
 
 
 #: a table with several harmonics, whose jets BLAS sums over four terms
@@ -80,8 +87,9 @@ def table(request, forge_table):
 
 
 class TestDerivatives:
-    """`_derivatives`, the one evaluation per Newton iterate, against the
-    chord gradients and Hessians of `genfun.grad_arr` and `genfun.hess_arr`."""
+    """`_gradient` and `_bands` on one `path_jets` call, the evaluation of a
+    Newton iterate, against the chord gradients and Hessians of
+    `genfun.grad_arr` and `genfun.hess_arr`."""
 
     @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (12, 5)])
     @pytest.mark.parametrize("k", [1, 16], ids=["free", "pinned"])
@@ -91,7 +99,7 @@ class TestDerivatives:
         rng = np.random.default_rng([n, k])
         rows = (np.linspace(0.0, TWO_PI, k, endpoint=False)[:, None]
                 + TWO_PI * m * (np.arange(n) + rng.uniform(-0.1, 0.1, (k, n))) / n)
-        g, diag, off = pd._derivatives(table, rows, m)
+        g, diag, off = derivatives(table, rows, m)
         ext = np.concatenate([rows, rows[:, :1] + TWO_PI * m], axis=1)
         S1, S2 = genfun.grad_arr(table, ext[:, :-1], ext[:, 1:])
         S11, S12, S22 = genfun.hess_arr(table, ext[:, :-1], ext[:, 1:])
@@ -99,7 +107,7 @@ class TestDerivatives:
         assert np.array_equal(diag, S11 + np.roll(S22, 1, axis=1))
         assert np.array_equal(off, S12)
         # a row on its own gives the batch's values
-        for got, batch in zip(pd._derivatives(table, rows[-1], m), (g, diag, off)):
+        for got, batch in zip(derivatives(table, rows[-1], m), (g, diag, off)):
             assert np.array_equal(got, batch[-1])
 
     @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 2), (7, 3)])
@@ -110,25 +118,75 @@ class TestDerivatives:
         assert abs(orbit.action - action) <= 1e-12
 
     def test_one_path_jets_call_per_iterate(self, monkeypatch):
-        # one call at the seed, one per line-search candidate, one for the
-        # orbit; on this table one step backtracks, so one candidate is refused
+        # one call at the seed and one per admissible line-search candidate,
+        # none for the orbit; on this table one step backtracks, so one
+        # candidate is refused
         calls, candidates = [], []
-        path_jets, gaps_ok = genfun.path_jets, pd._gaps_ok
+        path_jets, candidate = genfun.path_jets, pd._candidate
 
-        def counted_path_jets(oval, vertices):
+        def counted_path_jets(oval, vertices, gaps=None):
             calls.append(vertices)
-            return path_jets(oval, vertices)
+            return path_jets(oval, vertices, gaps)
 
-        def counted_gaps_ok(angles, m):
-            ok = gaps_ok(angles, m)
+        def counted_candidate(angles, m):
+            ext, w, ok = candidate(angles, m)
             candidates.append(int(np.sum(ok)))
-            return ok
+            return ext, w, ok
 
         monkeypatch.setattr(genfun, "path_jets", counted_path_jets)
-        monkeypatch.setattr(pd, "_gaps_ok", counted_gaps_ok)
+        monkeypatch.setattr(pd, "_candidate", counted_candidate)
         orbit = pd.find_periodic(ellipse(1.0, 0.2), 3)
         assert orbit.iterations == 7 and sum(candidates) == 8
-        assert len(calls) == 1 + sum(candidates) + 1
+        assert len(calls) == 1 + sum(candidates)
+
+    @pytest.mark.parametrize("name, n, m, turns", [
+        ("forge_table", 4, 1, [0.0, 0.1, -0.05, 0.02]),
+        ("wobble3_table", 5, 2, np.zeros(5)),
+    ], ids=["forged-4-1", "wobble3-5-2"])
+    def test_a_search_evaluates_only_what_its_steps_read(self, request, monkeypatch, name, n, m,
+                                                         turns):
+        # an admissible candidate is one jet evaluation and one gradient, the
+        # Hessian bands are built once per Newton step, nothing is evaluated
+        # after the loop, and the residual is the gradient max of the last
+        # iterate taken, which is the least of all the maxima evaluated.  The
+        # forged table's equal gaps are an orbit already, so its seed is
+        # turned off the invariant curve.
+        oval = request.getfixturevalue(name)
+        oval = oval[0] if name == "forge_table" else oval
+        seed = TWO_PI * m * np.arange(n) / n + np.asarray(turns)
+        events, maxima, candidates = [], [], []
+        jet, hess, path_jets = oval.jet, genfun.hess_from_jets, genfun.path_jets
+        gradient, candidate = pd._gradient, pd._candidate
+
+        def logged(label, fn):
+            def call(*args):
+                events.append(label)
+                return fn(*args)
+            return call
+
+        def counted_gradient(jets):
+            events.append("gradient")
+            g = gradient(jets)
+            maxima.append(np.abs(g).max())
+            return g
+
+        def counted_candidate(angles, m):
+            ext, w, ok = candidate(angles, m)
+            candidates.append(int(ok))
+            return ext, w, ok
+
+        monkeypatch.setattr(oval, "jet", logged("jet", jet))
+        monkeypatch.setattr(genfun, "hess_from_jets", logged("hess", hess))
+        monkeypatch.setattr(genfun, "path_jets", logged("path_jets", path_jets))
+        monkeypatch.setattr(pd, "_gradient", counted_gradient)
+        monkeypatch.setattr(pd, "_candidate", counted_candidate)
+        orbit = pd.find_periodic(oval, n, m, seed_angles=seed)
+        assert orbit.iterations >= 2 and sum(candidates) >= orbit.iterations
+        assert events.count("jet") == 1 + sum(candidates)
+        assert events.count("hess") == orbit.iterations
+        evaluation = ["path_jets", "jet", "gradient"]
+        assert [e for e in events if e != "hess"] == evaluation * (1 + sum(candidates))
+        assert orbit.residual == min(maxima) < 1e-11
 
 
 def cyclic_solve(diag, off, rhs):
@@ -248,17 +306,17 @@ class TestFindPeriodic:
         # a negated Hessian reverses every Newton step, so no step size lowers
         # the gradient; the search must say so instead of drifting for 80 steps
         solves = []
-        derivatives, solve = pd._derivatives, pd._cyclic_solve
+        bands, solve = pd._bands, pd._cyclic_solve
 
-        def reversed_bands(oval, angles, m):
-            g, diag, off = derivatives(oval, angles, m)
-            return g, -diag, -off
+        def reversed_bands(jets):
+            diag, off = bands(jets)
+            return -diag, -off
 
         def counted_solve(*args):
             solves.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(pd, "_derivatives", reversed_bands)
+        monkeypatch.setattr(pd, "_bands", reversed_bands)
         monkeypatch.setattr(pd, "_cyclic_solve", counted_solve)
         with pytest.raises(ConvergenceError, match="line search.*residual"):
             pd.find_periodic(ellipse(1.0, 0.6), 3)
@@ -280,7 +338,7 @@ class TestFindPeriodic:
 
     @pytest.mark.parametrize("table", ["round_table", "wobble3_table"])
     def test_seed_outside_the_chord_domain_raises(self, request, table):
-        # the seed's own `_derivatives` call refuses it, naming the gap
+        # the seed's own `path_jets` call refuses it, naming the gap
         oval = request.getfixturevalue(table)
         with pytest.raises(ChordDomainError, match="offending value 5e-05"):
             pd.find_periodic(oval, 4, seed_angles=[0.0, 5e-5, 2.1, 4.2])
@@ -358,17 +416,21 @@ class TestFindPeriodic:
     def test_no_descent_gives_up_below_step_scale_1e_3(self, monkeypatch, rows):
         # a negated Hessian reverses every step, so no candidate descends; a
         # search gives up at its first admissible candidate below scale
-        # 1e-3, 2**-10: 11 candidates after the seeds.  One row is a free
+        # 1e-3, 2**-10: 11 gradients after the seeds'.  One row is a free
         # orbit of `find_periodic`, two are pinned rows of `_newton`.
         calls = []
-        derivatives = pd._derivatives
+        gradient, bands = pd._gradient, pd._bands
 
-        def reversed_bands(oval, angles, m):
-            calls.append(angles)
-            g, diag, off = derivatives(oval, angles, m)
-            return g, -diag, -off
+        def counted_gradient(jets):
+            calls.append(jets)
+            return gradient(jets)
 
-        monkeypatch.setattr(pd, "_derivatives", reversed_bands)
+        def reversed_bands(jets):
+            diag, off = bands(jets)
+            return -diag, -off
+
+        monkeypatch.setattr(pd, "_gradient", counted_gradient)
+        monkeypatch.setattr(pd, "_bands", reversed_bands)
         if rows == 1:
             with pytest.raises(ConvergenceError, match="line search found no descent"):
                 pd.find_periodic(ellipse(1.0, 0.6), 3)
@@ -609,7 +671,7 @@ class TestInvariantCurveScan:
             assert solved.all()
             angles = report.orbit_angles[solved]
             assert np.array_equal(angles[:, 0], report.alpha1[solved])
-            assert np.max(np.abs(pd._derivatives(oval, angles, 1)[0][:, 1:])) < 1e-10
+            assert np.max(np.abs(derivatives(oval, angles, 1)[0][:, 1:])) < 1e-10
 
     def test_csv_layout(self, round_table):
         report = pd.invariant_curve_scan(round_table, 3, samples=8)

@@ -16,7 +16,9 @@ rounds the edited copy was slower.  A ratio above 1 means the fork pays.
 
 An edit whose text no longer occurs in the source is reported and skipped.
 Only `run()` of an op is timed; the outputs of one round of each variant are
-checked untimed, so an edit that breaks a result shows up as a failure.
+checked untimed, so an edit that breaks a result shows up as a failure.  The
+script exits 1 when any checked op fails, unedited or edited, and 0
+otherwise, whatever the ratios read.
 """
 
 import argparse
@@ -186,7 +188,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     names = args.forks or list(FORKS)
-    sessions = {}
+    sessions, failed = {}, 0
     for name in names:
         workloads, patches = FORKS[name]
         try:
@@ -198,18 +200,23 @@ def main(argv=None):
         for workload in workloads:
             if workload not in sessions:
                 sessions[workload] = wl.WORKLOADS[workload][0](args.seed)
-                report(f"a/a {workload}", *measure(sessions[workload].ops, [], args.rounds))
-            report(f"{name} ({workload})", *measure(sessions[workload].ops, pairs, args.rounds))
+                failed += report(f"a/a {workload}",
+                                 *measure(sessions[workload].ops, [], args.rounds))
+            failed += report(f"{name} ({workload})",
+                             *measure(sessions[workload].ops, pairs, args.rounds))
     for session in sessions.values():
         session.close()
+    return 1 if failed else 0
 
 
 def report(label, ratios, bad):
+    """Print one line of figures; returns the number of failed ops."""
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
     slower = sum(r > 1.0 for r in ratios)
     print(f"{label}: {med:.3f} ({q1:.3f}-{q3:.3f}), {slower} of {len(ratios)} rounds slower"
           f" edited; failed ops unedited {bad[0]}, edited {bad[1]}", flush=True)
+    return sum(bad)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
