@@ -24,7 +24,10 @@ The banded solve of the periodic-orbit Newton steps (`periodic`) takes
 LAPACK's `dgbtrf` and `dgbtrs` from here: scipy's `_flapack` extension,
 loaded once by its file path so that importing the package does not run
 `scipy.linalg`'s package `__init__`.  They are the objects
-`scipy.linalg.lapack` exports, so they round the same.
+`scipy.linalg.lapack` exports, so they round the same.  `import outerlength`
+peaks at 33.1 MB resident; adding `import scipy.linalg` takes it to 55.9 MB
+and adds 190-220 ms (CPython 3.11, scipy 1.17, one Xeon core): over 40 % of
+the peak RSS of every perfbench workload (44-54 MB).
 """
 
 from __future__ import annotations

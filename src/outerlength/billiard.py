@@ -47,7 +47,7 @@ from . import genfun
 from ._solve import bracketed_root
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
-from .oval import _CELL, TWO_PI, _cos_sin, _ufunc
+from .oval import _CELL, TWO_PI, _check_finite, _cos_sin, _ufunc
 
 
 def vertex_point(oval, state):
@@ -148,21 +148,24 @@ def step(oval, state):
 
 
 def phase_from_pair(oval, state):
-    """(alpha, R) coordinates of a chord: base angle plus its auxiliary radius."""
+    """(alpha, R) coordinates of a chord: base angle plus its auxiliary
+    radius; elementwise on a chord of arrays."""
     S1, _ = genfun.grad_arr(oval, state.alpha1, state.alpha2)
-    return state.alpha1, float(-S1)
+    return state.alpha1, -S1
 
 
 def pair_from_phase(oval, alpha, R):
-    """Invert R = R1(alpha, alpha2) for alpha2, monotone since S12 < 0; StepFailureError if none."""
-    for name, value in (("alpha", alpha), ("R", R)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} = {value} is not finite")
+    """Invert R = R1(alpha, alpha2) for alpha2, monotone since S12 < 0,
+    elementwise; StepFailureError names the first R without a root."""
+    _check_finite(alpha, "alpha")
+    _check_finite(R, "R")
     p1, dp1, _ = oval.jet(alpha)
     a2 = bracketed_root(_base_radius_fdf(oval), *_gap_bracket(alpha), alpha, R, p1, dp1)
-    if np.isnan(a2):
+    bad = np.isnan(a2)
+    if bad.any():
+        R = np.ravel(np.broadcast_to(R, np.shape(a2)))[np.argmax(bad)]
         raise StepFailureError(f"radius {R} outside the admissible range")
-    return ChordConfig(alpha, float(a2))
+    return ChordConfig(alpha, a2)
 
 
 # -- Cartesian oracle ----------------------------------------------------------

@@ -14,10 +14,10 @@ routes against each other and against finite differences.
 
 The partials and the Hessian read the support data through `chord_jets`:
 one call of `SupportOval.jet` per chord end gives (p, p', p'') there, which
-is all they need.  S reads p (the jet's p to the last bit) and its
-antiderivative's end term from one representation evaluation per chord
-end, which gives the integral term as well.  The functions
-take arrays of angles of any shape; a scalar chord is a batch of one.
+is all they need.  S reads p and the integral of p between the chord ends
+from the representation's one integral, `p_and_integral`, which evaluates
+each end once and gives the jet's p there.  The functions take arrays of
+angles of any shape; a scalar chord is a batch of one.
 `path_jets` serves chords that share their ends (the sides of a periodic
 orbit) from one call on the vertices: `periodic` calls it on a Newton seed,
 and on each line-search candidate with the gaps it checked itself.
@@ -126,9 +126,8 @@ def lengths_arr(oval, a1, a2):
 
 def S_arr(oval, a1, a2):
     """Generating value S = (p1 + p2) tan(w/2) - integral of p, from the gap
-    (checked) and one representation evaluation per chord end, which gives
-    p there (the jet's p to the last bit) and the end's antiderivative term;
-    a valid gap has finite ends, so both come from `oval._rep` unchecked."""
+    (checked) and one `p_and_integral` call, one evaluation per chord end;
+    a valid gap has finite ends, so it reads `oval._rep` unchecked."""
     w = _gap(a1, a2)
     p1, p2, integral = oval._rep.p_and_integral(a1, a2)
     out = np.asarray((p2 + p1) * np.tan(w / 2.0))

@@ -9,34 +9,33 @@ distance from the origin to the tangent line with outward normal
   quintic spline, fitted by one FFT and held in power form: six
   coefficients per grid interval.
 
-Both have one evaluation method, `jet(alpha) -> (p, p', p'')`, which reads
-cos(k alpha), sin(k alpha) or the interval's coefficients once for all three
-orders; every Fourier sum is one `np.dot`, BLAS's gemv.  Both integrate p
-exactly as the difference of an antiderivative term taken at each end, on
-that end's own shape, which is all the downstream dynamics needs.  One
-evaluation per end, `_end`, reads those terms once for p and the
-antiderivative term alike, so `p_and_integral(a, b)` gives p at both ends
-and the integral between them, which is what `genfun.S_arr` reads.  Where
-only p is read (`SupportOval.p`, the survey) `value(alpha)` computes the
-jet's p alone, to the last bit: two of the Fourier jet's six sums on an
-array of angles, one of the spline's three Horner accumulators.  Both
-evaluate a float or 0-d angle in plain floats, which the float branch of
-the bracketed solver calls once per step of a per-point solve, and any
-array of angles by numpy.  The boundary point with normal angle alpha is
+Each has one pointwise evaluation, `jet(alpha) -> (p, p', p'')`, which
+reads cos(k alpha), sin(k alpha) or the interval's coefficients once for all
+three orders (every Fourier sum is one `np.dot`, BLAS's gemv), and one
+integral, `p_and_integral(a, b)`: p at both ends and the integral of p
+between them, the difference of an antiderivative term taken at each end on
+that end's own shape.  One evaluation per end, `_end`, reads those terms
+once for p (the jet's p, to the last bit) and the antiderivative term alike;
+`genfun.S_arr` reads all three, the circumference and arc lengths the
+integral.  `SupportOval.p` is the jet's first entry.  A float or 0-d angle
+is evaluated in plain floats, which the float branch of the bracketed solver
+calls once per step of a per-point solve, and any array of angles by numpy.
+The boundary point with normal angle alpha is
 
     gamma(alpha) = p(alpha) (cos a, sin a) + p'(alpha) (-sin a, cos a),
 
 and p'' + p is the curvature radius, so validity means p > 0 and p'' + p > 0
-everywhere.  Each `SupportOval` keeps cos, sin and p on a closed grid of
-`GRID_SIZE` + 1 nodes over [0, 2*pi], computed once.  `tangent_angles_from`
-and `is_exterior` share one routine for a point or a (k, 2) array of them:
-they read the support margins off that grid, and where no node lies on the
-visible arc (points within about 1e-5 of the boundary) they refine the
-angle of maximum margin, so the test and the tangents cannot miss a point
-the grid cannot resolve.  The margins found there are also the tangency
-solve's values at its bracket ends, which it does not evaluate again.  The
-Cartesian oracle's far-tangent scan reads the grid too, at the nodes of
-the half turn it needs alone (`_margins_after`).
+everywhere.  Each `SupportOval` keeps cos, sin and p at the grid nodes j *
+2*pi / `GRID_SIZE` over a turn and a half, computed once over the first turn
+and copied past it.  `tangent_angles_from` and `is_exterior` share one
+routine for a point or a (k, 2) array of them: they read the support margins
+off the closed grid's `GRID_SIZE` + 1 nodes, and where no node lies on the
+visible arc (points within about 1e-5 of the boundary) they refine the angle
+of maximum margin, so the test and the tangents cannot miss a point the grid
+cannot resolve.  The margins found there are also the tangency solve's
+values at its bracket ends, which it does not evaluate again.  The Cartesian
+oracle's far-tangent scan reads the half turn it needs as one slice
+(`_margins_after`), and the survey p(alpha + pi) as another.
 """
 
 from __future__ import annotations
@@ -214,16 +213,8 @@ class _FourierRep:
         shape = alpha.shape
         return self._p(c, s).reshape(shape), dp.reshape(shape), ddp.reshape(shape)
 
-    def value(self, alpha):
-        """p at alpha, the first of `jet` to the last bit: on an array its two
-        series only, at one angle the float jet's p."""
-        if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            return self._jet_float(float(alpha))[0]
-        alpha, c, s = self._angles(alpha)
-        return self._p(c, s).reshape(alpha.shape)
-
     def _end(self, alpha):
-        """(p, W) at the angles alpha, from one `_angles` call: p as `value`
+        """(p, W) at the angles alpha, from one `_angles` call: p as `jet`
         gives it, and W = sum (a_k sin k alpha - b_k cos k alpha) / k, p's
         antiderivative less a0 alpha."""
         alpha, c, s = self._angles(alpha)
@@ -242,10 +233,6 @@ class _FourierRep:
         if len(self.k):
             out = out + (wb - wa)
         return pa, pb, (out if np.ndim(out) else float(out))
-
-    def integral(self, a, b):
-        """Integral of p over [a, b], elementwise; a float for scalar ends."""
-        return self.p_and_integral(a, b)[2]
 
     def periodicity_defect(self):
         return 0.0
@@ -370,33 +357,20 @@ class _SplineRep:
         i = np.fmin(a / self._h, self._n - 1).astype(np.intp)
         return i, a - i * self._h
 
-    def _float_at(self, a, poly):
-        """poly(c, t) at one float angle a, c the coefficients of a's interval
-        and t the offset in it; a NaN or infinite angle gives NaN, from the
-        last interval as in `_locate`."""
-        a %= TWO_PI
-        i = min(int(a / self._h), self._n - 1) if a == a else self._n - 1
-        return poly(self._coef[:, i].tolist(), a - i * self._h)
-
-    def _at(self, alpha, poly):
-        """poly(c, t) at alpha: in plain floats for a float or a 0-d array,
-        else on the gathered columns of every angle's interval."""
-        if isinstance(alpha, float) or np.ndim(alpha) == 0:
-            return self._float_at(float(alpha), poly)
-        i, t = self._locate(np.mod(np.asarray(alpha, dtype=float), TWO_PI))
-        return poly(np.take(self._coef, i, axis=1), t)
-
     def jet(self, alpha):
-        """(p, p', p'') at alpha."""
-        return self._at(alpha, _quintic_jet)
-
-    def value(self, alpha):
-        """p at alpha, the first of `jet` to the last bit."""
-        return self._at(alpha, _quintic_value)
+        """(p, p', p'') at alpha: in plain floats for a float or a 0-d array,
+        else on the gathered columns of every angle's interval.  A NaN or
+        infinite angle gives NaN, from the last interval as in `_locate`."""
+        if isinstance(alpha, float) or np.ndim(alpha) == 0:
+            a = float(alpha) % TWO_PI
+            i = min(int(a / self._h), self._n - 1) if a == a else self._n - 1
+            return _quintic_jet(self._coef[:, i].tolist(), a - i * self._h)
+        i, t = self._locate(np.mod(np.asarray(alpha, dtype=float), TWO_PI))
+        return _quintic_jet(np.take(self._coef, i, axis=1), t)
 
     def _end(self, alpha):
         """(p, P, turns) at the angles alpha, from one divmod, `_locate` and
-        coefficient gather: (turns, r) = divmod(alpha, 2*pi), p as `value`
+        coefficient gather: (turns, r) = divmod(alpha, 2*pi), p as `jet`
         gives it, and P the integral of p over [0, r]."""
         turns, r = np.divmod(np.asarray(alpha, dtype=float), TWO_PI)
         i, t = self._locate(r)
@@ -410,10 +384,6 @@ class _SplineRep:
         (pa, Pa, ta), (pb, Pb, tb) = self._end(a), self._end(b)
         out = (Pb - Pa) + (tb - ta) * self._full
         return pa, pb, (out if np.ndim(out) else float(out))
-
-    def integral(self, a, b):
-        """Integral of p over [a, b], elementwise; a float for scalar ends."""
-        return self.p_and_integral(a, b)[2]
 
     def periodicity_defect(self):
         """Largest jump of p, p', p'' between the last interval's end and 0."""
@@ -466,16 +436,19 @@ class SupportOval:
         self._rep = rep
         closed = np.linspace(0.0, TWO_PI, GRID_SIZE + 1)
         p, _, ddp = rep.jet(closed)
-        # (nodes, cos, sin, p) of the closed grid, for `_grid_margin`; the
-        # node at 2*pi repeats the values at 0, so a margin's signs close up
-        cos, sin, p = (np.append(v[:-1], v[0]) for v in (np.cos(closed), np.sin(closed), p))
+        # (nodes, cos, sin, p): the closed grid's nodes, and the values at
+        # the nodes of a turn and a half, node GRID_SIZE + i a copy of node
+        # i; so a margin's signs close up at 2*pi (`_grid_margin`) and every
+        # half-turn window is one slice (`_margins_after`)
+        cos, sin, p = (np.concatenate((v[:-1], v[:_HALF + 1]))
+                       for v in (np.cos(closed), np.sin(closed), p))
         self._scan = (closed, cos, sin, p)
-        self._report = self._survey(closed[:-1], p[:-1], p[:-1] + ddp[:-1])
+        self._report = self._survey(closed[:-1], p, p[:GRID_SIZE] + ddp[:-1])
         self.symmetry_flag = self._report.symmetry_defect < 1e-8
         if not self._report.passed:
             raise OvalValidationError("; ".join(self._report.messages), self._report)
         #: boundary length, the integral of p over one period
-        self.circumference = rep.integral(0.0, TWO_PI)
+        self.circumference = rep.p_and_integral(0.0, TWO_PI)[2]
 
     # -- constructors ------------------------------------------------------
 
@@ -519,7 +492,7 @@ class SupportOval:
         """Support function value at alpha (`jet` gives its derivatives);
         ConfigError names a non-finite angle."""
         _check_finite(alpha, "alpha")
-        return self._rep.value(alpha)
+        return self._rep.jet(alpha)[0]
 
     def point_at(self, alpha):
         """Boundary point gamma(alpha); vectorized, returns (..., 2), and
@@ -543,8 +516,7 @@ class SupportOval:
         a2 = np.asarray(alpha2, dtype=float)
         if not np.all((a1 < a2) & (a2 <= a1 + TWO_PI + 1e-12)):
             raise ConfigError("need alpha1 < alpha2 <= alpha1 + 2*pi")
-        out = self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.integral(a1, a2)
-        return out if np.ndim(out) else float(out)
+        return self._rep.jet(a2)[1] - self._rep.jet(a1)[1] + self._rep.p_and_integral(a1, a2)[2]
 
     # -- exterior points and tangency -------------------------------------
 
@@ -566,7 +538,7 @@ class SupportOval:
         """Support margins <point, n(alpha)> - p(alpha), positive outside the
         support line, of points (k, 2) at every node of the closed grid,
         shape (k, GRID_SIZE + 1)."""
-        _, cos, sin, p = self._scan
+        _, cos, sin, p = (v[:GRID_SIZE + 1] for v in self._scan)
         h = np.multiply.outer(xy[:, 0], cos)
         h += np.multiply.outer(xy[:, 1], sin)
         h -= p
@@ -575,20 +547,11 @@ class SupportOval:
     def _margins_after(self, x, y, a):
         """(j, margins): the support margin of the point (x, y) at the `_HALF` + 1
         grid nodes after the angle a, node i at (j + i) * `_CELL`; floats, read
-        off the closed grid cyclically, at those nodes alone."""
+        off one slice of the stored turn and a half, at those nodes alone."""
         _, cos, sin, p = self._scan
         j = math.floor(a / _CELL) + 1
-        s = j % GRID_SIZE
-        if s <= _HALF:
-            window = slice(s, s + _HALF + 1)
-            return j, x * cos[window] + y * sin[window] - p[window]
-        # past 2*pi the window goes on from node 1, node GRID_SIZE being node 0
-        h, n = np.empty(_HALF + 1), GRID_SIZE + 1 - s
-        for part, window in ((h[:n], slice(s, None)), (h[n:], slice(1, s - _HALF + 1))):
-            np.multiply(x, cos[window], out=part)
-            part += y * sin[window]
-            part -= p[window]
-        return j, h
+        window = slice(j % GRID_SIZE, j % GRID_SIZE + _HALF + 1)
+        return j, x * cos[window] + y * sin[window] - p[window]
 
     def _visible(self, xy):
         """Shared core of `is_exterior` and `tangent_angles_from` for points
@@ -691,12 +654,14 @@ class SupportOval:
     # -- validation --------------------------------------------------------
 
     def _survey(self, grid, p, rho):
-        """The invariants at the nodes `grid` of the open grid, where p and
-        rho = p'' + p take the given values, with the minima refined."""
+        """The invariants at the nodes `grid` of the open grid, the minima
+        refined: rho = p'' + p is given there, and p is `_scan`'s, over a
+        turn and a half, so p(alpha + pi) is a slice of it too."""
+        sym = p[:GRID_SIZE] - p[_HALF:_HALF + GRID_SIZE]
+        p = p[:GRID_SIZE]
         min_p = _refined_min(self.p, grid, p)
         min_rho = _refined_min(self.curvature_radius, grid, rho)
         defect = self._rep.periodicity_defect()
-        sym = p - self._rep.value(np.mod(grid + np.pi, TWO_PI))
         messages = []
         if not min_p > 1e-12:
             messages.append(f"support function not positive (min p = {min_p:.3e})")

@@ -175,6 +175,13 @@ CASES = {
                          "R = inf is not finite"),
     "phase-nan-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, NAN), ConfigError,
                          "R = nan is not finite"),
+    "phase-nan-radius-in-array": (lambda: billiard.pair_from_phase(
+                                      circle(), np.array([0.0, 0.1]), np.array([1.0, NAN])),
+                                  ConfigError, "R = nan is not finite"),
+    "phase-array-radius-without-root": (lambda: billiard.pair_from_phase(
+                                            circle(), np.array([0.0, 0.1, 0.2]),
+                                            np.array([0.5, -2.0, -3.0])),
+                                        StepFailureError, "radius -2.0 outside the admissible"),
     "scan-minus-inf-window": (lambda: pd.invariant_curve_scan(circle(), 4, alpha_lo=-np.inf),
                               ConfigError, r"scan window \[-inf, .*must be finite"),
     "scan-empty-window": (lambda: pd.invariant_curve_scan(circle(), 4, samples=8,
@@ -236,6 +243,22 @@ CASES = {
 def test_rejected_input_raises_typed_error(call, error, reason):
     with pytest.raises(error, match=reason):
         call()
+
+
+@pytest.mark.parametrize("table", [perturbed_circle(0.05, 3), ellipse(1.0, 0.6)],
+                         ids=["fourier", "spline"])
+def test_phase_functions_are_elementwise(table):
+    """A chord of arrays goes to (alpha, R) and back in one call each, equal
+    bit for bit to one call per chord, whose results are floats."""
+    a1, a2 = genfun.sample_chords(np.random.default_rng(5), 40)
+    alpha, R = billiard.phase_from_pair(table, ChordConfig(a1, a2))
+    back = billiard.pair_from_phase(table, alpha, R)
+    one = [billiard.phase_from_pair(table, ChordConfig(x, y))
+           for x, y in zip(a1.tolist(), a2.tolist())]
+    pairs = [billiard.pair_from_phase(table, x, r) for x, r in one]
+    assert all(type(r) is float and type(c.alpha2) is float for (_, r), c in zip(one, pairs))
+    assert np.array_equal(alpha, a1) and np.array_equal(R, [r for _, r in one])
+    assert np.array_equal(back.alpha2, [c.alpha2 for c in pairs])
 
 
 # -- the table and spec JSON readers -------------------------------------------

@@ -1,6 +1,7 @@
 """`tools/forks.py` can still remove every fork on the keep-list: each
 removal edit's text occurs in its function's source, the edited function
-compiles, and the original is bound somewhere in the package."""
+compiles, and the original is bound somewhere in the package.  Its report
+marks a median inside the A/A quartiles, and a failed op fails the run."""
 
 import subprocess
 import sys
@@ -16,13 +17,14 @@ for name, (_, patches) in forks.FORKS.items():
     for owner, attr, edits in patches:
         assert forks.bindings(owner, attr, forks.edited(owner, attr, edits)), (name, attr)
 print(sorted(forks.FORKS))
+forks.report("noise", [0.99, 1.0, 1.02], [0, 0], (0.98, 1.01))
+forks.report("pays", [1.03, 1.04, 1.05], [0, 0], (0.98, 1.01))
 """
 
 #: the forks that one local edit removes, as ROADMAP aim 2 lists them
 FORKS = [
     "band-layout-cache", "cartesian-one-point", "check-omega-float", "circle-predictor",
     "iterate-shape-skip", "prev", "solver-float-branch", "tangency-one-point",
-    "value-beside-jet",
 ]
 
 
@@ -32,7 +34,10 @@ def test_every_removal_edit_applies():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == repr(FORKS)
+    names, noise, pays = proc.stdout.splitlines()
+    assert names == repr(FORKS)
+    assert noise.startswith("noise: 1.000 ") and noise.endswith(", inside a/a")
+    assert pays.startswith("pays: 1.040 ") and "a/a" not in pays
 
 
 BROKEN = """

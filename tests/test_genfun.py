@@ -156,7 +156,7 @@ class TestStencil:
             a1, a2 = gf.sample_chords(rng, int(np.prod(shape)))
             a1, a2 = a1.reshape(shape)[()], a2.reshape(shape)[()]
             ref = ((oval.jet(a2)[0] + oval.jet(a1)[0]) * np.tan((a2 - a1) / 2.0)
-                   - oval._rep.integral(a1, a2))
+                   - oval._rep.p_and_integral(a1, a2)[2])
             S = gf.S_arr(oval, a1, a2)
             assert np.shape(S) == shape
             assert np.array_equal(S, ref), shape
@@ -176,10 +176,10 @@ class TestStencil:
         """S reads p and its antiderivative's end term from one evaluation
         per chord end: an `S_arr` call, and so each stencil, makes two
         (`_angles` on a Fourier table, `_locate` with its coefficient gather
-        on a spline table), and calls neither `jet` nor `value`."""
+        on a spline table), and does not call `jet`."""
         oval = request.getfixturevalue(table)
         per_end = "_angles" if oval.kind == "fourier" else "_locate"
-        calls = dict.fromkeys((per_end, "jet", "value"), 0)
+        calls = dict.fromkeys((per_end, "jet"), 0)
 
         def counted(name):
             inner = getattr(oval._rep, name)
@@ -196,7 +196,7 @@ class TestStencil:
         for fn in (gf.S_arr, gf.fd_grad_arr, gf.fd_hess_arr):
             calls.update(dict.fromkeys(calls, 0))
             fn(oval, a1, a2)
-            assert calls == {per_end: 2, "jet": 0, "value": 0}, fn.__name__
+            assert calls == {per_end: 2, "jet": 0}, fn.__name__
 
     def test_stencil_evaluates_per_end(self, ellipse_table, wobble3_table, monkeypatch):
         """`fd_hess_arr` on N chords evaluates each end on its 3N shifted

@@ -12,7 +12,10 @@ seed ops alternate between the unedited code and the edited copy (the order
 flips every round), and each round gives one ratio, edited time over
 unedited time.  An `a/a` entry per workload times the unedited code against
 itself.  It prints, per fork, the median ratio, its quartiles and how many
-rounds the edited copy was slower.  A ratio above 1 means the fork pays.
+rounds the edited copy was slower, marked `inside a/a` when the median lies
+within the workload's A/A quartiles.  A ratio above 1 means the fork pays,
+unless it lies inside the A/A quartiles, where timing cannot tell it from
+noise; ROADMAP aim 2 says when such a fork goes.
 
 An edit whose text no longer occurs in the source is reported and skipped.
 Only `run()` of an op is timed; the outputs of one round of each variant are
@@ -77,18 +80,6 @@ FORKS = {
     ]),
     "tangency-one-point": (("map-oracle",), [
         (oval.SupportOval, "tangent_angles_from", [("if one and seen[0]:", "if False:")]),
-    ]),
-    "value-beside-jet": (("map-oracle", "cli-session"), [
-        (oval._FourierRep, "value", [
-            ("""    if isinstance(alpha, float) or np.ndim(alpha) == 0:
-        return self._jet_float(float(alpha))[0]
-    alpha, c, s = self._angles(alpha)
-    return self._p(c, s).reshape(alpha.shape)""",
-             "    return self.jet(alpha)[0]"),
-        ]),
-        (oval._SplineRep, "value", [
-            ("return self._at(alpha, _quintic_value)", "return self.jet(alpha)[0]"),
-        ]),
     ]),
     "cartesian-one-point": (("map-oracle",), [
         (billiard, "cartesian_step", [
@@ -188,7 +179,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     names = args.forks or list(FORKS)
-    sessions, failed = {}, 0
+    sessions, spread, failed = {}, {}, 0
     for name in names:
         workloads, patches = FORKS[name]
         try:
@@ -200,21 +191,26 @@ def main(argv=None):
         for workload in workloads:
             if workload not in sessions:
                 sessions[workload] = wl.WORKLOADS[workload][0](args.seed)
-                failed += report(f"a/a {workload}",
-                                 *measure(sessions[workload].ops, [], args.rounds))
+                ratios, bad = measure(sessions[workload].ops, [], args.rounds)
+                failed += report(f"a/a {workload}", ratios, bad)
+                spread[workload] = np.percentile(ratios, [25, 75])
             failed += report(f"{name} ({workload})",
-                             *measure(sessions[workload].ops, pairs, args.rounds))
+                             *measure(sessions[workload].ops, pairs, args.rounds),
+                             spread[workload])
     for session in sessions.values():
         session.close()
     return 1 if failed else 0
 
 
-def report(label, ratios, bad):
-    """Print one line of figures; returns the number of failed ops."""
+def report(label, ratios, bad, spread=None):
+    """Print one line of figures, marked `inside a/a` when the median lies
+    within `spread`, the A/A quartiles; returns the number of failed ops."""
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
     slower = sum(r > 1.0 for r in ratios)
+    inside = spread is not None and spread[0] <= med <= spread[1]
     print(f"{label}: {med:.3f} ({q1:.3f}-{q3:.3f}), {slower} of {len(ratios)} rounds slower"
-          f" edited; failed ops unedited {bad[0]}, edited {bad[1]}", flush=True)
+          f" edited; failed ops unedited {bad[0]}, edited {bad[1]}"
+          f"{', inside a/a' if inside else ''}", flush=True)
     return sum(bad)
 
 
