@@ -31,14 +31,13 @@ circle tangent to the boundary at the far tangency point and to the near
 tangent line, then cut the far common tangent.  It takes one point or an
 array of them, elementwise on the x and y components: one point in plain
 floats, an array solved together.  It shares only the pointwise oval
-primitives and the oval's stored grid with the generating-function route and
-serves as its oracle.
+primitives and the far tangent's grid cell, read by the oval off its stored
+grid, with the generating-function route and serves as its oracle.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from . import genfun
 from ._solve import bracketed_root
 from .errors import ConfigError, StepFailureError, checked_count
 from .genfun import OMEGA_MIN, ChordConfig
-from .oval import _CELL, TWO_PI, _check_finite, _cos_sin, _ufunc
+from .oval import TWO_PI, _check_finite, _cos_sin, _ufunc
 
 
 def vertex_point(oval, state):
@@ -74,10 +73,8 @@ def auxiliary_circle(oval, state):
 def _gap_bracket(a):
     """Bracket [a + OMEGA_MIN, a + pi - OMEGA_MIN] for the angle after a,
     pulled in by a few rounding units, a search margin, so that the gaps
-    recomputed from its endpoints stay inside the chord domain; a float's
-    bracket in plain floats, equal to numpy's."""
-    pad = 4.0 * (math.ulp(abs(a) + math.pi) if isinstance(a, float)
-                 else np.spacing(np.abs(a) + np.pi))
+    recomputed from its endpoints stay inside the chord domain."""
+    pad = 4.0 * np.spacing(np.abs(a) + np.pi)
     return a + (OMEGA_MIN + pad), a + (np.pi - OMEGA_MIN - pad)
 
 
@@ -216,26 +213,18 @@ def cartesian_step(oval, point):
     # the circle on its inner side, where q = (margin of O) + r turns from
     # > 0 to <= 0 after a2.  A strictly convex oval gives q two roots, a1 and
     # this one, so the half turn after a2 brackets it alone; a scan of q at
-    # a2 (2r exactly) and at the grid nodes of that half turn checks that
+    # a2 (2r exactly) and at the oval's grid nodes of that half turn checks
+    # that and gives the cell where q turns (`SupportOval._cell_after`)
     def qdq(beta, ox, oy, r):
         h, dh = oval._margin_fdf(beta, ox, oy)
         return h + r, dh
 
-    def cell(ox, oy, r, a2, q0):
-        # (lo, hi, q(lo), q(hi)) of the cell ending at the scan's first node
-        # with q <= 0 (or NaN), from a2 if that is the first node after a2
-        j, q = oval._margins_after(ox, oy, a2)
-        q += r
-        k = int(np.argmax(~(q > 0.0)))
-        lo, flo = (a2, q0) if k == 0 else ((j + k - 1) * _CELL, float(q[k - 1]))
-        return lo, (j + k) * _CELL, flo, float(q[k])
-
     q0 = ox * c2 + oy * s2 - p2 + r
     if M.ndim == 1:
-        lo, hi, flo, fhi = cell(ox, oy, r, a2, q0)
+        lo, hi, flo, fhi = oval._cell_after(ox, oy, r, a2, q0)
     else:  # each point's cell as one point's, in floats
         rows = zip(*(v.tolist() for v in (ox, oy, r, a2, q0)))
-        lo, hi, flo, fhi = np.array([cell(*v) for v in rows]).reshape(-1, 4).T
+        lo, hi, flo, fhi = np.array([oval._cell_after(*v) for v in rows]).reshape(-1, 4).T
     missing = np.logical_not((q0 > 0.0) & (fhi <= 0.0))
     if missing.any():
         raise _first_failure(missing, M, "no common tangent found by the Cartesian rule")

@@ -134,16 +134,18 @@ class FourPeriodicSpec:
 
     @classmethod
     def from_json(cls, obj):
-        (harmonics,) = _json_fields(obj, "four-periodic spec", "harmonics")
+        harmonics, _ = _json_fields(obj, "four-periodic spec", "harmonics", optional={"type": None})
         if not (isinstance(harmonics, list) and all(isinstance(h, dict) for h in harmonics)):
             raise ValueError("four-periodic spec 'harmonics' must be a list of objects")
         what = "four-periodic spec harmonic"
         coeffs = {}
         for h in harmonics:
-            (k,) = _json_fields(h, what, "k")
-            cos, sin = (_json_floats(h.get(c, 0.0), f"{what} {c!r}", many=False)
-                        for c in ("cos", "sin"))
-            coeffs[_json_floats(k, f"{what} 'k'", many=False)] = (cos, sin)
+            fields = _json_fields(h, what, "k", optional={"cos": 0.0, "sin": 0.0})
+            k, cos, sin = (_json_floats(v, f"{what} {c!r}", many=False)
+                           for c, v in zip(("k", "cos", "sin"), fields))
+            if k in coeffs:
+                raise ValueError(f"{what} 'k' = {k:g} repeats")
+            coeffs[k] = (cos, sin)
         return cls.from_harmonics(coeffs)
 
 
@@ -156,7 +158,7 @@ def table_from_spec(obj):
     if kind == "four-periodic":
         return from_f(FourPeriodicSpec.from_json(obj))[0]
     if kind == "radon-arc":
-        (p,) = _json_fields(obj, "radon-arc spec", "p")
+        _, p = _json_fields(obj, "radon-arc spec", "type", "p", optional={})
         return radon_like(_json_floats(p, "radon-arc spec 'p'", many=True))
     raise ValueError(f"unknown table spec type {kind!r}")
 
@@ -360,12 +362,10 @@ def radon_like(arc):
 
     full[2 * q :] = full[: 2 * q]
 
-    # seam audit: values and slopes of the two branches at pi/2 and pi
-    seam_val = max(abs((1.0 - p0) - p1), abs((1.0 - p1) - p0))
-    # extension slope is cos(beta - alpha) with beta - alpha = arccos(-p'):
-    # it vanishes at both seams like the arc's, so each term reads 2|p'|
-    seam_slope = max(abs(np.cos(np.arccos(-dp0)) - dp0), abs(np.cos(np.arccos(-dp1)) - dp1))
-    seam = max(seam_val, seam_slope)
+    # seam audit: the two branches' values differ by |1 - p(0) - p(pi/2)| at
+    # pi/2 and pi; the extension's slope there is cos(arccos(-p')) = -p', the
+    # arc's p', so their slopes differ by 2|p'| at each end
+    seam = max(abs(1.0 - p0 - p1), 2.0 * abs(dp0), 2.0 * abs(dp1))
     if seam > 1e-8:
         raise SeamError(f"extension does not close C^1 (seam defect {seam:.3e})")
 

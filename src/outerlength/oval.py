@@ -27,15 +27,16 @@ The boundary point with normal angle alpha is
 and p'' + p is the curvature radius, so validity means p > 0 and p'' + p > 0
 everywhere.  Each `SupportOval` keeps cos, sin and p at the grid nodes j *
 2*pi / `GRID_SIZE` over a turn and a half, computed once over the first turn
-and copied past it.  `tangent_angles_from` and `is_exterior` share one
-routine for a point or a (k, 2) array of them: they read the support margins
-off the closed grid's `GRID_SIZE` + 1 nodes, and where no node lies on the
-visible arc (points within about 1e-5 of the boundary) they refine the angle
-of maximum margin, so the test and the tangents cannot miss a point the grid
-cannot resolve.  The margins found there are also the tangency solve's
-values at its bracket ends, which it does not evaluate again.  The Cartesian
-oracle's far-tangent scan reads the half turn it needs as one slice
-(`_margins_after`), and the survey p(alpha + pi) as another.
+and copied past it, and it alone reads that grid's layout.
+`tangent_angles_from`, for a point or a (k, 2) array of them, reads the
+support margins off the closed grid's `GRID_SIZE` + 1 nodes, and where no
+node lies on the visible arc (points within about 1e-5 of the boundary) it
+refines the angle of maximum margin, so the exterior test and the tangents
+cannot miss a point the grid cannot resolve.  The margins found there are
+also the tangency solve's values at its bracket ends, which it does not
+evaluate again.  The Cartesian oracle's far-tangent cell (`_cell_after`) is
+read off the half turn it needs as one slice, and the survey p(alpha + pi)
+as another.
 """
 
 from __future__ import annotations
@@ -107,15 +108,21 @@ def _as_points(point):
     return xy, one
 
 
-def _json_fields(obj, what, *keys):
+def _json_fields(obj, what, *keys, optional=None):
     """The values of the required `keys` of the JSON object `obj`, a `what`;
-    a ValueError names a non-object or the first missing key."""
+    a ValueError names a non-object or the first missing key.  With
+    `optional`, a dict of the other keys `obj` may hold and their defaults,
+    their values follow, and the ValueError names the first key of neither
+    kind too."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} lacks the key {key!r}")
-    return [obj[key] for key in keys]
+    unknown = [] if optional is None else [k for k in obj if k not in keys and k not in optional]
+    if unknown:
+        raise ValueError(f"{what} has the unknown key {unknown[0]!r}")
+    return [obj[key] for key in keys] + [obj.get(key, v) for key, v in (optional or {}).items()]
 
 
 def _json_floats(value, name, many):
@@ -229,9 +236,7 @@ class _FourierRep:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         (pa, wa), (pb, wb) = self._end(a), self._end(b)
-        out = self.a0 * (b - a)
-        if len(self.k):
-            out = out + (wb - wa)
+        out = self.a0 * (b - a) + (wb - wa)
         return pa, pb, (out if np.ndim(out) else float(out))
 
     def periodicity_defect(self):
@@ -438,8 +443,8 @@ class SupportOval:
         p, _, ddp = rep.jet(closed)
         # (nodes, cos, sin, p): the closed grid's nodes, and the values at
         # the nodes of a turn and a half, node GRID_SIZE + i a copy of node
-        # i; so a margin's signs close up at 2*pi (`_grid_margin`) and every
-        # half-turn window is one slice (`_margins_after`)
+        # i; so a margin's signs close up at 2*pi (`tangent_angles_from`) and
+        # every half-turn window is one slice (`_cell_after`)
         cos, sin, p = (np.concatenate((v[:-1], v[:_HALF + 1]))
                        for v in (np.cos(closed), np.sin(closed), p))
         self._scan = (closed, cos, sin, p)
@@ -534,59 +539,21 @@ class SupportOval:
     def _slope_fdf(self, a, x, y):
         return self._margin_jet(a, x, y)[1:]
 
-    def _grid_margin(self, xy):
-        """Support margins <point, n(alpha)> - p(alpha), positive outside the
-        support line, of points (k, 2) at every node of the closed grid,
-        shape (k, GRID_SIZE + 1)."""
-        _, cos, sin, p = (v[:GRID_SIZE + 1] for v in self._scan)
-        h = np.multiply.outer(xy[:, 0], cos)
-        h += np.multiply.outer(xy[:, 1], sin)
-        h -= p
-        return h
-
-    def _margins_after(self, x, y, a):
-        """(j, margins): the support margin of the point (x, y) at the `_HALF` + 1
-        grid nodes after the angle a, node i at (j + i) * `_CELL`; floats, read
-        off one slice of the stored turn and a half, at those nodes alone."""
+    def _cell_after(self, x, y, r, a, qa):
+        """(lo, hi, q(lo), q(hi)) of the first cell of the half turn after the
+        angle a where q = (support margin of the point (x, y)) + r turns
+        non-positive (or NaN): the cell ending at the first grid node after a
+        with q <= 0, or starting at a, where q is `qa`, if that node is the
+        first.  Floats, q read off one slice of the stored turn and a half, at
+        the `_HALF` + 1 nodes after a alone; q(hi) > 0 when no node has q <= 0."""
         _, cos, sin, p = self._scan
         j = math.floor(a / _CELL) + 1
         window = slice(j % GRID_SIZE, j % GRID_SIZE + _HALF + 1)
-        return j, x * cos[window] + y * sin[window] - p[window]
-
-    def _visible(self, xy):
-        """Shared core of `is_exterior` and `tangent_angles_from` for points
-        (k, 2): their grid margins h, the largest node margin of each, and
-        whether each is exterior (see `_EXTERIOR_MARGIN`); where the grid alone
-        cannot tell, also the argmax node's index, and the angle of maximum
-        margin and the margin there (index -1 and NaN on the other rows, and
-        None for all three when the grid tells for every row).
-
-        A row whose largest node margin exceeds the threshold is exterior.
-        For the others the maximum is refined: h is strictly concave near it
-        (h'' = -(h + p'' + p)), so h' has one root on the two cells around
-        the argmax, and the point is exterior if h there exceeds it.
-        """
-        h = self._grid_margin(xy)
-        top = h.max(axis=1)
-        exterior = top > _EXTERIOR_MARGIN
-        node = star = peak = None
-        if not exterior.all():
-            fine = np.flatnonzero(~exterior)
-            node = np.full(len(h), -1)
-            star, peak = np.full((2, len(h)), np.nan)
-            node[fine] = np.argmax(h[fine], axis=1)
-            at, x, y = self._scan[0][node[fine]], xy[fine, 0], xy[fine, 1]
-            star[fine] = bracketed_root(self._slope_fdf, at - _CELL, at + _CELL, x, y)
-            peak[fine] = self._margin_jet(star[fine], x, y)[0]
-            exterior[fine] = peak[fine] > _EXTERIOR_MARGIN
-        return h, top, exterior, node, star, peak
-
-    def is_exterior(self, point):
-        """True when some support margin of the point exceeds
-        `_EXTERIOR_MARGIN` = 1e-12; k points (k, 2) give k booleans."""
-        xy, one = _as_points(point)
-        exterior = self._visible(xy)[2]
-        return bool(exterior[0]) if one else exterior
+        q = x * cos[window] + y * sin[window] - p[window]
+        q += r
+        k = int(np.argmax(~(q > 0.0)))
+        lo, qlo = (a, qa) if k == 0 else ((j + k - 1) * _CELL, float(q[k - 1]))
+        return lo, (j + k) * _CELL, qlo, float(q[k])
 
     def tangent_angles_from(self, point):
         """Normal angles (alpha1, alpha2) of the two tangent lines through a point.
@@ -596,25 +563,44 @@ class SupportOval:
         alpha1.  alpha1 is reduced to [0, 2*pi); alpha2 may exceed 2*pi.  A
         point of shape (2,) gives two floats, k points (k, 2) two arrays.
 
-        The support margin h is positive exactly on the visible arc, one
-        interval.  Where a grid node has h > 0, the two grid cells where the
-        sign of h turns bracket the roots.  Where none does, the point is
-        within about (grid step)^2 of the boundary, and both roots lie in the
-        grid cell of the refined maximum, split there into two brackets (see
-        `_visible`).  Each bracket is solved from its midpoint, with the margins
-        at its ends read off the grid and the refined maximum, not evaluated
-        again: one point's two brackets in plain floats, one solver call each,
-        k points' 2k brackets in one call.  ContainmentError names the first
-        point `is_exterior` refuses.
+        The support margin h = <point, n(alpha)> - p(alpha) is positive
+        exactly on the visible arc, one interval; it is read at every node of
+        the closed grid.  A point is exterior when some margin exceeds
+        `_EXTERIOR_MARGIN`.  Where no node's does, the maximum is refined: h is
+        strictly concave near it (h'' = -(h + p'' + p)), so h' has one root on
+        the two cells around the argmax node, and ContainmentError names the
+        first point whose margin there does not exceed it either.
+
+        Where a grid node has h > 0, the two grid cells where the sign of h
+        turns bracket the roots.  Where none does, the point is within about
+        (grid step)^2 of the boundary, and both roots lie in the grid cell of
+        the refined maximum, split there into two brackets.  Each bracket is
+        solved from its midpoint, with the margins at its ends read off the
+        grid and the refined maximum, not evaluated again: one point's two
+        brackets in plain floats, one solver call each, k points' 2k brackets
+        in one call.
         """
         xy, one = _as_points(point)
-        h, top, exterior, node, star, peak = self._visible(xy)
+        nodes, cos, sin, p = (v[:GRID_SIZE + 1] for v in self._scan)
+        h = np.multiply.outer(xy[:, 0], cos)
+        h += np.multiply.outer(xy[:, 1], sin)
+        h -= p
+        top = h.max(axis=1)
+        exterior = top > _EXTERIOR_MARGIN
         if not exterior.all():
-            i = int(np.argmin(exterior))
-            raise ContainmentError(
-                f"{'point' if one else f'point {i},'} {xy[i].tolist()} is not strictly exterior"
-            )
-        nodes = self._scan[0]
+            # the rows the grid cannot tell: their argmax node, the angle of
+            # maximum margin and the margin there
+            fine = np.flatnonzero(~exterior)
+            node = np.argmax(h[fine], axis=1)
+            x, y = xy[fine, 0], xy[fine, 1]
+            star = bracketed_root(self._slope_fdf, nodes[node] - _CELL, nodes[node] + _CELL, x, y)
+            peak = self._margin_jet(star, x, y)[0]
+            exterior[fine] = peak > _EXTERIOR_MARGIN
+            if not exterior.all():
+                i = int(np.argmin(exterior))
+                raise ContainmentError(
+                    f"{'point' if one else f'point {i},'} {xy[i].tolist()} is not strictly exterior"
+                )
         # a row with a positive node has one positive run, so its signs turn
         # in exactly two cells (each row has an even number of turns)
         seen = top > 0.0
@@ -637,8 +623,9 @@ class SupportOval:
         grid = (nodes[cell], nodes[cell + 1], h[rows, cell], h[rows, cell + 1])
         lo[seen], hi[seen], flo[seen], fhi[seen] = (v.reshape(-1, 2) for v in grid)
         if not seen.all():
-            rows = np.flatnonzero(~seen)
-            j, star, peak = node[rows], star[rows], peak[rows]
+            # every row without a positive node is one the grid cannot tell
+            split = ~seen[fine]
+            rows, j, star, peak = fine[split], node[split], star[split], peak[split]
             left = star < nodes[j]
             edge = np.where(left, nodes[j] - _CELL, nodes[j])
             # the index of the grid node at `edge`, one period on for the node before 0
@@ -695,12 +682,12 @@ class SupportOval:
         kind = obj.get("type")
         what = f"{kind} oval descriptor"
         if kind == "fourier":
-            (a0,) = _json_fields(obj, what, "a0")
-            cos, sin = (_json_floats(obj.get(k, []), f"{what} {k!r}", many=True)
-                        for k in ("cos", "sin"))
+            _, a0, cos, sin = _json_fields(obj, what, "type", "a0", optional={"cos": [], "sin": []})
+            cos, sin = (_json_floats(v, f"{what} {k!r}", many=True)
+                        for k, v in (("cos", cos), ("sin", sin)))
             return cls.from_fourier(_json_floats(a0, f"{what} 'a0'", many=False), cos, sin)
         if kind == "samples":
-            (p,) = _json_fields(obj, what, "p")
+            _, p = _json_fields(obj, what, "type", "p", optional={})
             return cls.from_samples(_json_floats(p, f"{what} 'p'", many=True))
         raise ValueError(f"unknown oval descriptor type {kind!r}")
 

@@ -92,8 +92,15 @@ class TestForge:
          "harmonic 2 cos = nan is not finite"),
         ({"type": "four-periodic", "harmonics": [{"k": 2, "sin": float("inf")}]},
          "harmonic 2 sin = inf is not finite"),
+        ({"type": "four-periodic", "harmonics": [{"k": 2, "sin": 0.1}, {"k": 2, "sin": 0.05}]},
+         "harmonic 'k' = 2 repeats"),
+        ({"type": "four-periodic", "harmonics": [{"k": 2, "sine": 0.1}]},
+         "harmonic has the unknown key 'sine'"),
+        ({"type": "radon-arc", "p": [0.5] * 9, "scale": 2.0},
+         "radon-arc spec has the unknown key 'scale'"),
     ], ids=["no-harmonics", "harmonic-no-k", "radon-arc-no-p", "not-object", "harmonics-int",
-            "null-sin", "object-p", "nan-cos", "inf-sin"])
+            "null-sin", "object-p", "nan-cos", "inf-sin", "repeated-k", "unknown-harmonic-key",
+            "unknown-spec-key"])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec_obj, reason):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_obj))
@@ -355,8 +362,9 @@ class TestRender:
     ({"type": "fourier", "a0": 1.0, "cos": [float("inf")]}, "cos[0] = inf is not finite",
      EXIT_VALIDATION),
     ({"type": "samples", "p": [1.0] * 31 + [float("nan")]}, "finite samples", EXIT_VALIDATION),
+    ({"type": "fourier", "a0": 1.0, "cosine": [0.0, 0.0, 0.04]}, "unknown key 'cosine'", EXIT_IO),
 ], ids=["missing-key", "not-object", "null-a0", "int-cos", "nan-support", "inf-cos",
-        "nan-sample"])
+        "nan-sample", "unknown-key"])
 @pytest.mark.parametrize("command", [
     ["scan", "--n", "4", "--samples", "8"],
     ["iterate", "--state", "0,1"],

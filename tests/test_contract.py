@@ -115,6 +115,23 @@ CASES = {
     "spec-json-harmonics-not-list": (lambda: forge.FourPeriodicSpec.from_json(
                                          {"type": "four-periodic", "harmonics": 5}),
                                      ValueError, "must be a list of objects"),
+    "spec-json-repeated-k": (lambda: forge.FourPeriodicSpec.from_json(
+                                 {"type": "four-periodic",
+                                  "harmonics": [{"k": 2, "sin": 0.1}, {"k": 2, "sin": 0.05}]}),
+                             ValueError, "harmonic 'k' = 2 repeats"),
+    "spec-json-unknown-harmonic-key": (lambda: forge.table_from_spec(
+                                           {"type": "four-periodic",
+                                            "harmonics": [{"k": 2, "sine": 0.1}]}),
+                                       ValueError, "harmonic has the unknown key 'sine'"),
+    "spec-json-unknown-key": (lambda: forge.table_from_spec(
+                                  {"type": "four-periodic", "harmonics": [], "eps": 0.1}),
+                              ValueError, "four-periodic spec has the unknown key 'eps'"),
+    "oval-json-unknown-key": (lambda: SupportOval.from_json(
+                                  {"type": "fourier", "a0": 1, "cosine": [0, 0, 0.04]}),
+                              ValueError, "fourier oval descriptor has the unknown key 'cosine'"),
+    "oval-json-unknown-samples-key": (lambda: SupportOval.from_json(
+                                          {"type": "samples", "p": [1.0] * 32, "n": 32}),
+                                      ValueError, "samples oval descriptor has the unknown key 'n'"),
     "action-nan-angle": (lambda: pd.total_action(circle(), [NAN, 2.0, 4.0]), ChordDomainError,
                          "offending value nan"),
     "grad-nan-gap": (lambda: genfun.grad_arr(circle(), [NAN, 0.1], [1.0, 1.2]),
@@ -167,7 +184,7 @@ CASES = {
     "phase-negative-radius": (lambda: billiard.pair_from_phase(circle(), 0.0, -1.0),
                               StepFailureError, "radius -1.0 outside the admissible range"),
     "arc-reversed": (lambda: circle().arc_length(1.0, 0.5), ConfigError, "need alpha1 < alpha2"),
-    "points-bad-shape": (lambda: circle().is_exterior(np.ones((2, 3))), ConfigError,
+    "points-bad-shape": (lambda: circle().tangent_angles_from(np.ones((2, 3))), ConfigError,
                          r"got shape \(2, 3\)"),
     "phase-nan-angle": (lambda: billiard.pair_from_phase(circle(), NAN, 1.0), ConfigError,
                         "alpha = nan is not finite"),
@@ -190,7 +207,7 @@ CASES = {
     "scan-reversed-window": (lambda: pd.invariant_curve_scan(circle(), 4, samples=8,
                                                              alpha_lo=1.0, alpha_hi=0.0),
                              ConfigError, r"window \[1\.0, 0\.0\) must be finite and non-empty"),
-    "exterior-nan-point": (lambda: circle().is_exterior((NAN, 0.0)), ConfigError,
+    "exterior-nan-point": (lambda: circle().tangent_angles_from((NAN, 0.0)), ConfigError,
                            r"points must be finite, got \[nan, 0\.0\]"),
     "tangency-inf-point": (lambda: circle().tangent_angles_from((np.inf, 0.0)), ConfigError,
                            r"points must be finite, got \[inf, 0\.0\]"),

@@ -129,3 +129,22 @@ def test_every_exported_callable_has_a_caller_outside_the_tests():
     exported = {name for name, obj in vars(outerlength).items()
                 if callable(obj) and not name.startswith("_")}
     assert sorted(exported - used) == []
+
+
+#: the names of the stored grid's layout, which only `oval` reads
+GRID_NAMES = {"_CELL", "GRID_SIZE", "_HALF", "_scan"}
+
+
+def test_only_oval_knows_the_grid():
+    """Every other module asks the oval for what it needs of the grid."""
+    named = {}
+    for path in sorted((ROOT / "src" / "outerlength").glob("*.py")):
+        if path.name == "oval.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in GRID_NAMES:
+                named.setdefault(path.name, set()).add(name)
+    assert named == {}

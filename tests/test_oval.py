@@ -127,15 +127,17 @@ class TestTangentAngles:
                 assert abs(margin) < 1e-10
 
     def test_exterior_predicate(self, round_table):
-        assert round_table.is_exterior((1.5, 0.0))
-        assert not round_table.is_exterior((0.9, 0.0))
+        """The tangency's exterior test: tangents from a point 0.5 outside,
+        ContainmentError for one 0.1 inside."""
+        assert _has_tangents(round_table, (1.5, 0.0))
+        assert not _has_tangents(round_table, (0.9, 0.0))
 
     @pytest.mark.parametrize(
         "name", ["round_table", "ellipse_table", "wobble3_table", "wobble2_table", "forge_table"]
     )
     def test_exterior_exactly_where_tangency_returns(self, name, request):
-        """Both read the same grid margins: points 1e-4..1e-2 outside are
-        exterior and have tangents, points 1e-3 inside have neither."""
+        """Points 1e-4..1e-2 outside have tangents, points 1e-3 inside are
+        refused."""
         table = request.getfixturevalue(name)
         table = table[0] if name == "forge_table" else table
         rng = np.random.default_rng(31)
@@ -144,12 +146,7 @@ class TestTangentAngles:
         dist = 10.0 ** rng.uniform(-4.0, -2.0, 40)
         for sign, offset in ((1.0, dist), (-1.0, 1e-3)):
             for point in table.point_at(ang) + sign * np.reshape(offset, (-1, 1)) * normals:
-                try:
-                    table.tangent_angles_from(point)
-                    tangent = True
-                except ContainmentError:
-                    tangent = False
-                assert table.is_exterior(point) == tangent == (sign > 0)
+                assert _has_tangents(table, point) == (sign > 0)
 
     #: angles whose far-tangent window starts at grid node 3, 1024 (the last
     #: start inside the closed grid), 1025 (the first that wraps) and 2020
@@ -158,16 +155,25 @@ class TestTangentAngles:
     @pytest.mark.parametrize("start", WINDOW_STARTS)
     @pytest.mark.parametrize("turns", [0, 1, -1])
     def test_far_tangent_window_is_the_full_grid_pass(self, wobble3_table, start, turns):
-        """`_margins_after` evaluates its window alone; the margins equal, bit
-        for bit, the same nodes of one pass over the whole closed grid."""
-        x, y = 1.7, -0.4
-        _, cos, sin, p = wobble3_table._scan
-        full = x * cos + y * sin - p
-        a = (start - 0.5 + turns * oval_module.GRID_SIZE) * oval_module._CELL
-        j, window = wobble3_table._margins_after(x, y, a)
-        assert j % oval_module.GRID_SIZE == start
-        nodes = (j + np.arange(oval_module._HALF + 1)) % oval_module.GRID_SIZE
-        assert np.array_equal(window, full[nodes])
+        """`_cell_after` reads its half turn alone; its cell ends, and q =
+        margin + r there, equal bit for bit those of one pass over the whole
+        closed grid.  The point lies 1.8 out, an eighth of a turn past the
+        window's first node, so q turns inside the window."""
+        size, cell = oval_module.GRID_SIZE, oval_module._CELL
+        x, y = 1.8 * np.cos((start + size // 8) * cell), 1.8 * np.sin((start + size // 8) * cell)
+        closed = np.linspace(0.0, TWO_PI, size + 1)
+        full = x * np.cos(closed) + y * np.sin(closed) - wobble3_table.jet(closed)[0]
+        full += 0.5
+        q = full[(start + np.arange(oval_module._HALF + 1)) % size]
+        k = int(np.argmax(~(q > 0.0)))
+        assert k > 0 and q[k] <= 0.0
+        j = start + turns * size
+        hi = (j + k) * cell
+        assert (wobble3_table._cell_after(x, y, 0.5, (j - 0.5) * cell, 7.0)
+                == ((j + k - 1) * cell, hi, q[k - 1], q[k]))
+        # from an angle in that cell, the cell starts at the angle, q there as given
+        a = (j + k - 0.5) * cell
+        assert wobble3_table._cell_after(x, y, 0.5, a, 7.0) == (a, hi, 7.0, q[k])
 
 
 #: the tables of the near-boundary regression: round, a moderate and a thin
@@ -200,6 +206,16 @@ def _offset_points(table, seed, count, decades, sign=1.0):
     return table.point_at(ang) + sign * dist[:, None] * normals
 
 
+def _has_tangents(table, point):
+    """Whether `tangent_angles_from` returns for the point, not refusing it
+    as interior."""
+    try:
+        table.tangent_angles_from(point)
+    except ContainmentError:
+        return False
+    return True
+
+
 def _resolved(table, points):
     """Whether some node of the tangency grid has a margin above 1e-12."""
     grid = np.linspace(0.0, TWO_PI, oval_module.GRID_SIZE, endpoint=False)
@@ -219,26 +235,20 @@ class TestNearBoundaryTangency:
         assert np.all((0.0 < a2 - a1) & (a2 - a1 < np.pi))
         margins = [support_margin(table, p, [x, y]) for p, x, y in zip(points, a1, a2)]
         assert np.max(np.abs(margins)) <= 1e-15
-        assert table.is_exterior(points).all()
 
     @pytest.mark.parametrize("name", NEAR_TABLES)
     def test_exterior_agrees_with_tangency(self, name, request):
-        """Near points outside and points 1e-3 inside: `is_exterior` holds
-        exactly where `tangent_angles_from` returns, point by point and in
-        a batch."""
+        """Near points outside and points 1e-3 inside: `tangent_angles_from`
+        returns exactly for the points outside, point by point, and a batch
+        names its first point inside."""
         table = _table(name, request)
         outside = _offset_points(table, 42, 30, (-11.0, -6.0))
         inside = _offset_points(table, 43, 30, (-3.0, -3.0), sign=-1.0)
         points = np.concatenate([outside, inside])
-        exterior = table.is_exterior(points)
-        assert exterior.tolist() == [True] * 30 + [False] * 30
-        for point, ext in zip(points, exterior):
-            try:
-                table.tangent_angles_from(point)
-                tangent = True
-            except ContainmentError:
-                tangent = False
-            assert table.is_exterior(point) == tangent == ext
+        assert [_has_tangents(table, p) for p in points] == [True] * 30 + [False] * 30
+        table.tangent_angles_from(outside)
+        with pytest.raises(ContainmentError, match=r"point 30, .* is not strictly exterior"):
+            table.tangent_angles_from(points)
 
     @pytest.mark.parametrize("name", NEAR_TABLES)
     def test_batch_equals_point_by_point(self, name, request):
@@ -280,21 +290,19 @@ class TestNearBoundaryTangency:
         angles = wobble3_table.tangent_angles_from(point)
         assert isinstance(angles, tuple) and len(angles) == 2
         assert all(type(a) is float for a in angles)
-        assert wobble3_table.is_exterior(point) is True
         a1, a2 = wobble3_table.tangent_angles_from(point[None])
         assert a1.shape == a2.shape == (1,)
         assert (a1[0], a2[0]) == angles
 
     def test_interior_point_in_a_batch_is_named(self, round_table):
         points = np.array([[2.0, 0.0], [0.0, 1.5], [1.0, 1.0], [0.3, 0.2], [-2.0, 0.5]])
-        assert round_table.is_exterior(points).tolist() == [True, True, True, False, True]
+        assert [_has_tangents(round_table, p) for p in points] == [True, True, True, False, True]
         with pytest.raises(ContainmentError, match=r"point 3, \[0\.3, 0\.2\]"):
             round_table.tangent_angles_from(points)
 
     def test_empty_batch(self, wobble3_table):
         a1, a2 = wobble3_table.tangent_angles_from(np.empty((0, 2)))
         assert a1.shape == a2.shape == (0,)
-        assert wobble3_table.is_exterior(np.empty((0, 2))).shape == (0,)
 
     def test_bad_shape_rejected(self, round_table):
         with pytest.raises(ValueError):

@@ -78,20 +78,45 @@ FORKS = {
              "np.shape(a1) != np.shape(a2):", "if np.shape(a1) != np.shape(a2):"),
         ]),
     ]),
+    "iterate-nan-float": (("map-oracle",), [
+        (billiard, "iterate", [("if (a3 != a3) if isinstance(a3, float) else np.isnan(a3).any():",
+                                "if np.isnan(a3).any():")]),
+    ]),
     "tangency-one-point": (("map-oracle",), [
         (oval.SupportOval, "tangent_angles_from", [("if one and seen[0]:", "if False:")]),
     ]),
     "cartesian-one-point": (("map-oracle",), [
         (billiard, "cartesian_step", [
             ("""    if M.ndim == 1:
-        lo, hi, flo, fhi = cell(ox, oy, r, a2, q0)
+        lo, hi, flo, fhi = oval._cell_after(ox, oy, r, a2, q0)
     else:  # each point's cell as one point's, in floats
         rows = zip(*(v.tolist() for v in (ox, oy, r, a2, q0)))
-        lo, hi, flo, fhi = np.array([cell(*v) for v in rows]).reshape(-1, 4).T
-""", """    rows = zip(*(np.ravel(v).tolist() for v in (ox, oy, r, a2, q0)))
-    lo, hi, flo, fhi = np.array([cell(*v) for v in rows]).reshape(-1, 4).T
+""", """    if True:
+        rows = zip(*(np.ravel(v).tolist() for v in (ox, oy, r, a2, q0)))
 """),
         ]),
+    ]),
+    "gap-float": (("map-oracle",), [
+        (genfun, "_gap", [("if isinstance(a1, float) and isinstance(a2, float):", "if False:")]),
+    ]),
+    "check-finite-float": (("map-oracle",), [
+        (oval, "_check_finite", [
+            ("""    if isinstance(value, float):
+        if math.isfinite(value):
+            return
+    elif np.isfinite(value).all():
+""", "    if np.isfinite(value).all():\n"),
+        ]),
+    ]),
+    "spline-jet-float": (("map-oracle",), [
+        (oval._SplineRep, "jet", [
+            ("if isinstance(alpha, float) or np.ndim(alpha) == 0:", "if False:"),
+        ]),
+    ]),
+    "cos-sin-float": (("map-oracle",), [
+        (oval, "_cos_sin", [("    if isinstance(a, float):\n        return math.cos(a), math.sin(a)\n",
+                             "")]),
+        (oval, "_ufunc", [("math if isinstance(a, float) else np", "np")]),
     ]),
 }
 
