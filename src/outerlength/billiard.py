@@ -128,7 +128,7 @@ def iterate(oval, a1, a2, steps):
     alphas = [a1, a2]
     for i in range(checked_count(steps, "steps", 0)):
         a3 = step_angles_arr(oval, alphas[-2], alphas[-1])
-        if (a3 != a3) if isinstance(a3, float) else np.isnan(a3).any():
+        if np.isnan(a3).any():
             c1, c2 = (np.ravel(a)[np.argmax(np.isnan(a3))] for a in alphas[-2:])
             raise StepFailureError(f"step {i + 1} failed: no reflection root for chord "
                                    f"({c1:.6f}, {c2:.6f}); degenerate geometry")

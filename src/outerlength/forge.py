@@ -46,7 +46,8 @@ from .errors import (
     ReparamError,
     SeamError,
 )
-from .oval import TWO_PI, SupportOval, _FourierRep, _json_fields, _json_floats, _refined_min
+from .oval import (TWO_PI, SupportOval, _FourierRep, _json_fields, _json_floats, _json_object,
+                   _refined_min)
 
 #: the uniform grid on [0, 2*pi) that surveys f and inverts alpha(x)
 _GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
@@ -134,7 +135,10 @@ class FourPeriodicSpec:
 
     @classmethod
     def from_json(cls, obj):
-        harmonics, _ = _json_fields(obj, "four-periodic spec", "harmonics", optional={"type": None})
+        harmonics, kind = _json_fields(obj, "four-periodic spec", "harmonics",
+                                       optional={"type": "four-periodic"})
+        if kind != "four-periodic":
+            raise ValueError(f"four-periodic spec 'type' must be 'four-periodic', not {kind!r}")
         if not (isinstance(harmonics, list) and all(isinstance(h, dict) for h in harmonics)):
             raise ValueError("four-periodic spec 'harmonics' must be a list of objects")
         what = "four-periodic spec harmonic"
@@ -153,12 +157,11 @@ def table_from_spec(obj):
     """The table a spec object describes: `{"type": "four-periodic",
     "harmonics": [{"k", "cos", "sin"}, ...]}` through `from_f`, or
     `{"type": "radon-arc", "p": [...]}` through `radon_like`."""
-    _json_fields(obj, "table spec")
-    kind = obj.get("type")
+    kind = _json_object(obj, "table spec").get("type")
     if kind == "four-periodic":
         return from_f(FourPeriodicSpec.from_json(obj))[0]
     if kind == "radon-arc":
-        _, p = _json_fields(obj, "radon-arc spec", "type", "p", optional={})
+        _, p = _json_fields(obj, "radon-arc spec", "type", "p")
         return radon_like(_json_floats(p, "radon-arc spec 'p'", many=True))
     raise ValueError(f"unknown table spec type {kind!r}")
 

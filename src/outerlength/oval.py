@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -108,21 +109,25 @@ def _as_points(point):
     return xy, one
 
 
-def _json_fields(obj, what, *keys, optional=None):
-    """The values of the required `keys` of the JSON object `obj`, a `what`;
-    a ValueError names a non-object or the first missing key.  With
-    `optional`, a dict of the other keys `obj` may hold and their defaults,
-    their values follow, and the ValueError names the first key of neither
-    kind too."""
+def _json_object(obj, what):
+    """`obj` if it is a JSON object; a ValueError names a `what` of another type."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _json_fields(obj, what, *keys, optional=MappingProxyType({})):
+    """The values of the required `keys` of the JSON object `obj`, a `what`, then of
+    `optional`'s keys (the others it may hold) or their defaults; a ValueError
+    names a non-object, the first missing key or the first key of neither kind."""
+    obj = _json_object(obj, what)
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} lacks the key {key!r}")
-    unknown = [] if optional is None else [k for k in obj if k not in keys and k not in optional]
+    unknown = [k for k in obj if k not in keys and k not in optional]
     if unknown:
         raise ValueError(f"{what} has the unknown key {unknown[0]!r}")
-    return [obj[key] for key in keys] + [obj.get(key, v) for key, v in (optional or {}).items()]
+    return [obj[key] for key in keys] + [obj.get(key, v) for key, v in optional.items()]
 
 
 def _json_floats(value, name, many):
@@ -549,8 +554,7 @@ class SupportOval:
         _, cos, sin, p = self._scan
         j = math.floor(a / _CELL) + 1
         window = slice(j % GRID_SIZE, j % GRID_SIZE + _HALF + 1)
-        q = x * cos[window] + y * sin[window] - p[window]
-        q += r
+        q = x * cos[window] + y * sin[window] - p[window] + r
         k = int(np.argmax(~(q > 0.0)))
         lo, qlo = (a, qa) if k == 0 else ((j + k - 1) * _CELL, float(q[k - 1]))
         return lo, (j + k) * _CELL, qlo, float(q[k])
@@ -598,9 +602,8 @@ class SupportOval:
             exterior[fine] = peak > _EXTERIOR_MARGIN
             if not exterior.all():
                 i = int(np.argmin(exterior))
-                raise ContainmentError(
-                    f"{'point' if one else f'point {i},'} {xy[i].tolist()} is not strictly exterior"
-                )
+                raise ContainmentError(f"{'point' if one else f'point {i},'} {xy[i].tolist()} "
+                                       "is not strictly exterior")
         # a row with a positive node has one positive run, so its signs turn
         # in exactly two cells (each row has an even number of turns)
         seen = top > 0.0
@@ -678,8 +681,7 @@ class SupportOval:
 
     @classmethod
     def from_json(cls, obj):
-        _json_fields(obj, "oval descriptor")
-        kind = obj.get("type")
+        kind = _json_object(obj, "oval descriptor").get("type")
         what = f"{kind} oval descriptor"
         if kind == "fourier":
             _, a0, cos, sin = _json_fields(obj, what, "type", "a0", optional={"cos": [], "sin": []})
@@ -687,7 +689,7 @@ class SupportOval:
                         for k, v in (("cos", cos), ("sin", sin)))
             return cls.from_fourier(_json_floats(a0, f"{what} 'a0'", many=False), cos, sin)
         if kind == "samples":
-            _, p = _json_fields(obj, what, "type", "p", optional={})
+            _, p = _json_fields(obj, what, "type", "p")
             return cls.from_samples(_json_floats(p, f"{what} 'p'", many=True))
         raise ValueError(f"unknown oval descriptor type {kind!r}")
 

@@ -123,6 +123,13 @@ CASES = {
                                            {"type": "four-periodic",
                                             "harmonics": [{"k": 2, "sine": 0.1}]}),
                                        ValueError, "harmonic has the unknown key 'sine'"),
+    "spec-json-wrong-type": (lambda: forge.FourPeriodicSpec.from_json(
+                                 {"type": "radon-arc", "harmonics": [{"k": 2, "sin": 0.1}]}),
+                             ValueError, "four-periodic spec 'type' must be 'four-periodic', "
+                                         "not 'radon-arc'"),
+    "spec-json-type-not-string": (lambda: forge.FourPeriodicSpec.from_json(
+                                      {"type": 7, "harmonics": [{"k": 2, "sin": 0.1}]}),
+                                  ValueError, "'type' must be 'four-periodic', not 7"),
     "spec-json-unknown-key": (lambda: forge.table_from_spec(
                                   {"type": "four-periodic", "harmonics": [], "eps": 0.1}),
                               ValueError, "four-periodic spec has the unknown key 'eps'"),

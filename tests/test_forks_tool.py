@@ -24,7 +24,7 @@ forks.report("pays", [1.03, 1.04, 1.05], [0, 0], (0.98, 1.01))
 #: the forks that one local edit removes, as ROADMAP aim 2 lists them
 FORKS = [
     "band-layout-cache", "cartesian-one-point", "check-finite-float", "check-omega-float",
-    "circle-predictor", "cos-sin-float", "gap-float", "iterate-nan-float", "iterate-shape-skip",
+    "circle-predictor", "cos-sin-float", "gap-float", "iterate-shape-skip",
     "prev", "solver-float-branch", "spline-jet-float", "tangency-one-point",
 ]
 

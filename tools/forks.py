@@ -78,10 +78,6 @@ FORKS = {
              "np.shape(a1) != np.shape(a2):", "if np.shape(a1) != np.shape(a2):"),
         ]),
     ]),
-    "iterate-nan-float": (("map-oracle",), [
-        (billiard, "iterate", [("if (a3 != a3) if isinstance(a3, float) else np.isnan(a3).any():",
-                                "if np.isnan(a3).any():")]),
-    ]),
     "tangency-one-point": (("map-oracle",), [
         (oval.SupportOval, "tangent_angles_from", [("if one and seen[0]:", "if False:")]),
     ]),
