@@ -28,15 +28,15 @@ and p'' + p is the curvature radius, so validity means p > 0 and p'' + p > 0
 everywhere.  Each `SupportOval` keeps cos, sin and p at the grid nodes j *
 2*pi / `GRID_SIZE` over a turn and a half, computed once over the first turn
 and copied past it, and it alone reads that grid's layout.
-`tangent_angles_from`, for a point or a (k, 2) array of them, reads the
-support margins off the closed grid's `GRID_SIZE` + 1 nodes, and where no
-node lies on the visible arc (points within about 1e-5 of the boundary) it
-refines the angle of maximum margin, so the exterior test and the tangents
-cannot miss a point the grid cannot resolve.  The margins found there are
-also the tangency solve's values at its bracket ends, which it does not
-evaluate again.  The Cartesian oracle's far-tangent cell (`_cell_after`) is
-read off the half turn it needs as one slice, and the survey p(alpha + pi)
-as another.
+`tangent_angles_from` treats k points (a (k, 2) array) as k single points.
+Each point's support margins are one pass over the closed grid's
+`GRID_SIZE` + 1 nodes, and where no node lies on the visible arc (points
+within about 1e-5 of the boundary) the angle of maximum margin is refined,
+so the exterior test and the tangents cannot miss a point the grid cannot
+resolve.  The margins found there are also the values at the ends of the
+point's two brackets, each solved in plain floats.  The Cartesian oracle's
+far-tangent cell (`_cell_after`) is read off the half turn it needs as one
+slice, and the survey p(alpha + pi) as another.
 """
 
 from __future__ import annotations
@@ -76,13 +76,37 @@ def _ufunc(name, a):
     return getattr(math if isinstance(a, float) else np, name)(a)
 
 
+def _root_brackets(x, y, h, j, star, peak):
+    """The two brackets (lo, hi, h(lo), h(hi)) of the tangency roots of the
+    point (x, y), from its `SupportOval._exterior_scan`: the two cells where
+    the sign of h turns if a node has h > 0, else the refined maximum's cell
+    split at star.  ContainmentError names a point with more turns."""
+    if h[j] > 0.0:
+        pos = h > 0.0
+        turns = np.flatnonzero(pos[:-1] != pos[1:]).tolist()
+        if len(turns) != 2:
+            raise ContainmentError(f"point {[x, y]} has no single visible arc on the grid")
+        return [(c * _CELL, (c + 1) * _CELL, h[c], h[c + 1]) for c in turns]
+    left = star < j * _CELL
+    edge = j * _CELL - _CELL if left else j * _CELL
+    # the index of the grid node at `edge`, one period on for the node before 0
+    e = (j - left) % GRID_SIZE
+    return [(edge, star, h[e], peak), (star, edge + _CELL, peak, h[e + 1])]
+
+
 def _ordered_pair(r1, r2, point):
     """Tangency roots as (alpha1, alpha2): reduced to [0, 2*pi) and ordered
-    so that 0 < alpha2 - alpha1 < pi, alpha2 lifted past 2*pi if need be."""
+    so that 0 < alpha2 - alpha1 < pi, alpha2 lifted past 2*pi if need be.
+    ContainmentError names the point when a root is NaN, or when neither
+    order gives a gap below pi (a point about 1e16 or more out)."""
     if r1 != r1 or r2 != r2:
-        raise ContainmentError(f"lost a tangency root of point {point.tolist()} to rounding")
+        raise ContainmentError(f"lost a tangency root of point {point} to rounding")
     r1, r2 = sorted((r1 % TWO_PI, r2 % TWO_PI))
-    return (r1, r2) if r2 - r1 < math.pi else (r2, r1 + TWO_PI)
+    if r2 - r1 < math.pi:
+        return r1, r2
+    if r1 + TWO_PI - r2 < math.pi:
+        return r2, r1 + TWO_PI
+    raise ContainmentError(f"point {point} is too far out: its tangents are parallel to rounding")
 
 
 def _check_finite(value, name):
@@ -446,14 +470,14 @@ class SupportOval:
         self._rep = rep
         closed = np.linspace(0.0, TWO_PI, GRID_SIZE + 1)
         p, _, ddp = rep.jet(closed)
-        # (nodes, cos, sin, p): the closed grid's nodes, and the values at
-        # the nodes of a turn and a half, node GRID_SIZE + i a copy of node
-        # i; so a margin's signs close up at 2*pi (`tangent_angles_from`) and
-        # every half-turn window is one slice (`_cell_after`)
-        cos, sin, p = (np.concatenate((v[:-1], v[:_HALF + 1]))
-                       for v in (np.cos(closed), np.sin(closed), p))
-        self._scan = (closed, cos, sin, p)
-        self._report = self._survey(closed[:-1], p, p[:GRID_SIZE] + ddp[:-1])
+        # (cos, sin, p) at the nodes of a turn and a half, node j at the angle
+        # j * _CELL (the closed grid's node to the last bit) and node
+        # GRID_SIZE + i a copy of node i; so a margin's signs close up at
+        # 2*pi (`_exterior_scan`) and every half-turn window is one slice
+        # (`_cell_after`)
+        self._scan = tuple(np.concatenate((v[:-1], v[:_HALF + 1]))
+                           for v in (np.cos(closed), np.sin(closed), p))
+        self._report = self._survey(closed[:-1], self._scan[2], p[:-1] + ddp[:-1])
         self.symmetry_flag = self._report.symmetry_defect < 1e-8
         if not self._report.passed:
             raise OvalValidationError("; ".join(self._report.messages), self._report)
@@ -551,7 +575,7 @@ class SupportOval:
         with q <= 0, or starting at a, where q is `qa`, if that node is the
         first.  Floats, q read off one slice of the stored turn and a half, at
         the `_HALF` + 1 nodes after a alone; q(hi) > 0 when no node has q <= 0."""
-        _, cos, sin, p = self._scan
+        cos, sin, p = self._scan
         j = math.floor(a / _CELL) + 1
         window = slice(j % GRID_SIZE, j % GRID_SIZE + _HALF + 1)
         q = x * cos[window] + y * sin[window] - p[window] + r
@@ -559,13 +583,33 @@ class SupportOval:
         lo, qlo = (a, qa) if k == 0 else ((j + k - 1) * _CELL, float(q[k - 1]))
         return lo, (j + k) * _CELL, qlo, float(q[k])
 
+    def _exterior_scan(self, x, y, label):
+        """(h, j, star, peak): the point's margins h at the closed grid's nodes,
+        in one pass, their argmax node j, and the angle star and margin peak of
+        their maximum: star None where h[j] > `_EXTERIOR_MARGIN`, else the root
+        of h' on the two cells around j, one float solve.  ContainmentError,
+        `label` naming the point, unless peak > `_EXTERIOR_MARGIN`."""
+        cos, sin, p = self._scan
+        h = x * cos[:GRID_SIZE + 1]
+        h += y * sin[:GRID_SIZE + 1]
+        h -= p[:GRID_SIZE + 1]
+        j = int(h.argmax())
+        if h[j] > _EXTERIOR_MARGIN:
+            return h, j, None, float(h[j])
+        star = bracketed_root(self._slope_fdf, j * _CELL - _CELL, j * _CELL + _CELL, x, y)
+        peak = self._margin_jet(star, x, y)[0]
+        if not peak > _EXTERIOR_MARGIN:
+            raise ContainmentError(f"{label} {[x, y]} is not strictly exterior")
+        return h, j, star, peak
+
     def tangent_angles_from(self, point):
         """Normal angles (alpha1, alpha2) of the two tangent lines through a point.
 
         The pair is ordered so that 0 < alpha2 - alpha1 < pi, which puts the
         oval ahead of the point in counterclockwise order along the line at
         alpha1.  alpha1 is reduced to [0, 2*pi); alpha2 may exceed 2*pi.  A
-        point of shape (2,) gives two floats, k points (k, 2) two arrays.
+        point of shape (2,) gives two floats, k points (k, 2) two arrays, each
+        entry the pair of that point alone.
 
         The support margin h = <point, n(alpha)> - p(alpha) is positive
         exactly on the visible arc, one interval; it is read at every node of
@@ -573,72 +617,26 @@ class SupportOval:
         `_EXTERIOR_MARGIN`.  Where no node's does, the maximum is refined: h is
         strictly concave near it (h'' = -(h + p'' + p)), so h' has one root on
         the two cells around the argmax node, and ContainmentError names the
-        first point whose margin there does not exceed it either.
+        first point whose margin there does not exceed it either.  Every
+        point passes that test before any is checked further.
 
         Where a grid node has h > 0, the two grid cells where the sign of h
         turns bracket the roots.  Where none does, the point is within about
         (grid step)^2 of the boundary, and both roots lie in the grid cell of
         the refined maximum, split there into two brackets.  Each bracket is
-        solved from its midpoint, with the margins at its ends read off the
-        grid and the refined maximum, not evaluated again: one point's two
-        brackets in plain floats, one solver call each, k points' 2k brackets
-        in one call.
+        solved in plain floats from its midpoint, with the margins at its ends
+        read off the grid and the refined maximum, not evaluated again.
+        ContainmentError names a point about 1e16 or more from the origin,
+        whose two tangent lines are parallel to rounding.
         """
         xy, one = _as_points(point)
-        nodes, cos, sin, p = (v[:GRID_SIZE + 1] for v in self._scan)
-        h = np.multiply.outer(xy[:, 0], cos)
-        h += np.multiply.outer(xy[:, 1], sin)
-        h -= p
-        top = h.max(axis=1)
-        exterior = top > _EXTERIOR_MARGIN
-        if not exterior.all():
-            # the rows the grid cannot tell: their argmax node, the angle of
-            # maximum margin and the margin there
-            fine = np.flatnonzero(~exterior)
-            node = np.argmax(h[fine], axis=1)
-            x, y = xy[fine, 0], xy[fine, 1]
-            star = bracketed_root(self._slope_fdf, nodes[node] - _CELL, nodes[node] + _CELL, x, y)
-            peak = self._margin_jet(star, x, y)[0]
-            exterior[fine] = peak > _EXTERIOR_MARGIN
-            if not exterior.all():
-                i = int(np.argmin(exterior))
-                raise ContainmentError(f"{'point' if one else f'point {i},'} {xy[i].tolist()} "
-                                       "is not strictly exterior")
-        # a row with a positive node has one positive run, so its signs turn
-        # in exactly two cells (each row has an even number of turns)
-        seen = top > 0.0
-        pos = h > 0.0
-        # the turns' flat indices into the (k, GRID_SIZE) cells: row * GRID_SIZE + cell
-        turns = np.flatnonzero(pos[:, :-1] != pos[:, 1:])
-        if turns.size != 2 * np.count_nonzero(seen):
-            i = int(np.argmax(np.bincount(turns // GRID_SIZE, minlength=len(xy)) > 2))
-            raise ContainmentError(f"point {xy[i].tolist()} has no single visible arc on the grid")
-        if one and seen[0]:
-            # one row, whose turns are its two cells: each solved in plain floats
-            x, y = xy[0].tolist()
-            r1, r2 = (bracketed_root(self._margin_fdf, nodes[c], nodes[c + 1], x, y,
-                                     ends=(h[0, c], h[0, c + 1]))
-                      for c in turns.tolist())
-            return _ordered_pair(r1, r2, xy[0])
-        rows, cell = np.divmod(turns, GRID_SIZE)
-        # the brackets (lo, hi) and the margins at their ends, (k, 2) each
-        lo, hi, flo, fhi = np.empty((4, len(xy), 2))
-        grid = (nodes[cell], nodes[cell + 1], h[rows, cell], h[rows, cell + 1])
-        lo[seen], hi[seen], flo[seen], fhi[seen] = (v.reshape(-1, 2) for v in grid)
-        if not seen.all():
-            # every row without a positive node is one the grid cannot tell
-            split = ~seen[fine]
-            rows, j, star, peak = fine[split], node[split], star[split], peak[split]
-            left = star < nodes[j]
-            edge = np.where(left, nodes[j] - _CELL, nodes[j])
-            # the index of the grid node at `edge`, one period on for the node before 0
-            e = (j - left) % GRID_SIZE
-            lo[rows] = np.column_stack([edge, star])
-            hi[rows] = np.column_stack([star, edge + _CELL])
-            flo[rows] = np.column_stack([h[rows, e], peak])
-            fhi[rows] = np.column_stack([peak, h[rows, e + 1]])
-        roots = bracketed_root(self._margin_fdf, lo, hi, xy[:, :1], xy[:, 1:], ends=(flo, fhi))
-        pairs = [_ordered_pair(r1, r2, xy[i]) for i, (r1, r2) in enumerate(roots.tolist())]
+        points = xy.tolist()
+        scans = [self._exterior_scan(x, y, "point" if one else f"point {i},")
+                 for i, (x, y) in enumerate(points)]
+        brackets = [_root_brackets(*pt, *scan) for pt, scan in zip(points, scans)]
+        pairs = [_ordered_pair(*(bracketed_root(self._margin_fdf, lo, hi, x, y, ends=ends)
+                                 for lo, hi, *ends in cells), [x, y])
+                 for (x, y), cells in zip(points, brackets)]
         return pairs[0] if one else tuple(np.array(pairs).reshape(-1, 2).T)
 
     # -- validation --------------------------------------------------------

@@ -170,6 +170,12 @@ class TestIterate:
             ["iterate", "--table", circle_table, "--point", "0.5,0", "--steps", "2"]
         ) == 3
 
+    def test_point_too_far_out_is_numeric_and_named(self, circle_table, capsys):
+        """Its two tangents are parallel to rounding."""
+        argv = ["iterate", "--table", circle_table, "--point", "1e200,0", "--steps", "2"]
+        assert main(argv) == EXIT_NUMERIC
+        assert "point [1e+200, 0.0] is too far out" in capsys.readouterr().err
+
     def test_missing_state(self, circle_table):
         assert main(["iterate", "--table", circle_table, "--steps", "2"]) == 2
 

@@ -11,8 +11,8 @@ from outerlength import billiard, forge, genfun, verify
 from outerlength import periodic as pd
 from outerlength import polygons as pg
 from outerlength.errors import (
-    ArcConstraintError, ChordDomainError, ConfigError, FPrimeBoundError, OuterLengthError,
-    OvalValidationError, StepFailureError,
+    ArcConstraintError, ChordDomainError, ConfigError, ContainmentError, FPrimeBoundError,
+    OuterLengthError, OvalValidationError, StepFailureError,
 )
 from outerlength.genfun import ChordConfig
 from outerlength.oval import SupportOval, circle, ellipse, perturbed_circle
@@ -218,6 +218,9 @@ CASES = {
                            r"points must be finite, got \[nan, 0\.0\]"),
     "tangency-inf-point": (lambda: circle().tangent_angles_from((np.inf, 0.0)), ConfigError,
                            r"points must be finite, got \[inf, 0\.0\]"),
+    # its tangents are parallel to rounding: the roots lie pi apart
+    "tangency-antiparallel-point": (lambda: circle().tangent_angles_from((1e200, 0.0)),
+                                    ContainmentError, r"point \[1e\+200, 0\.0\] is too far out"),
     "oracle-nan-point": (lambda: billiard.cartesian_step(circle(), (NAN, 2.0)), ConfigError,
                          r"points must be finite, got \[nan, 2\.0\]"),
     "chords-inverted-window": (lambda: genfun.sample_chords(RNG, 4, 2.0, 1.0), ConfigError,

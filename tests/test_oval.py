@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -252,10 +253,8 @@ class TestNearBoundaryTangency:
 
     @pytest.mark.parametrize("name", NEAR_TABLES)
     def test_batch_equals_point_by_point(self, name, request):
-        """Bit for bit where the grid resolves the visible arc, within 4
-        rounding units where the maximum is refined.  These tables' jets
-        agree to the last bit on floats and arrays, which a Fourier table
-        with several harmonics does not promise."""
+        """Bit for bit, where the grid resolves the visible arc and where the
+        maximum is refined: a batch is its points' one-point calls."""
         table = _table(name, request)
         points = np.concatenate([
             _offset_points(table, 44, 40, (-11.0, -6.0)),
@@ -265,16 +264,30 @@ class TestNearBoundaryTangency:
         single = np.array([table.tangent_angles_from(p) for p in points])
         resolved = _resolved(table, points)
         assert resolved.any() and not resolved.all()
-        assert np.array_equal(batch[resolved], single[resolved])
-        assert np.all(np.abs(batch - single) <= 4 * np.spacing(np.abs(single)))
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("name", ["round_table", "ellipse_table", "wobble3_table",
+                                      "wobble2_table", "forge_table", "twelve_harmonic_table"])
+    def test_batch_is_its_one_point_calls_on_every_table(self, name, request):
+        """On the acceptance tables and a twelve-harmonic one, whose jets on
+        floats and on arrays may differ by rounding, a batch of points
+        1e-11..1e-6 and 1e-4..1 outside gives each point's one-point pair
+        to the last bit."""
+        table = _table(name, request)
+        points = np.concatenate([
+            _offset_points(table, 48, 30, (-11.0, -6.0)),
+            _offset_points(table, 49, 30, (-4.0, 0.0)),
+        ])
+        batch = np.column_stack(table.tangent_angles_from(points))
+        assert np.array_equal(batch, [table.tangent_angles_from(p) for p in points])
 
     @pytest.mark.parametrize("name", NEAR_TABLES)
     def test_one_point_gives_the_batch_roots(self, name, request):
-        """One point solves its two roots in plain floats, a batch on
-        arrays; both start Newton from the brackets' midpoints, with the
-        margins at the ends read off the grid or the refined maximum, and
-        give the same roots to the last bit, where the grid resolves the arc
-        and where the refined cell is split."""
+        """One point's two roots are solved in plain floats from the
+        brackets' midpoints, with the margins at the ends read off the grid
+        or the refined maximum, and a batch gives the same roots to the last
+        bit, where the grid resolves the arc and where the refined cell is
+        split."""
         table = _table(name, request)
         points = np.concatenate([
             _offset_points(table, 46, 40, (-11.0, -6.0)),
@@ -298,6 +311,16 @@ class TestNearBoundaryTangency:
         points = np.array([[2.0, 0.0], [0.0, 1.5], [1.0, 1.0], [0.3, 0.2], [-2.0, 0.5]])
         assert [_has_tangents(round_table, p) for p in points] == [True, True, True, False, True]
         with pytest.raises(ContainmentError, match=r"point 3, \[0\.3, 0\.2\]"):
+            round_table.tangent_angles_from(points)
+        # the lower of two interior points is named, though it needs the
+        # refined maximum and the other, deeper one does not, and the near
+        # points between them are refined too
+        near = _offset_points(round_table, 50, 4, (-11.0, -8.0))
+        inside = _offset_points(round_table, 51, 1, (-9.0, -9.0), sign=-1.0)
+        points = np.concatenate([[[2.0, 0.0]], inside, near, [[0.3, 0.2]], near])
+        assert not _resolved(round_table, near).any()
+        name = "point 1, " + re.escape(str(inside[0].tolist())) + " is not strictly exterior"
+        with pytest.raises(ContainmentError, match=name):
             round_table.tangent_angles_from(points)
 
     def test_empty_batch(self, wobble3_table):

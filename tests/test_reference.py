@@ -1,4 +1,4 @@
-"""40-digit references for `find_periodic` and for the spline fit.
+"""40-digit references for `find_periodic`, the tangency and the spline fit.
 
 The reference perimeter is that of the polygon cut out by the support lines
 at given angles: each vertex is the 2 x 2 solve of two neighbouring lines,
@@ -6,6 +6,10 @@ each side the distance between two vertices, and p is evaluated in mpmath
 from the table's stored Fourier coefficients.  No closed form or solver of
 the package enters it, so an orbit of `find_periodic` is checked as a
 critical point of a perimeter computed independently of it.
+
+The reference tangency angles of a point (x, y) are the roots of
+x cos a + y sin a - p(a), p the same mpmath series, found by
+`mpmath.findroot` from the float angles.
 
 The reference spline is the exact periodic quintic spline through a spline
 table's stored samples (`ExactSpline`): its B-spline coefficients refined
@@ -19,10 +23,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from outerlength import forge
+from outerlength import billiard, forge
 from outerlength import oval as oval_module
 from outerlength import periodic as pd
-from outerlength.oval import SupportOval, perturbed_circle
+from outerlength.genfun import ChordConfig
+from outerlength.oval import SupportOval, circle, perturbed_circle
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,6 +79,61 @@ def test_find_periodic_is_critical_for_the_reference_perimeter(name, n):
         gap = abs(reference_perimeter(p, angles, 1) - orbit.perimeter)
     assert gradient <= 2e-11
     assert gap <= 1e-13
+
+
+# -- the two tangent lines from a point ----------------------------------------
+
+TANGENCY_TABLES = {
+    "circle": circle,
+    "wobble3": lambda: perturbed_circle(0.05, 3),
+    # the three-harmonic table of the CI's console-script step
+    "three-harmonic": lambda: SupportOval.from_fourier(1.0, [0, 0.02, 0.04, 0.01],
+                                                       [0, 0.01, 0.03, 0]),
+}
+
+#: largest error allowed of `tangent_angles_from`'s angles against the
+#: reference, per kind of point: about twice the worst measured over the
+#: three tables, 1.4e-15 at chord vertices, 2.6e-13 at points 1e-7..1e-2
+#: outside and 3.3e-12 at points 1e-9..1e-6 outside, where the two roots
+#: close up and a rounding of the margin moves them further
+TANGENCY_BOUNDS = {"vertex": 3e-15, "outside": 5e-13, "refined": 7e-12}
+
+
+def _offset(table, rng, count, decades):
+    """Points at log-uniform distance `decades` outside random boundary points."""
+    ang = rng.uniform(0.0, TWO_PI, count)
+    dist = 10.0 ** rng.uniform(*decades, count)
+    return table.point_at(ang) + dist[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@pytest.mark.parametrize("name", list(TANGENCY_TABLES))
+def test_tangency_matches_the_reference(name):
+    """50 chord vertices, 50 points 1e-7..1e-2 outside and 10 points
+    1e-9..1e-6 outside, some of which no node of the 2048-node grid sees
+    from outside, so that only the refined maximum finds their tangents."""
+    table = TANGENCY_TABLES[name]()
+    rng = np.random.default_rng(29)
+    a1, w = rng.uniform((0.0, 0.3), (TWO_PI, np.pi - 0.4), (50, 2)).T
+    points = {
+        "vertex": billiard.vertex_point(table, ChordConfig(a1, a1 + w)).T,
+        "outside": _offset(table, rng, 50, (-7.0, -2.0)),
+        "refined": _offset(table, rng, 10, (-9.0, -6.0)),
+    }
+    grid = np.linspace(0.0, TWO_PI, oval_module.GRID_SIZE, endpoint=False)
+    seen = [np.max(x * np.cos(grid) + y * np.sin(grid) - table.p(grid)) > 1e-12
+            for x, y in points["refined"]]
+    assert not all(seen)
+    p = reference_support(table)
+    for kind, xy in points.items():
+        worst = 0.0
+        for x, y in xy.tolist():
+            with mpmath.workdps(40):
+                X, Y = mpmath.mpf(x), mpmath.mpf(y)
+                for a in table.tangent_angles_from((x, y)):
+                    root = mpmath.findroot(
+                        lambda t: X * mpmath.cos(t) + Y * mpmath.sin(t) - p(t), mpmath.mpf(a))
+                    worst = max(worst, float(abs(root - a)))
+        assert worst <= TANGENCY_BOUNDS[kind], kind
 
 
 # -- the exact periodic quintic spline through a table's samples ---------------

@@ -78,9 +78,6 @@ FORKS = {
              "np.shape(a1) != np.shape(a2):", "if np.shape(a1) != np.shape(a2):"),
         ]),
     ]),
-    "tangency-one-point": (("map-oracle",), [
-        (oval.SupportOval, "tangent_angles_from", [("if one and seen[0]:", "if False:")]),
-    ]),
     "cartesian-one-point": (("map-oracle",), [
         (billiard, "cartesian_step", [
             ("""    if M.ndim == 1:
